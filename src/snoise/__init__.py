@@ -65,7 +65,9 @@ from .point_process import (
     CompensatorSpec,
     MppPath,
     compensator_mass,
+    cumulative_jumps,
     empty_path,
+    past_sum,
     simulate_mpp,
     standard,
 )

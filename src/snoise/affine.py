@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, ExplosionGuardError
-from .point_process import MppPath, break_ties, empty_path
+from .errors import BlowUpError, ExplosionGuardError, NonFiniteError
+from .point_process import MppPath, break_ties, empty_path, past_sum
 from .rng import TAG_HAWKES, make_stream
 
 DEFAULT_STEPS_PER_UNIT = 2048
@@ -62,16 +62,11 @@ class HawkesPath:
 
     def intensity(self, t) -> np.ndarray:
         """Closed-form lambda_t from the event times (right-continuous)."""
-        t = np.asarray(t, dtype=float)
         p = self.params
-        base = (p.lambda0 * np.exp(-p.kappa * t)
-                + p.theta_bar * (1.0 - np.exp(-p.kappa * t)))
-        times = self.events.times
-        if times.size == 0:
-            return base
-        lag = t[..., None] - times
-        kicks = np.where(lag >= 0.0, np.exp(-p.kappa * np.maximum(lag, 0.0)), 0.0)
-        return base + kicks.sum(axis=-1)
+        kicks = past_sum(lambda lag, _m: np.exp(-p.kappa * lag),
+                         self.events.times, self.events.marks, t)
+        decay = np.exp(-p.kappa * np.asarray(t, dtype=float))
+        return p.lambda0 * decay + p.theta_bar * (1.0 - decay) + kicks
 
 
 def simulate_hawkes(params: HawkesParams, horizon: float, seed: int, *,
@@ -84,6 +79,8 @@ def simulate_hawkes(params: HawkesParams, horizon: float, seed: int, *,
     candidate, accepted or not.  Near-critical parameters can generate huge
     cascades, hence the event cap.
     """
+    if not math.isfinite(horizon):
+        raise NonFiniteError(f"horizon must be finite, got {horizon}")
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
     rng = make_stream(seed, path_index, TAG_HAWKES)

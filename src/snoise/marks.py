@@ -13,8 +13,9 @@ dispatches on:
     fixed Philox substream (deterministic, but accuracy is statistical).
     The analytic characteristic-function path refuses this mode.
 
-The built-in families are stationary (they ignore ``t``); the ``t`` argument
-is part of the interface so time-varying subclasses slot in unchanged.
+The built-in families are stationary (they ignore ``t``).  Integration
+passes ``t`` through, but path simulation draws every mark from F(0, dx),
+so a time-varying subclass would be simulated with its time-0 law.
 Integrand callables are vectorized: ``fn(x)`` receives an ``(n, d)`` array of
 mark rows and returns an ``(n,)`` array.
 """
@@ -33,6 +34,8 @@ from .rng import TAG_AVG, make_stream
 MODE_DISCRETE = "discrete"
 MODE_DENSITY = "density"
 MODE_SAMPLE = "sample"
+
+_N_AVG = 4096  # draws averaged by sample-only integration
 
 
 class MarkDistribution:
@@ -66,8 +69,7 @@ class MarkDistribution:
         """Marginal CDF of the first coordinate, where available (for KS tests)."""
         raise NotImplementedError
 
-    def integrate(self, fn, t: float = 0.0, tol: float = DEFAULT_QUAD_TOL,
-                  n_avg: int = 4096):
+    def integrate(self, fn, t: float = 0.0, tol: float = DEFAULT_QUAD_TOL):
         """Integrate ``fn`` against F(t, dx) per the declared mode."""
         if self.mode == MODE_DISCRETE:
             pts, w = self.atoms(t)
@@ -88,7 +90,7 @@ class MarkDistribution:
             return adaptive_simpson(integrand, lo, hi, tol, vectorized=True)
         # sample-only: fixed substream so repeated calls agree bit for bit
         rng = make_stream(0, 0, TAG_AVG)
-        draws = self.sample(rng, t, n_avg)
+        draws = self.sample(rng, t, _N_AVG)
         return np.mean(np.asarray(fn(draws)))
 
 

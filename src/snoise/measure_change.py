@@ -40,11 +40,17 @@ from .point_process import (
     CompensatorSpec,
     MppPath,
     compensator_mass,
+    cumulative_jumps,
+    past_sum,
     simulate_mpp,
     standard,
 )
 from .quadrature import DEFAULT_QUAD_TOL, cumulative_simpson
 from .rng import TAG_BROWNIAN, make_stream
+from .stats import BatchPaths, batch_log_weights
+
+# trapezoid density of simulate_stock's time grid, in points per unit time
+_POINTS_PER_UNIT = 1024
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,6 @@ class GirsanovKernel:
     """Reweighting kernel Y(t, x) >= 0; vectorized like mark test functions."""
 
     Y: Callable
-    deterministic: bool = True
     time_homogeneous: bool = False
 
     def finiteness_value(self, spec: CompensatorSpec, t: float,
@@ -207,18 +212,15 @@ def reweighted_expectation(kernel: GirsanovKernel, spec: CompensatorSpec,
         raise IntegrabilityFailureError("int Y d nu is not finite")
     comp_T = _compensator_curve(kernel, spec, np.array([0.0, horizon]),
                                 quad_tol)[-1]
-    vals = np.empty(n_paths)
-    for i in range(n_paths):
-        path = simulate_mpp(spec, horizon, seed, path_index=i)
-        if path.n_events:
-            y = np.asarray(kernel.Y(path.times, path.marks), dtype=float)
-            if np.any(y == 0.0):
-                w = 0.0
-            else:
-                w = math.exp(-comp_T + float(np.log(y).sum()))
-        else:
-            w = math.exp(-comp_T)
-        vals[i] = w * float(functional(path))
+    paths = [simulate_mpp(spec, horizon, seed, path_index=i)
+             for i in range(n_paths)]
+    counts = np.array([p.n_events for p in paths])
+    batch = BatchPaths(horizon, counts,
+                       np.concatenate([[0], np.cumsum(counts)]),
+                       np.concatenate([p.times for p in paths]),
+                       np.concatenate([p.marks for p in paths]))
+    weights = np.exp(batch_log_weights(kernel.Y, batch, comp_T))
+    vals = weights * np.array([float(functional(p)) for p in paths])
     return Estimate(float(vals.mean()),
                     float(vals.std(ddof=1) / math.sqrt(n_paths)))
 
@@ -286,13 +288,8 @@ def _jump_transform_integral(market: MarketParams, fn, t: float,
 def sum_past_g(market: MarketParams, t: float, path: MppPath,
                *, strict: bool = False) -> float:
     """sum over past events of g(t - T_i, U_i); ``strict`` excludes T_i = t."""
-    side = "left" if strict else "right"
-    k = int(np.searchsorted(path.times, t, side=side))
-    if k == 0:
-        return 0.0
-    vals = np.asarray(
-        market.kernel.g(t - path.times[:k], path.marks[:k]), dtype=float)
-    return float(vals.sum())
+    return float(past_sum(market.kernel.g, path.times, path.marks, t,
+                          strict=strict))
 
 
 def mmm_ell(market: MarketParams, t: float, x_tm: float, path: MppPath, *,
@@ -393,17 +390,16 @@ class StockPaths:
 
 def simulate_stock(market: MarketParams, mm: MartingaleMeasureSpec | None,
                    horizon: float, grid, n_paths: int, seed: int, *,
-                   store_paths: bool = False, points_per_unit: int = 1024,
-                   max_events: int = 1_000_000,
+                   store_paths: bool = False, max_events: int = 1_000_000,
                    quad_tol: float = DEFAULT_QUAD_TOL) -> StockPaths:
     """Simulate the stock on the output ``grid`` (must start at 0).
 
     Under ``mm`` the jumps run with compensator lambda' F' and the Brownian
     motion acquires drift -xi; xi is path-dependent through the accumulated
     g-sum and is evaluated at the left grid point (predictable evaluation).
-    The time integral of the g-sum uses a trapezoid on a dense grid (the
-    declared ``points_per_unit`` per unit time) refined with all event times,
-    so the kinks at events carry no discretization bias.  For the
+    The time integral of the g-sum uses a trapezoid on a dense grid (1024
+    points per unit time) refined with all event times, so the kinks at
+    events carry no discretization bias.  For the
     jump-to-level kernel g = 0 and both path integrals collapse to closed
     form, making the simulation exact on the output grid.
     """
@@ -434,7 +430,7 @@ def simulate_stock(market: MarketParams, mm: MartingaleMeasureSpec | None,
                             max_events=max_events)
         bm = make_stream(seed, i, TAG_BROWNIAN)
 
-        jump_sum = _cumulative_jumps(market.kernel, path, grid)
+        jump_sum = cumulative_jumps(market.kernel.G, path, grid)
 
         if g_is_zero:
             w = np.concatenate(
@@ -444,7 +440,7 @@ def simulate_stock(market: MarketParams, mm: MartingaleMeasureSpec | None,
             int_xi = int_xi_det if mm is not None else 0.0
         else:
             dense = np.linspace(0.0, grid[-1],
-                                int(math.ceil(points_per_unit * grid[-1])) + 1)
+                                int(math.ceil(_POINTS_PER_UNIT * grid[-1])) + 1)
             ref = np.unique(np.concatenate(
                 [dense, grid, path.times[path.times <= grid[-1]]]))
             w_ref = np.concatenate(
@@ -453,8 +449,9 @@ def simulate_stock(market: MarketParams, mm: MartingaleMeasureSpec | None,
             # event times sit on the refined grid; a cell ending at an event
             # must use the pre-jump (left) limit there, so the trapezoid sees
             # a smooth integrand inside every cell
-            gsum_rc = _gsum_curve(market.kernel, path, ref, strict=False)
-            gsum_lc = _gsum_curve(market.kernel, path, ref, strict=True)
+            gsum_rc = past_sum(market.kernel.g, path.times, path.marks, ref)
+            gsum_lc = past_sum(market.kernel.g, path.times, path.marks, ref,
+                               strict=True)
             drift_ref = np.concatenate(
                 [[0.0],
                  np.cumsum(0.5 * (gsum_rc[:-1] + gsum_lc[1:]) * np.diff(ref))])
@@ -478,24 +475,3 @@ def simulate_stock(market: MarketParams, mm: MartingaleMeasureSpec | None,
             kept.append(path)
 
     return StockPaths(grid, X, tuple(kept) if store_paths else None)
-
-
-def _cumulative_jumps(kernel: NoiseKernel, path: MppPath, grid) -> np.ndarray:
-    """sum_{T_i <= t} G(0, U_i) at each grid time."""
-    if path.n_events == 0:
-        return np.zeros(len(grid))
-    g0 = np.asarray(kernel.G(0.0, path.marks), dtype=float)
-    cum = np.concatenate([[0.0], np.cumsum(g0)])
-    counts = np.searchsorted(path.times, grid, side="right")
-    return cum[counts]
-
-
-def _gsum_curve(kernel: NoiseKernel, path: MppPath, times: np.ndarray,
-                strict: bool = False) -> np.ndarray:
-    """sum over events of g(u - T_i, U_i) at each u; ``strict`` uses T_i < u."""
-    if path.n_events == 0:
-        return np.zeros(times.size)
-    lag = times[:, None] - path.times[None, :]
-    active = lag > 0.0 if strict else lag >= 0.0
-    vals = np.asarray(kernel.g(np.maximum(lag, 0.0), path.marks), dtype=float)
-    return np.where(active, vals, 0.0).sum(axis=1)

@@ -13,11 +13,12 @@ fails loudly rather than silently biasing the law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExplosionGuardError, InvalidBoundError
+from .errors import ExplosionGuardError, InvalidBoundError, NonFiniteError
 from .marks import MarkDistribution
 from .quadrature import DEFAULT_QUAD_TOL, adaptive_simpson
 from .rng import TAG_EVENTS, TAG_MARKS, make_stream
@@ -98,6 +99,8 @@ class MppPath:
                 raise ValueError("event times must be strictly increasing and > 0")
             if times[-1] > self.horizon:
                 raise ValueError("event beyond horizon")
+        if not math.isfinite(self.horizon):
+            raise NonFiniteError(f"horizon must be finite, got {self.horizon}")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
         times.setflags(write=False)
@@ -152,8 +155,10 @@ def simulate_mpp(spec: CompensatorSpec, horizon: float, seed: int, *,
 
     Thinning: candidates arrive at the homogeneous rate ``rate_bound`` and are
     accepted at ``t`` with probability ``rate(t)/rate_bound``; accepted events
-    get a mark from F(t, .).  Deterministic given ``(seed, path_index)``.
+    get a mark from F(0, .).  Deterministic given ``(seed, path_index)``.
     """
+    if not math.isfinite(horizon):
+        raise NonFiniteError(f"horizon must be finite, got {horizon}")
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
     lam_bar = spec.rate_bound
@@ -195,11 +200,41 @@ def simulate_mpp(spec: CompensatorSpec, horizon: float, seed: int, *,
     n = times.size
     if n == 0:
         return empty_path(horizon, spec.mark_dim)
-    if getattr(spec.marks, "time_varying", False):
-        marks = np.vstack([spec.marks.sample(mk, float(ti), 1)[0] for ti in times])
-    else:
-        marks = spec.marks.sample(mk, 0.0, n)
-    return MppPath(times, marks, horizon)
+    return MppPath(times, spec.marks.sample(mk, 0.0, n), horizon)
+
+
+def past_sum(fn, times, marks, at, *, strict: bool = False):
+    """sum_i fn(u - T_i, U_i) over events with T_i <= u (T_i < u if ``strict``).
+
+    ``at`` is a scalar or an array of evaluation times u; the result has its
+    shape.  ``fn`` is a vectorized kernel ``(lag, marks) -> values`` such as
+    ``NoiseKernel.G`` or ``.g``.  Every event is evaluated (inactive ones at
+    lag 0, so kernels never see a negative lag) and masked to zero, which
+    makes a whole array of times one vectorized call.
+    """
+    at = np.asarray(at, dtype=float)
+    # per-path loops call this with scalar times, where math.isfinite costs
+    # a fraction of a ufunc plus reduction
+    if not (math.isfinite(at) if at.ndim == 0 else np.isfinite(at).all()):
+        raise NonFiniteError("evaluation times must be finite")
+    if len(times) == 0:
+        return np.zeros(at.shape)
+    lag = at[..., None] - times
+    vals = np.asarray(fn(np.maximum(lag, 0.0), marks), dtype=float)
+    return np.where(lag > 0.0 if strict else lag >= 0.0, vals, 0.0).sum(axis=-1)
+
+
+def cumulative_jumps(G, path: MppPath, grid) -> np.ndarray:
+    """sum_{T_i <= t} G(0, U_i) at each grid time.
+
+    A running (sequential) total rather than :func:`past_sum`: the two round
+    differently in the last bit, and these sums reach the written CSVs.
+    """
+    if path.n_events == 0:
+        return np.zeros(len(grid))
+    g0 = np.asarray(G(0.0, path.marks), dtype=float)
+    cum = np.concatenate([[0.0], np.cumsum(g0)])
+    return cum[np.searchsorted(path.times, grid, side="right")]
 
 
 def compensator_mass(spec: CompensatorSpec, t0: float, t1: float, test_fn, *,

@@ -32,7 +32,7 @@ from .measure_change import (
     simulate_stock,
     stationary_reweight,
 )
-from .point_process import MppPath, empty_path, simulate_mpp
+from .point_process import empty_path, past_sum, simulate_mpp
 from .rng import TAG_BATCH_PRIME
 from .shotnoise import (
     FiltrationState,
@@ -103,15 +103,6 @@ def _finish(config, checks, out_dir: Path) -> int:
     return 1 if any(chk.passed is False for chk in checks) else 0
 
 
-def _shotnoise_curve(kernel, path: MppPath, grid: np.ndarray) -> np.ndarray:
-    if path.n_events == 0:
-        return np.zeros(grid.size)
-    lag = grid[:, None] - path.times[None, :]
-    active = lag >= 0.0
-    vals = np.asarray(kernel.G(np.maximum(lag, 0.0), path.marks), dtype=float)
-    return np.where(active, vals, 0.0).sum(axis=1)
-
-
 def _terminal_values(config: ExperimentConfig) -> np.ndarray:
     """S_T over n_paths, via the vectorized batch when the rate is constant."""
     run = config.run
@@ -124,8 +115,7 @@ def _terminal_values(config: ExperimentConfig) -> np.ndarray:
     out = np.empty(run.n_paths)
     for i in range(run.n_paths):
         path = simulate_mpp(spec, run.horizon, run.seed, path_index=i)
-        out[i] = _shotnoise_curve(config.kernel, path,
-                                  np.array([run.horizon]))[0]
+        out[i] = past_sum(config.kernel.G, path.times, path.marks, run.horizon)
     return out
 
 
@@ -148,7 +138,7 @@ def _run_simulate(config: ExperimentConfig, out_dir: Path) -> int:
         path = simulate_mpp(config.spec, run.horizon, run.seed, path_index=i)
         if i == 0:
             first_path = path
-        s_vals = _shotnoise_curve(config.kernel, path, grid)
+        s_vals = past_sum(config.kernel.G, path.times, path.marks, grid)
         rows.extend((i, grid[k], s_vals[k]) for k in range(grid.size))
         event_rows.extend(
             (i, path.times[j], *path.marks[j]) for j in range(path.n_events))
@@ -160,7 +150,8 @@ def _run_simulate(config: ExperimentConfig, out_dir: Path) -> int:
     checks = []
     decomp = semimartingale_decompose(proc, first_path, grid,
                                       quad_tol=run.quad_tol)
-    s_first = _shotnoise_curve(config.kernel, first_path, grid)
+    s_first = past_sum(config.kernel.G, first_path.times, first_path.marks,
+                       grid)
     resid = float(np.abs(decomp.drift + decomp.jump_part - s_first).max())
     write_csv_atomic(
         out_dir / "decomposition.csv",

@@ -29,7 +29,13 @@ from .errors import (
 )
 from .kernels import KIND_EXPONENTIAL, NoiseKernel
 from .marks import MODE_SAMPLE
-from .point_process import CompensatorSpec, MppPath, compensator_mass
+from .point_process import (
+    CompensatorSpec,
+    MppPath,
+    compensator_mass,
+    cumulative_jumps,
+    past_sum,
+)
 from .quadrature import DEFAULT_QUAD_TOL, adaptive_simpson
 
 
@@ -90,22 +96,13 @@ def eval_shotnoise(proc: ShotNoiseProcess, path: MppPath, t: float) -> float:
         raise ValueError("t must be >= 0")
     if t > path.horizon:
         raise ValueError("t beyond path horizon")
-    k = path.count(t)
-    if k == 0:
-        return 0.0
-    vals = np.asarray(
-        proc.kernel.G(t - path.times[:k], path.marks[:k]), dtype=float
-    )
-    return float(vals.sum())
+    return float(past_sum(proc.kernel.G, path.times, path.marks, t))
 
 
 def state_value(proc: ShotNoiseProcess, state: FiltrationState) -> float:
     """S at the state time, from the observed events only."""
     obs = state.observed
-    if obs.n_events == 0:
-        return 0.0
-    vals = np.asarray(proc.kernel.G(state.t - obs.times, obs.marks), dtype=float)
-    return float(vals.sum())
+    return float(past_sum(proc.kernel.G, obs.times, obs.marks, state.t))
 
 
 class CfParts(NamedTuple):
@@ -139,12 +136,8 @@ def conditional_cf_parts(proc: ShotNoiseProcess, state: FiltrationState,
         )
 
     obs = state.observed
-    if obs.n_events:
-        past = float(np.sum(np.asarray(
-            proc.kernel.G(T - obs.times, obs.marks), dtype=float)))
-    else:
-        past = 0.0
-    log_state = 1j * theta * past
+    log_state = 1j * theta * float(past_sum(proc.kernel.G, obs.times,
+                                            obs.marks, T))
 
     if theta == 0.0:
         return CfParts(log_state, 0.0 + 0.0j)
@@ -194,8 +187,7 @@ class Decomposition(NamedTuple):
 
 
 def semimartingale_decompose(proc: ShotNoiseProcess, path: MppPath, grid, *,
-                             quad_tol: float = DEFAULT_QUAD_TOL,
-                             check_integrability: bool = True) -> Decomposition:
+                             quad_tol: float = DEFAULT_QUAD_TOL) -> Decomposition:
     """Pathwise split S = drift + jump_part on the grid.
 
     drift(t) = int_0^t sum_{T_i <= u} g(u - T_i, U_i) du  (quadrature broken
@@ -208,17 +200,16 @@ def semimartingale_decompose(proc: ShotNoiseProcess, path: MppPath, grid, *,
     if np.any(grid < 0) or np.any(np.diff(grid) < 0) or grid[-1] > path.horizon:
         raise ValueError("grid must be sorted within [0, horizon]")
 
-    if check_integrability:
-        try:
-            gsq = proc.integrability_value(float(grid[-1]), quad_tol=quad_tol)
-        except QuadratureFailureError as exc:
-            raise IntegrabilityFailureError(
-                f"int g^2 d nu could not be established finite: {exc}"
-            ) from exc
-        if not math.isfinite(gsq):
-            raise IntegrabilityFailureError(
-                f"int g^2 d nu = {gsq}; semimartingale condition fails"
-            )
+    try:
+        gsq = proc.integrability_value(float(grid[-1]), quad_tol=quad_tol)
+    except QuadratureFailureError as exc:
+        raise IntegrabilityFailureError(
+            f"int g^2 d nu could not be established finite: {exc}"
+        ) from exc
+    if not math.isfinite(gsq):
+        raise IntegrabilityFailureError(
+            f"int g^2 d nu = {gsq}; semimartingale condition fails"
+        )
 
     times, marks = path.times, path.marks
     t_end = float(grid[-1])
@@ -240,24 +231,15 @@ def semimartingale_decompose(proc: ShotNoiseProcess, path: MppPath, grid, *,
         a, b = pts[k - 1], pts[k]
         n_active = int(np.searchsorted(times, a, side="right"))
         if n_active and b > a:
-            act_t = times[:n_active]
-            act_m = marks[:n_active]
-
-            def piece(u, act_t=act_t, act_m=act_m):
-                lag = np.asarray(u, dtype=float)[:, None] - act_t[None, :]
-                return np.asarray(
-                    proc.kernel.g(lag, act_m), dtype=float).sum(axis=1)
+            def piece(u, act_t=times[:n_active], act_m=marks[:n_active]):
+                return past_sum(proc.kernel.g, act_t, act_m, u)
 
             running += float(adaptive_simpson(
                 piece, a, b, quad_tol * (b - a) / t_end, vectorized=True))
         cum[k] = running
     drift = cum[np.searchsorted(pts, grid)]
-
-    g0 = np.asarray(proc.kernel.G(0.0, marks), dtype=float) if times.size else np.empty(0)
-    counts = np.searchsorted(times, grid, side="right")
-    jump_cum = np.concatenate([[0.0], np.cumsum(g0)])
-    jump_part = jump_cum[counts]
-    return Decomposition(grid, drift, jump_part)
+    return Decomposition(grid, drift,
+                         cumulative_jumps(proc.kernel.G, path, grid))
 
 
 def ou_recursive_update(b: float, s_t: float, dt: float, new_jumps, *,

@@ -153,7 +153,7 @@ def ks_against_cdf(x, cdf, level: float = KS_LEVEL) -> KsResult:
 
 @dataclass(frozen=True)
 class BatchPaths:
-    """Flat batch of stationary-compensator paths (the MC oracle format).
+    """Flat batch of paths (the MC oracle format).
 
     Events of path ``i`` occupy the slice ``offsets[i]:offsets[i+1]`` of
     ``times``/``marks``; times are sorted within each path.

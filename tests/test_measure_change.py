@@ -151,6 +151,13 @@ class TestReweightedExpectation:
         assert abs(est.value - lam_p * 1.0) <= 3.0 * est.se
         assert abs(est.value - direct.mean()) <= 3.0 * math.hypot(est.se, se_d)
 
+    def test_negative_kernel_rejected(self):
+        spec = standard(2.0, PointMass(1.0))
+        gk = GirsanovKernel(
+            Y=lambda t, x: -np.ones(np.asarray(x, dtype=float).shape[:-1]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            reweighted_expectation(gk, spec, lambda p: 1.0, 1.0, 50, 1)
+
 
 class TestEsscher:
     def test_zero_tilt_is_identity(self):

@@ -2,18 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from snoise.errors import ExplosionGuardError, InvalidBoundError
+from snoise.affine import HawkesParams, simulate_hawkes
+from snoise.errors import ExplosionGuardError, InvalidBoundError, NonFiniteError
+from snoise.kernels import exponential, from_table, power_law, random_decay
 from snoise.marks import Exponential, Normal, PointMass
+from snoise.measure_change import MarketParams, sum_past_g
 from snoise.point_process import (
     CompensatorSpec,
     MppPath,
     break_ties,
     compensator_mass,
     empty_path,
+    past_sum,
     simulate_mpp,
     standard,
 )
+from snoise.shotnoise import ShotNoiseProcess, eval_shotnoise
 from snoise.stats import ks_against_cdf
 
 
@@ -41,6 +48,11 @@ class TestMppPath:
         r = p.restrict(0.6)
         assert r.n_events == 1 and r.horizon == 0.6
         assert p.restrict(0.0).n_events == 0
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(NonFiniteError):
+            MppPath([], np.empty((0, 1)), horizon)
 
     def test_paths_are_frozen(self):
         p = MppPath([0.5], [[1.0]], 1.0)
@@ -98,6 +110,13 @@ class TestSimulateMpp:
         assert np.array_equal(a.marks, b.marks)
         c = simulate_mpp(spec, 5.0, 11, path_index=5)
         assert not np.array_equal(a.times, c.times)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_non_finite_horizon_fails_fast(self, horizon):
+        with pytest.raises(NonFiniteError):
+            simulate_mpp(standard(1.0, PointMass(1.0)), horizon, 1)
+        with pytest.raises(NonFiniteError):
+            simulate_hawkes(HawkesParams(2.0, 0.5, 1.0), horizon, 1)
 
     def test_event_cap(self):
         spec = standard(100.0, PointMass(1.0))
@@ -166,3 +185,64 @@ def test_empty_path_helpers():
     p = empty_path(2.0, mark_dim=3)
     assert p.n_events == 0 and p.mark_dim == 3
     assert np.all(p.cumulative_marks(1.0) == 0.0)
+
+
+_TABLE = from_table([0.0, 0.5, 1.5, 4.0], [0.0, 1.0, 3.0],
+                    [[0.0, 1.0, 3.0], [0.0, 0.7, 2.0],
+                     [0.0, 0.2, 1.1], [0.0, 0.0, 0.1]])
+_KERNELS = {
+    "exp_G": (exponential(1.3, 0.7).G, 1),
+    "power_g": (power_law(2.0).g, 1),
+    "random_decay_G": (random_decay().G, 2),
+    "table_G": (_TABLE.G, 1),
+    "table_g": (_TABLE.g, 1),
+}
+
+
+@st.composite
+def _kernel_path_at(draw):
+    name = draw(st.sampled_from(sorted(_KERNELS)))
+    fn, dim = _KERNELS[name]
+    times = np.array(sorted(draw(st.sets(
+        st.floats(0.01, 3.5, allow_subnormal=False), max_size=12))))
+    marks = np.array(draw(st.lists(
+        st.lists(st.floats(0.0, 3.0), min_size=dim, max_size=dim),
+        min_size=times.size, max_size=times.size))).reshape(-1, dim)
+    extra = draw(st.lists(st.floats(0.0, 4.0), max_size=5))
+    at = np.concatenate([times, extra])  # every event time, exactly
+    return fn, times, marks, at
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_kernel_path_at(), strict=st.booleans())
+def test_past_sum_matches_brute_force(case, strict):
+    fn, times, marks, at = case
+    got = past_sum(fn, times, marks, at, strict=strict)
+    assert got.shape == at.shape
+    for u, val in zip(at, got):
+        terms = [float(fn(u - t, m)) for t, m in zip(times, marks)
+                 if (t < u if strict else t <= u)]
+        assert abs(val - math.fsum(terms)) <= 1e-13 * math.fsum(map(abs, terms))
+        assert float(past_sum(fn, times, marks, u, strict=strict)) == val
+
+
+def test_past_sum_rejects_non_finite_times():
+    exp_kernel = exponential(1.0, 1.0)
+    path = MppPath([0.5, 0.8], [[1.0], [2.0]], 1.0)
+    proc = ShotNoiseProcess(exp_kernel, standard(1.0, PointMass(1.0)))
+    market = MarketParams(1.0, 0.1, 0.2, lambda t: 0.02, exp_kernel,
+                          standard(1.0, PointMass(1.0)))
+    hawkes = simulate_hawkes(HawkesParams(2.0, 3.0, 3.0), 2.0, 3)
+    assert hawkes.events.n_events
+    with pytest.raises(NonFiniteError):
+        eval_shotnoise(proc, path, math.nan)
+    with pytest.raises(NonFiniteError):
+        past_sum(exp_kernel.G, np.empty(0), np.empty((0, 1)), [0.5, math.nan])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFiniteError):
+            hawkes.intensity(bad)
+        with pytest.raises(NonFiniteError):
+            hawkes.intensity(np.array([0.5, bad]))
+        for strict in (False, True):
+            with pytest.raises(NonFiniteError):
+                sum_past_g(market, bad, path, strict=strict)
