@@ -34,6 +34,9 @@ class HawkesParams:
     lambda0: float
 
     def __post_init__(self):
+        params = (self.kappa, self.theta_bar, self.lambda0)
+        if not all(map(math.isfinite, params)):
+            raise NonFiniteError(f"Hawkes parameters must be finite: {self}")
         if self.kappa <= 0:
             raise ValueError("kappa must be > 0")
         if self.theta_bar < 0:

@@ -10,6 +10,7 @@ grammar and examples.
 from __future__ import annotations
 
 import configparser
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -117,6 +118,8 @@ class _Section:
             out = float(val)
         except ValueError:
             _fail(self.name, key, f"not a number: {val!r}")
+        if not math.isfinite(out):
+            _fail(self.name, key, f"must be finite, got {val!r}")
         self._record(key, out)
         return out
 
@@ -145,6 +148,8 @@ class _Section:
             out = [float(tok) for tok in val.replace(";", ",").split(",") if tok.strip()]
         except ValueError:
             _fail(self.name, key, f"not a comma-separated number list: {val!r}")
+        if not all(map(math.isfinite, out)):
+            _fail(self.name, key, f"every number must be finite, got {val!r}")
         self._record(key, ",".join(repr(v) for v in out))
         return out
 

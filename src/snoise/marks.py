@@ -22,12 +22,13 @@ mark rows and returns an ``(n,)`` array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats as _sps
 
-from .errors import QuadratureFailureError
+from .errors import NonFiniteError, QuadratureFailureError
 from .quadrature import DEFAULT_QUAD_TOL, adaptive_simpson
 from .rng import TAG_AVG, make_stream
 
@@ -92,6 +93,11 @@ class MarkDistribution:
         rng = make_stream(0, 0, TAG_AVG)
         draws = self.sample(rng, t, _N_AVG)
         return np.mean(np.asarray(fn(draws)))
+
+
+def _require_finite(dist, *params):
+    if not all(map(math.isfinite, params)):
+        raise NonFiniteError(f"parameters must be finite: {dist}")
 
 
 def _rows(values, dim):
@@ -170,6 +176,7 @@ class Normal(MarkDistribution):
     truncated_edges: tuple = field(default=("lo", "hi"), init=False)
 
     def __post_init__(self):
+        _require_finite(self, self.mean, self.std)
         if self.std <= 0:
             raise ValueError("std must be positive")
 
@@ -198,6 +205,7 @@ class Exponential(MarkDistribution):
     truncated_edges: tuple = field(default=("hi",), init=False)
 
     def __post_init__(self):
+        _require_finite(self, self.mean)
         if self.mean <= 0:
             raise ValueError("mean must be positive")
 
@@ -227,6 +235,7 @@ class Uniform(MarkDistribution):
     mark_dim: int = field(default=1, init=False)
 
     def __post_init__(self):
+        _require_finite(self, self.lo, self.hi)
         if not self.hi > self.lo:
             raise ValueError("hi must exceed lo")
 

@@ -39,7 +39,6 @@ from .marks import MarkDistribution
 from .point_process import (
     CompensatorSpec,
     MppPath,
-    compensator_mass,
     cumulative_jumps,
     past_sum,
     simulate_mpp,
@@ -60,14 +59,6 @@ class GirsanovKernel:
     Y: Callable
     time_homogeneous: bool = False
 
-    def finiteness_value(self, spec: CompensatorSpec, t: float,
-                         quad_tol: float = DEFAULT_QUAD_TOL) -> float:
-        """int_0^t int Y(s, x) nu(s, dx) ds; must be finite for a density."""
-        if self.time_homogeneous and spec.stationary_rate is not None:
-            return float(spec.slice_integral(0.0, lambda x: self.Y(0.0, x),
-                                             quad_tol)) * t
-        return float(compensator_mass(spec, 0.0, t, self.Y, quad_tol=quad_tol))
-
 
 def identity_kernel() -> GirsanovKernel:
     return GirsanovKernel(
@@ -82,14 +73,14 @@ class MartingaleMeasureSpec:
 
     ``eta`` is the Radon-Nikodym density of F' w.r.t. F (vectorized over mark
     rows); ``marks_prime`` is the sampleable F' used for direct simulation
-    under the target measure; ``xi`` optionally overrides the market price of
-    diffusive risk (signature ``(t, path) -> float``).
+    under the target measure.  The market price of diffusive risk is not
+    part of the spec: :func:`market_price_of_risk` derives it from the drift
+    condition.
     """
 
     lambda_prime: float
     eta: Callable
     marks_prime: MarkDistribution | None = None
-    xi: Callable | None = None
 
     def __post_init__(self):
         if self.lambda_prime <= 0:
@@ -140,19 +131,26 @@ class DensityPath:
 
 def _compensator_curve(kernel: GirsanovKernel, spec: CompensatorSpec,
                        times: np.ndarray, quad_tol: float) -> np.ndarray:
-    """C(t) = int_0^t int (Y - 1) nu(s, dx) ds at the given times."""
+    """C(t) = int_0^t int (Y - 1) nu(s, dx) ds at the sorted ``times``.
+
+    nu is finite on [0, t], so int Y d nu = C(t) + int_0^t rate is finite,
+    as a density needs, exactly when C(t) is; that is checked here.
+    """
     if kernel.time_homogeneous and spec.stationary_rate is not None:
-        slope = float(spec.slice_integral(
+        curve = float(spec.slice_integral(
             0.0, lambda x: np.asarray(kernel.Y(0.0, x), dtype=float) - 1.0,
-            quad_tol))
-        return slope * times
-    vals = cumulative_simpson(
-        lambda s: float(spec.slice_integral(
-            s, lambda x: np.asarray(kernel.Y(s, x), dtype=float) - 1.0,
-            max(quad_tol * 1e-2, 1e-14))),
-        times, quad_tol,
-    )
-    return np.asarray(vals, dtype=float)
+            quad_tol)) * times
+    else:
+        curve = np.asarray(cumulative_simpson(
+            lambda s: float(spec.slice_integral(
+                s, lambda x: np.asarray(kernel.Y(s, x), dtype=float) - 1.0,
+                max(quad_tol * 1e-2, 1e-14))),
+            times, quad_tol,
+        ), dtype=float)
+    if not np.isfinite(curve).all():
+        raise IntegrabilityFailureError(
+            f"int Y d nu over [0, {times[-1]}] is not finite")
+    return curve
 
 
 def girsanov_compensator(kernel: GirsanovKernel, spec: CompensatorSpec,
@@ -169,12 +167,6 @@ def density_process(kernel: GirsanovKernel, spec: CompensatorSpec,
     """The density L along ``path`` at all grid and event times (log-space)."""
     grid = np.asarray(grid, dtype=float)
     t_max = float(grid.max())
-    fin = kernel.finiteness_value(spec, t_max, quad_tol)
-    if not math.isfinite(fin):
-        raise IntegrabilityFailureError(
-            f"int Y d nu over [0, {t_max}] is not finite ({fin})"
-        )
-
     ev = path.times[path.times <= t_max]
     mk = path.marks[: ev.size]
     times = np.unique(np.concatenate([[0.0], grid, ev]))
@@ -207,9 +199,6 @@ def reweighted_expectation(kernel: GirsanovKernel, spec: CompensatorSpec,
     """Importance-sampling estimate of E_{P'}[functional] = E_P[L_T functional]."""
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
-    fin = kernel.finiteness_value(spec, horizon, quad_tol)
-    if not math.isfinite(fin):
-        raise IntegrabilityFailureError("int Y d nu is not finite")
     comp_T = _compensator_curve(kernel, spec, np.array([0.0, horizon]),
                                 quad_tol)[-1]
     paths = [simulate_mpp(spec, horizon, seed, path_index=i)
@@ -360,10 +349,11 @@ def drift_residual(market: MarketParams, mm: MartingaleMeasureSpec | None,
     Assembled independently of :func:`market_price_of_risk`: the jump term is
     integrated against Y(t, x) nu(t, dx) with Y = (lambda'/lambda) eta rather
     than against lambda' F' directly.  ``mm = None`` targets P itself (Y = 1).
+    ``xi`` is the market price of diffusive risk at t; when omitted it is
+    :func:`market_price_of_risk` at (t, path).
     """
     if xi is None:
-        xi_t = (mm.xi(t, path) if mm is not None and mm.xi is not None
-                else market_price_of_risk(market, mm, t, path, quad_tol=quad_tol))
+        xi_t = market_price_of_risk(market, mm, t, path, quad_tol=quad_tol)
     else:
         xi_t = float(xi)
     if market.spec.rate_bound == 0.0:
@@ -390,7 +380,7 @@ class StockPaths:
 
 def simulate_stock(market: MarketParams, mm: MartingaleMeasureSpec | None,
                    horizon: float, grid, n_paths: int, seed: int, *,
-                   store_paths: bool = False, max_events: int = 1_000_000,
+                   store_paths: bool = False,
                    quad_tol: float = DEFAULT_QUAD_TOL) -> StockPaths:
     """Simulate the stock on the output ``grid`` (must start at 0).
 
@@ -401,7 +391,9 @@ def simulate_stock(market: MarketParams, mm: MartingaleMeasureSpec | None,
     points per unit time) refined with all event times, so the kinks at
     events carry no discretization bias.  For the
     jump-to-level kernel g = 0 and both path integrals collapse to closed
-    form, making the simulation exact on the output grid.
+    form, making the simulation exact on the output grid.  Each jump path
+    is drawn by :func:`~snoise.point_process.simulate_mpp` with its default
+    event cap.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0:
@@ -426,8 +418,7 @@ def simulate_stock(market: MarketParams, mm: MartingaleMeasureSpec | None,
     kept = [] if store_paths else None
 
     for i in range(n_paths):
-        path = simulate_mpp(sim_spec, horizon, seed, path_index=i,
-                            max_events=max_events)
+        path = simulate_mpp(sim_spec, horizon, seed, path_index=i)
         bm = make_stream(seed, i, TAG_BROWNIAN)
 
         jump_sum = cumulative_jumps(market.kernel.G, path, grid)

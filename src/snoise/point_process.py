@@ -31,26 +31,15 @@ class CompensatorSpec:
     rate: object  # callable t -> intensity, vectorized over arrays
     rate_bound: float
     marks: MarkDistribution
-    mark_dim: int = 0
     stationary_rate: float | None = None  # set by standard(); enables shortcuts
 
     def __post_init__(self):
         if self.rate_bound < 0 or not np.isfinite(self.rate_bound):
             raise ValueError("rate_bound must be finite and >= 0")
-        if self.mark_dim == 0:
-            object.__setattr__(self, "mark_dim", self.marks.mark_dim)
-        if self.mark_dim != self.marks.mark_dim:
-            raise ValueError("mark_dim disagrees with the mark distribution")
 
-    def mean_rate_integral(self, t0: float, t1: float,
-                           tol: float = DEFAULT_QUAD_TOL) -> float:
-        """int_{t0}^{t1} rate(s) ds."""
-        if self.stationary_rate is not None:
-            return self.stationary_rate * (t1 - t0)
-        return float(adaptive_simpson(
-            lambda s: np.asarray(self.rate(s), dtype=float), t0, t1, tol,
-            vectorized=True,
-        ))
+    @property
+    def mark_dim(self) -> int:
+        return self.marks.mark_dim
 
     def slice_integral(self, t: float, fn, tol: float = DEFAULT_QUAD_TOL):
         """Time-slice integral against nu(t, dx) = rate(t) F(t, dx)."""
@@ -248,11 +237,6 @@ def compensator_mass(spec: CompensatorSpec, t0: float, t1: float, test_fn, *,
     if t1 < t0:
         raise ValueError("need t0 <= t1")
     inner_tol = max(quad_tol * 1e-3, 1e-14)
-
-    def outer(s):
-        lam = float(spec.rate(s))
-        if lam == 0.0:
-            return 0.0
-        return lam * spec.marks.integrate(lambda x: test_fn(s, x), s, inner_tol)
-
-    return adaptive_simpson(outer, t0, t1, quad_tol, breakpoints=breakpoints)
+    return adaptive_simpson(
+        lambda s: spec.slice_integral(s, lambda x: test_fn(s, x), inner_tol),
+        t0, t1, quad_tol, breakpoints=breakpoints)

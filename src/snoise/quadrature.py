@@ -7,21 +7,27 @@ Complex integrands are handled natively; refinement decisions use the modulus
 of the Richardson error estimate, so conjugate integrands refine identically
 and Hermitian symmetry survives to rounding level.
 
-Known kink locations (event times, table knots) should be passed as
-``breakpoints``: the interval is split there and each smooth piece gets a
-share of the tolerance proportional to its length.
+Every integral is one piece loop: the range is cut at the bounds, known
+kinks passed as ``breakpoints`` (event times, table knots) and, for
+:func:`cumulative_simpson`, the output points; each piece gets a share of
+the tolerance proportional to its length and is sampled at least one ulp
+inside its ends, so breakpoints see one-sided limits.  Non-finite bounds,
+and refinement past ``_MAX_DEPTH`` or ``_MAX_OPEN`` open intervals, fail
+fast (``NonFiniteError`` if the unconverged values are NaN/inf).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import QuadratureFailureError
+from .errors import NonFiniteError, QuadratureFailureError
 
 DEFAULT_QUAD_TOL = 1e-8
-DEFAULT_MAX_DEPTH = 30
+_MAX_DEPTH = 30
+_MAX_OPEN = 2**14  # legitimate integrals here peak at 1,512 open intervals
 
 
 def adaptive_simpson(
@@ -30,7 +36,6 @@ def adaptive_simpson(
     b: float,
     tol: float = DEFAULT_QUAD_TOL,
     *,
-    max_depth: int = DEFAULT_MAX_DEPTH,
     vectorized: bool = False,
     breakpoints: Iterable[float] = (),
 ):
@@ -42,40 +47,82 @@ def adaptive_simpson(
 
     Raises
     ------
+    NonFiniteError
+        if a bound is not finite, or refinement fails on NaN/inf values.
     QuadratureFailureError
-        if some subinterval fails to converge within ``max_depth`` splits.
+        if some piece fails to converge within the depth or frontier cap.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NonFiniteError(f"integration bounds must be finite: [{a}, {b}]")
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
     if b == a:
         return 0.0
-    if vectorized:
-        fv = lambda xs: np.asarray(f(xs), dtype=np.complex128)
-    else:
-        fv = lambda xs: np.array([f(float(x)) for x in xs], dtype=np.complex128)
-
-    pts = [a]
-    pts.extend(sorted(p for p in breakpoints if a < p < b))
-    pts.append(b)
-
-    total = 0.0 + 0.0j
-    span = b - a
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if hi <= lo:
-            continue
-        total += _integrate_piece(fv, lo, hi, tol * (hi - lo) / span, max_depth)
+    edges = [a, *sorted({p for p in breakpoints if a < p < b}), b]
+    total = sum(_pieces(_batched(f, vectorized), edges, tol))
     if total.imag == 0.0:
         return total.real
     return total
 
 
-def _integrate_piece(fv, a, b, tol, max_depth):
+def cumulative_simpson(
+    f: Callable,
+    points: np.ndarray,
+    tol: float = DEFAULT_QUAD_TOL,
+    *,
+    vectorized: bool = False,
+    breakpoints: Iterable[float] = (),
+) -> np.ndarray:
+    """Cumulative integral of ``f`` from ``points[0]`` to each point.
+
+    Integrates each piece between consecutive distinct points and interior
+    breakpoints once and accumulates, so every partial sum meets ``tol``
+    and the result at ``points[k]`` is consistent with
+    :func:`adaptive_simpson` over ``[points[0], points[k]]``.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 1 or points.size < 1:
+        raise ValueError("points must be a non-empty 1-d array")
+    if not np.isfinite(points).all():
+        raise NonFiniteError("integration points must be finite")
+    if np.any(np.diff(points) < 0):
+        raise ValueError("points must be non-decreasing")
+    bks = np.asarray(list(breakpoints), dtype=float)
+    inner = bks[(bks > points[0]) & (bks < points[-1])]
+    edges = np.unique(np.concatenate([points, inner]))
+    pieces = _pieces(_batched(f, vectorized), edges.tolist(), tol)
+    cum = np.concatenate([[0.0], np.cumsum(pieces)])
+    out = cum[np.searchsorted(edges, points)]
+    if np.all(out.imag == 0.0):
+        return out.real
+    return out
+
+
+def _batched(f, vectorized):
+    """``f`` as a map from an ndarray of nodes to complex values."""
+    if vectorized:
+        return lambda xs: np.asarray(f(xs), dtype=np.complex128)
+    return lambda xs: np.array([f(float(x)) for x in xs], dtype=np.complex128)
+
+
+def _pieces(fv, edges, tol):
+    """Integral over each gap of increasing ``edges``, tol shared by length."""
+    span = edges[-1] - edges[0]
+    return [_integrate_piece(fv, lo, hi, tol * (hi - lo) / span)
+            for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _integrate_piece(fv, a, b, tol):
     # integrate over [a + delta, b - delta]: the inset keeps evaluations off
     # the piece endpoints, so one-sided limits are used at breakpoints, and
-    # the dropped slivers contribute O(1e-12 (b-a) |f|), far below tolerance
+    # the dropped slivers contribute O(1e-12 (b-a) |f|), far below tolerance;
+    # on short pieces far from 0 the relative inset rounds away, so it is
+    # at least one ulp
     delta = 1e-12 * (b - a)
-    a = a + delta
-    b = b - delta
+    a = max(a + delta, math.nextafter(a, math.inf))
+    b = min(b - delta, math.nextafter(b, -math.inf))
+    if b <= a:  # a piece at most two ulps wide
+        return 0.0j
     mid = 0.5 * (a + b)
     f0 = fv(np.array([a, mid, b]))
     lo = np.array([a])
@@ -87,9 +134,11 @@ def _integrate_piece(fv, a, b, tol, max_depth):
     tols = np.array([max(tol, 1e-300)])
 
     acc = 0.0 + 0.0j
-    for _depth in range(max_depth + 1):
+    for depth in range(_MAX_DEPTH + 1):
         if lo.size == 0:
             return acc
+        if lo.size > _MAX_OPEN:
+            break
         lm = lo + 0.25 * h
         rm = lo + 0.75 * h
         vals = fv(np.concatenate([lm, rm]))
@@ -115,50 +164,12 @@ def _integrate_piece(fv, a, b, tol, max_depth):
         half_tol = 0.5 * tols[keep]
         tols = np.concatenate([half_tol, half_tol])
 
-    raise QuadratureFailureError(
-        f"adaptive Simpson did not converge on [{a!r}, {b!r}] "
-        f"within depth {max_depth} ({lo.size} open intervals)"
-    )
-
-
-def cumulative_simpson(
-    f: Callable,
-    points: np.ndarray,
-    tol: float = DEFAULT_QUAD_TOL,
-    *,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    vectorized: bool = False,
-    breakpoints: Iterable[float] = (),
-) -> np.ndarray:
-    """Cumulative integral of ``f`` from ``points[0]`` to each point.
-
-    Integrates each consecutive gap once (splitting at any interior
-    breakpoints) and accumulates, so the result at ``points[k]`` is
-    consistent with :func:`adaptive_simpson` over ``[points[0], points[k]]``.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 1 or points.size < 1:
-        raise ValueError("points must be a non-empty 1-d array")
-    if np.any(np.diff(points) < 0):
-        raise ValueError("points must be non-decreasing")
-    bks = np.asarray(sorted(breakpoints), dtype=float)
-    out = np.zeros(points.size, dtype=np.complex128)
-    running = 0.0 + 0.0j
-    span = points[-1] - points[0]
-    for k in range(1, points.size):
-        a, b = points[k - 1], points[k]
-        if b == a:
-            out[k] = running
-            continue
-        inner = bks[(bks > a) & (bks < b)]
-        # per-gap tolerance scales with length so every partial sum meets tol
-        running += complex(
-            adaptive_simpson(
-                f, a, b, tol * (b - a) / span, max_depth=max_depth,
-                vectorized=vectorized, breakpoints=inner,
-            )
+    if not np.isfinite(np.concatenate([fl, fm, fr])).all():
+        raise NonFiniteError(
+            f"integrand is not finite on [{a!r}, {b!r}] "
+            f"({lo.size} open intervals at depth {depth})"
         )
-        out[k] = running
-    if np.all(out.imag == 0.0):
-        return out.real
-    return out
+    raise QuadratureFailureError(
+        f"adaptive Simpson did not converge on [{a!r}, {b!r}]: "
+        f"{lo.size} open intervals at depth {depth}"
+    )

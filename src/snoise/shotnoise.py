@@ -36,7 +36,7 @@ from .point_process import (
     cumulative_jumps,
     past_sum,
 )
-from .quadrature import DEFAULT_QUAD_TOL, adaptive_simpson
+from .quadrature import DEFAULT_QUAD_TOL, cumulative_simpson
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,7 @@ class ShotNoiseProcess:
             self.spec, 0.0, T,
             lambda s, x: np.asarray(self.kernel.g(s, x), dtype=float) ** 2,
             quad_tol=quad_tol,
+            breakpoints=self.kernel.params.get("t_knots", ()),
         ))
         self._gsq_cache[key] = val
         return val
@@ -213,31 +214,20 @@ def semimartingale_decompose(proc: ShotNoiseProcess, path: MppPath, grid, *,
 
     times, marks = path.times, path.marks
     t_end = float(grid[-1])
-
-    # split [0, t_end] wherever the integrand's smoothness can break: at
-    # event times and, for tabulated kernels, at event time + knot lags
-    bks = [times[times <= t_end]]
-    for knot in proc.kernel.params.get("t_knots", ()):
-        bks.append(times + knot)
-    pts = np.unique(np.concatenate([[0.0], grid, *bks]))
-    pts = pts[(pts >= 0.0) & (pts <= t_end)]
-
-    # within each piece the active event set is frozen, so the integrand is
-    # smooth on the closed piece and adaptive refinement cannot stall on an
-    # endpoint jump
-    cum = np.zeros(pts.size)
-    running = 0.0
-    for k in range(1, pts.size):
-        a, b = pts[k - 1], pts[k]
-        n_active = int(np.searchsorted(times, a, side="right"))
-        if n_active and b > a:
-            def piece(u, act_t=times[:n_active], act_m=marks[:n_active]):
-                return past_sum(proc.kernel.g, act_t, act_m, u)
-
-            running += float(adaptive_simpson(
-                piece, a, b, quad_tol * (b - a) / t_end, vectorized=True))
-        cum[k] = running
-    drift = cum[np.searchsorted(pts, grid)]
+    drift = np.zeros(grid.size)
+    if times.size and times[0] <= t_end:
+        # the drift is zero up to the first event; from there the integrand
+        # can kink at event times and, for tabulated kernels, at event time +
+        # knot lag, and the tolerance keeps its share of [0, t_end]
+        t0 = float(times[0])
+        knots = proc.kernel.params.get("t_knots", ())
+        late = grid >= t0
+        drift[late] = cumulative_simpson(
+            lambda u: past_sum(proc.kernel.g, times, marks, u),
+            np.concatenate([[t0], grid[late]]),
+            quad_tol * (t_end - t0) / t_end, vectorized=True,
+            breakpoints=np.concatenate([times, *(times + k for k in knots)]),
+        )[1:]
     return Decomposition(grid, drift,
                          cumulative_jumps(proc.kernel.G, path, grid))
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from snoise.affine import (
     HawkesParams,
@@ -10,7 +12,7 @@ from snoise.affine import (
     riccati_solve,
     simulate_hawkes,
 )
-from snoise.errors import BlowUpError, ExplosionGuardError
+from snoise.errors import BlowUpError, ExplosionGuardError, NonFiniteError
 from snoise.stats import cf_ratio, empirical_cf
 
 
@@ -25,6 +27,17 @@ class TestParams:
 
     def test_branching_ratio(self):
         assert HawkesParams(2.0, 0.5, 1.0).branching_ratio == 0.5
+
+    @given(params=st.tuples(st.floats(0.1, 10.0), st.floats(0.0, 10.0),
+                            st.floats(0.0, 10.0)),
+           slot=st.integers(0, 2),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_rejected(self, params, slot, bad):
+        HawkesParams(*params)
+        params = list(params)
+        params[slot] = bad
+        with pytest.raises(NonFiniteError):
+            HawkesParams(*params)
 
 
 class TestSimulateHawkes:

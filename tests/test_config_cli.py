@@ -1,8 +1,11 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from snoise.cli import main
 from snoise.config import parse_config
@@ -138,6 +141,32 @@ lambda0 = 1.0
         from snoise.kernels import eval_G
         assert eval_G(cfg.kernel, 1.0, [2.0]) == pytest.approx(1.0)
 
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.sampled_from([
+        ("horizon = 1.0", "horizon = {}", "run.horizon"),
+        ("grid_points = 8", "grid_points = 8\nquad_tol = {}", "run.quad_tol"),
+        ("a = 1.0", "a = {}", "kernel.a"),
+        ("mark_mean = 1.0", "mark_mean = {}", "compensator.mark_mean"),
+        ("marks = exponential\nmark_mean = 1.0",
+         "marks = normal\nmark_mean = 0.5\nmark_std = {}",
+         "compensator.mark_std"),
+        ("marks = exponential\nmark_mean = 1.0",
+         "marks = discrete\nmark_points = 0.5, {}\nmark_weights = 0.3, 0.7",
+         "compensator.mark_points"),
+        (None, "kappa = {}", "affine.kappa"),
+    ]), bad=st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]))
+    def test_non_finite_numbers_rejected(self, tmp_path, case, bad):
+        old, new, field = case
+        if old is None:
+            text = ("[run]\nscenario = affine-validate\nseed = 1\n\n"
+                    "[affine]\n" + new.format(bad)
+                    + "\ntheta_bar = 0.5\nlambda0 = 1.0\n")
+        else:
+            text = MINIMAL_SIMULATE.replace(old, new.format(bad))
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, text))
+        assert err.value.field == field
+
 
 class TestCli:
     def test_simulate_csv_contract_and_determinism(self, tmp_path):
@@ -233,3 +262,30 @@ expect_markov = true
         code = main(["markov-test", "--config", write(tmp_path, text),
                      "--out", str(tmp_path / "mk")])
         assert code == 1
+
+
+def test_table_kernel_with_knots_inside_horizon_simulates(tmp_path, capsys):
+    # g jumps at the table knots 0.5 and 1, inside the horizon: the
+    # integrability check must split its time integral there
+    text = MINIMAL_SIMULATE.replace("horizon = 1.0", "horizon = 2.0").replace(
+        "kind = exponential\na = 1.0\nb = 0.5",
+        "kind = custom\ntable_t = 0, 0.5, 1, 3\ntable_x = 0, 1, 2\n"
+        "table_g = 0 1 2; 0 0.6 1.2; 0 0.4 0.8; 0 0.1 0.2")
+    out = tmp_path / "table"
+    assert main(["simulate", "--config", write(tmp_path, text),
+                 "--out", str(out)]) == 0, capsys.readouterr().err
+    assert "RESULT: PASS" in (out / "report.txt").read_text()
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs")
+                         .glob("*.ini"))
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_passes(config, tmp_path, capsys):
+    # each shipped config at its own seed, through the CLI as a user runs it
+    scenario = parse_config(str(config)).run.scenario
+    out = tmp_path / config.stem
+    assert main([scenario, "--config", str(config), "--out", str(out)]) == 0, \
+        capsys.readouterr().err
+    assert "RESULT: PASS" in (out / "report.txt").read_text()

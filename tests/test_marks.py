@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from snoise.errors import NonFiniteError
 from snoise.marks import (
     Discrete,
     Exponential,
@@ -119,3 +122,24 @@ class TestProductIid:
         draws = p.sample(make_stream(3), 0.0, 100)
         assert draws.shape == (100, 2)
         assert (draws[:, 1] >= 0.5).all() and (draws[:, 1] <= 1.5).all()
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(family=st.sampled_from([Normal, Exponential, Uniform]),
+       data=st.data(), bad=_NON_FINITE)
+def test_non_finite_parameters_rejected(family, data, bad):
+    # a valid parameter set, then one slot replaced by nan or +-inf
+    if family is Normal:
+        params = [data.draw(st.floats(-5.0, 5.0)),
+                  data.draw(st.floats(0.1, 5.0))]
+    elif family is Exponential:
+        params = [data.draw(st.floats(0.1, 5.0))]
+    else:
+        lo = data.draw(st.floats(-5.0, 5.0))
+        params = [lo, lo + data.draw(st.floats(0.1, 5.0))]
+    family(*params)
+    params[data.draw(st.integers(0, len(params) - 1))] = bad
+    with pytest.raises(NonFiniteError):
+        family(*params)

@@ -24,6 +24,11 @@ from snoise.shotnoise import ShotNoiseProcess, eval_shotnoise
 from snoise.stats import ks_against_cdf
 
 
+def ones(s, x):
+    """Test function 1: compensator_mass then integrates the rate."""
+    return np.ones(np.asarray(x, dtype=float).shape[:-1])
+
+
 class TestMppPath:
     def test_validation_rejects_unsorted(self):
         with pytest.raises(ValueError):
@@ -142,7 +147,7 @@ class TestSimulateMpp:
             simulate_mpp(spec, 2.0, 100 + i).n_events for i in range(n)
         ])
         target = 2.0 * 2.0 - 0.5 * 2.0  # int_0^2 (2 - t/2) dt = 3
-        assert spec.mean_rate_integral(0.0, 2.0) == pytest.approx(target,
+        assert compensator_mass(spec, 0.0, 2.0, ones) == pytest.approx(target,
                                                                   abs=1e-9)
         se = counts.std(ddof=1) / math.sqrt(n)
         assert abs(counts.mean() - target) <= 3.0 * se

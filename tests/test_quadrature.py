@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,3 +84,79 @@ def test_cumulative_handles_duplicate_points():
     pts = np.array([0.0, 1.0, 1.0, 2.0])
     cum = cumulative_simpson(lambda x: 2.0 * x, pts, 1e-11)
     assert np.allclose(cum, [0.0, 1.0, 1.0, 4.0], atol=1e-10)
+
+
+def test_short_piece_far_from_zero_keeps_breakpoint_unsampled():
+    # a relative inset of 1e-12 * 1e-4 rounds away next to 1.0; the inset of
+    # at least one ulp still keeps the jump at the breakpoint unsampled
+    f = lambda x: np.where(x < 1 + 5e-5, 1.0, 3.0)
+    val = adaptive_simpson(f, 1.0, 1.0 + 1e-4, 1e-10, vectorized=True,
+                           breakpoints=[1 + 5e-5])
+    assert val == pytest.approx(2e-4, abs=1e-12)
+
+
+def test_cumulative_with_breakpoints_matches_per_gap_loop():
+    # kinks at 0.35 and 1.7, a duplicate point and a breakpoint on a point
+    f = lambda x: np.abs(x - 0.35) + np.where(x < 1.7, 0.0, np.cos(3.0 * x))
+    pts = np.array([0.0, 0.2, 0.9, 0.9, 1.7, 2.0])
+    bks = [0.35, 1.7, 5.0]
+    cum = cumulative_simpson(f, pts, 1e-11, vectorized=True, breakpoints=bks)
+    running, expect = 0.0, [0.0]
+    for a, b in zip(pts[:-1], pts[1:]):
+        running += adaptive_simpson(f, a, b, 1e-11 * (b - a) / 2.0,
+                                    vectorized=True, breakpoints=bks)
+        expect.append(running)
+    assert np.abs(cum - np.array(expect)).max() <= 1e-12
+
+
+# Hostile inputs run in a child process under an address-space cap and a
+# timeout, so an engine that refines them without bound fails the test
+# instead of exhausting the machine's memory.
+_HOSTILE = """
+import math, resource, sys
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+import numpy as np
+from snoise.errors import SnoiseError
+from snoise.quadrature import adaptive_simpson, cumulative_simpson
+cases = {
+    "nan_half": lambda: adaptive_simpson(
+        lambda x: np.where(x < 0.5, np.nan, 1.0), 0.0, 1.0, 1e-8,
+        vectorized=True),
+    "tol_below_resolution": lambda: adaptive_simpson(
+        lambda x: 1e6 * np.exp(x), 0.0, 1.0, 1e-20, vectorized=True),
+    "nan_bound": lambda: adaptive_simpson(math.exp, math.nan, 1.0, 1e-8),
+    "inf_bound": lambda: adaptive_simpson(np.exp, 0.0, math.inf, 1e-8,
+                                          vectorized=True),
+    "nan_point": lambda: cumulative_simpson(np.exp, np.array([0.0, math.nan]),
+                                            1e-8, vectorized=True),
+    # bounds one ulp apart, as break_ties leaves tied event times: the
+    # piece has no interior, so nothing is sampled
+    "ulp_piece": lambda: adaptive_simpson(
+        lambda x: np.full(np.shape(x), np.nan), 1.0, math.nextafter(1.0, 2.0),
+        1e-8, vectorized=True),
+}
+try:
+    print("OK", cases[sys.argv[1]]())
+except SnoiseError as exc:
+    print(exc.code, exc)
+"""
+
+
+@pytest.mark.parametrize("case, code, detail", [
+    ("nan_half", "NonFinite", "open intervals at depth"),
+    ("tol_below_resolution", "QuadratureFailure", "open intervals at depth"),
+    ("nan_bound", "NonFinite", "bounds must be finite"),
+    ("inf_bound", "NonFinite", "bounds must be finite"),
+    ("nan_point", "NonFinite", "points must be finite"),
+    ("ulp_piece", "OK", "0.0"),
+])
+def test_hostile_input_fails_fast(case, code, detail):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _HOSTILE, case],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith(code + " "), proc.stdout
+    assert detail in proc.stdout

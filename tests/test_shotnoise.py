@@ -13,7 +13,14 @@ from snoise.errors import (
 )
 from snoise.kernels import custom, exponential, jump_to_level, power_law
 from snoise.marks import Exponential, PointMass, SampleOnly
-from snoise.point_process import MppPath, empty_path, simulate_mpp, standard
+from snoise.point_process import (
+    MppPath,
+    empty_path,
+    past_sum,
+    simulate_mpp,
+    standard,
+)
+from snoise.quadrature import DEFAULT_QUAD_TOL, adaptive_simpson
 from snoise.shotnoise import (
     FiltrationState,
     ShotNoiseProcess,
@@ -264,6 +271,59 @@ class TestSemimartingaleDecomposition:
         path = MppPath([0.5], [[1.0]], 2.0)
         with np.errstate(divide="ignore"), pytest.raises(IntegrabilityFailureError):
             semimartingale_decompose(proc, path, np.linspace(0.0, 2.0, 5))
+
+
+def frozen_slice_drift(proc, path, grid, quad_tol=DEFAULT_QUAD_TOL):
+    """Reference drift: one adaptive Simpson per piece between consecutive
+    grid points, event times and event + knot lags, integrating only the
+    events already active at the piece start."""
+    times, marks = path.times, path.marks
+    t_end = float(grid[-1])
+    bks = [times[times <= t_end]]
+    for knot in proc.kernel.params.get("t_knots", ()):
+        bks.append(times + knot)
+    pts = np.unique(np.concatenate([[0.0], grid, *bks]))
+    pts = pts[(pts >= 0.0) & (pts <= t_end)]
+    cum = np.zeros(pts.size)
+    running = 0.0
+    for k in range(1, pts.size):
+        a, b = pts[k - 1], pts[k]
+        n_active = int(np.searchsorted(times, a, side="right"))
+        if n_active and b > a:
+            def piece(u, act_t=times[:n_active], act_m=marks[:n_active]):
+                return past_sum(proc.kernel.g, act_t, act_m, u)
+
+            running += float(adaptive_simpson(
+                piece, a, b, quad_tol * (b - a) / t_end, vectorized=True))
+        cum[k] = running
+    return cum[np.searchsorted(pts, grid)]
+
+
+_CROWD_GRID = np.linspace(0.0, 2.0, 9)
+_CROWD_PROCS = [ShotNoiseProcess(kernel, standard(2.0, Exponential(1.0)))
+                for kernel in (exponential(1.2, 0.7), power_law(1.5))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(proc=st.sampled_from(_CROWD_PROCS), data=st.data())
+def test_decompose_matches_frozen_slice_reference(proc, data):
+    # events spread over (0, 2] plus clusters in [1, 2] whose members lie
+    # within 1e-4 of each other and, for grid-point centres, of the grid
+    spread = data.draw(st.lists(st.floats(1e-3, 2.0), max_size=30))
+    centres = data.draw(st.lists(
+        st.one_of(st.sampled_from(list(_CROWD_GRID[4:])), st.floats(1.0, 2.0)),
+        max_size=6))
+    crowd = [c + d for c in centres
+             for d in data.draw(st.lists(st.floats(-5e-5, 5e-5),
+                                         min_size=1, max_size=5))]
+    times = np.unique(np.array(spread + crowd))
+    times = times[(times > 0.0) & (times <= 2.0)]
+    marks = data.draw(st.lists(st.floats(0.05, 3.0), min_size=times.size,
+                               max_size=times.size))
+    path = MppPath(times, np.reshape(marks, (-1, 1)), 2.0)
+    dec = semimartingale_decompose(proc, path, _CROWD_GRID)
+    ref = frozen_slice_drift(proc, path, _CROWD_GRID)
+    assert np.abs(dec.drift - ref).max() <= 1e-12
 
 
 class TestOuRecursiveUpdate:
