@@ -69,9 +69,10 @@ from .point_process import (
     empty_path,
     past_sum,
     simulate_mpp,
+    slice_integrand,
     standard,
 )
-from .quadrature import adaptive_simpson, cumulative_simpson
+from .quadrature import adaptive_simpson, cumulative_simpson, gauss_kronrod
 from .rng import make_stream
 from .shotnoise import (
     CfParts,

@@ -158,12 +158,21 @@ def _parse_theta_grid(section) -> np.ndarray:
     spec = section.get_str("theta_grid", default="-5:5:21")
     try:
         lo_s, hi_s, n_s = spec.split(":")
-        lo, hi, n = float(lo_s), float(hi_s), int(n_s)
+        lo, hi, n = _finite(lo_s), _finite(hi_s), int(n_s)
         if n < 1:
             raise ValueError
     except ValueError:
-        _fail("run", "theta_grid", f"expected 'lo:hi:count', got {spec!r}")
+        _fail("run", "theta_grid",
+              f"expected 'lo:hi:count' with finite bounds, got {spec!r}")
     return np.linspace(lo, hi, n)
+
+
+def _finite(token) -> float:
+    """``float(token)``, raising ValueError for nan and inf as well."""
+    out = float(token)
+    if not math.isfinite(out):
+        raise ValueError(f"not finite: {token!r}")
+    return out
 
 
 def _parse_rate(section, key, horizon):
@@ -174,27 +183,29 @@ def _parse_rate(section, key, horizon):
     raw = section.get_str(key, required=True)
     if raw.startswith("ramp:"):
         try:
-            offset, slope = (float(tok) for tok in raw[5:].split())
+            offset, slope = (_finite(tok) for tok in raw[5:].split())
         except ValueError:
-            _fail(section.name, key, f"expected 'ramp: offset slope', got {raw!r}")
+            _fail(section.name, key,
+                  f"expected 'ramp: offset slope' (finite), got {raw!r}")
         fn = lambda t: np.maximum(offset + slope * np.asarray(t, dtype=float), 0.0)
         bound = max(offset, offset + slope * horizon, 0.0)
         return fn, bound
     if raw.startswith("table:"):
         pairs = [tok.split() for tok in raw[6:].split(",") if tok.strip()]
         try:
-            ts = np.array([float(p[0]) for p in pairs])
-            vs = np.array([float(p[1]) for p in pairs])
+            ts = np.array([_finite(p[0]) for p in pairs])
+            vs = np.array([_finite(p[1]) for p in pairs])
         except (ValueError, IndexError):
-            _fail(section.name, key, f"expected 'table: t v, t v, ...', got {raw!r}")
+            _fail(section.name, key,
+                  f"expected 'table: t v, t v, ...' (finite), got {raw!r}")
         if ts.size < 2 or np.any(np.diff(ts) <= 0) or np.any(vs < 0):
             _fail(section.name, key, "table needs increasing times and rates >= 0")
         fn = lambda t: np.interp(np.asarray(t, dtype=float), ts, vs)
         return fn, float(vs.max())
     try:
-        const = float(raw)
+        const = _finite(raw)
     except ValueError:
-        _fail(section.name, key, f"unrecognized rate spec {raw!r}")
+        _fail(section.name, key, f"unrecognized or non-finite rate {raw!r}")
     if const < 0:
         _fail(section.name, key, "rate must be >= 0")
     return None, const  # None signals a constant (stationary) rate
@@ -221,10 +232,11 @@ def _build_kernel(section) -> NoiseKernel:
     raw_g = section.get_str("table_g", required=True)
     rows = [r for r in raw_g.split(";") if r.strip()]
     try:
-        vals = np.array([[float(tok) for tok in row.replace(",", " ").split()]
+        vals = np.array([[_finite(tok) for tok in row.replace(",", " ").split()]
                          for row in rows])
     except ValueError:
-        _fail("kernel", "table_g", "rows must be numbers separated by spaces")
+        _fail("kernel", "table_g",
+              "rows must be finite numbers separated by spaces")
     if vals.shape != (len(ts), len(xs)):
         _fail("kernel", "table_g",
               f"need {len(ts)} rows x {len(xs)} columns, got {vals.shape}")
@@ -238,19 +250,27 @@ def _build_marks(section) -> _marks.MarkDistribution:
         value = section.get_floats("mark_value", required=True)
         return _marks.PointMass(value)
     if kind == "normal":
-        return _marks.Normal(section.get_float("mark_mean", required=True),
-                             section.get_float("mark_std", required=True))
+        return _mark_law(_marks.Normal, "mark_std",
+                         section.get_float("mark_mean", required=True),
+                         section.get_float("mark_std", required=True))
     if kind == "exponential":
-        return _marks.Exponential(section.get_float("mark_mean", required=True))
+        return _mark_law(_marks.Exponential, "mark_mean",
+                         section.get_float("mark_mean", required=True))
     if kind == "uniform":
-        return _marks.Uniform(section.get_float("mark_lo", required=True),
-                              section.get_float("mark_hi", required=True))
-    points = section.get_floats("mark_points", required=True)
-    weights = section.get_floats("mark_weights", required=True)
+        return _mark_law(_marks.Uniform, "mark_hi",
+                         section.get_float("mark_lo", required=True),
+                         section.get_float("mark_hi", required=True))
+    return _mark_law(_marks.Discrete, "mark_weights",
+                     section.get_floats("mark_points", required=True),
+                     section.get_floats("mark_weights", required=True))
+
+
+def _mark_law(law, key, *params):
+    """``law(*params)``, its range check failing as ConfigError on ``key``."""
     try:
-        return _marks.Discrete(points, weights)
+        return law(*params)
     except ValueError as exc:
-        _fail("compensator", "mark_weights", str(exc))
+        _fail("compensator", key, str(exc))
 
 
 def _build_compensator(section, horizon) -> CompensatorSpec:

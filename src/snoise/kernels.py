@@ -125,7 +125,9 @@ def from_table(ts, xs, values) -> NoiseKernel:
 
     ``values[i, j] = G(ts[i], xs[j])``; between knots G is linear in t, so g
     is piecewise constant and the pair is absolutely continuous by
-    construction.
+    construction.  ``params`` records the knots: G and g kink in t at
+    ``t_knots`` and in x1 at ``x_knots``, which quadratures take as
+    breakpoints.
     """
     ts = np.asarray(ts, dtype=float)
     xs = np.asarray(xs, dtype=float)
@@ -172,7 +174,8 @@ def from_table(ts, xs, values) -> NoiseKernel:
 
     return NoiseKernel(
         kind=KIND_CUSTOM, G=G, g=g, mark_dim=1,
-        params={"t_knots": tuple(float(t) for t in ts)},
+        params={"t_knots": tuple(float(t) for t in ts),
+                "x_knots": tuple(float(x) for x in xs)},
     )
 
 

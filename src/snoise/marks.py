@@ -7,17 +7,21 @@ dispatches on:
     finitely many atoms; integration is exact summation.
 ``density``
     one-dimensional law with a density on a finite effective support;
-    integration is vectorized adaptive quadrature.
+    integration is adaptive Gauss-Kronrod 7-15 over the support, cut at
+    any mark breakpoints (kinks of the integrand in x, such as a table
+    kernel's x-knots).
 ``sample``
     only sampling is available; integration falls back to averaging over a
     fixed Philox substream (deterministic, but accuracy is statistical).
     The analytic characteristic-function path refuses this mode.
 
 The built-in families are stationary (they ignore ``t``).  Integration
-passes ``t`` through, but path simulation draws every mark from F(0, dx),
+passes ``t`` through (an array of times when a batch of time slices is
+integrated at once), but path simulation draws every mark from F(0, dx),
 so a time-varying subclass would be simulated with its time-0 law.
-Integrand callables are vectorized: ``fn(x)`` receives an ``(n, d)`` array of
-mark rows and returns an ``(n,)`` array.
+Integrand callables are vectorized and may be vector-valued: ``fn(x)``
+receives an ``(n, d)`` array of mark rows and returns values shaped
+``(..., n)``; the integral has shape ``(...)``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 from scipy import stats as _sps
 
 from .errors import NonFiniteError, QuadratureFailureError
-from .quadrature import DEFAULT_QUAD_TOL, adaptive_simpson
+from .quadrature import DEFAULT_QUAD_TOL, gauss_kronrod
 from .rng import TAG_AVG, make_stream
 
 MODE_DISCRETE = "discrete"
@@ -70,16 +74,22 @@ class MarkDistribution:
         """Marginal CDF of the first coordinate, where available (for KS tests)."""
         raise NotImplementedError
 
-    def integrate(self, fn, t: float = 0.0, tol: float = DEFAULT_QUAD_TOL):
-        """Integrate ``fn`` against F(t, dx) per the declared mode."""
+    def integrate(self, fn, t: float = 0.0, tol: float = DEFAULT_QUAD_TOL,
+                  *, breakpoints=()):
+        """Integrate ``fn`` against F(t, dx) per the declared mode.
+
+        ``fn`` maps ``(n, d)`` mark rows to values shaped ``(..., n)``; the
+        result has shape ``(...)``, each component to ``tol`` in density
+        mode.  ``breakpoints`` are marks where ``fn`` may kink (density
+        mode cuts the support there; the other modes ignore them).
+        """
         if self.mode == MODE_DISCRETE:
             pts, w = self.atoms(t)
-            return np.sum(w * np.asarray(fn(pts)))
+            return (w * np.asarray(fn(pts))).sum(axis=-1)
         if self.mode == MODE_DENSITY:
             lo, hi = self.support(t)
             def integrand(xs):
-                cols = np.asarray(xs, dtype=float).reshape(-1, 1)
-                return np.asarray(fn(cols)) * self.pdf(t, xs)
+                return np.asarray(fn(xs.reshape(-1, 1))) * self.pdf(t, xs)
             cuts = [{"lo": lo, "hi": hi}[e] for e in self.truncated_edges]
             if cuts:
                 edge = float(np.abs(integrand(np.array(cuts))).max())
@@ -88,11 +98,11 @@ class MarkDistribution:
                         f"integrand is not negligible ({edge:.3e}) at the "
                         "truncated support edge; the integral may diverge"
                     )
-            return adaptive_simpson(integrand, lo, hi, tol, vectorized=True)
+            return gauss_kronrod(integrand, lo, hi, tol, breakpoints=breakpoints)
         # sample-only: fixed substream so repeated calls agree bit for bit
         rng = make_stream(0, 0, TAG_AVG)
         draws = self.sample(rng, t, _N_AVG)
-        return np.mean(np.asarray(fn(draws)))
+        return np.asarray(fn(draws)).mean(axis=-1)
 
 
 def _require_finite(dist, *params):

@@ -42,6 +42,7 @@ from .point_process import (
     cumulative_jumps,
     past_sum,
     simulate_mpp,
+    slice_integrand,
     standard,
 )
 from .quadrature import DEFAULT_QUAD_TOL, cumulative_simpson
@@ -142,10 +143,10 @@ def _compensator_curve(kernel: GirsanovKernel, spec: CompensatorSpec,
             quad_tol)) * times
     else:
         curve = np.asarray(cumulative_simpson(
-            lambda s: float(spec.slice_integral(
-                s, lambda x: np.asarray(kernel.Y(s, x), dtype=float) - 1.0,
-                max(quad_tol * 1e-2, 1e-14))),
-            times, quad_tol,
+            slice_integrand(
+                spec, lambda s, x: np.asarray(kernel.Y(s, x), dtype=float) - 1.0,
+                max(quad_tol * 1e-2, 1e-14)),
+            times, quad_tol, vectorized=True,
         ), dtype=float)
     if not np.isfinite(curve).all():
         raise IntegrabilityFailureError(

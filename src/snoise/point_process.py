@@ -41,12 +41,22 @@ class CompensatorSpec:
     def mark_dim(self) -> int:
         return self.marks.mark_dim
 
-    def slice_integral(self, t: float, fn, tol: float = DEFAULT_QUAD_TOL):
-        """Time-slice integral against nu(t, dx) = rate(t) F(t, dx)."""
-        lam = float(self.rate(t))
-        if lam == 0.0:
-            return 0.0
-        return lam * self.marks.integrate(fn, t, tol)
+    def slice_integral(self, t, fn, tol: float = DEFAULT_QUAD_TOL, *,
+                       breakpoints=()):
+        """Time-slice integral against nu(t, dx) = rate(t) F(t, dx).
+
+        ``t`` is a scalar or a 1-d array of ``m`` times.  ``fn`` maps
+        ``(n, d)`` mark rows to values shaped ``(n,)`` for a scalar ``t``
+        and ``(m, n)`` for an array, so every slice is one mark integral;
+        the result has the shape of ``t``.  ``breakpoints`` are marks where
+        ``fn`` may kink (see :meth:`MarkDistribution.integrate`).
+        """
+        lam = np.broadcast_to(np.asarray(self.rate(t), dtype=float),
+                              np.shape(t))
+        if not lam.any():
+            return np.zeros(lam.shape)[()]
+        val = self.marks.integrate(fn, t, tol, breakpoints=breakpoints)
+        return np.where(lam == 0.0, 0.0, lam * val)[()]
 
 
 def standard(lam: float, marks: MarkDistribution) -> CompensatorSpec:
@@ -227,16 +237,38 @@ def cumulative_jumps(G, path: MppPath, grid) -> np.ndarray:
 
 
 def compensator_mass(spec: CompensatorSpec, t0: float, t1: float, test_fn, *,
-                     quad_tol: float = DEFAULT_QUAD_TOL, breakpoints=()):
+                     quad_tol: float = DEFAULT_QUAD_TOL, breakpoints=(),
+                     mark_breakpoints=()):
     """int_{t0}^{t1} int test_fn(s, x) rate(s) F(s, dx) ds.
 
-    ``test_fn(s, x)`` takes a scalar time and an ``(n, d)`` batch of marks and
-    returns ``(n,)`` values (complex allowed).  The mark integral follows the
-    distribution's declared mode; the outer time integral is adaptive Simpson.
+    The outer time integral is adaptive Simpson (cut at ``breakpoints``);
+    each of its refinement levels is one batched mark integral over all
+    its nodes: ``test_fn(s, x)`` is called with times ``s`` of shape
+    ``(m, 1)`` and marks ``x`` of shape ``(1, n, d)``, and its values
+    (complex allowed) are broadcast to ``(m, n)``.  The mark integral
+    follows the distribution's declared mode, cut at ``mark_breakpoints``
+    in density mode, to ``max(quad_tol * 1e-3, 1e-14)``.
     """
     if t1 < t0:
         raise ValueError("need t0 <= t1")
     inner_tol = max(quad_tol * 1e-3, 1e-14)
     return adaptive_simpson(
-        lambda s: spec.slice_integral(s, lambda x: test_fn(s, x), inner_tol),
-        t0, t1, quad_tol, breakpoints=breakpoints)
+        slice_integrand(spec, test_fn, inner_tol, mark_breakpoints),
+        t0, t1, quad_tol, vectorized=True, breakpoints=breakpoints)
+
+
+def slice_integrand(spec: CompensatorSpec, test_fn, tol: float,
+                    mark_breakpoints=()):
+    """``s -> int test_fn(s, x) nu(s, dx)`` over a 1-d array of times ``s``.
+
+    One :meth:`CompensatorSpec.slice_integral` call per array, with
+    ``test_fn`` broadcast as :func:`compensator_mass` describes; the
+    vectorized integrand of batched outer time quadratures.
+    """
+    def integrand(s):
+        def fn(x):
+            vals = np.asarray(test_fn(s[:, None], x[None]))
+            return np.broadcast_to(vals, (s.size, x.shape[0]))
+
+        return spec.slice_integral(s, fn, tol, breakpoints=mark_breakpoints)
+    return integrand

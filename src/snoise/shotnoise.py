@@ -68,6 +68,7 @@ class ShotNoiseProcess:
             lambda s, x: np.asarray(self.kernel.g(s, x), dtype=float) ** 2,
             quad_tol=quad_tol,
             breakpoints=self.kernel.params.get("t_knots", ()),
+            mark_breakpoints=self.kernel.params.get("x_knots", ()),
         ))
         self._gsq_cache[key] = val
         return val
@@ -148,7 +149,8 @@ def conditional_cf_parts(proc: ShotNoiseProcess, state: FiltrationState,
         return np.exp(1j * theta * g_vals) - 1.0
 
     log_future = complex(compensator_mass(
-        proc.spec, state.t, T, test_fn, quad_tol=quad_tol))
+        proc.spec, state.t, T, test_fn, quad_tol=quad_tol,
+        mark_breakpoints=proc.kernel.params.get("x_knots", ())))
     if theta.imag == 0.0 and log_future.real > 0.0:
         log_future = complex(0.0, log_future.imag)
     return CfParts(log_state, log_future)
@@ -175,7 +177,7 @@ def conditional_mean(proc: ShotNoiseProcess, state: FiltrationState, T: float,
     future = compensator_mass(
         proc.spec, state.t, T,
         lambda s, x: a * np.asarray(x, dtype=float)[..., 0]
-        * math.exp(-b * (T - s)),
+        * np.exp(-b * (T - s)),
         quad_tol=quad_tol,
     )
     return math.exp(-b * (T - state.t)) * s_t + float(future)

@@ -289,3 +289,69 @@ def test_shipped_config_passes(config, tmp_path, capsys):
     assert main([scenario, "--config", str(config), "--out", str(out)]) == 0, \
         capsys.readouterr().err
     assert "RESULT: PASS" in (out / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("old, new, field", [
+    pytest.param("rate = 1.5", "rate = {}", "compensator.rate", id="constant"),
+    pytest.param("rate = 1.5", "rate = ramp: {} 0.5", "compensator.rate",
+                 id="ramp-offset"),
+    pytest.param("rate = 1.5", "rate = ramp: 1.0 {}", "compensator.rate",
+                 id="ramp-slope"),
+    pytest.param("rate = 1.5", "rate = table: 0 1.0, 1 {}",
+                 "compensator.rate", id="table-rate"),
+    pytest.param("rate = 1.5", "rate = table: 0 1.0, {} 2.0",
+                 "compensator.rate", id="table-time"),
+    pytest.param("grid_points = 8", "grid_points = 8\ntheta_grid = {}:5:21",
+                 "run.theta_grid", id="theta-lo"),
+    pytest.param("grid_points = 8", "grid_points = 8\ntheta_grid = -5:{}:21",
+                 "run.theta_grid", id="theta-hi"),
+])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_rate_and_theta_grid_exit_two(tmp_path, capsys, old, new,
+                                                 field, bad):
+    text = MINIMAL_SIMULATE.replace(old, new.format(bad))
+    code = main(["simulate", "--config", write(tmp_path, text),
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"ConfigError: {field}:" in err
+
+
+@pytest.mark.parametrize("marks, field", [
+    pytest.param("marks = normal\nmark_mean = 0.5\nmark_std = 0",
+                 "compensator.mark_std", id="normal-std-zero"),
+    pytest.param("marks = normal\nmark_mean = 0.5\nmark_std = -1",
+                 "compensator.mark_std", id="normal-std-negative"),
+    pytest.param("marks = exponential\nmark_mean = 0",
+                 "compensator.mark_mean", id="exponential-mean-zero"),
+    pytest.param("marks = exponential\nmark_mean = -2",
+                 "compensator.mark_mean", id="exponential-mean-negative"),
+    pytest.param("marks = uniform\nmark_lo = 1\nmark_hi = 1",
+                 "compensator.mark_hi", id="uniform-empty"),
+    pytest.param("marks = uniform\nmark_lo = 2\nmark_hi = 1",
+                 "compensator.mark_hi", id="uniform-reversed"),
+])
+def test_invalid_mark_parameters_exit_two(tmp_path, capsys, marks, field):
+    text = MINIMAL_SIMULATE.replace("marks = exponential\nmark_mean = 1.0",
+                                    marks)
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert err.value.field == field
+    assert main(["simulate", "--config", path,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"ConfigError: {field}:" in capsys.readouterr().err
+
+
+def test_table_kernel_with_density_marks_simulates(tmp_path, capsys):
+    # G is bilinear with kinks in x at the interior knots 0.7 and 1.5, where
+    # Exponential(1) marks have density: the integrability check must cut
+    # its mark integral there
+    text = MINIMAL_SIMULATE.replace(
+        "kind = exponential\na = 1.0\nb = 0.5",
+        "kind = custom\ntable_t = 0, 0.5, 1.5, 4\ntable_x = 0, 0.7, 1.5, 3\n"
+        "table_g = 0 0.6 1.2 2; 0 0.4 0.9 1.5; 0 0.2 0.5 0.9; 0 0 0.1 0.2")
+    out = tmp_path / "table"
+    assert main(["simulate", "--config", write(tmp_path, text),
+                 "--out", str(out)]) == 0, capsys.readouterr().err
+    assert "RESULT: PASS" in (out / "report.txt").read_text()

@@ -70,6 +70,34 @@ class TestIntegration:
         assert v1 == pytest.approx(1.0, abs=0.1)
 
 
+    def test_kinked_integrand_converges(self):
+        # E max(X - 1, 0) = e^{-2} / 2 for X ~ Exp(mean 1/2): the kink at
+        # x = 1 is not a breakpoint, and the rule still reaches 1e-8
+        val = Exponential(0.5).integrate(
+            lambda x: np.maximum(first(x) - 1.0, 0.0), tol=1e-8)
+        assert abs(val - 0.5 * math.exp(-2.0)) <= 1e-8
+
+    def test_breakpoints_cut_the_support(self):
+        kinked = lambda x: np.abs(first(x) - 1.3)
+        val = Uniform(0.0, 2.0).integrate(kinked, tol=1e-13,
+                                          breakpoints=[1.3, 5.0])
+        assert val == pytest.approx(0.5 * (1.3**2 + 0.7**2) / 2.0, abs=1e-13)
+
+    @pytest.mark.parametrize("dist", [
+        Normal(0.3, 1.2), Exponential(0.7), Uniform(-1.0, 2.0),
+        Discrete([1.0, 2.0], [0.4, 0.6]),
+        SampleOnly(lambda rng, t, n: rng.normal(size=(n, 1)), 1),
+    ])
+    def test_vector_valued_integrand(self, dist):
+        # values shaped (2, 3, n) integrate to (2, 3), one per component
+        powers = np.arange(6.0).reshape(2, 3, 1)
+        got = dist.integrate(lambda x: first(x) ** powers, tol=1e-10)
+        assert got.shape == (2, 3)
+        for k, p in enumerate(powers.ravel()):
+            ref = dist.integrate(lambda x: first(x) ** p, tol=1e-10)
+            assert got.ravel()[k] == pytest.approx(ref, abs=1e-10)
+
+
 class TestSampling:
     def test_sampling_matches_law(self):
         rng = make_stream(7, 0, 1)

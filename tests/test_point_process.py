@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from snoise.affine import HawkesParams, simulate_hawkes
 from snoise.errors import ExplosionGuardError, InvalidBoundError, NonFiniteError
 from snoise.kernels import exponential, from_table, power_law, random_decay
-from snoise.marks import Exponential, Normal, PointMass
+from snoise.marks import Exponential, Normal, PointMass, Uniform
 from snoise.measure_change import MarketParams, sum_past_g
 from snoise.point_process import (
     CompensatorSpec,
@@ -20,6 +20,7 @@ from snoise.point_process import (
     simulate_mpp,
     standard,
 )
+from snoise.quadrature import adaptive_simpson
 from snoise.shotnoise import ShotNoiseProcess, eval_shotnoise
 from snoise.stats import ks_against_cdf
 
@@ -251,3 +252,83 @@ def test_past_sum_rejects_non_finite_times():
         for strict in (False, True):
             with pytest.raises(NonFiniteError):
                 sum_past_g(market, bad, path, strict=strict)
+
+
+def scalar_nested_mass(spec, t0, t1, test_fn, quad_tol, breakpoints=(),
+                       mark_breakpoints=()):
+    """Reference: the scalar nested loop batched compensator_mass replaced,
+    one adaptive Simpson over the mark density per outer Simpson node."""
+    inner_tol = max(quad_tol * 1e-3, 1e-14)
+    lo, hi = spec.marks.support(0.0)
+
+    def slice_value(s):
+        lam = float(spec.rate(s))
+        if lam == 0.0:
+            return 0.0
+        return lam * adaptive_simpson(
+            lambda xs: np.asarray(test_fn(s, xs.reshape(-1, 1)))
+            * spec.marks.pdf(s, xs),
+            lo, hi, inner_tol, vectorized=True, breakpoints=mark_breakpoints)
+
+    return adaptive_simpson(slice_value, t0, t1, quad_tol,
+                            breakpoints=breakpoints)
+
+
+_MASS_KERNELS = {
+    "exponential": exponential(1.3, 0.7),
+    "power_law": power_law(2.0),
+    "table": from_table([0.0, 0.5, 1.5, 4.0], [0.0, 0.7, 1.5, 3.0],
+                        [[0.0, 0.6, 1.2, 2.0], [0.0, 0.4, 0.9, 1.5],
+                         [0.0, 0.2, 0.5, 0.9], [0.0, 0.0, 0.1, 0.2]]),
+}
+_MASS_MARKS = {
+    "exponential": Exponential(0.8),
+    "normal": Normal(0.6, 0.4),
+    "uniform": Uniform(0.1, 2.5),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(kernel=st.sampled_from(sorted(_MASS_KERNELS)),
+       marks=st.sampled_from(sorted(_MASS_MARKS)),
+       ramp=st.booleans(),
+       theta_re=st.floats(-5.0, 5.0),
+       theta_im=st.one_of(st.just(0.0), st.floats(-0.3, 0.3)),
+       T=st.floats(0.5, 2.0), frac=st.floats(0.0, 0.9),
+       quad_tol=st.sampled_from([1e-6, 1e-8]))
+def test_batched_compensator_mass_matches_scalar_nested_loop(
+        kernel, marks, ramp, theta_re, theta_im, T, frac, quad_tol):
+    kern = _MASS_KERNELS[kernel]
+    rate = ((lambda t: 1.0 + 2.0 * np.asarray(t, dtype=float)) if ramp
+            else (lambda t: np.full(np.shape(t), 1.5)))
+    spec = CompensatorSpec(rate=rate, rate_bound=5.0,
+                           marks=_MASS_MARKS[marks])
+    theta = complex(theta_re, theta_im)
+
+    def test_fn(s, x):
+        return np.exp(1j * theta * np.asarray(kern.G(T - s, x))) - 1.0
+
+    t0 = frac * T
+    bks = [T - k for k in kern.params.get("t_knots", ())]
+    x_knots = kern.params.get("x_knots", ())
+    got = compensator_mass(spec, t0, T, test_fn, quad_tol=quad_tol,
+                           breakpoints=bks, mark_breakpoints=x_knots)
+    ref = scalar_nested_mass(spec, t0, T, test_fn, quad_tol, bks, x_knots)
+    assert abs(got - ref) <= 10.0 * quad_tol
+
+
+def test_slice_integral_over_times_matches_scalar_calls():
+    spec = CompensatorSpec(
+        rate=lambda t: np.where(np.asarray(t, dtype=float) < 1.0, 0.0, 2.0),
+        rate_bound=2.0, marks=Exponential(0.5))
+    s = np.array([0.5, 1.0, 1.5])
+    fn = lambda x: np.exp(-s[:, None] * x[:, 0])  # (3, n)
+    got = spec.slice_integral(s, fn, 1e-12)
+    assert got.shape == (3,) and got[0] == 0.0
+    for k, sk in enumerate(s):
+        ref = spec.slice_integral(float(sk), lambda x: np.exp(-sk * x[:, 0]),
+                                  1e-12)
+        assert got[k] == pytest.approx(ref, abs=1e-12)
+        # E e^{-s X} for X ~ Exp(mean 0.5) is 1 / (1 + s / 2)
+        assert got[k] == pytest.approx(
+            0.0 if sk < 1.0 else 2.0 / (1.0 + 0.5 * sk), abs=1e-11)

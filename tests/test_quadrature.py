@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from snoise.errors import QuadratureFailureError
-from snoise.quadrature import adaptive_simpson, cumulative_simpson
+from snoise.quadrature import adaptive_simpson, cumulative_simpson, gauss_kronrod
 
 
 def test_cubic_is_near_exact():
@@ -118,7 +118,8 @@ cap = 1 << 30
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 import numpy as np
 from snoise.errors import SnoiseError
-from snoise.quadrature import adaptive_simpson, cumulative_simpson
+from snoise.marks import Exponential
+from snoise.quadrature import adaptive_simpson, cumulative_simpson, gauss_kronrod
 cases = {
     "nan_half": lambda: adaptive_simpson(
         lambda x: np.where(x < 0.5, np.nan, 1.0), 0.0, 1.0, 1e-8,
@@ -135,6 +136,13 @@ cases = {
     "ulp_piece": lambda: adaptive_simpson(
         lambda x: np.full(np.shape(x), np.nan), 1.0, math.nextafter(1.0, 2.0),
         1e-8, vectorized=True),
+    # the Gauss-Kronrod mark rule through a density integral, and directly;
+    # on 1e6 exp(x) K15 and G7 round to the same value, so that integrand
+    # converges, and a rational one stands in for it
+    "gk_nan_density": lambda: Exponential(1.0).integrate(
+        lambda x: np.where(x[:, 0] < 0.5, np.nan, 1.0), tol=1e-8),
+    "gk_tol_below_resolution": lambda: gauss_kronrod(
+        lambda x: 1e6 / (1.0 + x * x), 0.0, 1.0, 1e-20),
 }
 try:
     print("OK", cases[sys.argv[1]]())
@@ -150,6 +158,8 @@ except SnoiseError as exc:
     ("inf_bound", "NonFinite", "bounds must be finite"),
     ("nan_point", "NonFinite", "points must be finite"),
     ("ulp_piece", "OK", "0.0"),
+    ("gk_nan_density", "NonFinite", "open intervals at depth"),
+    ("gk_tol_below_resolution", "QuadratureFailure", "open intervals at depth"),
 ])
 def test_hostile_input_fails_fast(case, code, detail):
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -160,3 +170,44 @@ def test_hostile_input_fails_fast(case, code, detail):
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.startswith(code + " "), proc.stdout
     assert detail in proc.stdout
+
+
+def test_gauss_kronrod_vector_valued_matches_components():
+    fns = [np.exp, lambda x: np.cos(4.0 * x), lambda x: x ** 7]
+    got = gauss_kronrod(lambda x: np.stack([f(x) for f in fns]), 0.0, 2.0,
+                        1e-12)
+    assert got.shape == (3,)
+    closed = [math.exp(2.0) - 1.0, math.sin(8.0) / 4.0, 2.0 ** 8 / 8.0]
+    assert np.abs(got - closed).max() <= 1e-12
+    for f, val in zip(fns, got):
+        assert gauss_kronrod(f, 0.0, 2.0, 1e-12) == pytest.approx(val, abs=1e-12)
+
+
+def test_gauss_kronrod_complex_and_real_results():
+    val = gauss_kronrod(lambda x: np.exp(3j * x), 0.0, 2.0, 1e-12)
+    assert abs(val - (np.exp(6j) - 1.0) / 3j) < 1e-11
+    assert np.iscomplexobj(val)
+    assert not np.iscomplexobj(gauss_kronrod(lambda x: x + 0j, 0.0, 1.0))
+    assert gauss_kronrod(np.exp, 1.0, 1.0) == 0.0
+    with pytest.raises(ValueError):
+        gauss_kronrod(np.exp, 1.0, 0.0)
+
+
+def test_gauss_kronrod_conjugate_integrands_are_conjugate():
+    # refinement reads |K15 - G7|, the same for f and conj(f)
+    f = lambda x: np.exp(2.7j * x * x - x)
+    plus = gauss_kronrod(f, 0.0, 5.0, 1e-11)
+    minus = gauss_kronrod(lambda x: np.conj(f(x)), 0.0, 5.0, 1e-11)
+    assert minus == np.conj(plus)
+
+
+def test_gauss_kronrod_breakpoint_kink_and_jump():
+    kink = gauss_kronrod(lambda x: np.abs(x - 0.3), 0.0, 1.0, 1e-13,
+                         breakpoints=[0.3])
+    assert kink == pytest.approx(0.5 * (0.3**2 + 0.7**2), abs=1e-13)
+    jump = gauss_kronrod(lambda x: np.where(x < 0.4, 1.0, 3.0), 0.0, 1.0,
+                         1e-12, breakpoints=[0.4])
+    assert jump == pytest.approx(0.4 + 3.0 * 0.6, abs=1e-12)
+    with pytest.raises(QuadratureFailureError):
+        gauss_kronrod(lambda x: np.where(x < 1 / math.pi, 0.0, 5.0),
+                      0.0, 1.0, 1e-10)

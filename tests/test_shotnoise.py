@@ -11,8 +11,14 @@ from snoise.errors import (
     KernelNotExponentialError,
     UnsupportedMarksError,
 )
-from snoise.kernels import custom, exponential, jump_to_level, power_law
-from snoise.marks import Exponential, PointMass, SampleOnly
+from snoise.kernels import (
+    custom,
+    exponential,
+    from_table,
+    jump_to_level,
+    power_law,
+)
+from snoise.marks import Exponential, Normal, PointMass, SampleOnly
 from snoise.point_process import (
     MppPath,
     empty_path,
@@ -368,3 +374,52 @@ def test_integrability_value_finite_for_builtin():
     # closed form: lam * E[x^2] * int_0^T b^2 e^{-2bs} ds = 2*2*(1-e^{-4})/2
     closed = 2.0 * 2.0 * (1.0 - math.exp(-4.0)) / 2.0
     assert val == pytest.approx(closed, abs=1e-7)
+
+
+@pytest.mark.parametrize("lam, a, b, mu, T, t", [
+    (1.0, 1.0, 1.0, 1.0, 1.0, 0.0),
+    (1.0, 1.0, 1.0, 1.0, 1.0, 0.5),
+    (2.5, 0.7, 1.8, 0.4, 2.0, 0.0),
+    (2.5, 0.7, 1.8, 0.4, 2.0, 1.3),
+])
+def test_exponential_kernel_exp_marks_closed_form(lam, a, b, mu, T, t):
+    # int_t^T int (e^{i theta a x e^{-b(T-s)}} - 1) lam F(dx) ds with
+    # F = Exp(mean mu) is (lam/b)[log(1 - c e^{-b(T-t)}) - log(1 - c)],
+    # c = i theta a mu
+    proc = ShotNoiseProcess(exponential(a, b), standard(lam, Exponential(mu)))
+    state = FiltrationState(t, empty_path(t))
+    for theta in (-5.0, -0.5, 0.5, 2.0, 5.0):
+        c = 1j * theta * a * mu
+        closed = lam / b * (cmath.log(1.0 - c * math.exp(-b * (T - t)))
+                            - cmath.log(1.0 - c))
+        got = conditional_cf_parts(proc, state, T, theta).log_future
+        assert abs(got - closed) <= 1e-10, theta
+
+
+@pytest.mark.parametrize("marks, phi", [
+    (Exponential(0.8), lambda th: 1.0 / (1.0 - 0.8j * th)),
+    (Normal(0.3, 1.1), lambda th: cmath.exp(0.3j * th - 0.5 * (1.1 * th) ** 2)),
+])
+def test_jump_to_level_closed_form(marks, phi):
+    # compound Poisson: the future log-factor is lam T (phi_F(theta) - 1)
+    lam, T = 1.7, 1.5
+    proc = ShotNoiseProcess(jump_to_level(), standard(lam, marks))
+    for theta in (-4.0, -0.3, 0.3, 1.0, 4.0):
+        got = conditional_cf_parts(proc, state_at_zero(), T, theta).log_future
+        assert abs(got - lam * T * (phi(theta) - 1.0)) <= 1e-10, theta
+
+
+def test_table_kernel_with_density_marks_cf_vs_monte_carlo():
+    # G kinks in x at the table's x-knots 0.7 and 1.5, inside the support
+    # of the Exponential(1) marks; the CF cuts its mark integral there
+    kern = from_table([0.0, 0.5, 1.5, 4.0], [0.0, 0.7, 1.5, 3.0],
+                      [[0.0, 0.6, 1.2, 2.0], [0.0, 0.4, 0.9, 1.5],
+                       [0.0, 0.2, 0.5, 0.9], [0.0, 0.0, 0.1, 0.2]])
+    marks = Exponential(1.0)
+    proc = ShotNoiseProcess(kern, standard(1.5, marks))
+    assert math.isfinite(proc.integrability_value(2.0))
+    batch = simulate_standard_batch(1.5, marks, 2.0, 100000, 23)
+    terminal = batch_terminal_shotnoise(kern, batch)
+    for theta in (0.5, 1.7, 4.0):
+        got = conditional_cf(proc, state_at_zero(), 2.0, theta)
+        assert cf_ratio(got, empirical_cf(terminal, theta)) <= 3.0, theta
