@@ -8,12 +8,14 @@ with every closed form cross-validated against a Monte Carlo oracle.
 
 from . import errors
 from .affine import (
+    HawkesBatch,
     HawkesParams,
     HawkesPath,
     RiccatiSolution,
     affine_cf,
     riccati_solve,
     simulate_hawkes,
+    simulate_hawkes_batch,
 )
 from .kernels import (
     MarkovTest,
@@ -93,12 +95,14 @@ from .stats import (
     DriftTestReport,
     KsResult,
     batch_log_weights,
+    batch_past_sum,
     batch_terminal_shotnoise,
     cf_ratio,
     empirical_cf,
     ks_against_cdf,
     ks_two_sample_weighted,
     martingale_drift_test,
+    simulate_batch,
     simulate_standard_batch,
 )
 

@@ -18,13 +18,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import lambertw
 
 from .errors import BlowUpError, ExplosionGuardError, NonFiniteError
 from .point_process import MppPath, break_ties, empty_path, past_sum
-from .rng import TAG_HAWKES, make_stream
+from .rng import TAG_HAWKES, TAG_HAWKES_BATCH, make_stream
+from .stats import BatchPaths, batch_past_sum
 
 DEFAULT_STEPS_PER_UNIT = 2048
 _PSI_GUARD = 1e6
+# events one Hawkes batch may hold in all (about 240 MB of ids, times and
+# intensities)
+MAX_BATCH_EVENTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,130 @@ def simulate_hawkes(params: HawkesParams, horizon: float, seed: int, *,
     else:
         events = empty_path(horizon, 1)
     return HawkesPath(events, np.asarray(intens, dtype=float), params)
+
+
+@dataclass(frozen=True)
+class HawkesBatch:
+    """A batch of Hawkes paths in the flat layout of :class:`BatchPaths`.
+
+    ``intensities`` holds the post-jump intensity at each event as the
+    simulation recorded it, aligned with ``events.times``; ``lambda_T`` is
+    each path's intensity at the horizon, in closed form from its events.
+    """
+
+    events: BatchPaths
+    intensities: np.ndarray
+    lambda_T: np.ndarray
+    params: HawkesParams
+
+    def path(self, i: int) -> HawkesPath:
+        lo, hi = self.events.offsets[i], self.events.offsets[i + 1]
+        return HawkesPath(self.events.path(i), self.intensities[lo:hi],
+                          self.params)
+
+    def closed_form_intensities(self) -> np.ndarray:
+        """lambda at every event from the event times alone (right-continuous):
+        lambda0 e^{-kappa t} + theta_bar (1 - e^{-kappa t}) + the unit kicks
+        of the path's events up to and including it."""
+        p, ev = self.params, self.events
+        times = ev.times
+        pos = np.arange(times.size) - np.repeat(ev.offsets[:-1], ev.counts)
+        decay = np.exp(-p.kappa * times)
+        out = p.lambda0 * decay + p.theta_bar * (1.0 - decay)
+        for lag in range(int(ev.counts.max(initial=0))):
+            k = np.flatnonzero(pos >= lag)
+            out[k] += np.exp(-p.kappa * (times[k] - times[k - lag]))
+        return out
+
+
+def _waiting_times(lam, kappa: float, theta_bar: float, e1, e2):
+    """Exact times to the next event from right-continuous intensities ``lam``.
+
+    The compensator from the current event is
+    theta_bar s + ((lam - theta_bar)/kappa)(1 - e^{-kappa s}), and the
+    waiting time inverts it at a unit exponential.  For lam >= theta_bar the
+    intensity splits into a decaying part, whose inverse at ``e1`` is
+    -log(1 - kappa e1/(lam - theta_bar))/kappa (infinite when the log's
+    argument is not positive), and a baseline arrival e2/theta_bar; the
+    minimum of the two is the waiting time (Dassios & Zhao 2013).  For
+    lam < theta_bar the inverse at ``e1`` is the real principal Lambert W
+    solution, whose argument lies in [-1/e, 0).  ``inf`` means no further
+    event.
+    """
+    excess = lam - theta_bar
+    s = np.full(lam.shape, np.inf)
+    fire = (excess > 0.0) & (kappa * e1 < excess)
+    s[fire] = -np.log1p(-kappa * e1[fire] / excess[fire]) / kappa
+    if theta_bar > 0.0:
+        s = np.minimum(s, np.where(excess >= 0.0, e2 / theta_bar, np.inf))
+        rise = excess < 0.0
+        if rise.any():
+            a = -excess[rise]
+            c = (kappa * e1[rise] + a) / theta_bar
+            w = lambertw(-(a / theta_bar) * np.exp(-c)).real
+            s[rise] = (c + w) / kappa
+    return s
+
+
+def simulate_hawkes_batch(params: HawkesParams, horizon: float, n_paths: int,
+                          seed: int, *, max_events: int = 1_000_000) -> HawkesBatch:
+    """Exact simulation of ``n_paths`` Hawkes paths at once, without thinning.
+
+    Every live path draws its next waiting time by inverting the
+    compensator (:func:`_waiting_times`), so the loop runs once per event
+    index, over all paths still short of the horizon.  All draws come from
+    the one stream ``(seed, 0, TAG_HAWKES_BATCH)``.  ``max_events`` caps the
+    events of one path, as in :func:`simulate_hawkes`, and
+    ``MAX_BATCH_EVENTS`` the events the batch holds, so that a supercritical
+    batch fails before it exhausts memory.
+    """
+    if not math.isfinite(horizon):
+        raise NonFiniteError(f"horizon must be finite, got {horizon}")
+    if horizon <= 0:
+        raise ValueError("horizon must be > 0")
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    rng = make_stream(seed, 0, TAG_HAWKES_BATCH)
+    kappa, theta_bar = params.kappa, params.theta_bar
+
+    live = np.arange(n_paths)
+    t = np.zeros(n_paths)
+    lam = np.full(n_paths, float(params.lambda0))
+    # (path ids, times, post-jump intensities) per event index, after an
+    # empty entry that keeps the concatenations below defined
+    steps = [(live[:0], t[:0], lam[:0])]
+    total = 0
+    while True:
+        e = rng.standard_exponential(size=(2, live.size))
+        wait = _waiting_times(lam, kappa, theta_bar, e[0], e[1])
+        go = t + wait <= horizon
+        if not go.any():
+            break
+        live, t, lam, wait = live[go], t[go], lam[go], wait[go]
+        t = t + wait
+        lam = theta_bar + (lam - theta_bar) * np.exp(-kappa * wait) + 1.0
+        steps.append((live, t, lam))
+        total += live.size
+        if len(steps) - 1 > max_events or total > MAX_BATCH_EVENTS:
+            raise ExplosionGuardError(
+                f"event count exceeded cap ({max_events} per path, "
+                f"{MAX_BATCH_EVENTS} in all); parameters may be "
+                f"supercritical (kappa = {kappa})")
+
+    ids = np.concatenate([s[0] for s in steps])
+    order = np.argsort(ids, kind="stable")  # path-major, time order within
+    counts = np.bincount(ids, minlength=n_paths)
+    times = np.concatenate([s[1] for s in steps])[order]
+    events = BatchPaths(horizon, counts,
+                        np.concatenate([[0], np.cumsum(counts)]),
+                        times, np.ones((times.size, 1)))
+    intens = np.concatenate([s[2] for s in steps])[order]
+    # lambda_T in closed form, as HawkesPath.intensity computes it
+    kicks = batch_past_sum(lambda lag, _m: np.exp(-kappa * lag), events,
+                           horizon)[:, 0]
+    decay = np.exp(-kappa * horizon)
+    lambda_T = params.lambda0 * decay + theta_bar * (1.0 - decay) + kicks
+    return HawkesBatch(events, intens, lambda_T, params)
 
 
 @dataclass(frozen=True)

@@ -229,6 +229,9 @@ def _build_kernel(section) -> NoiseKernel:
         return _kernels.random_decay()
     ts = section.get_floats("table_t", required=True)
     xs = section.get_floats("table_x", required=True)
+    for key, knots in (("table_t", ts), ("table_x", xs)):
+        if len(knots) < 2 or np.any(np.diff(knots) <= 0):
+            _fail("kernel", key, "needs at least 2 strictly increasing knots")
     raw_g = section.get_str("table_g", required=True)
     rows = [r for r in raw_g.split(";") if r.strip()]
     try:
@@ -312,15 +315,15 @@ def _build_market(section, kernel, spec, horizon) -> MarketParams:
     x0 = section.get_float("x0", required=True)
     mu = section.get_float("mu", required=True)
     sigma = section.get_float("sigma", required=True)
+    for key, value in (("x0", x0), ("sigma", sigma)):
+        if value <= 0:
+            _fail("market", key, "must be > 0")
     fn, inferred = _parse_rate(section, "rate_curve", horizon)
     if fn is None:
         const = inferred
         fn = lambda t: np.full_like(np.asarray(t, dtype=float), const,
                                     dtype=float)
-    try:
-        return MarketParams(x0, mu, sigma, fn, kernel, spec)
-    except ValueError as exc:
-        _fail("market", "x0", str(exc))
+    return MarketParams(x0, mu, sigma, fn, kernel, spec)
 
 
 def parse_config(path, *, overrides: dict | None = None) -> ExperimentConfig:
@@ -416,10 +419,12 @@ def parse_config(path, *, overrides: dict | None = None) -> ExperimentConfig:
         kappa = asec.get_float("kappa", required=True)
         theta_bar = asec.get_float("theta_bar", required=True)
         lambda0 = asec.get_float("lambda0", required=True)
-        try:
-            affine = HawkesParams(kappa, theta_bar, lambda0)
-        except ValueError as exc:
-            _fail("affine", "kappa", str(exc))
+        if kappa <= 0:
+            _fail("affine", "kappa", "must be > 0")
+        for key, value in (("theta_bar", theta_bar), ("lambda0", lambda0)):
+            if value < 0:
+                _fail("affine", key, "must be >= 0")
+        affine = HawkesParams(kappa, theta_bar, lambda0)
         if kappa <= 1.0:
             warnings.warn(
                 f"affine.kappa = {kappa} gives branching ratio "

@@ -34,23 +34,19 @@ from .errors import (
     MgfDivergesError,
     QuadratureFailureError,
 )
-from .kernels import KIND_JUMP_TO_LEVEL, NoiseKernel
+from .kernels import NoiseKernel
 from .marks import MarkDistribution
 from .point_process import (
     CompensatorSpec,
     MppPath,
-    cumulative_jumps,
     past_sum,
     simulate_mpp,
     slice_integrand,
     standard,
 )
 from .quadrature import DEFAULT_QUAD_TOL, cumulative_simpson
-from .rng import TAG_BROWNIAN, make_stream
-from .stats import BatchPaths, batch_log_weights
-
-# trapezoid density of simulate_stock's time grid, in points per unit time
-_POINTS_PER_UNIT = 1024
+from .rng import TAG_BROWNIAN, TAG_STOCK_JUMPS, make_stream
+from .stats import BatchPaths, batch_log_weights, batch_past_sum, simulate_batch
 
 
 @dataclass(frozen=True)
@@ -376,25 +372,27 @@ def drift_residual(market: MarketParams, mm: MartingaleMeasureSpec | None,
 class StockPaths:
     times: np.ndarray
     X: np.ndarray  # (n_paths, len(times))
-    paths: tuple | None = None  # underlying MppPaths when retained
+    paths: BatchPaths  # the jump paths; path i drives row i of X
 
 
 def simulate_stock(market: MarketParams, mm: MartingaleMeasureSpec | None,
                    horizon: float, grid, n_paths: int, seed: int, *,
-                   store_paths: bool = False,
                    quad_tol: float = DEFAULT_QUAD_TOL) -> StockPaths:
-    """Simulate the stock on the output ``grid`` (must start at 0).
+    """Simulate the stock on the output ``grid`` (must start at 0), exactly.
 
-    Under ``mm`` the jumps run with compensator lambda' F' and the Brownian
-    motion acquires drift -xi; xi is path-dependent through the accumulated
-    g-sum and is evaluated at the left grid point (predictable evaluation).
-    The time integral of the g-sum uses a trapezoid on a dense grid (1024
-    points per unit time) refined with all event times, so the kinks at
-    events carry no discretization bias.  For the
-    jump-to-level kernel g = 0 and both path integrals collapse to closed
-    form, making the simulation exact on the output grid.  Each jump path
-    is drawn by :func:`~snoise.point_process.simulate_mpp` with its default
-    event cap.
+    All jump paths are one :func:`~snoise.stats.simulate_batch` on
+    ``TAG_STOCK_JUMPS`` (under ``mm`` with compensator lambda' F'), and the
+    Brownian increments on the grid are one ``(n_paths, len(grid) - 1)``
+    draw from ``(seed, 0, TAG_BROWNIAN)``, independent of the jumps.  The
+    kernel contract G(t, x) = G(0, x) + int_0^t g makes both path integrals
+    closed form for every kernel: with S_t = sum_{T_i <= t} G(t - T_i, U_i)
+    and J_t = sum_{T_i <= t} G(0, U_i),
+
+        log X_t = log X_0 + mu t + sigma W_t - sigma^2 t / 2 + S_t,
+
+    and under ``mm`` the Brownian motion acquires drift -xi, with
+    sigma int_0^t xi = mu t - int_0^t r + m1 t + (S_t - J_t).  No time grid
+    finer than ``grid`` is involved.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0:
@@ -403,67 +401,19 @@ def simulate_stock(market: MarketParams, mm: MartingaleMeasureSpec | None,
         raise ValueError("grid must be strictly increasing within [0, horizon]")
 
     sim_spec = prime_spec(mm, market.spec) if mm is not None else market.spec
-    mu, sigma = market.mu_drift, market.sigma
-    g_is_zero = market.kernel.kind == KIND_JUMP_TO_LEVEL
+    paths = simulate_batch(sim_spec, horizon, n_paths, seed, tag=TAG_STOCK_JUMPS)
+    mu, sigma, G = market.mu_drift, market.sigma, market.kernel.G
 
-    # deterministic part of xi; the path part is added per path below
+    dw = (make_stream(seed, 0, TAG_BROWNIAN).normal(size=(n_paths, grid.size - 1))
+          * np.sqrt(np.diff(grid)))
+    w = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(dw, axis=1)], axis=1)
+    s_t = batch_past_sum(G, paths, grid)
+    log_x = (math.log(market.x0) + mu * grid + sigma * w
+             - 0.5 * sigma**2 * grid + s_t)
     if mm is not None:
         m1 = jump_moment_m1(market, mm, quad_tol=quad_tol)
-        r_grid = market.integrated_rate(grid, quad_tol)
-        int_xi_det = (mu * grid - r_grid + m1 * grid) / sigma
-    else:
-        int_xi_det = None
-
-    n_out = grid.size
-    X = np.empty((n_paths, n_out))
-    kept = [] if store_paths else None
-
-    for i in range(n_paths):
-        path = simulate_mpp(sim_spec, horizon, seed, path_index=i)
-        bm = make_stream(seed, i, TAG_BROWNIAN)
-
-        jump_sum = cumulative_jumps(market.kernel.G, path, grid)
-
-        if g_is_zero:
-            w = np.concatenate(
-                [[0.0], np.cumsum(bm.normal(size=n_out - 1)
-                                  * np.sqrt(np.diff(grid)))])
-            drift_int = np.zeros(n_out)
-            int_xi = int_xi_det if mm is not None else 0.0
-        else:
-            dense = np.linspace(0.0, grid[-1],
-                                int(math.ceil(_POINTS_PER_UNIT * grid[-1])) + 1)
-            ref = np.unique(np.concatenate(
-                [dense, grid, path.times[path.times <= grid[-1]]]))
-            w_ref = np.concatenate(
-                [[0.0], np.cumsum(bm.normal(size=ref.size - 1)
-                                  * np.sqrt(np.diff(ref)))])
-            # event times sit on the refined grid; a cell ending at an event
-            # must use the pre-jump (left) limit there, so the trapezoid sees
-            # a smooth integrand inside every cell
-            gsum_rc = past_sum(market.kernel.g, path.times, path.marks, ref)
-            gsum_lc = past_sum(market.kernel.g, path.times, path.marks, ref,
-                               strict=True)
-            drift_ref = np.concatenate(
-                [[0.0],
-                 np.cumsum(0.5 * (gsum_rc[:-1] + gsum_lc[1:]) * np.diff(ref))])
-            idx = np.searchsorted(ref, grid)
-            w = w_ref[idx]
-            drift_int = drift_ref[idx]
-            if mm is not None:
-                xi_path_ref = gsum_rc / sigma  # path part of xi, left-evaluated
-                int_xi_path = np.concatenate(
-                    [[0.0], np.cumsum(xi_path_ref[:-1] * np.diff(ref))])
-                int_xi = int_xi_det + int_xi_path[idx]
-            else:
-                int_xi = 0.0
-
-        log_x = (math.log(market.x0) + mu * grid + sigma * w
-                 - 0.5 * sigma**2 * grid + drift_int + jump_sum)
-        if mm is not None:
-            log_x = log_x - sigma * int_xi
-        X[i] = np.exp(log_x)
-        if store_paths:
-            kept.append(path)
-
-    return StockPaths(grid, X, tuple(kept) if store_paths else None)
+        j_t = batch_past_sum(lambda lag, x: G(np.zeros_like(lag), x), paths, grid)
+        sigma_int_xi = (mu * grid - market.integrated_rate(grid, quad_tol)
+                        + m1 * grid + (s_t - j_t))
+        log_x = log_x - sigma_int_xi
+    return StockPaths(grid, np.exp(log_x), paths)

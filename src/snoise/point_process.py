@@ -23,7 +23,7 @@ from .marks import MarkDistribution
 from .quadrature import DEFAULT_QUAD_TOL, adaptive_simpson
 from .rng import TAG_EVENTS, TAG_MARKS, make_stream
 
-_BOUND_SLACK = 1e-12
+BOUND_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def simulate_mpp(spec: CompensatorSpec, horizon: float, seed: int, *,
             break
         cands_in = cands[inside]
         lam_at = np.asarray(spec.rate(cands_in), dtype=float)
-        if np.any(lam_at > lam_bar * (1.0 + _BOUND_SLACK)):
+        if np.any(lam_at > lam_bar * (1.0 + BOUND_SLACK)):
             worst = float(lam_at.max())
             raise InvalidBoundError(
                 f"rate({float(cands_in[np.argmax(lam_at)]):.6g}) = {worst:.6g} "

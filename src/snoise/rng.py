@@ -15,7 +15,14 @@ Tag space
 ``TAG_BATCH``   (4)  batch Monte Carlo oracle (counts, times, marks)
 ``TAG_AVG``     (5)  fixed substream for sample-only mark averaging
 ``TAG_BATCH_PRIME`` (6)  second batch oracle stream (direct target-measure runs)
+``TAG_STOCK_JUMPS`` (7)  jump batch of the stock simulator
+``TAG_HAWKES_BATCH`` (8)  exact batch Hawkes simulation
 ===================  =====================================================
+
+Tags 0-3 key one stream per path.  The other tags key one stream each, at
+path index 0; a batch thinned to a time-varying rate draws its acceptance
+uniforms from path index 1 of its tag, so its candidates stay the batch an
+unthinned run would draw.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ TAG_HAWKES = 3
 TAG_BATCH = 4
 TAG_AVG = 5
 TAG_BATCH_PRIME = 6
+TAG_STOCK_JUMPS = 7
+TAG_HAWKES_BATCH = 8
 
 _MASK64 = (1 << 64) - 1
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .affine import affine_cf, simulate_hawkes
+from .affine import affine_cf, simulate_hawkes_batch
 from .config import ExperimentConfig
 from .errors import ConfigError, NotSeparableError, ZeroAtOriginError
 from .kernels import is_markov_kernel
@@ -240,20 +240,12 @@ def _run_markov_test(config: ExperimentConfig, out_dir: Path) -> int:
 def _run_affine_validate(config: ExperimentConfig, out_dir: Path) -> int:
     run = config.run
     params = config.affine
-    n_term = np.empty(run.n_paths)
-    lam_term = np.empty(run.n_paths)
-    identity_resid = 0.0
-    first = None
-    for i in range(run.n_paths):
-        hp = simulate_hawkes(params, run.horizon, run.seed, path_index=i)
-        if i == 0:
-            first = hp
-        n_term[i] = hp.events.n_events
-        lam_term[i] = float(hp.intensity(run.horizon))
-        if i < 1000 and hp.events.n_events:
-            closed = hp.intensity(hp.events.times)
-            identity_resid = max(identity_resid, float(
-                np.abs(closed - hp.intensities).max()))
+    batch = simulate_hawkes_batch(params, run.horizon, run.n_paths, run.seed)
+    n_term = batch.events.counts
+    lam_term = batch.lambda_T
+    identity_resid = float(np.abs(batch.closed_form_intensities()
+                                  - batch.intensities).max(initial=0.0))
+    first = batch.path(0)
 
     checks = [Check(
         "shotnoise_identity",
@@ -396,8 +388,7 @@ def _run_drift_check(config: ExperimentConfig, out_dir: Path) -> int:
 
     grid = np.linspace(0.0, run.horizon, 9)
     stock = simulate_stock(market, mm, run.horizon, grid, run.n_paths,
-                           run.seed, store_paths=True,
-                           quad_tol=run.quad_tol)
+                           run.seed, quad_tol=run.quad_tol)
     disc = np.exp(-market.integrated_rate(grid, run.quad_tol))
     disc_paths = stock.X * disc[None, :]
     mean_t = float(disc_paths[:, -1].mean())
@@ -435,7 +426,7 @@ def _run_drift_check(config: ExperimentConfig, out_dir: Path) -> int:
     girsanov = stationary_reweight(mm, market.spec)
     rows = []
     for i in range(min(run.n_paths, 10)):
-        dens = density_process(girsanov, market.spec, stock.paths[i], grid,
+        dens = density_process(girsanov, market.spec, stock.paths.path(i), grid,
                                quad_tol=run.quad_tol)
         l_at_grid = dens.L[np.searchsorted(dens.times, grid)]
         rows.extend(

@@ -21,9 +21,10 @@ from typing import NamedTuple
 import numpy as np
 from scipy import stats as _sps
 
+from .errors import InvalidBoundError, NonFiniteError
 from .kernels import NoiseKernel
 from .marks import MarkDistribution
-from .point_process import MppPath, break_ties
+from .point_process import BOUND_SLACK, CompensatorSpec, MppPath, break_ties
 from .rng import TAG_BATCH, make_stream
 
 Z_BASE = 3.0
@@ -200,6 +201,59 @@ def simulate_standard_batch(lam: float, marks: MarkDistribution,
     times = raw[order]
     mk = marks.sample(rng, 0.0, total)
     return BatchPaths(horizon, counts, offsets, times, mk)
+
+
+def simulate_batch(spec: CompensatorSpec, horizon: float, n_paths: int,
+                   seed: int, *, tag: int) -> BatchPaths:
+    """Batch of paths with compensator rate(t) F(0, dx) dt, all at once.
+
+    Candidates are a :func:`simulate_standard_batch` at ``rate_bound`` on
+    ``tag``; a rate below the bound then keeps the candidate at ``t`` with
+    probability ``rate(t)/rate_bound`` (Lewis-Shedler thinning), with
+    uniforms from stream ``(seed, 1, tag)``.  As in
+    :func:`~snoise.point_process.simulate_mpp`, the bound is checked at every
+    candidate.
+    """
+    if not math.isfinite(horizon):
+        raise NonFiniteError(f"horizon must be finite, got {horizon}")
+    cand = simulate_standard_batch(spec.rate_bound, spec.marks, horizon,
+                                   n_paths, seed, tag=tag)
+    if spec.stationary_rate == spec.rate_bound:
+        return cand
+    lam_bar = spec.rate_bound
+    lam_at = np.asarray(spec.rate(cand.times), dtype=float)
+    if np.any(lam_at > lam_bar * (1.0 + BOUND_SLACK)):
+        k = int(np.argmax(lam_at))
+        raise InvalidBoundError(
+            f"rate({float(cand.times[k]):.6g}) = {float(lam_at[k]):.6g} "
+            f"exceeds rate_bound = {lam_bar:.6g}")
+    unif = make_stream(seed, 1, tag).uniform(size=cand.times.size)
+    keep = unif * lam_bar <= lam_at
+    counts = np.bincount(cand.path_ids()[keep], minlength=n_paths)
+    return BatchPaths(horizon, counts, np.concatenate([[0], np.cumsum(counts)]),
+                      cand.times[keep], cand.marks[keep])
+
+
+def batch_past_sum(fn, batch: BatchPaths, at) -> np.ndarray:
+    """sum_{T_i <= u} fn(u - T_i, U_i) per path at each time u in ``at``.
+
+    The batch form of :func:`~snoise.point_process.past_sum`: the result is
+    ``(n_paths, len(at))``, one column per time, each a ``np.bincount`` over
+    the events at or before it.
+    """
+    at = np.atleast_1d(np.asarray(at, dtype=float))
+    if not np.isfinite(at).all():
+        raise NonFiniteError("evaluation times must be finite")
+    out = np.zeros((batch.n_paths, at.size))
+    ids = batch.path_ids()
+    for k, u in enumerate(at):
+        inside = batch.times <= u
+        if inside.any():
+            vals = np.asarray(fn(u - batch.times[inside], batch.marks[inside]),
+                              dtype=float)
+            out[:, k] = np.bincount(ids[inside], weights=vals,
+                                    minlength=batch.n_paths)
+    return out
 
 
 def batch_terminal_shotnoise(kernel: NoiseKernel, batch: BatchPaths,

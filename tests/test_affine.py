@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +15,10 @@ from snoise.affine import (
     affine_cf,
     riccati_solve,
     simulate_hawkes,
+    simulate_hawkes_batch,
 )
 from snoise.errors import BlowUpError, ExplosionGuardError, NonFiniteError
-from snoise.stats import cf_ratio, empirical_cf
+from snoise.stats import cf_ratio, empirical_cf, ks_two_sample_weighted
 
 
 class TestParams:
@@ -83,6 +88,102 @@ class TestSimulateHawkes:
         hp = simulate_hawkes(HawkesParams(1.0, 1.0, 1.0), 2.0, 4)
         if hp.events.n_events:
             assert np.all(hp.events.marks == 1.0)
+
+
+# (kappa, theta_bar, lambda0): intensity above theta_bar from the start;
+# below it, rising, until the first events (the Lambert W branch); and no
+# baseline at all
+BATCH_PARAMS = [(2.0, 0.5, 1.0), (1.5, 3.0, 0.0), (1.5, 0.0, 2.0)]
+U_ARGS = [(0.5, 0.0), (1.0, 0.0), (0.0, 0.5), (0.0, 1.0), (0.5, 0.5)]
+
+
+@pytest.mark.parametrize("kappa, theta_bar, lambda0", BATCH_PARAMS)
+class TestSimulateHawkesBatch:
+    def test_same_law_as_ogata(self, kappa, theta_bar, lambda0):
+        params = HawkesParams(kappa, theta_bar, lambda0)
+        batch = simulate_hawkes_batch(params, 1.0, 20000, 31)
+        ogata = [simulate_hawkes(params, 1.0, 31, path_index=i)
+                 for i in range(4000)]
+        n_ogata = [hp.events.n_events for hp in ogata]
+        lam_ogata = [float(hp.intensity(1.0)) for hp in ogata]
+        for x_batch, x_ogata in ((batch.events.counts, n_ogata),
+                                 (batch.lambda_T, lam_ogata)):
+            ks = ks_two_sample_weighted(x_batch, x_ogata)
+            assert ks.passed, (ks.statistic, ks.threshold)
+
+    def test_riccati_transform(self, kappa, theta_bar, lambda0):
+        params = HawkesParams(kappa, theta_bar, lambda0)
+        batch = simulate_hawkes_batch(params, 1.0, 10**5, 32)
+        for u in U_ARGS:
+            analytic = affine_cf(params, (0.0, 0.0, lambda0), 1.0, u)
+            est = empirical_cf(u[0] * batch.events.counts
+                               + u[1] * batch.lambda_T, 1.0)
+            assert cf_ratio(analytic, est) <= 3.0, u
+
+    def test_shotnoise_identity_at_every_event(self, kappa, theta_bar,
+                                               lambda0):
+        params = HawkesParams(kappa, theta_bar, lambda0)
+        batch = simulate_hawkes_batch(params, 2.0, 20000, 33)
+        assert batch.intensities.size == batch.events.times.size > 20000
+        resid = np.abs(batch.closed_form_intensities() - batch.intensities)
+        assert resid.max() <= 1e-10
+        # the one-path views agree with the batch, lambda_T included
+        for i in range(20):
+            hp = batch.path(i)
+            if hp.events.n_events:
+                assert np.abs(hp.intensity(hp.events.times)
+                              - hp.intensities).max() <= 1e-10
+            assert abs(float(hp.intensity(2.0)) - batch.lambda_T[i]) <= 1e-10
+
+
+@pytest.mark.parametrize("kappa, theta_bar, lambda0", [
+    (2.0, 0.5, 1e3), (2.0, 1e3, 0.0)])
+def test_batch_large_intensity_stays_finite(kappa, theta_bar, lambda0):
+    # E N_T = m T + (lambda0 - m)(1 - e^{-(kappa - 1) T})/(kappa - 1) with
+    # the stationary mean m = kappa theta_bar / (kappa - 1)
+    params = HawkesParams(kappa, theta_bar, lambda0)
+    batch = simulate_hawkes_batch(params, 1.0, 200, 34)
+    for arr in (batch.events.times, batch.intensities, batch.lambda_T):
+        assert np.isfinite(arr).all()
+    m = kappa * theta_bar / (kappa - 1.0)
+    mean_n = m + (lambda0 - m) * (1.0 - math.exp(-(kappa - 1.0)))
+    counts = batch.events.counts
+    se = counts.std(ddof=1) / math.sqrt(counts.size)
+    assert abs(counts.mean() - mean_n) <= 3.0 * se
+    assert np.abs(batch.closed_form_intensities()
+                  - batch.intensities).max() <= 1e-10 * lambda0 + 1e-9
+
+
+def test_batch_nan_horizon_rejected():
+    with pytest.raises(NonFiniteError):
+        simulate_hawkes_batch(HawkesParams(2.0, 0.5, 1.0), math.nan, 10, 1)
+
+
+# a supercritical batch runs in a child process under an address-space cap
+# and a timeout: the batch must bound the events it holds in all, not only
+# per path, to fail before it exhausts memory
+_SUPERCRITICAL = """
+import resource
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from snoise.affine import HawkesParams, simulate_hawkes_batch
+from snoise.errors import SnoiseError
+try:
+    simulate_hawkes_batch(HawkesParams(0.5, 0.5, 1.0), 50.0, 10**5, 3)
+    print("OK")
+except SnoiseError as exc:
+    print(exc.code, exc)
+"""
+
+
+def test_batch_explosion_guard_supercritical():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _SUPERCRITICAL],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith("ExplosionGuard "), proc.stdout
 
 
 class TestRiccati:

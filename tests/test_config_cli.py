@@ -355,3 +355,92 @@ def test_table_kernel_with_density_marks_simulates(tmp_path, capsys):
     assert main(["simulate", "--config", write(tmp_path, text),
                  "--out", str(out)]) == 0, capsys.readouterr().err
     assert "RESULT: PASS" in (out / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("knots, field", [
+    pytest.param("table_t = 0, 1, 0.5\ntable_x = 0, 1, 2", "kernel.table_t",
+                 id="t-decreasing"),
+    pytest.param("table_t = 0, 1, 1\ntable_x = 0, 1, 2", "kernel.table_t",
+                 id="t-repeated"),
+    pytest.param("table_t = 0, 1, 2\ntable_x = 0, 2, 1", "kernel.table_x",
+                 id="x-decreasing"),
+])
+def test_bad_table_knots_exit_two(tmp_path, capsys, knots, field):
+    text = MINIMAL_SIMULATE.replace(
+        "kind = exponential\na = 1.0\nb = 0.5",
+        f"kind = custom\n{knots}\ntable_g = 0 1 2; 0 0.5 1; 0 0.25 0.5")
+    code = main(["simulate", "--config", write(tmp_path, text),
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"ConfigError: {field}:" in err
+
+
+DRIFT_CHECK = """\
+[run]
+scenario = drift-check
+seed = 1
+
+[kernel]
+kind = jump_to_level
+
+[compensator]
+rate = 1.0
+marks = point_mass
+mark_value = 0.5
+
+[market]
+x0 = 1.0
+mu = 0.1
+sigma = 0.2
+rate_curve = 0.02
+
+[measure]
+lambda_prime = 2.0
+"""
+
+AFFINE = """\
+[run]
+scenario = affine-validate
+seed = 1
+
+[affine]
+kappa = 2.0
+theta_bar = 0.5
+lambda0 = 1.0
+"""
+
+
+@pytest.mark.parametrize("text, old, new, field", [
+    pytest.param(DRIFT_CHECK, "sigma = 0.2", "sigma = 0", "market.sigma",
+                 id="sigma-zero"),
+    pytest.param(DRIFT_CHECK, "sigma = 0.2", "sigma = -0.2", "market.sigma",
+                 id="sigma-negative"),
+    pytest.param(DRIFT_CHECK, "x0 = 1.0", "x0 = 0", "market.x0",
+                 id="x0-zero"),
+    pytest.param(AFFINE, "kappa = 2.0", "kappa = 0", "affine.kappa",
+                 id="kappa-zero"),
+    pytest.param(AFFINE, "theta_bar = 0.5", "theta_bar = -1",
+                 "affine.theta_bar", id="theta-bar-negative"),
+    pytest.param(AFFINE, "lambda0 = 1.0", "lambda0 = -1", "affine.lambda0",
+                 id="lambda0-negative"),
+])
+def test_out_of_range_parameter_names_its_field(tmp_path, text, old, new,
+                                                field):
+    with pytest.raises(ConfigError) as err:
+        parse_config(write(tmp_path, text.replace(old, new)))
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("config", [
+    p for p in SHIPPED_CONFIGS if p.stem in ("drift_check", "affine_validate")
+], ids=lambda p: p.stem)
+def test_batch_scenarios_are_deterministic(config, tmp_path):
+    scenario = parse_config(str(config)).run.scenario
+    outs = [tmp_path / "run1", tmp_path / "run2"]
+    for out in outs:
+        assert main([scenario, "--config", str(config), "--out", str(out)]) == 0
+    names = sorted(p.name for p in outs[0].glob("*.csv"))
+    assert names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as spi
 
-from snoise.errors import DegenerateJumpsError, MgfDivergesError
-from snoise.kernels import exponential, jump_to_level
+from snoise.errors import DegenerateJumpsError, InvalidBoundError, MgfDivergesError
+from snoise.kernels import exponential, from_table, jump_to_level, power_law
 from snoise.marks import Discrete, Exponential, Normal, PointMass
 from snoise.measure_change import (
     GirsanovKernel,
@@ -25,10 +27,19 @@ from snoise.measure_change import (
     stationary_reweight,
     unit_eta,
 )
-from snoise.point_process import MppPath, empty_path, simulate_mpp, standard
+from snoise.point_process import (
+    CompensatorSpec,
+    MppPath,
+    empty_path,
+    past_sum,
+    simulate_mpp,
+    standard,
+)
 from snoise.shotnoise import ShotNoiseProcess, conditional_cf, FiltrationState
 from snoise.stats import (
+    BatchPaths,
     batch_log_weights,
+    batch_past_sum,
     batch_terminal_shotnoise,
     ks_two_sample_weighted,
     simulate_standard_batch,
@@ -306,7 +317,7 @@ class TestSimulateStock:
         sp_j = simulate_stock(mkt_j, None, 1.0, grid, 20, 41)
         sp_0 = simulate_stock(mkt_0, None, 1.0, grid, 20, 41)
         for i in range(20):
-            path = simulate_mpp(mkt_j.spec, 1.0, 41, path_index=i)
+            path = sp_j.paths.path(i)
             counts = np.searchsorted(path.times, grid, side="right")
             expect = np.exp(u * counts)
             assert np.allclose(sp_j.X[i] / sp_0.X[i], expect, rtol=1e-12)
@@ -341,15 +352,126 @@ class TestSimulateStock:
     def test_store_paths(self):
         mkt = MarketParams(1.0, 0.0, 0.2, ZERO_RATE, jump_to_level(),
                            standard(1.0, PointMass(0.5)))
-        sp = simulate_stock(mkt, None, 1.0, np.array([0.0, 1.0]), 5, 2,
-                            store_paths=True)
-        assert len(sp.paths) == 5
+        sp = simulate_stock(mkt, None, 1.0, np.array([0.0, 1.0]), 5, 2)
+        assert sp.paths.n_paths == 5
 
     def test_grid_validation(self):
         mkt = MarketParams(1.0, 0.0, 0.2, ZERO_RATE, jump_to_level(),
                            standard(1.0, PointMass(0.5)))
         with pytest.raises(ValueError):
             simulate_stock(mkt, None, 1.0, np.array([0.5, 1.0]), 2, 1)
+
+
+# The time integral int_0^t sum_{T_i <= s} g(s - T_i, U_i) ds as the stock
+# simulator computed it before it used the closed form S_t - J_t: a
+# trapezoid on 1024 points per unit time refined with all event times.  Two
+# additions make it O(h^2) for table kernels, whose g jumps at event time +
+# t-knot: those times refine the grid too, and every cell takes one-sided
+# values 1e-9 of its width inside its ends (the right-continuous sum at a
+# cell's left end and the strict one at its right end played that role for
+# event times).
+_POINTS_PER_UNIT = 1024
+
+
+def dense_trapezoid_drift(kernel, path, grid):
+    kinks = [path.times]
+    for knot in kernel.params.get("t_knots", ()):
+        kinks.append(path.times + knot)
+    dense = np.linspace(0.0, grid[-1],
+                        int(math.ceil(_POINTS_PER_UNIT * grid[-1])) + 1)
+    ref = np.unique(np.concatenate([dense, grid, *kinks]))
+    ref = ref[ref <= grid[-1]]
+    inset = 1e-9 * np.diff(ref)
+    left = past_sum(kernel.g, path.times, path.marks, ref[:-1] + inset)
+    right = past_sum(kernel.g, path.times, path.marks, ref[1:] - inset)
+    drift_ref = np.concatenate(
+        [[0.0], np.cumsum(0.5 * (left + right) * np.diff(ref))])
+    return drift_ref[np.searchsorted(ref, grid)]
+
+
+_TABLE = from_table([0.0, 0.3, 0.8, 2.0], [0.0, 1.0, 2.0],
+                    [[0.0, 1.0, 2.0], [0.0, 0.6, 1.5], [0.0, 0.5, 0.7],
+                     [0.0, 0.1, 0.2]])
+# kernel and bounds on |dg/dt| and |d^2 g / dt^2| per unit mark (0 for the
+# table, whose g is piecewise constant in t)
+_DRIFT_KERNELS = {
+    "exponential": (exponential(0.7, 1.3), 0.7 * 1.3**2, 0.7 * 1.3**3),
+    "power_law": (power_law(2.0), 2.0 * 2.0**2, 6.0 * 2.0**3),
+    "table": (_TABLE, 0.0, 0.0),
+}
+
+
+def trapezoid_bound(grid, marks, g1, g2):
+    """sum over cells of h^3/12 |f''| <= t h^2/12 sum |g''| with h <= 1/1024;
+    the inset values add at most 2e-9 t sum |g'|."""
+    h = 1.0 / _POINTS_PER_UNIT
+    total = float(np.sum(marks))
+    return grid * (h**2 / 12.0 * g2 + 2e-9 * g1) * total + 1e-11
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_DRIFT_KERNELS)),
+       times=st.lists(st.floats(1e-3, 1.5), min_size=0, max_size=6,
+                      unique=True),
+       marks=st.lists(st.floats(0.05, 2.0), min_size=6, max_size=6),
+       horizon=st.floats(0.5, 1.5))
+def test_closed_form_drift_matches_dense_trapezoid(name, times, marks,
+                                                   horizon):
+    kernel, g1, g2 = _DRIFT_KERNELS[name]
+    times = np.sort([t for t in times if t <= horizon])
+    marks = np.array(marks[: times.size]).reshape(-1, 1)
+    path = MppPath(times, marks, horizon)
+    batch = BatchPaths(horizon, np.array([times.size]),
+                       np.array([0, times.size]), times, marks)
+    grid = np.linspace(0.0, horizon, 9)
+    s_t = batch_past_sum(kernel.G, batch, grid)[0]
+    j_t = batch_past_sum(lambda lag, x: kernel.G(np.zeros_like(lag), x),
+                         batch, grid)[0]
+    err = np.abs((s_t - j_t) - dense_trapezoid_drift(kernel, path, grid))
+    assert np.all(err <= trapezoid_bound(grid, marks, g1, g2)), err
+
+
+def test_stock_drift_integral_matches_dense_trapezoid():
+    # same jumps and Brownian path under two kernels with G(0, x) = x: the
+    # log ratio of the stocks is the drift integral S_t - J_t alone
+    marks = Discrete([0.3, 0.6, 1.2], [0.3, 0.4, 0.3])
+    grid = np.linspace(0.0, 1.0, 9)
+    base = dict(x0=1.0, mu_drift=0.05, sigma=0.2, short_rate=ZERO_RATE,
+                spec=standard(2.0, marks))
+    ref = simulate_stock(MarketParams(kernel=jump_to_level(), **base), None,
+                         1.0, grid, 50, 8)
+    for kernel, g1, g2 in ((exponential(1.0, 1.3), 1.3**2, 1.3**3),
+                           _DRIFT_KERNELS["table"]):
+        sp = simulate_stock(MarketParams(kernel=kernel, **base), None, 1.0,
+                            grid, 50, 8)
+        assert sp.paths.counts.sum() > 50
+        for i in range(50):
+            path = sp.paths.path(i)
+            err = np.abs(np.log(sp.X[i] / ref.X[i])
+                         - dense_trapezoid_drift(kernel, path, grid))
+            assert np.all(err <= trapezoid_bound(grid, path.marks, g1, g2)), \
+                (i, err)
+
+
+def _ramp_market(bound):
+    spec = CompensatorSpec(rate=lambda t: 1.0 + 2.0 * np.asarray(t, dtype=float),
+                           rate_bound=bound, marks=PointMass(0.4))
+    return MarketParams(1.0, 0.05, 0.2, ZERO_RATE, exponential(1.0, 1.0), spec)
+
+
+def test_ramp_rate_stock_count_matches_rate_integral():
+    # rate 1 + 2t thinned from bound 5 on [0, 1.5]: E N = 1.5 + 1.5^2 = 3.75
+    grid = np.linspace(0.0, 1.5, 4)
+    sp = simulate_stock(_ramp_market(5.0), None, 1.5, grid, 20000, 14)
+    counts = sp.paths.counts
+    se = counts.std(ddof=1) / math.sqrt(counts.size)
+    assert abs(counts.mean() - 3.75) <= 3.0 * se
+
+
+def test_ramp_rate_above_bound_raises():
+    with pytest.raises(InvalidBoundError):
+        simulate_stock(_ramp_market(2.0), None, 1.5, np.array([0.0, 1.5]),
+                       2000, 14)
 
 
 class TestEsscherLevyPreservation:
