@@ -20,16 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lambertw
 
-from .errors import BlowUpError, ExplosionGuardError, NonFiniteError
+from .errors import BlowUpError, ExplosionGuardError, NonFiniteError, ParameterError
 from .point_process import MppPath, break_ties, empty_path, past_sum
 from .rng import TAG_HAWKES, TAG_HAWKES_BATCH, make_stream
-from .stats import BatchPaths, batch_past_sum
+from .stats import MAX_BATCH_EVENTS, BatchPaths, batch_past_sum
 
 DEFAULT_STEPS_PER_UNIT = 2048
 _PSI_GUARD = 1e6
-# events one Hawkes batch may hold in all (about 240 MB of ids, times and
-# intensities)
-MAX_BATCH_EVENTS = 10_000_000
+# events one Hawkes path may hold before the simulators call it an explosion
+MAX_PATH_EVENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -43,11 +42,12 @@ class HawkesParams:
         if not all(map(math.isfinite, params)):
             raise NonFiniteError(f"Hawkes parameters must be finite: {self}")
         if self.kappa <= 0:
-            raise ValueError("kappa must be > 0")
+            raise ParameterError("kappa", "must be > 0")
         if self.theta_bar < 0:
-            raise ValueError("theta_bar must be >= 0 (affine state space)")
+            raise ParameterError("theta_bar",
+                                 "must be >= 0 (affine state space)")
         if self.lambda0 < 0:
-            raise ValueError("lambda0 must be >= 0")
+            raise ParameterError("lambda0", "must be >= 0")
 
     @property
     def branching_ratio(self) -> float:
@@ -79,7 +79,7 @@ class HawkesPath:
 
 def simulate_hawkes(params: HawkesParams, horizon: float, seed: int, *,
                     path_index: int = 0,
-                    max_events: int = 1_000_000) -> HawkesPath:
+                    max_events: int = MAX_PATH_EVENTS) -> HawkesPath:
     """Ogata thinning with the piecewise bound max(current lambda, theta_bar).
 
     Between events the intensity decays toward theta_bar, so that bound
@@ -189,14 +189,14 @@ def _waiting_times(lam, kappa: float, theta_bar: float, e1, e2):
 
 
 def simulate_hawkes_batch(params: HawkesParams, horizon: float, n_paths: int,
-                          seed: int, *, max_events: int = 1_000_000) -> HawkesBatch:
+                          seed: int) -> HawkesBatch:
     """Exact simulation of ``n_paths`` Hawkes paths at once, without thinning.
 
     Every live path draws its next waiting time by inverting the
     compensator (:func:`_waiting_times`), so the loop runs once per event
     index, over all paths still short of the horizon.  All draws come from
-    the one stream ``(seed, 0, TAG_HAWKES_BATCH)``.  ``max_events`` caps the
-    events of one path, as in :func:`simulate_hawkes`, and
+    the one stream ``(seed, 0, TAG_HAWKES_BATCH)``.  ``MAX_PATH_EVENTS``
+    caps the events of one path, as in :func:`simulate_hawkes`, and
     ``MAX_BATCH_EVENTS`` the events the batch holds, so that a supercritical
     batch fails before it exhausts memory.
     """
@@ -227,9 +227,9 @@ def simulate_hawkes_batch(params: HawkesParams, horizon: float, n_paths: int,
         lam = theta_bar + (lam - theta_bar) * np.exp(-kappa * wait) + 1.0
         steps.append((live, t, lam))
         total += live.size
-        if len(steps) - 1 > max_events or total > MAX_BATCH_EVENTS:
+        if len(steps) - 1 > MAX_PATH_EVENTS or total > MAX_BATCH_EVENTS:
             raise ExplosionGuardError(
-                f"event count exceeded cap ({max_events} per path, "
+                f"event count exceeded cap ({MAX_PATH_EVENTS} per path, "
                 f"{MAX_BATCH_EVENTS} in all); parameters may be "
                 f"supercritical (kappa = {kappa})")
 

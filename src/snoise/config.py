@@ -229,9 +229,6 @@ def _build_kernel(section) -> NoiseKernel:
         return _kernels.random_decay()
     ts = section.get_floats("table_t", required=True)
     xs = section.get_floats("table_x", required=True)
-    for key, knots in (("table_t", ts), ("table_x", xs)):
-        if len(knots) < 2 or np.any(np.diff(knots) <= 0):
-            _fail("kernel", key, "needs at least 2 strictly increasing knots")
     raw_g = section.get_str("table_g", required=True)
     rows = [r for r in raw_g.split(";") if r.strip()]
     try:
@@ -243,7 +240,8 @@ def _build_kernel(section) -> NoiseKernel:
     if vals.shape != (len(ts), len(xs)):
         _fail("kernel", "table_g",
               f"need {len(ts)} rows x {len(xs)} columns, got {vals.shape}")
-    return _kernels.from_table(ts, xs, vals)
+    return _construct("kernel", "table_g", _kernels.from_table, ts, xs, vals,
+                      keys={"ts": "table_t", "xs": "table_x"})
 
 
 def _build_marks(section) -> _marks.MarkDistribution:
@@ -253,27 +251,33 @@ def _build_marks(section) -> _marks.MarkDistribution:
         value = section.get_floats("mark_value", required=True)
         return _marks.PointMass(value)
     if kind == "normal":
-        return _mark_law(_marks.Normal, "mark_std",
-                         section.get_float("mark_mean", required=True),
-                         section.get_float("mark_std", required=True))
+        return _construct("compensator", "mark_std", _marks.Normal,
+                          section.get_float("mark_mean", required=True),
+                          section.get_float("mark_std", required=True))
     if kind == "exponential":
-        return _mark_law(_marks.Exponential, "mark_mean",
-                         section.get_float("mark_mean", required=True))
+        return _construct("compensator", "mark_mean", _marks.Exponential,
+                          section.get_float("mark_mean", required=True))
     if kind == "uniform":
-        return _mark_law(_marks.Uniform, "mark_hi",
-                         section.get_float("mark_lo", required=True),
-                         section.get_float("mark_hi", required=True))
-    return _mark_law(_marks.Discrete, "mark_weights",
-                     section.get_floats("mark_points", required=True),
-                     section.get_floats("mark_weights", required=True))
+        return _construct("compensator", "mark_hi", _marks.Uniform,
+                          section.get_float("mark_lo", required=True),
+                          section.get_float("mark_hi", required=True))
+    return _construct("compensator", "mark_weights", _marks.Discrete,
+                      section.get_floats("mark_points", required=True),
+                      section.get_floats("mark_weights", required=True))
 
 
-def _mark_law(law, key, *params):
-    """``law(*params)``, its range check failing as ConfigError on ``key``."""
+def _construct(section, key, make, *args, keys=None):
+    """``make(*args)``, its range check failing as ConfigError.
+
+    The field is the one a :class:`~snoise.errors.ParameterError` names,
+    renamed through ``keys`` where the config spells it otherwise, and
+    ``key`` for any other ValueError.
+    """
     try:
-        return law(*params)
+        return make(*args)
     except ValueError as exc:
-        _fail("compensator", key, str(exc))
+        name = getattr(exc, "field", None)
+        _fail(section, (keys or {}).get(name, name or key), str(exc))
 
 
 def _build_compensator(section, horizon) -> CompensatorSpec:
@@ -315,15 +319,13 @@ def _build_market(section, kernel, spec, horizon) -> MarketParams:
     x0 = section.get_float("x0", required=True)
     mu = section.get_float("mu", required=True)
     sigma = section.get_float("sigma", required=True)
-    for key, value in (("x0", x0), ("sigma", sigma)):
-        if value <= 0:
-            _fail("market", key, "must be > 0")
     fn, inferred = _parse_rate(section, "rate_curve", horizon)
     if fn is None:
         const = inferred
         fn = lambda t: np.full_like(np.asarray(t, dtype=float), const,
                                     dtype=float)
-    return MarketParams(x0, mu, sigma, fn, kernel, spec)
+    return _construct("market", "x0", MarketParams, x0, mu, sigma, fn, kernel,
+                      spec)
 
 
 def parse_config(path, *, overrides: dict | None = None) -> ExperimentConfig:
@@ -419,12 +421,8 @@ def parse_config(path, *, overrides: dict | None = None) -> ExperimentConfig:
         kappa = asec.get_float("kappa", required=True)
         theta_bar = asec.get_float("theta_bar", required=True)
         lambda0 = asec.get_float("lambda0", required=True)
-        if kappa <= 0:
-            _fail("affine", "kappa", "must be > 0")
-        for key, value in (("theta_bar", theta_bar), ("lambda0", lambda0)):
-            if value < 0:
-                _fail("affine", key, "must be >= 0")
-        affine = HawkesParams(kappa, theta_bar, lambda0)
+        affine = _construct("affine", "kappa", HawkesParams, kappa, theta_bar,
+                            lambda0)
         if kappa <= 1.0:
             warnings.warn(
                 f"affine.kappa = {kappa} gives branching ratio "

@@ -88,6 +88,14 @@ class DegenerateJumpsError(SnoiseError):
     code = "DegenerateJumps"
 
 
+class ParameterError(ValueError):
+    """A model parameter is out of range; ``field`` names the parameter."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field} {message}")
+        self.field = field
+
+
 class ConfigError(SnoiseError):
     """Invalid experiment configuration; ``field`` names the offending key."""
 

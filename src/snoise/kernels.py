@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteError,
     NotSeparableError,
+    ParameterError,
     ZeroAtOriginError,
 )
 from .quadrature import DEFAULT_QUAD_TOL, cumulative_simpson
@@ -134,10 +135,10 @@ def from_table(ts, xs, values) -> NoiseKernel:
     vals = np.asarray(values, dtype=float)
     if ts.ndim != 1 or xs.ndim != 1 or vals.shape != (ts.size, xs.size):
         raise ValueError("need values shaped (len(ts), len(xs))")
-    if ts.size < 2 or xs.size < 2:
-        raise ValueError("table needs at least a 2x2 grid")
-    if np.any(np.diff(ts) <= 0) or np.any(np.diff(xs) <= 0):
-        raise ValueError("table knots must be strictly increasing")
+    for name, knots in (("ts", ts), ("xs", xs)):
+        if knots.size < 2 or np.any(np.diff(knots) <= 0):
+            raise ParameterError(name,
+                                 "needs at least 2 strictly increasing knots")
 
     slopes = np.diff(vals, axis=0) / np.diff(ts)[:, None]
 

@@ -32,6 +32,7 @@ from .errors import (
     DegenerateJumpsError,
     IntegrabilityFailureError,
     MgfDivergesError,
+    ParameterError,
     QuadratureFailureError,
 )
 from .kernels import NoiseKernel
@@ -247,9 +248,9 @@ class MarketParams:
 
     def __post_init__(self):
         if self.x0 <= 0:
-            raise ValueError("x0 must be > 0")
+            raise ParameterError("x0", "must be > 0")
         if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
+            raise ParameterError("sigma", "must be > 0")
         if self.kernel.mark_dim != self.spec.mark_dim:
             raise ValueError("kernel and compensator mark dimensions differ")
 

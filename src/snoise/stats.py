@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import stats as _sps
 
-from .errors import InvalidBoundError, NonFiniteError
+from .errors import ExplosionGuardError, InvalidBoundError, NonFiniteError
 from .kernels import NoiseKernel
 from .marks import MarkDistribution
 from .point_process import BOUND_SLACK, CompensatorSpec, MppPath, break_ties
@@ -29,6 +29,9 @@ from .rng import TAG_BATCH, make_stream
 
 Z_BASE = 3.0
 KS_LEVEL = 0.01
+# events one simulated batch may hold in all: a guard that makes a runaway
+# rate or path count fail before its arrays exhaust memory
+MAX_BATCH_EVENTS = 10_000_000
 
 
 class CfEstimate(NamedTuple):
@@ -212,10 +215,16 @@ def simulate_batch(spec: CompensatorSpec, horizon: float, n_paths: int,
     probability ``rate(t)/rate_bound`` (Lewis-Shedler thinning), with
     uniforms from stream ``(seed, 1, tag)``.  As in
     :func:`~snoise.point_process.simulate_mpp`, the bound is checked at every
-    candidate.
+    candidate.  A batch expected to hold more than ``MAX_BATCH_EVENTS``
+    candidates fails before it draws any.
     """
     if not math.isfinite(horizon):
         raise NonFiniteError(f"horizon must be finite, got {horizon}")
+    expected = spec.rate_bound * horizon * n_paths
+    if expected > MAX_BATCH_EVENTS:
+        raise ExplosionGuardError(
+            f"batch expects {expected:.3g} candidate events, above the cap "
+            f"{MAX_BATCH_EVENTS}; lower the rate bound or the path count")
     cand = simulate_standard_batch(spec.rate_bound, spec.marks, horizon,
                                    n_paths, seed, tag=tag)
     if spec.stationary_rate == spec.rate_bound:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from snoise import affine
 from snoise.affine import (
     HawkesParams,
     affine_cf,
@@ -152,6 +153,14 @@ def test_batch_large_intensity_stays_finite(kappa, theta_bar, lambda0):
     assert abs(counts.mean() - mean_n) <= 3.0 * se
     assert np.abs(batch.closed_form_intensities()
                   - batch.intensities).max() <= 1e-10 * lambda0 + 1e-9
+
+
+def test_batch_per_path_cap(monkeypatch):
+    # four supercritical paths (branching ratio 2) grow to thousands of
+    # events by t = 20, far below the batch cap: only the per-path cap trips
+    monkeypatch.setattr(affine, "MAX_PATH_EVENTS", 200)
+    with pytest.raises(ExplosionGuardError, match="200 per path"):
+        simulate_hawkes_batch(HawkesParams(0.5, 0.5, 1.0), 20.0, 4, 3)
 
 
 def test_batch_nan_horizon_rejected():

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from snoise.cli import main
+from snoise.cli import EXIT_NUMERICAL, main
 from snoise.config import parse_config
 from snoise.errors import ConfigError
 
@@ -444,3 +445,30 @@ def test_batch_scenarios_are_deterministic(config, tmp_path):
     assert names
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+# a stock batch of 2*10^7 expected jumps runs the CLI in a child process
+# under an address-space cap: the batch must refuse it before allocating
+_HIGH_RATE_STOCK = """
+import resource, sys
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from snoise.cli import main
+sys.exit(main(["drift-check", "--config", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+def test_high_rate_stock_batch_fails_cleanly(tmp_path):
+    config = next(p for p in SHIPPED_CONFIGS if p.stem == "drift_check")
+    text = config.read_text().replace("rate = 1.0\n", "rate = 1000\n")
+    assert "rate = 1000" in text
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _HIGH_RATE_STOCK, write(tmp_path, text),
+         str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == EXIT_NUMERICAL, proc.stderr[-2000:]
+    assert proc.stderr.startswith("ExplosionGuard: batch expects"), \
+        proc.stderr[-2000:]
