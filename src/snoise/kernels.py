@@ -142,11 +142,6 @@ def from_table(ts, xs, values) -> NoiseKernel:
 
     slopes = np.diff(vals, axis=0) / np.diff(ts)[:, None]
 
-    def _interp_x(row_lo, row_hi, wx, jx):
-        lo = row_lo[jx] * (1.0 - wx) + row_lo[jx + 1] * wx
-        hi = row_hi[jx] * (1.0 - wx) + row_hi[jx + 1] * wx
-        return lo, hi
-
     def _locate(t, x):
         t = np.asarray(t, dtype=float)
         x1 = _x1(x)
@@ -220,7 +215,7 @@ def check_absolute_continuity(kernel: NoiseKernel, ts=None, xs=None, *,
     for x in xs:
         integral = cumulative_simpson(
             lambda s, x=x: kernel.g(s, x), ts_all, quad_tol / 10.0,
-            vectorized=True, breakpoints=knots,
+            breakpoints=knots,
         )
         resid = np.abs(
             kernel.G(ts_all, x) - kernel.G(0.0, x) - np.asarray(integral)

@@ -143,7 +143,7 @@ def _compensator_curve(kernel: GirsanovKernel, spec: CompensatorSpec,
             slice_integrand(
                 spec, lambda s, x: np.asarray(kernel.Y(s, x), dtype=float) - 1.0,
                 max(quad_tol * 1e-2, 1e-14)),
-            times, quad_tol, vectorized=True,
+            times, quad_tol,
         ), dtype=float)
     if not np.isfinite(curve).all():
         raise IntegrabilityFailureError(
@@ -260,7 +260,7 @@ class MarketParams:
         pts = np.unique(np.concatenate([[0.0], times]))
         cum = np.asarray(cumulative_simpson(
             lambda s: np.asarray(self.short_rate(s), dtype=float),
-            pts, quad_tol, vectorized=True), dtype=float)
+            pts, quad_tol), dtype=float)
         return cum[np.searchsorted(pts, times)]
 
 

@@ -24,6 +24,9 @@ from .quadrature import DEFAULT_QUAD_TOL, adaptive_simpson
 from .rng import TAG_EVENTS, TAG_MARKS, make_stream
 
 BOUND_SLACK = 1e-12
+# (time, event) pairs past_sum evaluates at once: a long path summed at many
+# times (a quadrature level over all pieces) keeps its temporaries in cache
+_PAST_SUM_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,7 @@ def past_sum(fn, times, marks, at, *, strict: bool = False):
     shape.  ``fn`` is a vectorized kernel ``(lag, marks) -> values`` such as
     ``NoiseKernel.G`` or ``.g``.  Every event is evaluated (inactive ones at
     lag 0, so kernels never see a negative lag) and masked to zero, which
-    makes a whole array of times one vectorized call.
+    makes each block of ``_PAST_SUM_BLOCK`` (time, event) pairs one call.
     """
     at = np.asarray(at, dtype=float)
     # per-path loops call this with scalar times, where math.isfinite costs
@@ -218,6 +221,11 @@ def past_sum(fn, times, marks, at, *, strict: bool = False):
         raise NonFiniteError("evaluation times must be finite")
     if len(times) == 0:
         return np.zeros(at.shape)
+    if at.size > 1 and at.size * len(times) > _PAST_SUM_BLOCK:
+        n_blocks = -(-at.size * len(times) // _PAST_SUM_BLOCK)
+        blocks = np.array_split(at.ravel(), min(at.size, n_blocks))
+        return np.concatenate([past_sum(fn, times, marks, u, strict=strict)
+                               for u in blocks]).reshape(at.shape)
     lag = at[..., None] - times
     vals = np.asarray(fn(np.maximum(lag, 0.0), marks), dtype=float)
     return np.where(lag > 0.0 if strict else lag >= 0.0, vals, 0.0).sum(axis=-1)
@@ -254,7 +262,7 @@ def compensator_mass(spec: CompensatorSpec, t0: float, t1: float, test_fn, *,
     inner_tol = max(quad_tol * 1e-3, 1e-14)
     return adaptive_simpson(
         slice_integrand(spec, test_fn, inner_tol, mark_breakpoints),
-        t0, t1, quad_tol, vectorized=True, breakpoints=breakpoints)
+        t0, t1, quad_tol, breakpoints=breakpoints)
 
 
 def slice_integrand(spec: CompensatorSpec, test_fn, tol: float,

@@ -1,23 +1,24 @@
-"""Adaptive quadrature shared across the toolkit: one piece loop, two rules.
+"""Adaptive quadrature shared across the toolkit: one refinement frontier, two rules.
 
 Time integrals use adaptive Simpson (:func:`adaptive_simpson`,
-:func:`cumulative_simpson`) on scalar or vectorized integrands.  Mark
-integrals use adaptive Gauss-Kronrod 7-15 bisection (:func:`gauss_kronrod`,
-the QUADPACK pair of Piessens et al. 1983) on vector-valued integrands: a
-whole batch of outer time nodes is one call, and an interval is refined
-while any component's |K15 - G7| exceeds its tolerance share.  Complex
-integrands are handled natively; refinement decisions use the modulus of
-the error estimate, so conjugate integrands refine identically and
-Hermitian symmetry survives to rounding level.
+:func:`cumulative_simpson`).  Mark integrals use adaptive Gauss-Kronrod 7-15
+bisection (:func:`gauss_kronrod`, the QUADPACK pair of Piessens et al. 1983)
+on vector-valued integrands: a whole batch of outer time nodes is one call,
+and an interval is refined while any component's |K15 - G7| exceeds its
+tolerance share.  Integrands map an ndarray of nodes to an ndarray of
+values, complex ones natively; refinement reads the modulus of the error
+estimate, so conjugate integrands refine identically and Hermitian symmetry
+survives to rounding level.
 
-Every integral is one piece loop: the range is cut at the bounds, known
-kinks passed as ``breakpoints`` (event times, table knots) and, for
+The range is cut into pieces at the bounds, known kinks passed as
+``breakpoints`` (event times, table knots) and, for
 :func:`cumulative_simpson`, the output points; each piece gets a share of
-the tolerance proportional to its length.  Simpson samples each piece at
-least one ulp inside its ends and Kronrod nodes are interior, so
-breakpoints see one-sided limits.  Non-finite bounds, and refinement past
-``_MAX_DEPTH`` or ``_MAX_OPEN`` open intervals, fail fast
-(``NonFiniteError`` if the unconverged values are NaN/inf).
+the tolerance proportional to its length, and all pieces refine in one
+frontier.  Simpson samples each piece at least one ulp inside its ends and
+Kronrod nodes are interior, so breakpoints see one-sided limits.
+Non-finite bounds, and refinement of a piece past ``_MAX_DEPTH`` or
+``_MAX_OPEN`` open intervals, fail fast (``NonFiniteError`` if its
+unconverged values are NaN/inf).
 """
 
 from __future__ import annotations
@@ -61,13 +62,11 @@ def adaptive_simpson(
     b: float,
     tol: float = DEFAULT_QUAD_TOL,
     *,
-    vectorized: bool = False,
     breakpoints: Iterable[float] = (),
 ):
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
 
-    ``f`` maps a float to a float/complex value, or, with
-    ``vectorized=True``, an ndarray of nodes to an ndarray of values.
+    ``f`` maps an ndarray of nodes to an ndarray of float/complex values.
     Returns a float when every evaluation is real, else a complex number.
 
     Raises
@@ -80,7 +79,7 @@ def adaptive_simpson(
     edges = _edges(a, b, breakpoints)
     if b == a:
         return 0.0
-    total = sum(_pieces(_batched(f, vectorized), edges, tol, _integrate_piece))
+    total = sum(_pieces(f, edges, tol, _SIMPSON))
     if total.imag == 0.0:
         return total.real
     return total
@@ -104,7 +103,7 @@ def gauss_kronrod(
     edges = _edges(a, b, breakpoints)
     if b == a:
         return np.zeros(np.shape(f(np.empty(0)))[:-1])[()]
-    total = sum(_pieces(f, edges, tol, _gk_piece))
+    total = sum(_pieces(f, edges, tol, _GAUSS_KRONROD))
     if np.iscomplexobj(total) and not np.any(total.imag):
         total = total.real
     return total[()]
@@ -115,7 +114,6 @@ def cumulative_simpson(
     points: np.ndarray,
     tol: float = DEFAULT_QUAD_TOL,
     *,
-    vectorized: bool = False,
     breakpoints: Iterable[float] = (),
 ) -> np.ndarray:
     """Cumulative integral of ``f`` from ``points[0]`` to each point.
@@ -135,8 +133,7 @@ def cumulative_simpson(
     bks = np.asarray(list(breakpoints), dtype=float)
     inner = bks[(bks > points[0]) & (bks < points[-1])]
     edges = np.unique(np.concatenate([points, inner]))
-    pieces = _pieces(_batched(f, vectorized), edges.tolist(), tol,
-                     _integrate_piece)
+    pieces = _pieces(f, edges, tol, _SIMPSON)
     cum = np.concatenate([[0.0], np.cumsum(pieces)])
     out = cum[np.searchsorted(edges, points)]
     if np.all(out.imag == 0.0):
@@ -153,113 +150,125 @@ def _edges(a, b, breakpoints):
     return [a, *sorted({p for p in breakpoints if a < p < b}), b]
 
 
-def _batched(f, vectorized):
-    """``f`` as a map from an ndarray of nodes to complex values."""
-    if vectorized:
-        return lambda xs: np.asarray(f(xs), dtype=np.complex128)
-    return lambda xs: np.array([f(float(x)) for x in xs], dtype=np.complex128)
+def _pieces(f, edges, tol, rule):
+    """``rule`` over each gap of increasing ``edges``, tol shared by length.
 
-
-def _pieces(fv, edges, tol, rule):
-    """``rule`` over each gap of increasing ``edges``, tol shared by length."""
-    span = edges[-1] - edges[0]
-    return [rule(fv, lo, hi, tol * (hi - lo) / span)
-            for lo, hi in zip(edges[:-1], edges[1:])]
-
-
-def _unconverged(rule, a, b, values, n_open, depth):
-    """The error for a piece that reached the depth or frontier cap."""
-    count = f"{n_open} open intervals at depth {depth}"
-    if not np.isfinite(values).all():
-        return NonFiniteError(
-            f"integrand is not finite on [{a!r}, {b!r}] ({count})")
-    return QuadratureFailureError(
-        f"{rule} did not converge on [{a!r}, {b!r}]: {count}")
-
-
-def _integrate_piece(fv, a, b, tol):
-    # integrate over [a + delta, b - delta]: the inset keeps evaluations off
-    # the piece endpoints, so one-sided limits are used at breakpoints, and
-    # the dropped slivers contribute O(1e-12 (b-a) |f|), far below tolerance;
-    # on short pieces far from 0 the relative inset rounds away, so it is
-    # at least one ulp
-    delta = 1e-12 * (b - a)
-    a = max(a + delta, math.nextafter(a, math.inf))
-    b = min(b - delta, math.nextafter(b, -math.inf))
-    if b <= a:  # a piece at most two ulps wide
-        return 0.0j
-    mid = 0.5 * (a + b)
-    f0 = fv(np.array([a, mid, b]))
-    lo = np.array([a])
-    h = np.array([b - a])
-    fl = f0[:1]
-    fm = f0[1:2]
-    fr = f0[2:]
-    s = h / 6.0 * (fl + 4.0 * fm + fr)
-    tols = np.array([max(tol, 1e-300)])
-
-    acc = 0.0 + 0.0j
-    for depth in range(_MAX_DEPTH + 1):
-        if lo.size == 0:
-            return acc
-        if lo.size > _MAX_OPEN:
-            break
-        lm = lo + 0.25 * h
-        rm = lo + 0.75 * h
-        vals = fv(np.concatenate([lm, rm]))
-        flm = vals[: lo.size]
-        frm = vals[lo.size :]
-        h2 = 0.5 * h
-        s_left = h2 / 6.0 * (fl + 4.0 * flm + fm)
-        s_right = h2 / 6.0 * (fm + 4.0 * frm + fr)
-        s2 = s_left + s_right
-        err = s2 - s
-        done = np.abs(err) <= 15.0 * tols
-        acc += np.sum(s2[done] + err[done] / 15.0)
-
-        keep = ~done
-        k_lo, k_h = lo[keep], h2[keep]
-        lo = np.concatenate([k_lo, k_lo + k_h])
-        h = np.concatenate([k_h, k_h])
-        fl = np.concatenate([fl[keep], fm[keep]])
-        fr = np.concatenate([fm[keep], fr[keep]])
-        new_fm = np.concatenate([flm[keep], frm[keep]])
-        s = np.concatenate([s_left[keep], s_right[keep]])
-        fm = new_fm
-        half_tol = 0.5 * tols[keep]
-        tols = np.concatenate([half_tol, half_tol])
-
-    raise _unconverged("adaptive Simpson", a, b,
-                       np.concatenate([fl, fm, fr]), lo.size, depth)
-
-
-def _gk_piece(f, a, b, tol):
-    # bisect every interval where some component has |K15 - G7| above its
-    # share of tol, and accept K15 on the rest; a component's values sit
-    # on axes (..., interval, node)
-    lo = np.array([a])
-    h = np.array([b - a])
-    tols = np.array([max(tol, 1e-300)])
+    One value per gap, stacked on the first axis.  All gaps refine in one
+    frontier: each open interval carries its piece id, each level is one
+    call of ``f`` over every open interval, accepted estimates are summed
+    per piece, and the depth and ``_MAX_OPEN`` caps hold per piece.  A rule
+    is ``(name, sampled, start, level)``: the span sampled of each piece,
+    the first intervals' state, and one level, which returns the done
+    intervals' estimates, the done mask, the children's state and values.
+    """
+    name, sampled, start, level = rule
+    edges = np.asarray(edges, dtype=float)
+    n_pieces = edges.size - 1
+    lo, hi = edges[:-1], edges[1:]
+    share = np.maximum(tol * (hi - lo) / (edges[-1] - edges[0]), 1e-300)
+    a, b = bounds = sampled(lo, hi)
+    piece = np.arange(n_pieces)
+    if np.count_nonzero(b > a) < n_pieces:  # Simpson's pieces <= 2 ulps: 0
+        piece = np.flatnonzero(b > a)
+        if piece.size == 0:
+            return np.zeros(n_pieces)
+        a, b = a[piece], b[piece]
+    lo, h = a, b - a
+    state = start(f, a, b)
     acc = 0.0
     for depth in range(_MAX_DEPTH + 1):
-        if lo.size == 0:
-            return acc
-        if lo.size > _MAX_OPEN:
+        if lo.size > _MAX_OPEN and np.bincount(
+                np.broadcast_to(piece, lo.shape)).max() > _MAX_OPEN:
             break
         half = 0.5 * h
-        nodes = (lo + half)[:, None] + half[:, None] * _XK
-        vals = np.asarray(f(nodes.ravel()))
-        vals = vals.reshape(vals.shape[:-1] + nodes.shape)
-        k15 = (vals @ _WK) * half
-        err = np.abs(k15 - (vals @ _WG) * half)
-        done = (err <= tols).reshape(-1, lo.size).all(axis=0)
-        acc = acc + k15[..., done].sum(axis=-1)
+        # a lone piece keeps the ids [0], which broadcast over its intervals
+        tols = (share * 0.5**depth)[piece]
+        est, done, (left, right), values = level(f, lo, half, state, tols)
+        acc = acc + _piece_sums(est, done, piece, n_pieces)
 
         keep = ~done
-        vals = vals[..., keep, :]
+        last = (values, piece, keep)
         k_lo, k_half = lo[keep], half[keep]
         lo = np.concatenate([k_lo, k_lo + k_half])
         h = np.concatenate([k_half, k_half])
-        half_tol = 0.5 * tols[keep]
-        tols = np.concatenate([half_tol, half_tol])
-    raise _unconverged("adaptive Gauss-Kronrod", a, b, vals, lo.size, depth)
+        piece = np.concatenate([piece[keep]] * 2) if n_pieces > 1 else piece
+        state = [np.concatenate([l[keep], r[keep]]) for l, r in zip(left, right)]
+        if lo.size == 0:
+            return acc
+
+    # the first piece over a cap, with the values its open intervals hold
+    n_open = np.bincount(np.broadcast_to(piece, lo.shape), minlength=n_pieces)
+    over = n_open > _MAX_OPEN
+    p = int(np.argmax(over) if over.any() else piece.min())
+    values, piece, keep = last
+    values = np.concatenate([v[keep & (piece == p)].ravel() for v in values])
+    span = f"[{float(bounds[0][p])!r}, {float(bounds[1][p])!r}]"
+    count = f"{n_open[p]} open intervals at depth {depth}"
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"integrand is not finite on {span} ({count})")
+    raise QuadratureFailureError(f"{name} did not converge on {span}: {count}")
+
+
+def _piece_sums(est, done, piece, n_pieces):
+    """Per-piece sums of the done intervals' estimates ``est`` (..., k); a
+    lone piece takes a plain sum, the cheapest reduction per level."""
+    if n_pieces == 1:
+        return est.sum(axis=-1)[None]
+    rows = est.reshape(math.prod(est.shape[:-1]), est.shape[-1])
+    idx = (piece[done] * len(rows) + np.arange(len(rows))[:, None]).ravel()
+    sums = np.bincount(idx, rows.real.ravel(), n_pieces * len(rows))
+    if np.iscomplexobj(est):
+        sums = sums + 1j * np.bincount(idx, rows.imag.ravel(), sums.size)
+    return sums.reshape((n_pieces,) + est.shape[:-1])
+
+
+def _simpson_sampled(lo, hi):
+    # integrate over [lo + delta, hi - delta]: the inset keeps evaluations
+    # off the piece endpoints, so one-sided limits are used at breakpoints,
+    # and the dropped slivers contribute O(1e-12 (hi-lo) |f|), far below
+    # tolerance; on short pieces far from 0 the relative inset rounds away,
+    # so it is at least one ulp
+    delta = 1e-12 * (hi - lo)
+    return (np.maximum(lo + delta, np.nextafter(lo, np.inf)),
+            np.minimum(hi - delta, np.nextafter(hi, -np.inf)))
+
+
+def _simpson_start(f, a, b):
+    # the values at the ends and midpoint, and the estimate s
+    f0 = np.asarray(f(np.concatenate([a, 0.5 * (a + b), b])), complex)
+    fl, fm, fr = f0.reshape(3, -1)
+    return fl, fm, fr, (b - a) / 6.0 * (fl + 4.0 * fm + fr)
+
+
+def _simpson_level(f, lo, h2, state, tols):
+    # Richardson-corrected Simpson on the two halves (width h2) of each interval
+    fl, fm, fr, s = state
+    vals = np.asarray(f(np.concatenate([lo + 0.5 * h2, lo + 1.5 * h2])), complex)
+    flm, frm = vals[: lo.size], vals[lo.size :]
+    s_left = h2 / 6.0 * (fl + 4.0 * flm + fm)
+    s_right = h2 / 6.0 * (fm + 4.0 * frm + fr)
+    s2 = s_left + s_right
+    err = s2 - s
+    done = np.abs(err) <= 15.0 * tols
+    return (s2[done] + err[done] / 15.0, done,
+            ((fl, flm, fm, s_left), (fm, frm, fr, s_right)),
+            (fl, flm, fm, frm, fr))
+
+
+def _gk_level(f, lo, half, state, tols):
+    # bisect every interval where some component has |K15 - G7| above its
+    # share of tol, and accept K15 on the rest; a component's values sit
+    # on axes (..., interval, node)
+    nodes = (lo + half)[:, None] + half[:, None] * _XK
+    vals = np.asarray(f(nodes.ravel()))
+    vals = vals.reshape(vals.shape[:-1] + nodes.shape)
+    k15 = (vals @ _WK) * half
+    err = np.abs(k15 - (vals @ _WG) * half)
+    done = (err <= tols).reshape(-1, lo.size).all(axis=0)
+    return k15[..., done], done, ((), ()), (vals.swapaxes(0, -2),)
+
+
+_SIMPSON = ("adaptive Simpson", _simpson_sampled, _simpson_start,
+            _simpson_level)
+_GAUSS_KRONROD = ("adaptive Gauss-Kronrod", lambda lo, hi: (lo, hi),
+                  lambda f, a, b: (), _gk_level)

@@ -227,7 +227,7 @@ def semimartingale_decompose(proc: ShotNoiseProcess, path: MppPath, grid, *,
         drift[late] = cumulative_simpson(
             lambda u: past_sum(proc.kernel.g, times, marks, u),
             np.concatenate([[t0], grid[late]]),
-            quad_tol * (t_end - t0) / t_end, vectorized=True,
+            quad_tol * (t_end - t0) / t_end,
             breakpoints=np.concatenate([times, *(times + k for k in knots)]),
         )[1:]
     return Decomposition(grid, drift,

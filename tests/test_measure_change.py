@@ -195,6 +195,30 @@ class TestEsscher:
         se = L.std(ddof=1) / math.sqrt(L.size)
         assert abs(L.mean() - 1.0) <= 3.0 * se
 
+    @pytest.mark.parametrize("kernel", [exponential(1.0, 1.0), power_law(1.5)],
+                             ids=["exponential", "power_law"])
+    def test_density_process_matches_esscher_identity(self, kernel):
+        # Y(t, x) = e^{h G(T - t, x)} makes the Girsanov density the Esscher
+        # tilt: prod Y(T_i, U_i) = e^{h S_T}, and int (Y - 1) d nu over
+        # [0, T] is log E e^{h S_T}, the CF at theta = -i h; the ramp rate
+        # sends the compensator through its time-inhomogeneous quadrature,
+        # cut at every event time
+        h, T = 0.3, 1.0
+        spec = CompensatorSpec(
+            rate=lambda t: 1.0 + 2.0 * np.asarray(t, dtype=float),
+            rate_bound=5.0, marks=Exponential(1.0))
+        proc = ShotNoiseProcess(kernel, spec)
+        mgf = conditional_cf(proc, FiltrationState(0.0, empty_path(0.0)),
+                             T, -1j * h).real
+        tilt = GirsanovKernel(
+            Y=lambda t, x: np.exp(h * np.asarray(kernel.G(T - t, x))))
+        for i in range(20):
+            path = simulate_mpp(spec, T, 17, path_index=i)
+            s_T = past_sum(kernel.G, path.times, path.marks, T)
+            want = esscher_density(h, [T], [s_T], [mgf])[0]
+            got = density_process(tilt, spec, path, [T]).L[-1]
+            assert abs(got / want - 1.0) <= 1e-10, (i, path.n_events)
+
     def test_mgf_diverges(self):
         with pytest.raises(MgfDivergesError):
             esscher_density(1.0, [0.0, 1.0], [1.0, 2.0], lambda t: math.inf)

@@ -6,9 +6,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from snoise.errors import QuadratureFailureError
-from snoise.quadrature import adaptive_simpson, cumulative_simpson, gauss_kronrod
+from snoise.errors import NonFiniteError, QuadratureFailureError
+from snoise.quadrature import (
+    _GAUSS_KRONROD,
+    _SIMPSON,
+    _WG,
+    _WK,
+    _XK,
+    _pieces,
+    adaptive_simpson,
+    cumulative_simpson,
+    gauss_kronrod,
+)
 
 
 def test_cubic_is_near_exact():
@@ -19,21 +32,21 @@ def test_cubic_is_near_exact():
 
 
 def test_smooth_integrands():
-    assert adaptive_simpson(math.exp, 0.0, 1.0, 1e-10) == pytest.approx(
+    assert adaptive_simpson(np.exp, 0.0, 1.0, 1e-10) == pytest.approx(
         math.e - 1.0, abs=1e-10)
-    assert adaptive_simpson(math.sin, 0.0, math.pi, 1e-10) == pytest.approx(
+    assert adaptive_simpson(np.sin, 0.0, math.pi, 1e-10) == pytest.approx(
         2.0, abs=1e-10)
 
 
 def test_empty_and_invalid_interval():
-    assert adaptive_simpson(math.exp, 1.0, 1.0, 1e-8) == 0.0
+    assert adaptive_simpson(np.exp, 1.0, 1.0, 1e-8) == 0.0
     with pytest.raises(ValueError):
-        adaptive_simpson(math.exp, 1.0, 0.0, 1e-8)
+        adaptive_simpson(np.exp, 1.0, 0.0, 1e-8)
 
 
 def test_complex_integrand_matches_parts():
     f = lambda x: np.exp(1j * 3.0 * x)
-    val = adaptive_simpson(f, 0.0, 2.0, 1e-12, vectorized=True)
+    val = adaptive_simpson(f, 0.0, 2.0, 1e-12)
     closed = (np.exp(6j) - 1.0) / 3j
     assert abs(val - closed) < 1e-11
     assert isinstance(val, complex)
@@ -45,15 +58,16 @@ def test_real_integrand_returns_float():
 
 
 def test_vectorized_matches_scalar():
+    # the vectorized engine against scipy's QUADPACK on the scalar integrand
     f_s = lambda x: math.exp(-x) * math.cos(4 * x)
     f_v = lambda x: np.exp(-x) * np.cos(4 * x)
-    a = adaptive_simpson(f_s, 0.0, 3.0, 1e-11)
-    b = adaptive_simpson(f_v, 0.0, 3.0, 1e-11, vectorized=True)
-    assert a == pytest.approx(b, abs=1e-13)
+    a = scipy.integrate.quad(f_s, 0.0, 3.0, epsabs=1e-13, epsrel=0.0)[0]
+    b = adaptive_simpson(f_v, 0.0, 3.0, 1e-11)
+    assert a == pytest.approx(b, abs=1e-11)
 
 
 def test_kink_with_breakpoint():
-    f = lambda x: abs(x - 0.3)
+    f = lambda x: np.abs(x - 0.3)
     closed = 0.5 * (0.3**2 + 0.7**2)
     val = adaptive_simpson(f, 0.0, 1.0, 1e-12, breakpoints=[0.3])
     assert val == pytest.approx(closed, abs=1e-12)
@@ -62,15 +76,14 @@ def test_kink_with_breakpoint():
 def test_jump_at_breakpoint_uses_one_sided_limits():
     # piecewise-constant integrand with the jump exactly at the breakpoint
     f = lambda x: np.where(x < 0.4, 1.0, 3.0)
-    val = adaptive_simpson(f, 0.0, 1.0, 1e-10, vectorized=True,
-                           breakpoints=[0.4])
+    val = adaptive_simpson(f, 0.0, 1.0, 1e-10, breakpoints=[0.4])
     assert val == pytest.approx(0.4 + 3.0 * 0.6, abs=1e-9)
 
 
 def test_interior_jump_without_breakpoint_fails():
     f = lambda x: np.where(x < 1 / math.pi, 0.0, 5.0)
     with pytest.raises(QuadratureFailureError):
-        adaptive_simpson(f, 0.0, 1.0, 1e-10, vectorized=True)
+        adaptive_simpson(f, 0.0, 1.0, 1e-10)
 
 
 def test_cumulative_matches_single_shots():
@@ -90,8 +103,7 @@ def test_short_piece_far_from_zero_keeps_breakpoint_unsampled():
     # a relative inset of 1e-12 * 1e-4 rounds away next to 1.0; the inset of
     # at least one ulp still keeps the jump at the breakpoint unsampled
     f = lambda x: np.where(x < 1 + 5e-5, 1.0, 3.0)
-    val = adaptive_simpson(f, 1.0, 1.0 + 1e-4, 1e-10, vectorized=True,
-                           breakpoints=[1 + 5e-5])
+    val = adaptive_simpson(f, 1.0, 1.0 + 1e-4, 1e-10, breakpoints=[1 + 5e-5])
     assert val == pytest.approx(2e-4, abs=1e-12)
 
 
@@ -100,11 +112,11 @@ def test_cumulative_with_breakpoints_matches_per_gap_loop():
     f = lambda x: np.abs(x - 0.35) + np.where(x < 1.7, 0.0, np.cos(3.0 * x))
     pts = np.array([0.0, 0.2, 0.9, 0.9, 1.7, 2.0])
     bks = [0.35, 1.7, 5.0]
-    cum = cumulative_simpson(f, pts, 1e-11, vectorized=True, breakpoints=bks)
+    cum = cumulative_simpson(f, pts, 1e-11, breakpoints=bks)
     running, expect = 0.0, [0.0]
     for a, b in zip(pts[:-1], pts[1:]):
         running += adaptive_simpson(f, a, b, 1e-11 * (b - a) / 2.0,
-                                    vectorized=True, breakpoints=bks)
+                                    breakpoints=bks)
         expect.append(running)
     assert np.abs(cum - np.array(expect)).max() <= 1e-12
 
@@ -122,20 +134,18 @@ from snoise.marks import Exponential
 from snoise.quadrature import adaptive_simpson, cumulative_simpson, gauss_kronrod
 cases = {
     "nan_half": lambda: adaptive_simpson(
-        lambda x: np.where(x < 0.5, np.nan, 1.0), 0.0, 1.0, 1e-8,
-        vectorized=True),
+        lambda x: np.where(x < 0.5, np.nan, 1.0), 0.0, 1.0, 1e-8),
     "tol_below_resolution": lambda: adaptive_simpson(
-        lambda x: 1e6 * np.exp(x), 0.0, 1.0, 1e-20, vectorized=True),
-    "nan_bound": lambda: adaptive_simpson(math.exp, math.nan, 1.0, 1e-8),
-    "inf_bound": lambda: adaptive_simpson(np.exp, 0.0, math.inf, 1e-8,
-                                          vectorized=True),
+        lambda x: 1e6 * np.exp(x), 0.0, 1.0, 1e-20),
+    "nan_bound": lambda: adaptive_simpson(np.exp, math.nan, 1.0, 1e-8),
+    "inf_bound": lambda: adaptive_simpson(np.exp, 0.0, math.inf, 1e-8),
     "nan_point": lambda: cumulative_simpson(np.exp, np.array([0.0, math.nan]),
-                                            1e-8, vectorized=True),
+                                            1e-8),
     # bounds one ulp apart, as break_ties leaves tied event times: the
     # piece has no interior, so nothing is sampled
     "ulp_piece": lambda: adaptive_simpson(
         lambda x: np.full(np.shape(x), np.nan), 1.0, math.nextafter(1.0, 2.0),
-        1e-8, vectorized=True),
+        1e-8),
     # the Gauss-Kronrod mark rule through a density integral, and directly;
     # on 1e6 exp(x) K15 and G7 round to the same value, so that integrand
     # converges, and a rational one stands in for it
@@ -211,3 +221,166 @@ def test_gauss_kronrod_breakpoint_kink_and_jump():
     with pytest.raises(QuadratureFailureError):
         gauss_kronrod(lambda x: np.where(x < 1 / math.pi, 0.0, 5.0),
                       0.0, 1.0, 1e-10)
+
+
+# The per-piece loop the refinement frontier replaced, kept as the
+# reference: each gap of the edges refines alone, to its tolerance share.
+
+def reference_pieces(f, edges, tol, piece_rule):
+    span = edges[-1] - edges[0]
+    return [piece_rule(f, lo, hi, tol * (hi - lo) / span)
+            for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def reference_simpson_piece(f, a, b, tol):
+    fv = lambda xs: np.asarray(f(xs), dtype=np.complex128)
+    delta = 1e-12 * (b - a)
+    a = max(a + delta, math.nextafter(a, math.inf))
+    b = min(b - delta, math.nextafter(b, -math.inf))
+    if b <= a:  # a piece at most two ulps wide
+        return 0.0j
+    mid = 0.5 * (a + b)
+    f0 = fv(np.array([a, mid, b]))
+    lo, h = np.array([a]), np.array([b - a])
+    fl, fm, fr = f0[:1], f0[1:2], f0[2:]
+    s = h / 6.0 * (fl + 4.0 * fm + fr)
+    tols = np.array([max(tol, 1e-300)])
+    acc = 0.0 + 0.0j
+    for depth in range(31):
+        if lo.size == 0:
+            return acc
+        if lo.size > 2**14:
+            break
+        vals = fv(np.concatenate([lo + 0.25 * h, lo + 0.75 * h]))
+        flm, frm = vals[: lo.size], vals[lo.size :]
+        h2 = 0.5 * h
+        s_left = h2 / 6.0 * (fl + 4.0 * flm + fm)
+        s_right = h2 / 6.0 * (fm + 4.0 * frm + fr)
+        s2 = s_left + s_right
+        err = s2 - s
+        done = np.abs(err) <= 15.0 * tols
+        acc += np.sum(s2[done] + err[done] / 15.0)
+        keep = ~done
+        k_lo, k_h = lo[keep], h2[keep]
+        lo, h = np.concatenate([k_lo, k_lo + k_h]), np.concatenate([k_h, k_h])
+        fl, fr, fm = (np.concatenate([fl[keep], fm[keep]]),
+                      np.concatenate([fm[keep], fr[keep]]),
+                      np.concatenate([flm[keep], frm[keep]]))
+        s = np.concatenate([s_left[keep], s_right[keep]])
+        tols = np.concatenate([0.5 * tols[keep], 0.5 * tols[keep]])
+    raise QuadratureFailureError(f"reference Simpson failed on [{a!r}, {b!r}]")
+
+
+def reference_gk_piece(f, a, b, tol):
+    lo, h = np.array([a]), np.array([b - a])
+    tols = np.array([max(tol, 1e-300)])
+    acc = 0.0
+    for depth in range(31):
+        if lo.size == 0:
+            return acc
+        if lo.size > 2**14:
+            break
+        half = 0.5 * h
+        nodes = (lo + half)[:, None] + half[:, None] * _XK
+        vals = np.asarray(f(nodes.ravel()))
+        vals = vals.reshape(vals.shape[:-1] + nodes.shape)
+        k15 = (vals @ _WK) * half
+        err = np.abs(k15 - (vals @ _WG) * half)
+        done = (err <= tols).reshape(-1, lo.size).all(axis=0)
+        acc = acc + k15[..., done].sum(axis=-1)
+        keep = ~done
+        k_lo, k_half = lo[keep], half[keep]
+        lo, h = np.concatenate([k_lo, k_lo + k_half]), np.concatenate([k_half, k_half])
+        tols = np.concatenate([0.5 * tols[keep], 0.5 * tols[keep]])
+    raise QuadratureFailureError(f"reference Gauss-Kronrod failed on [{a!r}, {b!r}]")
+
+
+class CountingIntegrand:
+    """``fn`` that counts the nodes it is evaluated at."""
+
+    def __init__(self, fn):
+        self.fn, self.points = fn, 0
+
+    def __call__(self, xs):
+        self.points += xs.size
+        return self.fn(xs)
+
+
+@st.composite
+def frontier_edges(draw):
+    """Increasing edges near an offset, with gaps of one ulp, two ulps and
+    lengths from 1e-9 to 1, and an integrand that is smooth on each gap:
+    a kink or a jump sits on an interior edge, or none is drawn."""
+    x = draw(st.sampled_from([0.0, 1.0, -3.5, 100.0]))
+    edges = [x]
+    for gap in draw(st.lists(st.one_of(st.sampled_from(["ulp", "2ulp"]),
+                                       st.floats(1e-9, 1.0)),
+                             min_size=1, max_size=12)):
+        if gap == "ulp":
+            x = math.nextafter(x, math.inf)
+        elif gap == "2ulp":
+            x = math.nextafter(math.nextafter(x, math.inf), math.inf)
+        else:
+            x = x + gap
+        if x > edges[-1]:
+            edges.append(x)
+    c = edges[draw(st.integers(0, len(edges) - 1))]
+    w = draw(st.floats(0.5, 6.0))
+    fn = draw(st.sampled_from([
+        lambda xs: np.abs(xs - c) * np.exp(-0.1 * xs),
+        lambda xs: np.where(xs < c, 1.0, 3.0) + np.sin(w * xs),
+        lambda xs: np.exp(1j * w * xs) * np.where(xs < c, 1.0, -2.0 + 0.5j),
+    ]))
+    return edges, fn
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=frontier_edges(), tol=st.sampled_from([1e-6, 1e-10]))
+def test_frontier_matches_per_piece_loop(case, tol):
+    # every piece refines the same intervals as alone, so the node count
+    # agrees exactly and each value differs by summation order only
+    edges, fn = case
+    span = edges[-1] - edges[0]
+    shares = [tol * (b - a) / span for a, b in zip(edges[:-1], edges[1:])]
+    for rule, piece_rule, vec in ((_SIMPSON, reference_simpson_piece, False),
+                                  (_GAUSS_KRONROD, reference_gk_piece, False),
+                                  (_GAUSS_KRONROD, reference_gk_piece, True)):
+        f = (lambda xs: np.stack([fn(xs), 2.0 * fn(xs) + xs])) if vec else fn
+        got_f, ref_f = CountingIntegrand(f), CountingIntegrand(f)
+        got = _pieces(got_f, edges, tol, rule)
+        ref = reference_pieces(ref_f, edges, tol, piece_rule)
+        assert got_f.points == ref_f.points
+        assert len(got) == len(ref) == len(shares)
+        for g, r, share in zip(got, ref, shares):
+            assert np.all(np.abs(g - r) <= share)
+
+    # the public entry points over the same edges, breakpoints included
+    bks = edges[1:-1]
+    cum = cumulative_simpson(fn, np.array([edges[0], edges[-1]]), tol,
+                             breakpoints=bks)
+    ref = np.cumsum(reference_pieces(fn, edges, tol, reference_simpson_piece))
+    assert abs(cum[-1] - ref[-1]) <= tol
+    gk = gauss_kronrod(fn, edges[0], edges[-1], tol, breakpoints=bks)
+    assert abs(gk - sum(reference_pieces(fn, edges, tol, reference_gk_piece))) <= tol
+
+
+def test_convergence_at_the_last_level_is_accepted():
+    # the last open interval of this integrand is accepted at depth
+    # _MAX_DEPTH, which the per-piece loop reported as a failure with
+    # "0 open intervals at depth 30"
+    f = lambda t: 300.0 * (50.0 / (1.0 + 50.0 * t) ** 2) ** 2
+    a, b = 1e-11, 10.0 - 1e-11  # the inset span Simpson samples
+    closed = 5000.0 * ((1.0 + 50.0 * a) ** -3 - (1.0 + 50.0 * b) ** -3)
+    assert adaptive_simpson(f, 0.0, 10.0, 1e-10) == pytest.approx(closed, abs=1e-10)
+
+
+def test_failing_piece_is_named_as_by_per_piece_loop():
+    # NaN on the middle piece only: the frontier names that piece, with the
+    # depth and open-interval count the per-piece loop reaches on it
+    f = lambda xs: np.where((xs > 1.0) & (xs < 2.0), np.nan, xs)
+    with pytest.raises(NonFiniteError) as exc:
+        adaptive_simpson(f, 0.0, 3.0, 1e-8, breakpoints=[1.0, 2.0])
+    a = 1.0 + 1e-12
+    b = 2.0 - 1e-12
+    assert f"[{a!r}, {b!r}]" in str(exc.value)
+    assert "32768 open intervals at depth 15" in str(exc.value)

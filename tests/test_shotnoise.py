@@ -26,6 +26,7 @@ from snoise.point_process import (
     simulate_mpp,
     standard,
 )
+from snoise import quadrature
 from snoise.quadrature import DEFAULT_QUAD_TOL, adaptive_simpson
 from snoise.shotnoise import (
     FiltrationState,
@@ -300,7 +301,7 @@ def frozen_slice_drift(proc, path, grid, quad_tol=DEFAULT_QUAD_TOL):
                 return past_sum(proc.kernel.g, act_t, act_m, u)
 
             running += float(adaptive_simpson(
-                piece, a, b, quad_tol * (b - a) / t_end, vectorized=True))
+                piece, a, b, quad_tol * (b - a) / t_end))
         cum[k] = running
     return cum[np.searchsorted(pts, grid)]
 
@@ -330,6 +331,22 @@ def test_decompose_matches_frozen_slice_reference(proc, data):
     dec = semimartingale_decompose(proc, path, _CROWD_GRID)
     ref = frozen_slice_drift(proc, path, _CROWD_GRID)
     assert np.abs(dec.drift - ref).max() <= 1e-12
+
+
+def test_decompose_long_path_caps_open_intervals_per_piece(monkeypatch):
+    # about 3000 events cut [0, 10] into about 3000 pieces, and the frontier
+    # opens with one interval per piece; with the open-interval cap lowered
+    # below that count the decomposition still succeeds, because the cap
+    # holds per piece (a cap on the whole frontier fails at the first level)
+    monkeypatch.setattr(quadrature, "_MAX_OPEN", 1024)
+    spec = standard(300.0, Exponential(1.0))
+    proc = ShotNoiseProcess(power_law(1.5), spec)
+    path = simulate_mpp(spec, 10.0, 3)
+    assert path.n_events > 2 * 1024
+    grid = np.linspace(0.0, 10.0, 9)
+    dec = semimartingale_decompose(proc, path, grid, quad_tol=1e-8)
+    s_t = past_sum(proc.kernel.G, path.times, path.marks, grid)
+    assert np.abs(dec.drift + dec.jump_part - s_t).max() <= 1e-8
 
 
 class TestOuRecursiveUpdate:
