@@ -33,6 +33,9 @@ from .errors import NonFiniteError, QuadratureFailureError
 DEFAULT_QUAD_TOL = 1e-8
 _MAX_DEPTH = 30
 _MAX_OPEN = 2**14  # legitimate integrals here peak at 1,512 open intervals
+# open intervals of all pieces together: a memory guard far above legitimate
+# frontiers (a 3000-event decomposition opens 3,030 intervals)
+_MAX_FRONTIER = 2**19
 
 # Gauss-Kronrod 7-15 on [-1, 1] (QUADPACK qk15): the 15 Kronrod nodes, the
 # Kronrod weights, and the Gauss weights, nonzero on the 7 Gauss nodes
@@ -177,8 +180,8 @@ def _pieces(f, edges, tol, rule):
     state = start(f, a, b)
     acc = 0.0
     for depth in range(_MAX_DEPTH + 1):
-        if lo.size > _MAX_OPEN and np.bincount(
-                np.broadcast_to(piece, lo.shape)).max() > _MAX_OPEN:
+        if lo.size > _MAX_OPEN and (lo.size > _MAX_FRONTIER or np.bincount(
+                np.broadcast_to(piece, lo.shape)).max() > _MAX_OPEN):
             break
         half = 0.5 * h
         # a lone piece keeps the ids [0], which broadcast over its intervals
@@ -196,10 +199,11 @@ def _pieces(f, edges, tol, rule):
         if lo.size == 0:
             return acc
 
-    # the first piece over a cap, with the values its open intervals hold
+    # the first piece over the cap, else the most crowded, with the values
+    # its open intervals hold
     n_open = np.bincount(np.broadcast_to(piece, lo.shape), minlength=n_pieces)
     over = n_open > _MAX_OPEN
-    p = int(np.argmax(over) if over.any() else piece.min())
+    p = int(np.argmax(over if over.any() else n_open))
     values, piece, keep = last
     values = np.concatenate([v[keep & (piece == p)].ravel() for v in values])
     span = f"[{float(bounds[0][p])!r}, {float(bounds[1][p])!r}]"

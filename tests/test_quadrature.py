@@ -153,6 +153,11 @@ cases = {
         lambda x: np.where(x[:, 0] < 0.5, np.nan, 1.0), tol=1e-8),
     "gk_tol_below_resolution": lambda: gauss_kronrod(
         lambda x: 1e6 / (1.0 + x * x), 0.0, 1.0, 1e-20),
+    # 1000 pieces refine together, so the whole frontier would hold
+    # 1000 * 2**14 intervals before any one piece reached its cap
+    "many_pieces_nan": lambda: adaptive_simpson(
+        lambda x: np.full(np.shape(x), np.nan), 0.0, 1.0, 1e-8,
+        breakpoints=np.linspace(0.0, 1.0, 1001)[1:-1]),
 }
 try:
     print("OK", cases[sys.argv[1]]())
@@ -170,6 +175,7 @@ except SnoiseError as exc:
     ("ulp_piece", "OK", "0.0"),
     ("gk_nan_density", "NonFinite", "open intervals at depth"),
     ("gk_tol_below_resolution", "QuadratureFailure", "open intervals at depth"),
+    ("many_pieces_nan", "NonFinite", "open intervals at depth"),
 ])
 def test_hostile_input_fails_fast(case, code, detail):
     src = str(Path(__file__).resolve().parents[1] / "src")
