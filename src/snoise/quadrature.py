@@ -159,9 +159,10 @@ def _pieces(f, edges, tol, rule):
     One value per gap, stacked on the first axis.  All gaps refine in one
     frontier: each open interval carries its piece id, each level is one
     call of ``f`` over every open interval, accepted estimates are summed
-    per piece, and the depth and ``_MAX_OPEN`` caps hold per piece.  A rule
-    is ``(name, sampled, start, level)``: the span sampled of each piece,
-    the first intervals' state, and one level, which returns the done
+    per piece, and the depth and ``_MAX_OPEN`` caps hold per piece
+    (``_MAX_FRONTIER`` bounds all pieces together).  A rule is
+    ``(name, sampled, start, level)``: the span sampled of each piece, the
+    first intervals' state, and one level, which returns the done
     intervals' estimates, the done mask, the children's state and values.
     """
     name, sampled, start, level = rule
@@ -171,7 +172,8 @@ def _pieces(f, edges, tol, rule):
     share = np.maximum(tol * (hi - lo) / (edges[-1] - edges[0]), 1e-300)
     a, b = bounds = sampled(lo, hi)
     piece = np.arange(n_pieces)
-    if np.count_nonzero(b > a) < n_pieces:  # Simpson's pieces <= 2 ulps: 0
+    # a piece too short for Simpson to sample inside (<= 2 ulps) stays 0
+    if np.count_nonzero(b > a) < n_pieces:
         piece = np.flatnonzero(b > a)
         if piece.size == 0:
             return np.zeros(n_pieces)
