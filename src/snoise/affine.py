@@ -212,9 +212,7 @@ def simulate_hawkes_batch(params: HawkesParams, horizon: float, n_paths: int,
     live = np.arange(n_paths)
     t = np.zeros(n_paths)
     lam = np.full(n_paths, float(params.lambda0))
-    # (path ids, times, post-jump intensities) per event index, after an
-    # empty entry that keeps the concatenations below defined
-    steps = [(live[:0], t[:0], lam[:0])]
+    steps = []  # (path ids, times, post-jump intensities) per event index
     total = 0
     while True:
         e = rng.standard_exponential(size=(2, live.size))
@@ -227,20 +225,24 @@ def simulate_hawkes_batch(params: HawkesParams, horizon: float, n_paths: int,
         lam = theta_bar + (lam - theta_bar) * np.exp(-kappa * wait) + 1.0
         steps.append((live, t, lam))
         total += live.size
-        if len(steps) - 1 > MAX_PATH_EVENTS or total > MAX_BATCH_EVENTS:
+        if len(steps) > MAX_PATH_EVENTS or total > MAX_BATCH_EVENTS:
             raise ExplosionGuardError(
                 f"event count exceeded cap ({MAX_PATH_EVENTS} per path, "
                 f"{MAX_BATCH_EVENTS} in all); parameters may be "
                 f"supercritical (kappa = {kappa})")
 
-    ids = np.concatenate([s[0] for s in steps])
-    order = np.argsort(ids, kind="stable")  # path-major, time order within
-    counts = np.bincount(ids, minlength=n_paths)
-    times = np.concatenate([s[1] for s in steps])[order]
-    events = BatchPaths(horizon, counts,
-                        np.concatenate([[0], np.cumsum(counts)]),
-                        times, np.ones((times.size, 1)))
-    intens = np.concatenate([s[2] for s in steps])[order]
+    # step k holds the paths with more than k events, so event k of path i
+    # goes straight to offsets[i] + k: path-major, time order within
+    counts = np.zeros(n_paths, dtype=np.intp)
+    for ids, _t, _lam in steps:
+        counts[ids] += 1
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    times, intens = np.empty(total), np.empty(total)
+    for k, (ids, t_k, lam_k) in enumerate(steps):
+        slot = offsets[ids] + k
+        times[slot] = t_k
+        intens[slot] = lam_k
+    events = BatchPaths(horizon, counts, offsets, times, np.ones((total, 1)))
     # lambda_T in closed form, as HawkesPath.intensity computes it
     kicks = batch_past_sum(lambda lag, _m: np.exp(-kappa * lag), events,
                            horizon)[:, 0]

@@ -107,11 +107,28 @@ class KsResult(NamedTuple):
     passed: bool
 
 
+def _effective_size(x, w) -> float:
+    """(sum w)^2 / sum w^2, or ``x.size`` for unit weights (``w`` None)."""
+    if w is None:
+        if x.size == 0:
+            raise ValueError("samples must be nonempty")
+        return float(x.size)
+    if np.any(w < 0) or w.sum() == 0:
+        raise ValueError("weights must be nonnegative with positive total")
+    return float(w.sum() ** 2 / np.sum(w**2))
+
+
 def _weighted_ecdf(x, w):
+    """The sorted sample and its weighted ECDF at each sorted point.
+
+    Unit weights (``w`` None) need no permutation: ``np.sort`` gives the
+    same values, and a cumulative sum of ``1/n`` the same bits, as
+    ``np.ones`` weights through the stable argsort, ties included.
+    """
+    if w is None:
+        return np.sort(x), np.cumsum(np.full(x.size, 1.0 / x.size))
     order = np.argsort(x, kind="stable")
-    x = x[order]
-    w = w[order] / w.sum()
-    return x, np.cumsum(w)
+    return x[order], np.cumsum(w[order] / w.sum())
 
 
 def ks_two_sample_weighted(x1, x2, w1=None, w2=None,
@@ -125,10 +142,10 @@ def ks_two_sample_weighted(x1, x2, w1=None, w2=None,
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    w1 = np.ones(x1.size) if w1 is None else np.asarray(w1, dtype=float)
-    w2 = np.ones(x2.size) if w2 is None else np.asarray(w2, dtype=float)
-    if np.any(w1 < 0) or np.any(w2 < 0) or w1.sum() == 0 or w2.sum() == 0:
-        raise ValueError("weights must be nonnegative with positive total")
+    w1 = None if w1 is None else np.asarray(w1, dtype=float)
+    w2 = None if w2 is None else np.asarray(w2, dtype=float)
+    n1_eff = _effective_size(x1, w1)
+    n2_eff = _effective_size(x2, w2)
 
     s1, c1 = _weighted_ecdf(x1, w1)
     s2, c2 = _weighted_ecdf(x2, w2)
@@ -137,12 +154,9 @@ def ks_two_sample_weighted(x1, x2, w1=None, w2=None,
     f2 = np.concatenate([[0.0], c2])[np.searchsorted(s2, all_x, side="right")]
     stat = float(np.abs(f1 - f2).max())
 
-    n1_eff = w1.sum() ** 2 / np.sum(w1**2)
-    n2_eff = w2.sum() ** 2 / np.sum(w2**2)
     c_alpha = math.sqrt(-0.5 * math.log(level / 2.0))
     threshold = c_alpha * math.sqrt(1.0 / n1_eff + 1.0 / n2_eff)
-    return KsResult(stat, threshold, float(n1_eff), float(n2_eff),
-                    stat <= threshold)
+    return KsResult(stat, threshold, n1_eff, n2_eff, stat <= threshold)
 
 
 def ks_against_cdf(x, cdf, level: float = KS_LEVEL) -> KsResult:
@@ -182,6 +196,24 @@ class BatchPaths:
         return MppPath(times, self.marks[lo:hi], self.horizon)
 
 
+def sort_per_path(values: np.ndarray, counts: np.ndarray,
+                  offsets: np.ndarray) -> None:
+    """Sort each path's slice ``values[offsets[i]:offsets[i+1]]`` in place.
+
+    Paths with the same event count form one ``(paths, count)`` block, sorted
+    by one ``np.sort(axis=1)``; paths with fewer than two events are left as
+    they are.  Where equal values share their bits (no ``-0.0`` beside
+    ``0.0``, no NaN) the result equals
+    ``values[np.lexsort((values, path_ids))]`` bit for bit, without a sort
+    over the whole batch.
+    """
+    starts = offsets[:-1]
+    present = np.flatnonzero(np.bincount(counts, minlength=2))
+    for c in present[present > 1]:
+        idx = starts[counts == c, None] + np.arange(c)
+        values[idx] = np.sort(values[idx], axis=1)
+
+
 def simulate_standard_batch(lam: float, marks: MarkDistribution,
                             horizon: float, n_paths: int, seed: int, *,
                             tag: int = TAG_BATCH) -> BatchPaths:
@@ -190,18 +222,28 @@ def simulate_standard_batch(lam: float, marks: MarkDistribution,
     Counts are Poisson(lam T) and, given the count, event times are uniform
     order statistics on [0, T]: the classical construction, independent of
     the thinning simulator, which makes this the oracle side of two-route
-    checks.
+    checks.  All draws come from the stream ``(seed, 0, tag)``: the counts,
+    then the raw times in path order, each path's slice sorted on its own
+    (:func:`sort_per_path`), then the marks.  A non-finite rate or horizon
+    raises ``NonFiniteError``, and a batch expected to hold more than
+    ``MAX_BATCH_EVENTS`` events fails before it draws any.
     """
+    if not (math.isfinite(lam) and math.isfinite(horizon)):
+        raise NonFiniteError(
+            f"rate and horizon must be finite, got {lam} and {horizon}")
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
+    expected = lam * horizon * n_paths
+    if expected > MAX_BATCH_EVENTS:
+        raise ExplosionGuardError(
+            f"batch expects {expected:.3g} events, above the cap "
+            f"{MAX_BATCH_EVENTS}; lower the rate or the path count")
     rng = make_stream(seed, 0, tag)
     counts = rng.poisson(lam * horizon, size=n_paths)
     total = int(counts.sum())
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    raw = rng.uniform(0.0, horizon, size=total)
-    ids = np.repeat(np.arange(n_paths), counts)
-    order = np.lexsort((raw, ids))
-    times = raw[order]
+    times = rng.uniform(0.0, horizon, size=total)
+    sort_per_path(times, counts, offsets)
     mk = marks.sample(rng, 0.0, total)
     return BatchPaths(horizon, counts, offsets, times, mk)
 
@@ -211,20 +253,13 @@ def simulate_batch(spec: CompensatorSpec, horizon: float, n_paths: int,
     """Batch of paths with compensator rate(t) F(0, dx) dt, all at once.
 
     Candidates are a :func:`simulate_standard_batch` at ``rate_bound`` on
-    ``tag``; a rate below the bound then keeps the candidate at ``t`` with
-    probability ``rate(t)/rate_bound`` (Lewis-Shedler thinning), with
-    uniforms from stream ``(seed, 1, tag)``.  As in
+    ``tag``, which also owns the horizon and event-count guards; a rate
+    below the bound then keeps the candidate at ``t`` with probability
+    ``rate(t)/rate_bound`` (Lewis-Shedler thinning), with uniforms from
+    stream ``(seed, 1, tag)``.  As in
     :func:`~snoise.point_process.simulate_mpp`, the bound is checked at every
-    candidate.  A batch expected to hold more than ``MAX_BATCH_EVENTS``
-    candidates fails before it draws any.
+    candidate.
     """
-    if not math.isfinite(horizon):
-        raise NonFiniteError(f"horizon must be finite, got {horizon}")
-    expected = spec.rate_bound * horizon * n_paths
-    if expected > MAX_BATCH_EVENTS:
-        raise ExplosionGuardError(
-            f"batch expects {expected:.3g} candidate events, above the cap "
-            f"{MAX_BATCH_EVENTS}; lower the rate bound or the path count")
     cand = simulate_standard_batch(spec.rate_bound, spec.marks, horizon,
                                    n_paths, seed, tag=tag)
     if spec.stationary_rate == spec.rate_bound:

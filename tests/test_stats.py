@@ -1,12 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from snoise.errors import ExplosionGuardError, NonFiniteError
 from snoise.kernels import exponential
 from snoise.marks import Exponential, PointMass
-from snoise.point_process import simulate_mpp, standard
-from snoise.rng import make_stream
+from snoise.point_process import CompensatorSpec, simulate_mpp, standard
+from snoise.rng import TAG_BATCH, make_stream
 from snoise.stats import (
     batch_log_weights,
     batch_terminal_shotnoise,
@@ -15,7 +22,9 @@ from snoise.stats import (
     ks_against_cdf,
     ks_two_sample_weighted,
     martingale_drift_test,
+    simulate_batch,
     simulate_standard_batch,
+    sort_per_path,
 )
 
 
@@ -130,6 +139,89 @@ class TestKs:
         with pytest.raises(ValueError):
             ks_two_sample_weighted([1.0], [1.0], w1=[-1.0])
 
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_unit_weights_match_explicit_ones(self, tied):
+        # the sort-only route for unweighted samples gives every field of
+        # the argsort route with np.ones weights, bit for bit
+        rng = make_stream(15)
+        if tied:
+            x1 = rng.integers(-3, 4, size=3001).astype(float)
+            x2 = rng.integers(-2, 5, size=1999).astype(float)
+            x1[:50] = -0.0
+            x2[:50] = 0.0
+        else:
+            x1, x2 = rng.normal(size=3001), rng.normal(0.05, size=1999)
+        w = rng.uniform(size=x2.size)
+        for a, b, wa, wb in ((x1, x2, None, None), (x1, x2, None, w),
+                             (x2, x1, w, None)):
+            fast = ks_two_sample_weighted(a, b, wa, wb)
+            slow = ks_two_sample_weighted(
+                a, b, np.ones(a.size) if wa is None else wa,
+                np.ones(b.size) if wb is None else wb)
+            assert fast._fields == slow._fields
+            for name in fast._fields:
+                assert getattr(fast, name) == getattr(slow, name), name
+            assert type(fast.n_eff_1) is float and type(fast.n_eff_2) is float
+
+    @pytest.mark.parametrize("w1, w2", [([1.0, -1.0], None), (None, [0.0, 0.0]),
+                                        ([0.0, 0.0], [1.0, 2.0])])
+    def test_bad_weights_raise_before_sorting(self, monkeypatch, w1, w2):
+        def no_sort(*_a, **_k):
+            raise AssertionError("sorted before the weights were checked")
+        monkeypatch.setattr(np, "sort", no_sort)
+        monkeypatch.setattr(np, "argsort", no_sort)
+        with pytest.raises(ValueError, match="weights"):
+            ks_two_sample_weighted([2.0, 1.0], [0.5, 3.0], w1=w1, w2=w2)
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError):
+            ks_two_sample_weighted([], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            ks_two_sample_weighted([1.0, 2.0], [], w1=[1.0, 1.0])
+
+
+def _lexsort_reference(values, counts):
+    """The global sort the per-path sort replaces: by path, then value."""
+    ids = np.repeat(np.arange(counts.size), counts)
+    return values[np.lexsort((values, ids))]
+
+
+# values from a short list give exact ties within a path; adding 0.0 turns
+# a -0.0 into 0.0, so equal values share their bits
+_VALUES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                    st.floats(-1e3, 1e3).map(lambda v: v + 0.0))
+
+
+class TestSortPerPath:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           counts=st.lists(st.integers(0, 40), min_size=1, max_size=60))
+    @example(data=None, counts=[0, 0, 0])
+    @example(data=None, counts=[7])
+    @example(data=None, counts=list(range(30)))
+    def test_matches_global_lexsort(self, data, counts):
+        counts = np.array(counts, dtype=np.int64)
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        n = int(offsets[-1])
+        if data is None:  # explicit examples: ties in every path
+            values = make_stream(20).integers(0, 3, size=n).astype(float)
+        else:
+            values = np.array(data.draw(st.lists(_VALUES, min_size=n,
+                                                 max_size=n)), dtype=float)
+        expect = _lexsort_reference(values, counts)
+        sort_per_path(values, counts, offsets)
+        assert values.tobytes() == expect.tobytes()
+
+    def test_batch_times_match_global_lexsort(self):
+        # one path with many events and a spread of counts across paths
+        for lam, n in ((3000.0, 1), (30.0, 400), (0.5, 50)):
+            batch = simulate_standard_batch(lam, PointMass(1.0), 1.0, n, 21)
+            raw = make_stream(21, 0, TAG_BATCH)
+            raw.poisson(lam, size=n)
+            raw = raw.uniform(0.0, 1.0, size=batch.times.size)
+            expect = _lexsort_reference(raw, batch.counts)
+            assert batch.times.tobytes() == expect.tobytes()
+
 
 class TestBatchOracle:
     def test_against_thinning_simulator(self):
@@ -174,3 +266,49 @@ class TestBatchOracle:
         b = simulate_standard_batch(1.0, Exponential(1.0), 1.0, 100, 19)
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.marks, b.marks)
+
+
+class TestBatchGuards:
+    @pytest.mark.parametrize("lam, horizon", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+        (1.0, -math.inf)])
+    def test_non_finite_rate_or_horizon(self, lam, horizon):
+        with pytest.raises(NonFiniteError):
+            simulate_standard_batch(lam, Exponential(1.0), horizon, 10, 1)
+
+    def test_thinned_batch_nan_horizon(self):
+        spec = CompensatorSpec(rate=lambda t: np.ones(np.shape(t)),
+                               rate_bound=2.0, marks=Exponential(1.0))
+        with pytest.raises(NonFiniteError):
+            simulate_batch(spec, math.nan, 10, 1, tag=5)
+
+    def test_expected_count_guard(self):
+        with pytest.raises(ExplosionGuardError, match="batch expects"):
+            simulate_standard_batch(1e5, Exponential(1.0), 1.0, 1000, 1)
+
+
+# a batch expected to hold 10^12 events runs in a child process under an
+# address-space cap: the batch must refuse it before it allocates
+_HUGE_BATCH = """
+import resource
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from snoise.errors import SnoiseError
+from snoise.marks import Exponential
+from snoise.stats import simulate_standard_batch
+try:
+    simulate_standard_batch(1e9, Exponential(1.0), 1.0, 1000, 1)
+    print("OK")
+except SnoiseError as exc:
+    print(exc.code, exc)
+"""
+
+
+def test_huge_batch_fails_before_allocating():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _HUGE_BATCH],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith("ExplosionGuard batch expects"), proc.stdout
