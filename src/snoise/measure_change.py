@@ -41,12 +41,11 @@ from .point_process import (
     CompensatorSpec,
     MppPath,
     past_sum,
-    simulate_mpp,
     slice_integrand,
     standard,
 )
 from .quadrature import DEFAULT_QUAD_TOL, cumulative_simpson
-from .rng import TAG_BROWNIAN, TAG_STOCK_JUMPS, make_stream
+from .rng import TAG_BATCH, TAG_BROWNIAN, TAG_STOCK_JUMPS, make_stream
 from .stats import BatchPaths, batch_log_weights, batch_past_sum, simulate_batch
 
 
@@ -194,20 +193,18 @@ class Estimate(NamedTuple):
 def reweighted_expectation(kernel: GirsanovKernel, spec: CompensatorSpec,
                            functional, horizon: float, n_paths: int, seed: int,
                            *, quad_tol: float = DEFAULT_QUAD_TOL) -> Estimate:
-    """Importance-sampling estimate of E_{P'}[functional] = E_P[L_T functional]."""
+    """Importance-sampling estimate of E_{P'}[functional] = E_P[L_T functional].
+
+    The paths under P are one :func:`~snoise.stats.simulate_batch` on
+    ``TAG_BATCH``; ``functional`` maps that :class:`~snoise.stats.BatchPaths`
+    to one value per path (``lambda b: b.counts`` for the jump count).
+    """
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
-    comp_T = _compensator_curve(kernel, spec, np.array([0.0, horizon]),
-                                quad_tol)[-1]
-    paths = [simulate_mpp(spec, horizon, seed, path_index=i)
-             for i in range(n_paths)]
-    counts = np.array([p.n_events for p in paths])
-    batch = BatchPaths(horizon, counts,
-                       np.concatenate([[0], np.cumsum(counts)]),
-                       np.concatenate([p.times for p in paths]),
-                       np.concatenate([p.marks for p in paths]))
-    weights = np.exp(batch_log_weights(kernel.Y, batch, comp_T))
-    vals = weights * np.array([float(functional(p)) for p in paths])
+    comp_T = girsanov_compensator(kernel, spec, horizon, quad_tol=quad_tol)
+    batch = simulate_batch(spec, horizon, n_paths, seed, tag=TAG_BATCH)
+    vals = (np.exp(batch_log_weights(kernel.Y, batch, comp_T))
+            * np.asarray(functional(batch), dtype=float))
     return Estimate(float(vals.mean()),
                     float(vals.std(ddof=1) / math.sqrt(n_paths)))
 

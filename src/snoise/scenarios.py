@@ -29,11 +29,12 @@ from .measure_change import (
     eta_normalization,
     girsanov_compensator,
     market_price_of_risk,
+    prime_spec,
     simulate_stock,
     stationary_reweight,
 )
-from .point_process import empty_path, past_sum, simulate_mpp
-from .rng import TAG_BATCH_PRIME
+from .point_process import empty_path
+from .rng import TAG_BATCH, TAG_BATCH_PRIME
 from .shotnoise import (
     FiltrationState,
     ShotNoiseProcess,
@@ -42,12 +43,13 @@ from .shotnoise import (
 )
 from .stats import (
     batch_log_weights,
+    batch_past_sum,
     batch_terminal_shotnoise,
     cf_ratio,
     empirical_cf,
     ks_two_sample_weighted,
     martingale_drift_test,
-    simulate_standard_batch,
+    simulate_batch,
 )
 
 Z_TOL = 3.0
@@ -76,6 +78,11 @@ class Check:
     detail: str
     passed: bool | None  # None = informational
 
+    def __post_init__(self):
+        # a numpy bool verdict is not the ``False`` the result looks for
+        if self.passed is not None:
+            self.passed = bool(self.passed)
+
 
 def _report_text(config: ExperimentConfig, checks: list[Check]) -> str:
     lines = ["snoise report", f"scenario: {config.run.scenario}", ""]
@@ -103,22 +110,6 @@ def _finish(config, checks, out_dir: Path) -> int:
     return 1 if any(chk.passed is False for chk in checks) else 0
 
 
-def _terminal_values(config: ExperimentConfig) -> np.ndarray:
-    """S_T over n_paths, via the vectorized batch when the rate is constant."""
-    run = config.run
-    spec = config.spec
-    if spec.stationary_rate is not None:
-        batch = simulate_standard_batch(spec.stationary_rate, spec.marks,
-                                        run.horizon, run.n_paths, run.seed)
-        return batch_terminal_shotnoise(config.kernel, batch)
-    proc = ShotNoiseProcess(config.kernel, spec)
-    out = np.empty(run.n_paths)
-    for i in range(run.n_paths):
-        path = simulate_mpp(spec, run.horizon, run.seed, path_index=i)
-        out[i] = past_sum(config.kernel.G, path.times, path.marks, run.horizon)
-    return out
-
-
 def run_scenario(config: ExperimentConfig, out_dir) -> int:
     """Execute the configured scenario; returns 0 (pass) or 1 (check failure)."""
     out_dir = Path(out_dir)
@@ -128,30 +119,29 @@ def run_scenario(config: ExperimentConfig, out_dir) -> int:
 
 
 def _run_simulate(config: ExperimentConfig, out_dir: Path) -> int:
+    """Write S on the grid (paths.csv), the events and path 0's decomposition.
+
+    All paths are one :func:`~snoise.stats.simulate_batch` on ``TAG_BATCH``:
+    paths.csv is one :func:`~snoise.stats.batch_past_sum` and events.csv the
+    flat arrays, so a run's first k paths depend on its path count.
+    """
     run = config.run
     proc = ShotNoiseProcess(config.kernel, config.spec)
     grid = np.linspace(0.0, run.horizon, run.grid_points)
-    rows = []
-    event_rows = []
-    first_path = None
-    for i in range(run.n_paths):
-        path = simulate_mpp(config.spec, run.horizon, run.seed, path_index=i)
-        if i == 0:
-            first_path = path
-        s_vals = past_sum(config.kernel.G, path.times, path.marks, grid)
-        rows.extend((i, grid[k], s_vals[k]) for k in range(grid.size))
-        event_rows.extend(
-            (i, path.times[j], *path.marks[j]) for j in range(path.n_events))
-    write_csv_atomic(out_dir / "paths.csv", ["path_id", "t", "S_t"], rows)
+    batch = simulate_batch(config.spec, run.horizon, run.n_paths, run.seed,
+                           tag=TAG_BATCH)
+    s_vals = batch_past_sum(config.kernel.G, batch, grid)
+    write_csv_atomic(out_dir / "paths.csv", ["path_id", "t", "S_t"],
+                     ((i, t, s) for i, row in enumerate(s_vals)
+                      for t, s in zip(grid, row)))
     mark_cols = [f"U_{d + 1}" for d in range(config.spec.mark_dim)]
     write_csv_atomic(out_dir / "events.csv", ["path_id", "T_i", *mark_cols],
-                     event_rows)
+                     zip(batch.path_ids(), batch.times, *batch.marks.T))
 
     checks = []
-    decomp = semimartingale_decompose(proc, first_path, grid,
+    decomp = semimartingale_decompose(proc, batch.path(0), grid,
                                       quad_tol=run.quad_tol)
-    s_first = past_sum(config.kernel.G, first_path.times, first_path.marks,
-                       grid)
+    s_first = s_vals[0]
     resid = float(np.abs(decomp.drift + decomp.jump_part - s_first).max())
     write_csv_atomic(
         out_dir / "decomposition.csv",
@@ -184,7 +174,9 @@ def _run_cf_compare(config: ExperimentConfig, out_dir: Path) -> int:
          for th, z in zip(run.theta_grid, analytic)),
     )
 
-    terminal = _terminal_values(config)
+    batch = simulate_batch(config.spec, run.horizon, run.n_paths, run.seed,
+                           tag=TAG_BATCH)
+    terminal = batch_terminal_shotnoise(config.kernel, batch)
     rows = []
     worst = 0.0
     for th, z in zip(run.theta_grid, analytic):
@@ -312,8 +304,8 @@ def _run_measure_check(config: ExperimentConfig, out_dir: Path) -> int:
 
     comp = girsanov_compensator(girsanov, spec, run.horizon,
                                 quad_tol=run.quad_tol)
-    batch = simulate_standard_batch(spec.stationary_rate, spec.marks,
-                                    run.horizon, run.n_paths, run.seed)
+    batch = simulate_batch(spec, run.horizon, run.n_paths, run.seed,
+                           tag=TAG_BATCH)
     weights = np.exp(batch_log_weights(girsanov.Y, batch, comp))
 
     mean_l = float(weights.mean())
@@ -326,9 +318,8 @@ def _run_measure_check(config: ExperimentConfig, out_dir: Path) -> int:
         ratio <= Z_TOL,
     ))
 
-    direct = simulate_standard_batch(mm.lambda_prime, mm.marks_prime,
-                                     run.horizon, run.n_paths, run.seed,
-                                     tag=TAG_BATCH_PRIME)
+    direct = simulate_batch(prime_spec(mm, spec), run.horizon, run.n_paths,
+                            run.seed, tag=TAG_BATCH_PRIME)
     rw_count = weights * batch.counts
     mean_rw = float(rw_count.mean())
     se_rw = float(rw_count.std(ddof=1) / math.sqrt(run.n_paths))
@@ -370,11 +361,16 @@ def _run_drift_check(config: ExperimentConfig, out_dir: Path) -> int:
     _require_stationary(config)
     market, mm = config.market, config.measure
 
+    grid = np.linspace(0.0, run.horizon, 9)
+    stock = simulate_stock(market, mm, run.horizon, grid, run.n_paths,
+                           run.seed, quad_tol=run.quad_tol)
+    # the path terms of xi and of the residual cancel, so any state serves:
+    # the stock's own jump paths give them
     checks = []
     n_states = min(run.n_paths, 1000)
     worst = 0.0
     for i in range(n_states):
-        path = simulate_mpp(config.spec, run.horizon, run.seed, path_index=i)
+        path = stock.paths.path(i)
         t = 0.1 + 0.8 * run.horizon * (i / max(n_states - 1, 1))
         xi = market_price_of_risk(market, mm, t, path, quad_tol=run.quad_tol)
         resid = drift_residual(market, mm, t, path, xi=xi,
@@ -386,9 +382,6 @@ def _run_drift_check(config: ExperimentConfig, out_dir: Path) -> int:
         worst <= 1e-10,
     ))
 
-    grid = np.linspace(0.0, run.horizon, 9)
-    stock = simulate_stock(market, mm, run.horizon, grid, run.n_paths,
-                           run.seed, quad_tol=run.quad_tol)
     disc = np.exp(-market.integrated_rate(grid, run.quad_tol))
     disc_paths = stock.X * disc[None, :]
     mean_t = float(disc_paths[:, -1].mean())

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from snoise.cli import EXIT_NUMERICAL, main
 from snoise.config import parse_config
 from snoise.errors import ConfigError
+from snoise.stats import CfEstimate
 
 MINIMAL_SIMULATE = """\
 [run]
@@ -242,12 +244,28 @@ rate = 2.0
 marks = point_mass
 mark_value = 0.7
 """
+        # the ramp rate draws its paths through the thinned batch
+        for name, rate in [("const", "2.0"), ("ramp", "ramp: 1.0 2.0")]:
+            cfg = write(tmp_path, text.replace("rate = 2.0", f"rate = {rate}"),
+                        f"{name}.ini")
+            out = tmp_path / name
+            assert main(["cf-compare", "--config", cfg, "--out", str(out)]) == 0
+            report = (out / "report.txt").read_text()
+            assert "|delta|/SE" in report
+            assert (out / "cf_sweep.csv").exists()
+
+    def test_cf_compare_failure_exit_one(self, tmp_path, monkeypatch):
+        # the CF ratio is a numpy float, so its verdict is a numpy bool: a
+        # failing comparison must still fail the run
+        monkeypatch.setattr("snoise.scenarios.empirical_cf",
+                            lambda values, theta: CfEstimate(2.0, 0.01, 0.01, 0.0))
         out = tmp_path / "cf"
-        assert main(["cf-compare", "--config", write(tmp_path, text),
-                     "--out", str(out)]) == 0
+        cfg = write(tmp_path, MINIMAL_SIMULATE.replace(
+            "scenario = simulate", "scenario = cf-compare\ntheta_grid = 0:1:2"))
+        assert main(["cf-compare", "--config", cfg, "--out", str(out)]) == 1
         report = (out / "report.txt").read_text()
-        assert "|delta|/SE" in report
-        assert (out / "cf_sweep.csv").exists()
+        assert "FAIL cf_vs_mc" in report
+        assert "RESULT: FAIL" in report
 
     def test_markov_expectation_failure_exit_one(self, tmp_path):
         text = """\
@@ -290,6 +308,60 @@ def test_shipped_config_passes(config, tmp_path, capsys):
     assert main([scenario, "--config", str(config), "--out", str(out)]) == 0, \
         capsys.readouterr().err
     assert "RESULT: PASS" in (out / "report.txt").read_text()
+
+
+# sha256 of every CSV and report.txt the shipped configs write at their
+# seeds: a change to a random stream, a rounding or a report line shows here
+SHIPPED_OUTPUT_SHA256 = {
+    "affine_validate/events.csv":
+        "020ab3589dfb76ea2d76e19d81c11c2bc53b9ad33363f5e47b68b1a4d90bf5af",
+    "affine_validate/intensity.csv":
+        "c686a464b7e941471c934e3743b561442d2eafbb0ed56fdd9c9712fe584c2927",
+    "affine_validate/report.txt":
+        "38f9f90b76d6edf09c1e85117029ede5ccaac7afeaaec52e281192c225c7c837",
+    "affine_validate/transform_compare.csv":
+        "1dd6e526176c0621d1e934d2ea14f765333a44af0a51bf78190e91caf17c0dfe",
+    "cf_compare/cf_compare.csv":
+        "e509111442ecb85bc53f18ea5ed6412290b71bd26628d99f28d47ef44082220e",
+    "cf_compare/cf_sweep.csv":
+        "d5db850c83cda7d937a3e334f40801dd12d0aa7cd1be0b25a78627b721f13817",
+    "cf_compare/report.txt":
+        "5f73b0f1d34c5aaf9eee358d15838ac1724cfc52b1294a1412235f78ec12445d",
+    "drift_check/report.txt":
+        "99d8d2fa724db7be222ba6972e97566547545d485d004d92d306541bc32dab47",
+    "drift_check/stock.csv":
+        "61c7acec9576a4302d581c430bd1f4b54e7cdbe7ea868b1c62b10350382d6cae",
+    "markov_test/report.txt":
+        "6233c1c935a9047fb3ec7084ed4d1b049b57a7f117e933fcbcafd15598962547",
+    "measure_check/density.csv":
+        "648686c008543f04ed0369d03207e4514a65f48d168246351a08117018124b7a",
+    "measure_check/report.txt":
+        "d82e7bcce98fb034993d9db030c897b31cf3fdd1cc6792e70d1c8c635808e56e",
+    "simulate_ou/decomposition.csv":
+        "41c3c8054c9ec30d124f11d7b7c5c87d9c1b464573ff13bb1253340b3ed1c4a1",
+    "simulate_ou/events.csv":
+        "a4a0518cd34a6048bfee0874ffc1b793bcb4d89bb2c551e249b76195d7c75b41",
+    "simulate_ou/paths.csv":
+        "d63cba9ce4c9f6cec72cf30398363ca6a5a82d3cb331ff76f208ec20e4570913",
+    "simulate_ou/report.txt":
+        "cb9685424843fd968948531528612dfb8c07c22c051c6d1d029c34585f5e49c3",
+}
+
+
+def test_shipped_outputs_match_golden_manifest(tmp_path):
+    got = {}
+    for config in SHIPPED_CONFIGS:
+        out = tmp_path / config.stem
+        main([parse_config(str(config)).run.scenario, "--config", str(config),
+              "--out", str(out)])
+        for path in [*out.glob("*.csv"), *out.glob("report.txt")]:
+            got[f"{config.stem}/{path.name}"] = hashlib.sha256(
+                path.read_bytes()).hexdigest()
+    mismatches = [
+        f"{name}: expected {SHIPPED_OUTPUT_SHA256.get(name)}, got {got.get(name)}"
+        for name in sorted(set(got) | set(SHIPPED_OUTPUT_SHA256))
+        if got.get(name) != SHIPPED_OUTPUT_SHA256.get(name)]
+    assert not mismatches, "\n".join(mismatches)
 
 
 @pytest.mark.parametrize("old, new, field", [
@@ -434,7 +506,8 @@ def test_out_of_range_parameter_names_its_field(tmp_path, text, old, new,
 
 
 @pytest.mark.parametrize("config", [
-    p for p in SHIPPED_CONFIGS if p.stem in ("drift_check", "affine_validate")
+    p for p in SHIPPED_CONFIGS
+    if p.stem in ("drift_check", "affine_validate", "simulate_ou", "cf_compare")
 ], ids=lambda p: p.stem)
 def test_batch_scenarios_are_deterministic(config, tmp_path):
     scenario = parse_config(str(config)).run.scenario
@@ -447,28 +520,32 @@ def test_batch_scenarios_are_deterministic(config, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-# a stock batch of 2*10^7 expected jumps runs the CLI in a child process
-# under an address-space cap: the batch must refuse it before allocating
-_HIGH_RATE_STOCK = """
+# a batch of 2*10^7 (drift-check's stock) or 4*10^7 (simulate) expected
+# jumps runs the CLI in a child process under an address-space cap: the
+# batch must refuse it before allocating
+_HIGH_RATE_BATCH = """
 import resource, sys
 cap = 1 << 30
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 from snoise.cli import main
-sys.exit(main(["drift-check", "--config", sys.argv[1], "--out", sys.argv[2]]))
+sys.exit(main([sys.argv[1], "--config", sys.argv[2], "--out", sys.argv[3]]))
 """
 
 
 def test_high_rate_stock_batch_fails_cleanly(tmp_path):
-    config = next(p for p in SHIPPED_CONFIGS if p.stem == "drift_check")
-    text = config.read_text().replace("rate = 1.0\n", "rate = 1000\n")
-    assert "rate = 1000" in text
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-c", _HIGH_RATE_STOCK, write(tmp_path, text),
-         str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=120, env=env)
-    assert proc.returncode == EXIT_NUMERICAL, proc.stderr[-2000:]
-    assert proc.stderr.startswith("ExplosionGuard: batch expects"), \
-        proc.stderr[-2000:]
+    for stem, old, new in [("drift_check", "rate = 1.0\n", "rate = 1000\n"),
+                           ("simulate_ou", "rate = 1.5\n", "rate = 100000\n")]:
+        config = next(p for p in SHIPPED_CONFIGS if p.stem == stem)
+        text = config.read_text().replace(old, new)
+        assert new in text
+        proc = subprocess.run(
+            [sys.executable, "-c", _HIGH_RATE_BATCH,
+             parse_config(str(config)).run.scenario,
+             write(tmp_path, text, f"{stem}.ini"), str(tmp_path / stem)],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == EXIT_NUMERICAL, (stem, proc.stderr[-2000:])
+        assert proc.stderr.startswith("ExplosionGuard: batch expects"), \
+            (stem, proc.stderr[-2000:])

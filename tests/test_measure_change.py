@@ -136,13 +136,14 @@ class TestReweightedExpectation:
     def test_normalization(self):
         spec = standard(1.0, Exponential(1.0))
         gk = stationary_reweight(exp_tilt_measure(2.0, 2.0), spec)
-        est = reweighted_expectation(gk, spec, lambda p: 1.0, 1.0, 4000, 5)
+        est = reweighted_expectation(gk, spec, lambda b: np.ones(b.n_paths),
+                                     1.0, 4000, 5)
         assert abs(est.value - 1.0) <= 3.0 * est.se
 
     def test_identity_kernel_is_plain_mc(self):
         spec = standard(2.0, Exponential(1.0))
         est = reweighted_expectation(identity_kernel(), spec,
-                                     lambda p: p.n_events, 1.0, 4000, 6)
+                                     lambda b: b.counts, 1.0, 4000, 6)
         assert abs(est.value - 2.0) <= 3.0 * est.se
 
     def test_two_way_count_oracle(self):
@@ -152,8 +153,7 @@ class TestReweightedExpectation:
         spec = standard(1.0, Exponential(1.0))
         mm = exp_tilt_measure(lam_p, 2.0)
         gk = stationary_reweight(mm, spec)
-        est = reweighted_expectation(gk, spec, lambda p: p.n_events,
-                                     1.0, n, 3)
+        est = reweighted_expectation(gk, spec, lambda b: b.counts, 1.0, n, 3)
         direct = np.array([
             simulate_mpp(prime_spec(mm, spec), 1.0, 77, path_index=i).n_events
             for i in range(n)
@@ -167,7 +167,8 @@ class TestReweightedExpectation:
         gk = GirsanovKernel(
             Y=lambda t, x: -np.ones(np.asarray(x, dtype=float).shape[:-1]))
         with pytest.raises(ValueError, match="nonnegative"):
-            reweighted_expectation(gk, spec, lambda p: 1.0, 1.0, 50, 1)
+            reweighted_expectation(gk, spec, lambda b: np.ones(b.n_paths),
+                                   1.0, 50, 1)
 
 
 class TestEsscher:
@@ -218,6 +219,31 @@ class TestEsscher:
             want = esscher_density(h, [T], [s_T], [mgf])[0]
             got = density_process(tilt, spec, path, [T]).L[-1]
             assert abs(got / want - 1.0) <= 1e-10, (i, path.n_events)
+
+    def test_tilted_mean_three_routes(self):
+        # jump-to-level with Exp(1) marks: Y(x) = e^{hx} is the Esscher tilt,
+        # and Y nu = lam e^{-(1 - h) x} dx is rate lam/(1-h) with Exp marks of
+        # mean 1/(1-h); E'[S_T] three ways: reweighted under P, simulated
+        # under P', and the closed form lam T / (1-h)^2
+        h, lam, T, n = 0.3, 2.0, 1.0, 20000
+        kern = jump_to_level()
+        spec = standard(lam, Exponential(1.0))
+        tilt = GirsanovKernel(
+            Y=lambda t, x: np.exp(h * np.asarray(x, dtype=float)[..., 0]),
+            time_homogeneous=True)
+        rw = reweighted_expectation(
+            tilt, spec, lambda b: batch_past_sum(kern.G, b, T)[:, 0], T, n, 21)
+        direct = batch_terminal_shotnoise(kern, simulate_standard_batch(
+            lam / (1.0 - h), Exponential(1.0 / (1.0 - h)), T, n, 22))
+        se_d = direct.std(ddof=1) / math.sqrt(n)
+        closed = lam * T / (1.0 - h) ** 2
+        for name, delta, se in [
+                ("reweighted - closed", rw.value - closed, rw.se),
+                ("direct - closed", direct.mean() - closed, se_d),
+                ("reweighted - direct", rw.value - direct.mean(),
+                 math.hypot(rw.se, se_d))]:
+            assert abs(delta) <= 3.0 * se, \
+                f"{name}: |delta|/SE = {abs(delta) / se:.3f}"
 
     def test_mgf_diverges(self):
         with pytest.raises(MgfDivergesError):

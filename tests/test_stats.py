@@ -10,12 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snoise.errors import ExplosionGuardError, NonFiniteError
-from snoise.kernels import exponential
-from snoise.marks import Exponential, PointMass
+from snoise.kernels import exponential, jump_to_level, power_law
+from snoise.marks import Exponential, Normal, PointMass
 from snoise.point_process import CompensatorSpec, simulate_mpp, standard
 from snoise.rng import TAG_BATCH, make_stream
 from snoise.stats import (
     batch_log_weights,
+    batch_past_sum,
     batch_terminal_shotnoise,
     cf_ratio,
     empirical_cf,
@@ -252,6 +253,24 @@ class TestBatchOracle:
             expect = float(np.sum(np.asarray(
                 kern.G(2.0 - path.times, path.marks)))) if path.n_events else 0.0
             assert terminal[i] == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("kernel, marks, T", [
+        (exponential(1.0, 0.7), Exponential(1.0), None),
+        (power_law(1.5), Exponential(1.0), 0.4),
+        (jump_to_level(), Normal(0.0, 1.0), None),
+        (jump_to_level(), PointMass(-0.0), 0.7),
+    ], ids=["exponential", "power_law_inside", "normal", "negative_zero"])
+    def test_terminal_values_equal_past_sum_column(self, kernel, marks, T):
+        # the one-column fast path and the general batch sum agree bit for
+        # bit, sign of zero included, on an order-statistics and a thinned batch
+        ramp = CompensatorSpec(rate=lambda t: 1.0 + np.asarray(t, dtype=float),
+                               rate_bound=2.0, marks=marks)
+        for batch in (simulate_standard_batch(2.0, marks, 1.0, 3000, 31),
+                      simulate_batch(ramp, 1.0, 3000, 32, tag=TAG_BATCH)):
+            at = batch.horizon if T is None else T
+            got = batch_terminal_shotnoise(kernel, batch, T)
+            want = batch_past_sum(kernel.G, batch, at)[:, 0]
+            assert got.tobytes() == want.tobytes()
 
     def test_log_weights_zero_kernel(self):
         batch = simulate_standard_batch(2.0, PointMass(1.0), 1.0, 200, 18)
