@@ -95,9 +95,9 @@ class MppPath:
         if times.ndim != 1 or marks.shape[0] != times.size:
             raise ValueError("times and marks must align")
         if times.size:
-            if not np.all(np.isfinite(times)) or not np.all(np.isfinite(marks)):
+            if not (np.isfinite(times).all() and np.isfinite(marks).all()):
                 raise ValueError("times and marks must be finite")
-            if times[0] <= 0 or np.any(np.diff(times) <= 0):
+            if times[0] <= 0 or (times[1:] <= times[:-1]).any():
                 raise ValueError("event times must be strictly increasing and > 0")
             if times[-1] > self.horizon:
                 raise ValueError("event beyond horizon")
@@ -142,9 +142,12 @@ def break_ties(times: np.ndarray) -> np.ndarray:
     """Nudge any tied or out-of-order time up by one ulp of its predecessor.
 
     Ties are almost surely impossible under an absolutely continuous
-    compensator; this guards against seed pathologies only.
+    compensator; this guards against seed pathologies only.  Tie-free
+    input skips the loop, which would leave it unchanged.
     """
     times = np.array(times, dtype=float)
+    if times.size < 2 or not (times[1:] <= times[:-1]).any():
+        return times
     for i in range(1, times.size):
         if times[i] <= times[i - 1]:
             times[i] = np.nextafter(times[i - 1], np.inf)
@@ -182,7 +185,7 @@ def simulate_mpp(spec: CompensatorSpec, horizon: float, seed: int, *,
             break
         cands_in = cands[inside]
         lam_at = np.asarray(spec.rate(cands_in), dtype=float)
-        if np.any(lam_at > lam_bar * (1.0 + BOUND_SLACK)):
+        if (lam_at > lam_bar * (1.0 + BOUND_SLACK)).any():
             worst = float(lam_at.max())
             raise InvalidBoundError(
                 f"rate({float(cands_in[np.argmax(lam_at)]):.6g}) = {worst:.6g} "

@@ -19,6 +19,13 @@ Tag space
 ``TAG_HAWKES_BATCH`` (8)  exact batch Hawkes simulation
 ===================  =====================================================
 
+The key is the whole seed sequence: :func:`make_stream` hands Philox a
+seed sequence whose only state is ``(seed, path_index << 32 | tag)``, so
+building a stream reads no OS entropy (``Philox(key=...)`` draws a
+``SeedSequence()`` from ``os.urandom`` and discards it).  Philox starts
+from that key with a zero counter and an empty buffer: the same state, and
+the same draws, as ``Philox(key=...)``.
+
 Tags 0-3 key one stream per path.  The other tags key one stream each, at
 path index 0; a batch thinned to a time-varying rate draws its acceptance
 uniforms from path index 1 of its tag, so its candidates stay the batch an
@@ -28,6 +35,7 @@ unthinned run would draw.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 TAG_EVENTS = 0
 TAG_MARKS = 1
@@ -42,14 +50,25 @@ TAG_HAWKES_BATCH = 8
 _MASK64 = (1 << 64) - 1
 
 
+class _StreamKey(ISeedSequence):
+    """A seed sequence whose whole state is one two-word Philox key."""
+
+    def __init__(self, key: tuple[int, int]):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(
+                "a stream key is exactly 2 uint64 words, "
+                f"not {n_words} of {np.dtype(dtype)}")
+        return np.array(self.key, dtype=np.uint64)
+
+
 def make_stream(seed: int, path_index: int = 0, tag: int = 0) -> np.random.Generator:
     """Return the Philox stream keyed by ``(seed, path_index, tag)``."""
     if not 0 <= path_index < 2**32:
         raise ValueError("path_index must fit in 32 bits")
     if not 0 <= tag < 2**32:
         raise ValueError("tag must fit in 32 bits")
-    key = np.array(
-        [int(seed) & _MASK64, ((path_index << 32) | tag) & _MASK64],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    key = _StreamKey((int(seed) & _MASK64, (int(path_index) << 32) | int(tag)))
+    return np.random.Generator(np.random.Philox(key))

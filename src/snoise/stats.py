@@ -293,9 +293,10 @@ def batch_past_sum(fn, batch: BatchPaths, at) -> np.ndarray:
     for k, u in enumerate(at):
         inside = batch.times <= u
         if inside.any():
-            vals = np.asarray(fn(u - batch.times[inside], batch.marks[inside]),
+            sel = slice(None) if inside.all() else inside  # no gather
+            vals = np.asarray(fn(u - batch.times[sel], batch.marks[sel]),
                               dtype=float)
-            out[:, k] = np.bincount(ids[inside], weights=vals,
+            out[:, k] = np.bincount(ids[sel], weights=vals,
                                     minlength=batch.n_paths)
     return out
 
@@ -306,14 +307,16 @@ def batch_terminal_shotnoise(kernel: NoiseKernel, batch: BatchPaths,
 
     ``T`` defaults to the horizon.  One scatter into a flat array instead of
     a gather of path ids and a column copy: about 10 % faster at 10^6 paths
-    (one thread of a 2-CPU Xeon).
+    (one thread of a 2-CPU Xeon).  When no event lies after ``T`` (always
+    so at the horizon), ``G`` takes the flat arrays without a gather.
     """
     T = batch.horizon if T is None else T
     inside = batch.times <= T
+    sel = slice(None) if inside.all() else inside
     vals = np.zeros(batch.times.size)
     if inside.any():
-        vals[inside] = np.asarray(
-            kernel.G(T - batch.times[inside], batch.marks[inside]), dtype=float)
+        vals[sel] = np.asarray(
+            kernel.G(T - batch.times[sel], batch.marks[sel]), dtype=float)
     return np.bincount(batch.path_ids(), weights=vals, minlength=batch.n_paths)
 
 

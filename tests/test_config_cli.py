@@ -220,8 +220,12 @@ class TestCli:
         assert (target / "report.txt").exists()
 
     def test_console_script_installed(self):
+        # the child finds the checkout's package as the other child processes
+        # do, so the test also runs from a checkout without an install
+        src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run([sys.executable, "-m", "snoise.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0
         assert "snoise" in proc.stdout
 

@@ -74,6 +74,134 @@ def test_break_ties_perturbs_by_one_ulp():
     assert np.all(np.diff(t) > 0)
 
 
+def reference_validate(times, marks, horizon):
+    """``MppPath.__post_init__`` as first written, with the numpy wrappers."""
+    times = np.array(times, dtype=float)
+    marks = np.array(marks, dtype=float)
+    if marks.ndim == 1:
+        marks = marks.reshape(-1, 1)
+    if times.ndim != 1 or marks.shape[0] != times.size:
+        raise ValueError("times and marks must align")
+    if times.size:
+        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(marks)):
+            raise ValueError("times and marks must be finite")
+        if times[0] <= 0 or np.any(np.diff(times) <= 0):
+            raise ValueError("event times must be strictly increasing and > 0")
+        if times[-1] > horizon:
+            raise ValueError("event beyond horizon")
+    if not math.isfinite(horizon):
+        raise NonFiniteError(f"horizon must be finite, got {horizon}")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    return times, marks
+
+
+def reference_break_ties(times):
+    times = np.array(times, dtype=float)
+    for i in range(1, times.size):
+        if times[i] <= times[i - 1]:
+            times[i] = np.nextafter(times[i - 1], np.inf)
+    return times
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+
+
+_SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0]
+
+
+@st.composite
+def _path_input(draw):
+    """Times, marks and horizon around every boundary of the path checks."""
+    times = draw(st.lists(st.one_of(st.floats(-1.0, 5.0),
+                                    st.sampled_from(_SPECIAL)), max_size=8))
+    if draw(st.booleans()):
+        times = sorted(times)
+    if times and draw(st.booleans()):  # an equal pair
+        k = draw(st.integers(0, len(times) - 1))
+        times.insert(k, times[k])
+    n = len(times) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    dim = draw(st.sampled_from([None, 1, 2]))  # None: 1-d marks
+    flat = draw(st.lists(st.one_of(st.floats(-3.0, 3.0), st.sampled_from(_SPECIAL)),
+                         min_size=max(n, 0) * (dim or 1),
+                         max_size=max(n, 0) * (dim or 1)))
+    marks = np.array(flat, dtype=float).reshape((-1,) if dim is None else (-1, dim))
+    finite = [t for t in times if math.isfinite(t)]
+    horizon = draw(st.one_of(st.floats(-1.0, 6.0), st.sampled_from(_SPECIAL),
+                             st.just(max(finite, default=1.0))))
+    return times, marks, horizon
+
+
+@settings(max_examples=400, deadline=None)
+@example(case=([], np.empty(0), 1.0))
+@example(case=([0.0, 0.5], np.ones(2), 1.0))
+@example(case=([-0.0, 0.5], np.ones(2), 1.0))
+@example(case=([0.5, 0.5], np.ones(2), 1.0))
+@example(case=([0.5, 0.4], np.ones(2), 1.0))
+@example(case=([0.5, math.nan], np.ones(2), 1.0))
+@example(case=([0.5], np.array([math.inf]), 1.0))
+@example(case=([0.5, 1.5], np.ones((2, 1)), 1.0))
+@example(case=([5e-324, 1e-323], np.ones(2), 1.0))
+@given(case=_path_input())
+def test_path_validation_matches_reference(case):
+    times, marks, horizon = case
+    ref = _outcome(reference_validate, times, marks, horizon)
+    got = _outcome(MppPath, times, marks, horizon)
+    if isinstance(ref, tuple) and isinstance(ref[0], type):
+        assert got == ref
+    else:
+        assert isinstance(got, MppPath)
+        for arr, want in zip((got.times, got.marks), ref):
+            assert arr.shape == want.shape and arr.tobytes() == want.tobytes()
+            assert not arr.flags.writeable
+
+
+@st.composite
+def _tie_input(draw):
+    times = sorted(draw(st.lists(st.one_of(st.floats(-1.0, 5.0),
+                                           st.sampled_from(_SPECIAL)),
+                                 max_size=10)))
+    for _ in range(draw(st.integers(0, 3)) if times else 0):
+        k = draw(st.integers(0, len(times) - 1))
+        times.insert(k, times[k])
+    if draw(st.booleans()):
+        times = draw(st.permutations(times))
+    return np.array(times, dtype=float)
+
+
+@settings(max_examples=400, deadline=None)
+@example(times=np.array([0.5, 0.5, 0.7]))
+@example(times=np.array([0.1, 0.2, 0.3]))
+@example(times=np.array([0.3]))
+@example(times=np.empty(0))
+@given(times=_tie_input())
+def test_break_ties_matches_reference_loop(times):
+    got, ref = break_ties(times), reference_break_ties(times)
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("values", [[0.1, 0.2, 0.3], [0.5, 0.5, 0.4]],
+                         ids=["tie_free", "tied"])
+def test_break_ties_returns_a_fresh_array(values):
+    for arg in (np.array(values), values):
+        before = np.array(arg, dtype=float)
+        out = break_ties(arg)
+        assert isinstance(out, np.ndarray) and out.flags.writeable
+        assert np.array_equal(np.asarray(arg), before)
+        if isinstance(arg, np.ndarray):
+            assert not np.shares_memory(out, arg)
+    frozen = np.array(values)
+    frozen.setflags(write=False)
+    out = break_ties(frozen)
+    assert out.flags.writeable and not np.shares_memory(out, frozen)
+    out[0] = -1.0
+    assert frozen[0] == values[0]
+
+
 class TestSimulateMpp:
     def test_zero_rate_gives_empty_path(self):
         spec = standard(0.0, PointMass(1.0))
