@@ -74,7 +74,7 @@ from .point_process import (
     slice_integrand,
     standard,
 )
-from .quadrature import adaptive_simpson, cumulative_simpson, gauss_kronrod
+from .quadrature import cumulative_integral, gauss_kronrod
 from .rng import make_stream
 from .shotnoise import (
     CfParts,

@@ -23,6 +23,7 @@ from .errors import ConfigError
 from .kernels import NoiseKernel
 from .measure_change import MarketParams, MartingaleMeasureSpec, unit_eta
 from .point_process import CompensatorSpec, standard
+from .quadrature import DEFAULT_QUAD_TOL
 
 SCENARIOS = (
     "simulate",
@@ -41,6 +42,11 @@ _REQUIRED_BLOCKS = {
     "measure-check": ("compensator", "measure"),
     "drift-check": ("kernel", "compensator", "market", "measure"),
 }
+
+# the fewest paths a scenario's statistics are defined on: its CF and
+# transform estimates need 100 samples, a standard error needs 2
+_MIN_PATHS = {"cf-compare": 100, "affine-validate": 100, "measure-check": 2,
+              "drift-check": 2}
 
 _ALLOWED_KEYS = {
     "run": {"scenario", "horizon", "n_paths", "seed", "grid_points",
@@ -370,12 +376,13 @@ def parse_config(path, *, overrides: dict | None = None) -> ExperimentConfig:
     if horizon <= 0:
         _fail("run", "horizon", "must be > 0")
     n_paths = run_sec.get_int("n_paths", default=1000)
-    if n_paths < 1:
-        _fail("run", "n_paths", "must be >= 1")
+    min_paths = _MIN_PATHS.get(scenario, 1)
+    if n_paths < min_paths:
+        _fail("run", "n_paths", f"must be >= {min_paths} for {scenario}")
     grid_points = run_sec.get_int("grid_points", default=64)
     if grid_points < 2:
         _fail("run", "grid_points", "must be >= 2")
-    quad_tol = run_sec.get_float("quad_tol", default=1e-8)
+    quad_tol = run_sec.get_float("quad_tol", default=DEFAULT_QUAD_TOL)
     if quad_tol <= 0:
         _fail("run", "quad_tol", "must be > 0")
     theta_grid = _parse_theta_grid(run_sec)

@@ -24,7 +24,7 @@ from .errors import (
     ParameterError,
     ZeroAtOriginError,
 )
-from .quadrature import DEFAULT_QUAD_TOL, cumulative_simpson
+from .quadrature import DEFAULT_QUAD_TOL, cumulative_integral
 
 KIND_JUMP_TO_LEVEL = "jump_to_level"
 KIND_EXPONENTIAL = "exponential"
@@ -213,7 +213,7 @@ def check_absolute_continuity(kernel: NoiseKernel, ts=None, xs=None, *,
     knots = kernel.params.get("t_knots", ())  # g may jump at table knots
     worst = 0.0
     for x in xs:
-        integral = cumulative_simpson(
+        integral = cumulative_integral(
             lambda s, x=x: kernel.g(s, x), ts_all, quad_tol / 10.0,
             breakpoints=knots,
         )

@@ -32,6 +32,7 @@ from .errors import (
     DegenerateJumpsError,
     IntegrabilityFailureError,
     MgfDivergesError,
+    NonFiniteError,
     ParameterError,
     QuadratureFailureError,
 )
@@ -44,7 +45,7 @@ from .point_process import (
     slice_integrand,
     standard,
 )
-from .quadrature import DEFAULT_QUAD_TOL, cumulative_simpson
+from .quadrature import DEFAULT_QUAD_TOL, cumulative_integral
 from .rng import TAG_BATCH, TAG_BROWNIAN, TAG_STOCK_JUMPS, make_stream
 from .stats import BatchPaths, batch_log_weights, batch_past_sum, simulate_batch
 
@@ -80,6 +81,9 @@ class MartingaleMeasureSpec:
     marks_prime: MarkDistribution | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.lambda_prime):
+            raise NonFiniteError(
+                f"lambda_prime must be finite, got {self.lambda_prime}")
         if self.lambda_prime <= 0:
             raise ValueError("lambda_prime must be > 0")
 
@@ -138,7 +142,7 @@ def _compensator_curve(kernel: GirsanovKernel, spec: CompensatorSpec,
             0.0, lambda x: np.asarray(kernel.Y(0.0, x), dtype=float) - 1.0,
             quad_tol)) * times
     else:
-        curve = np.asarray(cumulative_simpson(
+        curve = np.asarray(cumulative_integral(
             slice_integrand(
                 spec, lambda s, x: np.asarray(kernel.Y(s, x), dtype=float) - 1.0,
                 max(quad_tol * 1e-2, 1e-14)),
@@ -244,6 +248,10 @@ class MarketParams:
     spec: CompensatorSpec
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x0, self.mu_drift, self.sigma))):
+            raise NonFiniteError(
+                f"market parameters must be finite: x0 = {self.x0}, "
+                f"mu = {self.mu_drift}, sigma = {self.sigma}")
         if self.x0 <= 0:
             raise ParameterError("x0", "must be > 0")
         if self.sigma <= 0:
@@ -255,7 +263,7 @@ class MarketParams:
         """int_0^t r(s) ds at each time."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         pts = np.unique(np.concatenate([[0.0], times]))
-        cum = np.asarray(cumulative_simpson(
+        cum = np.asarray(cumulative_integral(
             lambda s: np.asarray(self.short_rate(s), dtype=float),
             pts, quad_tol), dtype=float)
         return cum[np.searchsorted(pts, times)]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ExplosionGuardError, InvalidBoundError, NonFiniteError
 from .marks import MarkDistribution
-from .quadrature import DEFAULT_QUAD_TOL, adaptive_simpson
+from .quadrature import DEFAULT_QUAD_TOL, gauss_kronrod
 from .rng import TAG_EVENTS, TAG_MARKS, make_stream
 
 BOUND_SLACK = 1e-12
@@ -252,18 +252,19 @@ def compensator_mass(spec: CompensatorSpec, t0: float, t1: float, test_fn, *,
                      mark_breakpoints=()):
     """int_{t0}^{t1} int test_fn(s, x) rate(s) F(s, dx) ds.
 
-    The outer time integral is adaptive Simpson (cut at ``breakpoints``);
-    each of its refinement levels is one batched mark integral over all
-    its nodes: ``test_fn(s, x)`` is called with times ``s`` of shape
-    ``(m, 1)`` and marks ``x`` of shape ``(1, n, d)``, and its values
-    (complex allowed) are broadcast to ``(m, n)``.  The mark integral
-    follows the distribution's declared mode, cut at ``mark_breakpoints``
-    in density mode, to ``max(quad_tol * 1e-3, 1e-14)``.
+    The outer time integral is adaptive Gauss-Kronrod 7-15 (cut at
+    ``breakpoints``), the rule of the mark integrals too; each of its
+    refinement levels is one batched mark integral over the 15 Kronrod
+    nodes of every open interval: ``test_fn(s, x)`` is called with times
+    ``s`` of shape ``(m, 1)`` and marks ``x`` of shape ``(1, n, d)``, and
+    its values (complex allowed) are broadcast to ``(m, n)``.  The mark
+    integral follows the distribution's declared mode, cut at
+    ``mark_breakpoints`` in density mode, to ``max(quad_tol * 1e-3, 1e-14)``.
     """
     if t1 < t0:
         raise ValueError("need t0 <= t1")
     inner_tol = max(quad_tol * 1e-3, 1e-14)
-    return adaptive_simpson(
+    return gauss_kronrod(
         slice_integrand(spec, test_fn, inner_tol, mark_breakpoints),
         t0, t1, quad_tol, breakpoints=breakpoints)
 
@@ -273,8 +274,10 @@ def slice_integrand(spec: CompensatorSpec, test_fn, tol: float,
     """``s -> int test_fn(s, x) nu(s, dx)`` over a 1-d array of times ``s``.
 
     One :meth:`CompensatorSpec.slice_integral` call per array, with
-    ``test_fn`` broadcast as :func:`compensator_mass` describes; the
-    vectorized integrand of batched outer time quadratures.
+    ``test_fn`` broadcast as :func:`compensator_mass` describes: the
+    scalar-valued integrand that :func:`~snoise.quadrature.gauss_kronrod`
+    and :func:`~snoise.quadrature.cumulative_integral` evaluate at every
+    Kronrod node of a refinement level in one call.
     """
     def integrand(s):
         def fn(x):

@@ -36,7 +36,7 @@ from .point_process import (
     cumulative_jumps,
     past_sum,
 )
-from .quadrature import DEFAULT_QUAD_TOL, cumulative_simpson
+from .quadrature import DEFAULT_QUAD_TOL, cumulative_integral
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,7 @@ def semimartingale_decompose(proc: ShotNoiseProcess, path: MppPath, grid, *,
         t0 = float(times[0])
         knots = proc.kernel.params.get("t_knots", ())
         late = grid >= t0
-        drift[late] = cumulative_simpson(
+        drift[late] = cumulative_integral(
             lambda u: past_sum(proc.kernel.g, times, marks, u),
             np.concatenate([[t0], grid[late]]),
             quad_tol * (t_end - t0) / t_end,

@@ -75,7 +75,7 @@ class TestParsing:
     def test_theta_grid_parse(self, tmp_path):
         text = MINIMAL_SIMULATE.replace("scenario = simulate",
                                         "scenario = cf-compare\ntheta_grid = -2:2:5")
-        cfg = parse_config(write(tmp_path, text))
+        cfg = parse_config(write(tmp_path, text), overrides={"n_paths": 100})
         assert np.allclose(cfg.run.theta_grid, [-2, -1, 0, 1, 2])
 
     def test_rate_grammar_ramp_and_table(self, tmp_path):
@@ -266,7 +266,8 @@ mark_value = 0.7
         out = tmp_path / "cf"
         cfg = write(tmp_path, MINIMAL_SIMULATE.replace(
             "scenario = simulate", "scenario = cf-compare\ntheta_grid = 0:1:2"))
-        assert main(["cf-compare", "--config", cfg, "--out", str(out)]) == 1
+        assert main(["cf-compare", "--config", cfg, "--paths", "100",
+                     "--out", str(out)]) == 1
         report = (out / "report.txt").read_text()
         assert "FAIL cf_vs_mc" in report
         assert "RESULT: FAIL" in report
@@ -326,15 +327,15 @@ SHIPPED_OUTPUT_SHA256 = {
     "affine_validate/transform_compare.csv":
         "1dd6e526176c0621d1e934d2ea14f765333a44af0a51bf78190e91caf17c0dfe",
     "cf_compare/cf_compare.csv":
-        "e509111442ecb85bc53f18ea5ed6412290b71bd26628d99f28d47ef44082220e",
+        "4fcbff736eb0ef4847398666fe6d471b06b62701de69de284bf53cc5c6f6cfc7",
     "cf_compare/cf_sweep.csv":
-        "d5db850c83cda7d937a3e334f40801dd12d0aa7cd1be0b25a78627b721f13817",
+        "68103f3d8c0c048ea578722b0b6aba5cf26b4ea1c08938fd2c30fd9204f42d20",
     "cf_compare/report.txt":
         "5f73b0f1d34c5aaf9eee358d15838ac1724cfc52b1294a1412235f78ec12445d",
     "drift_check/report.txt":
         "99d8d2fa724db7be222ba6972e97566547545d485d004d92d306541bc32dab47",
     "drift_check/stock.csv":
-        "61c7acec9576a4302d581c430bd1f4b54e7cdbe7ea868b1c62b10350382d6cae",
+        "0989331ccbce13069ca7dce69dfdeeb8c785e269b6cbbfd489efde42b73219bc",
     "markov_test/report.txt":
         "6233c1c935a9047fb3ec7084ed4d1b049b57a7f117e933fcbcafd15598962547",
     "measure_check/density.csv":
@@ -342,13 +343,13 @@ SHIPPED_OUTPUT_SHA256 = {
     "measure_check/report.txt":
         "d82e7bcce98fb034993d9db030c897b31cf3fdd1cc6792e70d1c8c635808e56e",
     "simulate_ou/decomposition.csv":
-        "41c3c8054c9ec30d124f11d7b7c5c87d9c1b464573ff13bb1253340b3ed1c4a1",
+        "9be1ab1cb21b15cdd6db4cfe13188c41ab8a6c33017f07038d852fb3585195db",
     "simulate_ou/events.csv":
         "a4a0518cd34a6048bfee0874ffc1b793bcb4d89bb2c551e249b76195d7c75b41",
     "simulate_ou/paths.csv":
         "d63cba9ce4c9f6cec72cf30398363ca6a5a82d3cb331ff76f208ec20e4570913",
     "simulate_ou/report.txt":
-        "cb9685424843fd968948531528612dfb8c07c22c051c6d1d029c34585f5e49c3",
+        "a3b74616a5eedbb07dcc5e08cbcc9b94489b9c749589d786e92787f1e12400b5",
 }
 
 
@@ -507,6 +508,27 @@ def test_out_of_range_parameter_names_its_field(tmp_path, text, old, new,
     with pytest.raises(ConfigError) as err:
         parse_config(write(tmp_path, text.replace(old, new)))
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("stem, fewest", [
+    ("cf_compare", 100), ("affine_validate", 100), ("measure_check", 2),
+    ("drift_check", 2)])
+def test_too_few_paths_for_the_statistics_exit_two(tmp_path, capsys, stem,
+                                                   fewest):
+    # below these counts cf-compare and affine-validate died on a raw
+    # ValueError (exit 1), and measure-check and drift-check passed on NaN
+    # standard errors
+    config = str(next(p for p in SHIPPED_CONFIGS if p.stem == stem))
+    scenario = parse_config(config).run.scenario
+    for paths in (1, fewest - 1):
+        code = main([scenario, "--config", config, "--paths", str(paths),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"ConfigError: run.n_paths: must be >= {fewest}" in err
+    assert not (tmp_path / "o").exists()
+    cfg = parse_config(config, overrides={"n_paths": fewest})
+    assert cfg.run.n_paths == fewest
 
 
 @pytest.mark.parametrize("config", [

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as spi
 
-from snoise.errors import DegenerateJumpsError, InvalidBoundError, MgfDivergesError
+from snoise.errors import (
+    DegenerateJumpsError,
+    InvalidBoundError,
+    MgfDivergesError,
+    NonFiniteError,
+)
 from snoise.kernels import exponential, from_table, jump_to_level, power_law
 from snoise.marks import Discrete, Exponential, Normal, PointMass
 from snoise.measure_change import (
@@ -593,3 +598,19 @@ def test_eta_normalization_checked():
     bad = MartingaleMeasureSpec(
         2.0, lambda x: 2.0 * np.ones(np.asarray(x, dtype=float).shape[:-1]))
     assert eta_normalization(bad, spec) == pytest.approx(2.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("field", ["x0", "mu", "sigma"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_market_parameter_rejected(field, bad):
+    # NaN passed the range checks, and simulate_stock returned NaN prices
+    args = {"x0": 1.0, "mu": 0.1, "sigma": 0.2, field: bad}
+    with pytest.raises(NonFiniteError, match="must be finite"):
+        MarketParams(args["x0"], args["mu"], args["sigma"], ZERO_RATE,
+                     jump_to_level(), standard(1.0, PointMass(0.5)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_lambda_prime_rejected(bad):
+    with pytest.raises(NonFiniteError, match="lambda_prime must be finite"):
+        MartingaleMeasureSpec(bad, unit_eta())

@@ -20,7 +20,7 @@ from snoise.point_process import (
     simulate_mpp,
     standard,
 )
-from snoise.quadrature import adaptive_simpson
+from snoise.quadrature import gauss_kronrod
 from snoise.shotnoise import ShotNoiseProcess, eval_shotnoise
 from snoise.stats import ks_against_cdf
 
@@ -391,12 +391,12 @@ _GL_PANELS = 64
 def scalar_nested_mass(spec, t0, t1, test_fn, quad_tol, breakpoints=(),
                        mark_breakpoints=()):
     """Reference: the nested loop batched compensator_mass replaced, one
-    mark integral per outer Simpson node.
+    mark integral per outer Kronrod node.
 
     The mark integral is a fixed composite Gauss-Legendre rule, not an
     adaptive one: an adaptive rule whose nodes land on zeros of
     e^{i theta G} - 1 can accept a false estimate near 0, which makes the
-    outer integrand jump and the outer Simpson fail to converge.
+    outer integrand jump and the outer quadrature fail to converge.
     """
     lo, hi = spec.marks.support(0.0)
     cuts = [lo, *sorted(k for k in mark_breakpoints if lo < k < hi), hi]
@@ -413,8 +413,8 @@ def scalar_nested_mass(spec, t0, t1, test_fn, quad_tol, breakpoints=(),
         vals = np.asarray(test_fn(s, xs.reshape(-1, 1))) * spec.marks.pdf(s, xs)
         return lam * np.dot(vals, ws)
 
-    return adaptive_simpson(lambda ss: np.array([slice_value(s) for s in ss]),
-                            t0, t1, quad_tol, breakpoints=breakpoints)
+    return gauss_kronrod(lambda ss: np.array([slice_value(s) for s in ss]),
+                         t0, t1, quad_tol, breakpoints=breakpoints)
 
 
 _MASS_KERNELS = {

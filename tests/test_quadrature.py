@@ -11,49 +11,46 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snoise.errors import NonFiniteError, QuadratureFailureError
+from snoise import quadrature
 from snoise.quadrature import (
-    _GAUSS_KRONROD,
-    _SIMPSON,
     _WG,
     _WK,
     _XK,
     _pieces,
-    adaptive_simpson,
-    cumulative_simpson,
+    cumulative_integral,
     gauss_kronrod,
 )
 
 
 def test_cubic_is_near_exact():
-    # Simpson is exact for cubics; the one-sided endpoint inset perturbs the
-    # sample points by ~1e-12 of the interval, nothing more
-    val = adaptive_simpson(lambda x: x**3, 0.0, 2.0, 1e-10)
+    # K15 is exact for polynomials up to degree 29, so only rounding is left
+    val = gauss_kronrod(lambda x: x**3, 0.0, 2.0, 1e-10)
     assert val == pytest.approx(4.0, abs=1e-10)
 
 
 def test_smooth_integrands():
-    assert adaptive_simpson(np.exp, 0.0, 1.0, 1e-10) == pytest.approx(
+    assert gauss_kronrod(np.exp, 0.0, 1.0, 1e-10) == pytest.approx(
         math.e - 1.0, abs=1e-10)
-    assert adaptive_simpson(np.sin, 0.0, math.pi, 1e-10) == pytest.approx(
+    assert gauss_kronrod(np.sin, 0.0, math.pi, 1e-10) == pytest.approx(
         2.0, abs=1e-10)
 
 
 def test_empty_and_invalid_interval():
-    assert adaptive_simpson(np.exp, 1.0, 1.0, 1e-8) == 0.0
+    assert gauss_kronrod(np.exp, 1.0, 1.0, 1e-8) == 0.0
     with pytest.raises(ValueError):
-        adaptive_simpson(np.exp, 1.0, 0.0, 1e-8)
+        gauss_kronrod(np.exp, 1.0, 0.0, 1e-8)
 
 
 def test_complex_integrand_matches_parts():
     f = lambda x: np.exp(1j * 3.0 * x)
-    val = adaptive_simpson(f, 0.0, 2.0, 1e-12)
+    val = gauss_kronrod(f, 0.0, 2.0, 1e-12)
     closed = (np.exp(6j) - 1.0) / 3j
     assert abs(val - closed) < 1e-11
     assert isinstance(val, complex)
 
 
 def test_real_integrand_returns_float():
-    val = adaptive_simpson(lambda x: x * x, 0.0, 1.0, 1e-10)
+    val = gauss_kronrod(lambda x: x * x, 0.0, 1.0, 1e-10)
     assert isinstance(val, float)
 
 
@@ -62,48 +59,49 @@ def test_vectorized_matches_scalar():
     f_s = lambda x: math.exp(-x) * math.cos(4 * x)
     f_v = lambda x: np.exp(-x) * np.cos(4 * x)
     a = scipy.integrate.quad(f_s, 0.0, 3.0, epsabs=1e-13, epsrel=0.0)[0]
-    b = adaptive_simpson(f_v, 0.0, 3.0, 1e-11)
+    b = gauss_kronrod(f_v, 0.0, 3.0, 1e-11)
     assert a == pytest.approx(b, abs=1e-11)
 
 
 def test_kink_with_breakpoint():
     f = lambda x: np.abs(x - 0.3)
     closed = 0.5 * (0.3**2 + 0.7**2)
-    val = adaptive_simpson(f, 0.0, 1.0, 1e-12, breakpoints=[0.3])
+    val = gauss_kronrod(f, 0.0, 1.0, 1e-12, breakpoints=[0.3])
     assert val == pytest.approx(closed, abs=1e-12)
 
 
 def test_jump_at_breakpoint_uses_one_sided_limits():
     # piecewise-constant integrand with the jump exactly at the breakpoint
     f = lambda x: np.where(x < 0.4, 1.0, 3.0)
-    val = adaptive_simpson(f, 0.0, 1.0, 1e-10, breakpoints=[0.4])
+    val = gauss_kronrod(f, 0.0, 1.0, 1e-10, breakpoints=[0.4])
     assert val == pytest.approx(0.4 + 3.0 * 0.6, abs=1e-9)
 
 
 def test_interior_jump_without_breakpoint_fails():
     f = lambda x: np.where(x < 1 / math.pi, 0.0, 5.0)
     with pytest.raises(QuadratureFailureError):
-        adaptive_simpson(f, 0.0, 1.0, 1e-10)
+        gauss_kronrod(f, 0.0, 1.0, 1e-10)
 
 
 def test_cumulative_matches_single_shots():
     pts = np.array([0.0, 0.3, 1.1, 2.0])
-    cum = cumulative_simpson(np.exp, pts, 1e-11)
+    cum = cumulative_integral(np.exp, pts, 1e-11)
     for k, t in enumerate(pts):
         assert cum[k] == pytest.approx(math.exp(t) - 1.0, abs=1e-9)
 
 
 def test_cumulative_handles_duplicate_points():
     pts = np.array([0.0, 1.0, 1.0, 2.0])
-    cum = cumulative_simpson(lambda x: 2.0 * x, pts, 1e-11)
+    cum = cumulative_integral(lambda x: 2.0 * x, pts, 1e-11)
     assert np.allclose(cum, [0.0, 1.0, 1.0, 4.0], atol=1e-10)
 
 
 def test_short_piece_far_from_zero_keeps_breakpoint_unsampled():
-    # a relative inset of 1e-12 * 1e-4 rounds away next to 1.0; the inset of
-    # at least one ulp still keeps the jump at the breakpoint unsampled
+    # the outermost Kronrod node sits 0.4 % of a piece inside its ends, so
+    # even a short piece next to 1.0 leaves the jump at the breakpoint
+    # unsampled
     f = lambda x: np.where(x < 1 + 5e-5, 1.0, 3.0)
-    val = adaptive_simpson(f, 1.0, 1.0 + 1e-4, 1e-10, breakpoints=[1 + 5e-5])
+    val = gauss_kronrod(f, 1.0, 1.0 + 1e-4, 1e-10, breakpoints=[1 + 5e-5])
     assert val == pytest.approx(2e-4, abs=1e-12)
 
 
@@ -112,11 +110,11 @@ def test_cumulative_with_breakpoints_matches_per_gap_loop():
     f = lambda x: np.abs(x - 0.35) + np.where(x < 1.7, 0.0, np.cos(3.0 * x))
     pts = np.array([0.0, 0.2, 0.9, 0.9, 1.7, 2.0])
     bks = [0.35, 1.7, 5.0]
-    cum = cumulative_simpson(f, pts, 1e-11, breakpoints=bks)
+    cum = cumulative_integral(f, pts, 1e-11, breakpoints=bks)
     running, expect = 0.0, [0.0]
     for a, b in zip(pts[:-1], pts[1:]):
-        running += adaptive_simpson(f, a, b, 1e-11 * (b - a) / 2.0,
-                                    breakpoints=bks)
+        running += gauss_kronrod(f, a, b, 1e-11 * (b - a) / 2.0,
+                                 breakpoints=bks)
         expect.append(running)
     assert np.abs(cum - np.array(expect)).max() <= 1e-12
 
@@ -131,31 +129,29 @@ resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 import numpy as np
 from snoise.errors import SnoiseError
 from snoise.marks import Exponential
-from snoise.quadrature import adaptive_simpson, cumulative_simpson, gauss_kronrod
+from snoise.quadrature import cumulative_integral, gauss_kronrod
 cases = {
-    "nan_half": lambda: adaptive_simpson(
+    "nan_half": lambda: gauss_kronrod(
         lambda x: np.where(x < 0.5, np.nan, 1.0), 0.0, 1.0, 1e-8),
-    "tol_below_resolution": lambda: adaptive_simpson(
-        lambda x: 1e6 * np.exp(x), 0.0, 1.0, 1e-20),
-    "nan_bound": lambda: adaptive_simpson(np.exp, math.nan, 1.0, 1e-8),
-    "inf_bound": lambda: adaptive_simpson(np.exp, 0.0, math.inf, 1e-8),
-    "nan_point": lambda: cumulative_simpson(np.exp, np.array([0.0, math.nan]),
-                                            1e-8),
+    "nan_bound": lambda: gauss_kronrod(np.exp, math.nan, 1.0, 1e-8),
+    "inf_bound": lambda: gauss_kronrod(np.exp, 0.0, math.inf, 1e-8),
+    "nan_point": lambda: cumulative_integral(
+        np.exp, np.array([0.0, math.nan]), 1e-8),
     # bounds one ulp apart, as break_ties leaves tied event times: the
     # piece has no interior, so nothing is sampled
-    "ulp_piece": lambda: adaptive_simpson(
+    "ulp_piece": lambda: gauss_kronrod(
         lambda x: np.full(np.shape(x), np.nan), 1.0, math.nextafter(1.0, 2.0),
         1e-8),
-    # the Gauss-Kronrod mark rule through a density integral, and directly;
-    # on 1e6 exp(x) K15 and G7 round to the same value, so that integrand
-    # converges, and a rational one stands in for it
+    # a mark integral through a density, and a tolerance no estimate can
+    # meet: on 1e6 exp(x) K15 and G7 round to the same value, so that
+    # integrand converges, and a rational one stands in for it
     "gk_nan_density": lambda: Exponential(1.0).integrate(
         lambda x: np.where(x[:, 0] < 0.5, np.nan, 1.0), tol=1e-8),
     "gk_tol_below_resolution": lambda: gauss_kronrod(
         lambda x: 1e6 / (1.0 + x * x), 0.0, 1.0, 1e-20),
     # 1000 pieces refine together, so the whole frontier would hold
     # 1000 * 2**14 intervals before any one piece reached its cap
-    "many_pieces_nan": lambda: adaptive_simpson(
+    "many_pieces_nan": lambda: gauss_kronrod(
         lambda x: np.full(np.shape(x), np.nan), 0.0, 1.0, 1e-8,
         breakpoints=np.linspace(0.0, 1.0, 1001)[1:-1]),
 }
@@ -168,7 +164,6 @@ except SnoiseError as exc:
 
 @pytest.mark.parametrize("case, code, detail", [
     ("nan_half", "NonFinite", "open intervals at depth"),
-    ("tol_below_resolution", "QuadratureFailure", "open intervals at depth"),
     ("nan_bound", "NonFinite", "bounds must be finite"),
     ("inf_bound", "NonFinite", "bounds must be finite"),
     ("nan_point", "NonFinite", "points must be finite"),
@@ -232,52 +227,15 @@ def test_gauss_kronrod_breakpoint_kink_and_jump():
 # The per-piece loop the refinement frontier replaced, kept as the
 # reference: each gap of the edges refines alone, to its tolerance share.
 
-def reference_pieces(f, edges, tol, piece_rule):
+def reference_pieces(f, edges, tol):
     span = edges[-1] - edges[0]
-    return [piece_rule(f, lo, hi, tol * (hi - lo) / span)
+    return [reference_gk_piece(f, lo, hi, tol * (hi - lo) / span)
             for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-def reference_simpson_piece(f, a, b, tol):
-    fv = lambda xs: np.asarray(f(xs), dtype=np.complex128)
-    delta = 1e-12 * (b - a)
-    a = max(a + delta, math.nextafter(a, math.inf))
-    b = min(b - delta, math.nextafter(b, -math.inf))
-    if b <= a:  # a piece at most two ulps wide
-        return 0.0j
-    mid = 0.5 * (a + b)
-    f0 = fv(np.array([a, mid, b]))
-    lo, h = np.array([a]), np.array([b - a])
-    fl, fm, fr = f0[:1], f0[1:2], f0[2:]
-    s = h / 6.0 * (fl + 4.0 * fm + fr)
-    tols = np.array([max(tol, 1e-300)])
-    acc = 0.0 + 0.0j
-    for depth in range(31):
-        if lo.size == 0:
-            return acc
-        if lo.size > 2**14:
-            break
-        vals = fv(np.concatenate([lo + 0.25 * h, lo + 0.75 * h]))
-        flm, frm = vals[: lo.size], vals[lo.size :]
-        h2 = 0.5 * h
-        s_left = h2 / 6.0 * (fl + 4.0 * flm + fm)
-        s_right = h2 / 6.0 * (fm + 4.0 * frm + fr)
-        s2 = s_left + s_right
-        err = s2 - s
-        done = np.abs(err) <= 15.0 * tols
-        acc += np.sum(s2[done] + err[done] / 15.0)
-        keep = ~done
-        k_lo, k_h = lo[keep], h2[keep]
-        lo, h = np.concatenate([k_lo, k_lo + k_h]), np.concatenate([k_h, k_h])
-        fl, fr, fm = (np.concatenate([fl[keep], fm[keep]]),
-                      np.concatenate([fm[keep], fr[keep]]),
-                      np.concatenate([flm[keep], frm[keep]]))
-        s = np.concatenate([s_left[keep], s_right[keep]])
-        tols = np.concatenate([0.5 * tols[keep], 0.5 * tols[keep]])
-    raise QuadratureFailureError(f"reference Simpson failed on [{a!r}, {b!r}]")
-
-
 def reference_gk_piece(f, a, b, tol):
+    if math.nextafter(a, math.inf) >= math.nextafter(b, -math.inf):
+        return 0.0  # a piece at most two ulps wide
     lo, h = np.array([a]), np.array([b - a])
     tols = np.array([max(tol, 1e-300)])
     acc = 0.0
@@ -348,13 +306,11 @@ def test_frontier_matches_per_piece_loop(case, tol):
     edges, fn = case
     span = edges[-1] - edges[0]
     shares = [tol * (b - a) / span for a, b in zip(edges[:-1], edges[1:])]
-    for rule, piece_rule, vec in ((_SIMPSON, reference_simpson_piece, False),
-                                  (_GAUSS_KRONROD, reference_gk_piece, False),
-                                  (_GAUSS_KRONROD, reference_gk_piece, True)):
+    for vec in (False, True):
         f = (lambda xs: np.stack([fn(xs), 2.0 * fn(xs) + xs])) if vec else fn
         got_f, ref_f = CountingIntegrand(f), CountingIntegrand(f)
-        got = _pieces(got_f, edges, tol, rule)
-        ref = reference_pieces(ref_f, edges, tol, piece_rule)
+        got = _pieces(got_f, edges, tol)
+        ref = reference_pieces(ref_f, edges, tol)
         assert got_f.points == ref_f.points
         assert len(got) == len(ref) == len(shares)
         for g, r, share in zip(got, ref, shares):
@@ -362,22 +318,25 @@ def test_frontier_matches_per_piece_loop(case, tol):
 
     # the public entry points over the same edges, breakpoints included
     bks = edges[1:-1]
-    cum = cumulative_simpson(fn, np.array([edges[0], edges[-1]]), tol,
-                             breakpoints=bks)
-    ref = np.cumsum(reference_pieces(fn, edges, tol, reference_simpson_piece))
+    ref = np.cumsum(reference_pieces(fn, edges, tol))
+    cum = cumulative_integral(fn, np.array([edges[0], edges[-1]]), tol,
+                              breakpoints=bks)
     assert abs(cum[-1] - ref[-1]) <= tol
     gk = gauss_kronrod(fn, edges[0], edges[-1], tol, breakpoints=bks)
-    assert abs(gk - sum(reference_pieces(fn, edges, tol, reference_gk_piece))) <= tol
+    assert abs(gk - ref[-1]) <= tol
 
 
-def test_convergence_at_the_last_level_is_accepted():
-    # the last open interval of this integrand is accepted at depth
-    # _MAX_DEPTH, which the per-piece loop reported as a failure with
-    # "0 open intervals at depth 30"
+def test_convergence_at_the_last_level_is_accepted(monkeypatch):
+    # the last open interval of this integrand is accepted at depth 13; with
+    # _MAX_DEPTH lowered to 13 that level still runs and converges, which
+    # the per-piece loop reported as a failure with "0 open intervals"
     f = lambda t: 300.0 * (50.0 / (1.0 + 50.0 * t) ** 2) ** 2
-    a, b = 1e-11, 10.0 - 1e-11  # the inset span Simpson samples
-    closed = 5000.0 * ((1.0 + 50.0 * a) ** -3 - (1.0 + 50.0 * b) ** -3)
-    assert adaptive_simpson(f, 0.0, 10.0, 1e-10) == pytest.approx(closed, abs=1e-10)
+    closed = 5000.0 * (1.0 - 501.0 ** -3)
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 13)
+    assert gauss_kronrod(f, 0.0, 10.0, 1e-10) == pytest.approx(closed, abs=1e-10)
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 12)
+    with pytest.raises(QuadratureFailureError, match="at depth 12"):
+        gauss_kronrod(f, 0.0, 10.0, 1e-10)
 
 
 def test_failing_piece_is_named_as_by_per_piece_loop():
@@ -385,8 +344,6 @@ def test_failing_piece_is_named_as_by_per_piece_loop():
     # depth and open-interval count the per-piece loop reaches on it
     f = lambda xs: np.where((xs > 1.0) & (xs < 2.0), np.nan, xs)
     with pytest.raises(NonFiniteError) as exc:
-        adaptive_simpson(f, 0.0, 3.0, 1e-8, breakpoints=[1.0, 2.0])
-    a = 1.0 + 1e-12
-    b = 2.0 - 1e-12
-    assert f"[{a!r}, {b!r}]" in str(exc.value)
+        gauss_kronrod(f, 0.0, 3.0, 1e-8, breakpoints=[1.0, 2.0])
+    assert "[1.0, 2.0]" in str(exc.value)
     assert "32768 open intervals at depth 15" in str(exc.value)

@@ -21,13 +21,14 @@ from snoise.kernels import (
 from snoise.marks import Exponential, Normal, PointMass, SampleOnly
 from snoise.point_process import (
     MppPath,
+    break_ties,
     empty_path,
     past_sum,
     simulate_mpp,
     standard,
 )
 from snoise import quadrature
-from snoise.quadrature import DEFAULT_QUAD_TOL, adaptive_simpson
+from snoise.quadrature import DEFAULT_QUAD_TOL, gauss_kronrod
 from snoise.shotnoise import (
     FiltrationState,
     ShotNoiseProcess,
@@ -281,9 +282,9 @@ class TestSemimartingaleDecomposition:
 
 
 def frozen_slice_drift(proc, path, grid, quad_tol=DEFAULT_QUAD_TOL):
-    """Reference drift: one adaptive Simpson per piece between consecutive
-    grid points, event times and event + knot lags, integrating only the
-    events already active at the piece start."""
+    """Reference drift: one Gauss-Kronrod integral per piece between
+    consecutive grid points, event times and event + knot lags, integrating
+    only the events already active at the piece start."""
     times, marks = path.times, path.marks
     t_end = float(grid[-1])
     bks = [times[times <= t_end]]
@@ -300,7 +301,7 @@ def frozen_slice_drift(proc, path, grid, quad_tol=DEFAULT_QUAD_TOL):
             def piece(u, act_t=times[:n_active], act_m=marks[:n_active]):
                 return past_sum(proc.kernel.g, act_t, act_m, u)
 
-            running += float(adaptive_simpson(
+            running += float(gauss_kronrod(
                 piece, a, b, quad_tol * (b - a) / t_end))
         cum[k] = running
     return cum[np.searchsorted(pts, grid)]
@@ -349,6 +350,20 @@ def test_decompose_long_path_caps_open_intervals_per_piece(monkeypatch):
     assert np.abs(dec.drift + dec.jump_part - s_t).max() <= 1e-8
 
 
+def test_decompose_ties_broken_one_ulp_apart():
+    # break_ties leaves tied event times one ulp apart: the pieces between
+    # them hold no Kronrod node and contribute 0, and drift + jumps = S
+    # still holds, on the tied times themselves too
+    proc = ShotNoiseProcess(power_law(1.5), standard(2.0, Exponential(1.0)))
+    times = break_ties([0.5, 0.5, 0.5, 1.2, 1.2, 1.7])
+    assert times[1] == math.nextafter(0.5, 1.0)
+    path = MppPath(times, [[0.3], [1.1], [2.0], [0.7], [1.4], [0.9]], 2.0)
+    grid = np.sort(np.concatenate([np.linspace(0.0, 2.0, 9), times]))
+    dec = semimartingale_decompose(proc, path, grid, quad_tol=1e-9)
+    s_t = past_sum(proc.kernel.G, path.times, path.marks, grid)
+    assert np.abs(dec.drift + dec.jump_part - s_t).max() <= 1e-9
+
+
 class TestOuRecursiveUpdate:
     def test_identity_with_no_jumps(self):
         assert ou_recursive_update(0.0, 1.7, 2.0, []) == 1.7
@@ -391,6 +406,14 @@ def test_integrability_value_finite_for_builtin():
     # closed form: lam * E[x^2] * int_0^T b^2 e^{-2bs} ds = 2*2*(1-e^{-4})/2
     closed = 2.0 * 2.0 * (1.0 - math.exp(-4.0)) / 2.0
     assert val == pytest.approx(closed, abs=1e-7)
+
+
+def test_integrability_value_keeps_the_ends_of_the_range():
+    # g = 50/(1+50t)^2 peaks at t = 0: int_0^10 300 g^2 dt = 5000(1 - 501^-3),
+    # and the quadrature must not drop a sliver at either end of the range
+    proc = ShotNoiseProcess(power_law(50.0), standard(300.0, PointMass(1.0)))
+    val = proc.integrability_value(10.0, quad_tol=1e-10)
+    assert val == pytest.approx(5000.0 * (1.0 - 501.0 ** -3), abs=1e-10)
 
 
 @pytest.mark.parametrize("lam, a, b, mu, T, t", [
