@@ -67,7 +67,6 @@ from .point_process import (
     CompensatorSpec,
     MppPath,
     compensator_mass,
-    cumulative_jumps,
     empty_path,
     past_sum,
     simulate_mpp,
@@ -95,7 +94,6 @@ from .stats import (
     DriftTestReport,
     KsResult,
     batch_log_weights,
-    batch_past_sum,
     batch_terminal_shotnoise,
     cf_ratio,
     empirical_cf,

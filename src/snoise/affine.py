@@ -23,7 +23,7 @@ from scipy.special import lambertw
 from .errors import BlowUpError, ExplosionGuardError, NonFiniteError, ParameterError
 from .point_process import MppPath, break_ties, empty_path, past_sum
 from .rng import TAG_HAWKES, TAG_HAWKES_BATCH, make_stream
-from .stats import MAX_BATCH_EVENTS, BatchPaths, batch_past_sum
+from .stats import MAX_BATCH_EVENTS, BatchPaths
 
 DEFAULT_STEPS_PER_UNIT = 2048
 _PSI_GUARD = 1e6
@@ -70,11 +70,18 @@ class HawkesPath:
 
     def intensity(self, t) -> np.ndarray:
         """Closed-form lambda_t from the event times (right-continuous)."""
-        p = self.params
-        kicks = past_sum(lambda lag, _m: np.exp(-p.kappa * lag),
-                         self.events.times, self.events.marks, t)
-        decay = np.exp(-p.kappa * np.asarray(t, dtype=float))
-        return p.lambda0 * decay + p.theta_bar * (1.0 - decay) + kicks
+        return _closed_form_intensity(self.params, self.events, t)[0]
+
+
+def _closed_form_intensity(params: HawkesParams, events, t) -> np.ndarray:
+    """lambda_t = lambda0 e^{-kappa t} + theta_bar (1 - e^{-kappa t})
+    + sum_{T_i <= t} e^{-kappa (t - T_i)} per path of ``events`` (a
+    :class:`~snoise.point_process.MppPath` or a ``BatchPaths``), shaped as
+    :func:`~snoise.point_process.past_sum`."""
+    kappa = params.kappa
+    kicks = past_sum(lambda lag, _m: np.exp(-kappa * lag), events, t)
+    decay = np.exp(-kappa * np.asarray(t, dtype=float))
+    return params.lambda0 * decay + params.theta_bar * (1.0 - decay) + kicks
 
 
 def simulate_hawkes(params: HawkesParams, horizon: float, seed: int, *,
@@ -243,12 +250,8 @@ def simulate_hawkes_batch(params: HawkesParams, horizon: float, n_paths: int,
         times[slot] = t_k
         intens[slot] = lam_k
     events = BatchPaths(horizon, counts, offsets, times, np.ones((total, 1)))
-    # lambda_T in closed form, as HawkesPath.intensity computes it
-    kicks = batch_past_sum(lambda lag, _m: np.exp(-kappa * lag), events,
-                           horizon)[:, 0]
-    decay = np.exp(-kappa * horizon)
-    lambda_T = params.lambda0 * decay + theta_bar * (1.0 - decay) + kicks
-    return HawkesBatch(events, intens, lambda_T, params)
+    return HawkesBatch(events, intens,
+                       _closed_form_intensity(params, events, horizon), params)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from .point_process import (
 )
 from .quadrature import DEFAULT_QUAD_TOL, cumulative_integral
 from .rng import TAG_BATCH, TAG_BROWNIAN, TAG_STOCK_JUMPS, make_stream
-from .stats import BatchPaths, batch_log_weights, batch_past_sum, simulate_batch
+from .stats import BatchPaths, batch_log_weights, simulate_batch
 
 
 @dataclass(frozen=True)
@@ -280,8 +280,7 @@ def _jump_transform_integral(market: MarketParams, fn, t: float,
 def sum_past_g(market: MarketParams, t: float, path: MppPath,
                *, strict: bool = False) -> float:
     """sum over past events of g(t - T_i, U_i); ``strict`` excludes T_i = t."""
-    return float(past_sum(market.kernel.g, path.times, path.marks, t,
-                          strict=strict))
+    return float(past_sum(market.kernel.g, path, t, strict=strict)[0])
 
 
 def mmm_ell(market: MarketParams, t: float, x_tm: float, path: MppPath, *,
@@ -413,12 +412,12 @@ def simulate_stock(market: MarketParams, mm: MartingaleMeasureSpec | None,
     dw = (make_stream(seed, 0, TAG_BROWNIAN).normal(size=(n_paths, grid.size - 1))
           * np.sqrt(np.diff(grid)))
     w = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(dw, axis=1)], axis=1)
-    s_t = batch_past_sum(G, paths, grid)
+    s_t = past_sum(G, paths, grid)
     log_x = (math.log(market.x0) + mu * grid + sigma * w
              - 0.5 * sigma**2 * grid + s_t)
     if mm is not None:
         m1 = jump_moment_m1(market, mm, quad_tol=quad_tol)
-        j_t = batch_past_sum(lambda lag, x: G(np.zeros_like(lag), x), paths, grid)
+        j_t = past_sum(lambda lag, x: G(np.zeros_like(lag), x), paths, grid)
         sigma_int_xi = (mu * grid - market.integrated_rate(grid, quad_tol)
                         + m1 * grid + (s_t - j_t))
         log_x = log_x - sigma_int_xi

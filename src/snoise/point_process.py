@@ -24,8 +24,9 @@ from .quadrature import DEFAULT_QUAD_TOL, gauss_kronrod
 from .rng import TAG_EVENTS, TAG_MARKS, make_stream
 
 BOUND_SLACK = 1e-12
-# (time, event) pairs past_sum evaluates at once: a long path summed at many
-# times (a quadrature level over all pieces) keeps its temporaries in cache
+# (time, event) pairs past_sum evaluates at once, at least one time per
+# block: bounds its temporaries for a long path summed at many times (a
+# quadrature level over all pieces) and for a large batch at a grid
 _PAST_SUM_BLOCK = 2**14
 
 
@@ -81,11 +82,14 @@ class MppPath:
 
     ``times`` is strictly increasing in (0, horizon]; ``marks`` has one row
     per event.  Arrays are copied and frozen so paths can be shared freely.
+    With ``n_paths`` and :meth:`path_ids` a path is a one-path view of the
+    flat layout of :class:`~snoise.stats.BatchPaths`.
     """
 
     times: np.ndarray
     marks: np.ndarray
     horizon: float
+    n_paths = 1
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
@@ -117,6 +121,9 @@ class MppPath:
     @property
     def mark_dim(self) -> int:
         return int(self.marks.shape[1]) if self.marks.ndim == 2 else 1
+
+    def path_ids(self) -> np.ndarray:
+        return np.zeros(self.times.size, dtype=np.intp)
 
     def count(self, t: float) -> int:
         return int(np.searchsorted(self.times, t, side="right"))
@@ -208,43 +215,49 @@ def simulate_mpp(spec: CompensatorSpec, horizon: float, seed: int, *,
     return MppPath(times, spec.marks.sample(mk, 0.0, n), horizon)
 
 
-def past_sum(fn, times, marks, at, *, strict: bool = False):
-    """sum_i fn(u - T_i, U_i) over events with T_i <= u (T_i < u if ``strict``).
+def past_sum(fn, paths, at, *, strict: bool = False) -> np.ndarray:
+    """sum_i fn(u - T_i, U_i) per path over events with T_i <= u (T_i < u if
+    ``strict``), at each time u in ``at``.
 
-    ``at`` is a scalar or an array of evaluation times u; the result has its
-    shape.  ``fn`` is a vectorized kernel ``(lag, marks) -> values`` such as
-    ``NoiseKernel.G`` or ``.g``.  Every event is evaluated (inactive ones at
-    lag 0, so kernels never see a negative lag) and masked to zero, which
-    makes each block of ``_PAST_SUM_BLOCK`` (time, event) pairs one call.
+    ``paths`` is a flat layout with ``times``, ``marks``, ``n_paths`` and
+    ``path_ids()``: a :class:`~snoise.stats.BatchPaths` or an
+    :class:`MppPath`.  ``at`` is a scalar or a 1-d array of times; the
+    result is shaped ``(paths.n_paths,) + np.shape(at)``.  ``fn`` is a
+    vectorized kernel ``(lag, marks) -> values`` such as ``NoiseKernel.G``
+    or ``.g``.  Every (time, event) pair is evaluated (inactive ones at lag
+    0, so kernels never see a negative lag) and masked to zero, in blocks
+    of at least one time and about ``_PAST_SUM_BLOCK`` pairs.  Each block
+    is one ``fn`` call and one ``np.bincount`` over ``row * n_paths +
+    path_id``, which adds every sum's terms in event order, the same bits
+    for a path alone and inside a batch.
     """
     at = np.asarray(at, dtype=float)
     # per-path loops call this with scalar times, where math.isfinite costs
     # a fraction of a ufunc plus reduction
     if not (math.isfinite(at) if at.ndim == 0 else np.isfinite(at).all()):
         raise NonFiniteError("evaluation times must be finite")
-    if len(times) == 0:
-        return np.zeros(at.shape)
-    if at.size > 1 and at.size * len(times) > _PAST_SUM_BLOCK:
-        n_blocks = -(-at.size * len(times) // _PAST_SUM_BLOCK)
-        blocks = np.array_split(at.ravel(), min(at.size, n_blocks))
-        return np.concatenate([past_sum(fn, times, marks, u, strict=strict)
-                               for u in blocks]).reshape(at.shape)
-    lag = at[..., None] - times
-    vals = np.asarray(fn(np.maximum(lag, 0.0), marks), dtype=float)
-    return np.where(lag > 0.0 if strict else lag >= 0.0, vals, 0.0).sum(axis=-1)
-
-
-def cumulative_jumps(G, path: MppPath, grid) -> np.ndarray:
-    """sum_{T_i <= t} G(0, U_i) at each grid time.
-
-    A running (sequential) total rather than :func:`past_sum`: the two round
-    differently in the last bit, and these sums reach the written CSVs.
-    """
-    if path.n_events == 0:
-        return np.zeros(len(grid))
-    g0 = np.asarray(G(0.0, path.marks), dtype=float)
-    cum = np.concatenate([[0.0], np.cumsum(g0)])
-    return cum[np.searchsorted(path.times, grid, side="right")]
+    if at.ndim > 1:
+        raise ValueError("evaluation times must be a scalar or a 1-d array")
+    times, n = paths.times, paths.n_paths
+    if not (times.size and at.size):
+        return np.zeros((n,) + at.shape)
+    ids = paths.path_ids()
+    u = at[..., None]  # a scalar time keeps lag 1-d: kernels run faster on it
+    step = max(1, _PAST_SUM_BLOCK // times.size)
+    sums = []
+    for lo in range(0, u.shape[0], step):
+        rows = u[lo:lo + step]
+        lag = rows - times
+        vals = np.asarray(fn(np.maximum(lag, 0.0), paths.marks), dtype=float)
+        live = lag > 0.0 if strict else lag >= 0.0
+        k = rows.shape[0]
+        # a lone row's bins are the path ids themselves
+        bins = (ids if k == 1
+                else (np.arange(0, k * n, n)[:, None] + ids).ravel())
+        sums.append(np.bincount(bins, minlength=k * n,
+                                weights=np.where(live, vals, 0.0).ravel()))
+    flat = sums[0] if len(sums) == 1 else np.concatenate(sums)
+    return flat.reshape(at.shape + (n,)).T
 
 
 def compensator_mass(spec: CompensatorSpec, t0: float, t1: float, test_fn, *,

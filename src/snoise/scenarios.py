@@ -33,7 +33,7 @@ from .measure_change import (
     simulate_stock,
     stationary_reweight,
 )
-from .point_process import empty_path
+from .point_process import empty_path, past_sum
 from .rng import TAG_BATCH, TAG_BATCH_PRIME
 from .shotnoise import (
     FiltrationState,
@@ -43,8 +43,6 @@ from .shotnoise import (
 )
 from .stats import (
     batch_log_weights,
-    batch_past_sum,
-    batch_terminal_shotnoise,
     cf_ratio,
     empirical_cf,
     ks_two_sample_weighted,
@@ -122,7 +120,7 @@ def _run_simulate(config: ExperimentConfig, out_dir: Path) -> int:
     """Write S on the grid (paths.csv), the events and path 0's decomposition.
 
     All paths are one :func:`~snoise.stats.simulate_batch` on ``TAG_BATCH``:
-    paths.csv is one :func:`~snoise.stats.batch_past_sum` and events.csv the
+    paths.csv is one :func:`~snoise.point_process.past_sum` and events.csv the
     flat arrays, so a run's first k paths depend on its path count.
     """
     run = config.run
@@ -130,7 +128,7 @@ def _run_simulate(config: ExperimentConfig, out_dir: Path) -> int:
     grid = np.linspace(0.0, run.horizon, run.grid_points)
     batch = simulate_batch(config.spec, run.horizon, run.n_paths, run.seed,
                            tag=TAG_BATCH)
-    s_vals = batch_past_sum(config.kernel.G, batch, grid)
+    s_vals = past_sum(config.kernel.G, batch, grid)
     write_csv_atomic(out_dir / "paths.csv", ["path_id", "t", "S_t"],
                      ((i, t, s) for i, row in enumerate(s_vals)
                       for t, s in zip(grid, row)))
@@ -176,7 +174,7 @@ def _run_cf_compare(config: ExperimentConfig, out_dir: Path) -> int:
 
     batch = simulate_batch(config.spec, run.horizon, run.n_paths, run.seed,
                            tag=TAG_BATCH)
-    terminal = batch_terminal_shotnoise(config.kernel, batch)
+    terminal = past_sum(config.kernel.G, batch, run.horizon)
     rows = []
     worst = 0.0
     for th, z in zip(run.theta_grid, analytic):

@@ -33,7 +33,6 @@ from .point_process import (
     CompensatorSpec,
     MppPath,
     compensator_mass,
-    cumulative_jumps,
     past_sum,
 )
 from .quadrature import DEFAULT_QUAD_TOL, cumulative_integral
@@ -98,13 +97,12 @@ def eval_shotnoise(proc: ShotNoiseProcess, path: MppPath, t: float) -> float:
         raise ValueError("t must be >= 0")
     if t > path.horizon:
         raise ValueError("t beyond path horizon")
-    return float(past_sum(proc.kernel.G, path.times, path.marks, t))
+    return float(past_sum(proc.kernel.G, path, t)[0])
 
 
 def state_value(proc: ShotNoiseProcess, state: FiltrationState) -> float:
     """S at the state time, from the observed events only."""
-    obs = state.observed
-    return float(past_sum(proc.kernel.G, obs.times, obs.marks, state.t))
+    return float(past_sum(proc.kernel.G, state.observed, state.t)[0])
 
 
 class CfParts(NamedTuple):
@@ -137,9 +135,8 @@ def conditional_cf_parts(proc: ShotNoiseProcess, state: FiltrationState,
             "for sample-only mark distributions"
         )
 
-    obs = state.observed
-    log_state = 1j * theta * float(past_sum(proc.kernel.G, obs.times,
-                                            obs.marks, T))
+    log_state = 1j * theta * float(past_sum(proc.kernel.G, state.observed,
+                                            T)[0])
 
     if theta == 0.0:
         return CfParts(log_state, 0.0 + 0.0j)
@@ -214,7 +211,7 @@ def semimartingale_decompose(proc: ShotNoiseProcess, path: MppPath, grid, *,
             f"int g^2 d nu = {gsq}; semimartingale condition fails"
         )
 
-    times, marks = path.times, path.marks
+    times, G = path.times, proc.kernel.G
     t_end = float(grid[-1])
     drift = np.zeros(grid.size)
     if times.size and times[0] <= t_end:
@@ -225,13 +222,13 @@ def semimartingale_decompose(proc: ShotNoiseProcess, path: MppPath, grid, *,
         knots = proc.kernel.params.get("t_knots", ())
         late = grid >= t0
         drift[late] = cumulative_integral(
-            lambda u: past_sum(proc.kernel.g, times, marks, u),
+            lambda u: past_sum(proc.kernel.g, path, u)[0],
             np.concatenate([[t0], grid[late]]),
             quad_tol * (t_end - t0) / t_end,
             breakpoints=np.concatenate([times, *(times + k for k in knots)]),
         )[1:]
-    return Decomposition(grid, drift,
-                         cumulative_jumps(proc.kernel.G, path, grid))
+    jumps = past_sum(lambda lag, x: G(np.zeros_like(lag), x), path, grid)[0]
+    return Decomposition(grid, drift, jumps)
 
 
 def ou_recursive_update(b: float, s_t: float, dt: float, new_jumps, *,

@@ -24,7 +24,13 @@ from scipy import stats as _sps
 from .errors import ExplosionGuardError, InvalidBoundError, NonFiniteError
 from .kernels import NoiseKernel
 from .marks import MarkDistribution
-from .point_process import BOUND_SLACK, CompensatorSpec, MppPath, break_ties
+from .point_process import (
+    BOUND_SLACK,
+    CompensatorSpec,
+    MppPath,
+    break_ties,
+    past_sum,
+)
 from .rng import TAG_BATCH, make_stream
 
 Z_BASE = 3.0
@@ -278,46 +284,11 @@ def simulate_batch(spec: CompensatorSpec, horizon: float, n_paths: int,
                       cand.times[keep], cand.marks[keep])
 
 
-def batch_past_sum(fn, batch: BatchPaths, at) -> np.ndarray:
-    """sum_{T_i <= u} fn(u - T_i, U_i) per path at each time u in ``at``.
-
-    The batch form of :func:`~snoise.point_process.past_sum`: the result is
-    ``(n_paths, len(at))``, one column per time, each a ``np.bincount`` over
-    the events at or before it.
-    """
-    at = np.atleast_1d(np.asarray(at, dtype=float))
-    if not np.isfinite(at).all():
-        raise NonFiniteError("evaluation times must be finite")
-    out = np.zeros((batch.n_paths, at.size))
-    ids = batch.path_ids()
-    for k, u in enumerate(at):
-        inside = batch.times <= u
-        if inside.any():
-            sel = slice(None) if inside.all() else inside  # no gather
-            vals = np.asarray(fn(u - batch.times[sel], batch.marks[sel]),
-                              dtype=float)
-            out[:, k] = np.bincount(ids[sel], weights=vals,
-                                    minlength=batch.n_paths)
-    return out
-
-
 def batch_terminal_shotnoise(kernel: NoiseKernel, batch: BatchPaths,
                              T: float | None = None) -> np.ndarray:
-    """S_T per path: ``batch_past_sum(kernel.G, batch, T)[:, 0]`` bit for bit.
-
-    ``T`` defaults to the horizon.  One scatter into a flat array instead of
-    a gather of path ids and a column copy: about 10 % faster at 10^6 paths
-    (one thread of a 2-CPU Xeon).  When no event lies after ``T`` (always
-    so at the horizon), ``G`` takes the flat arrays without a gather.
-    """
-    T = batch.horizon if T is None else T
-    inside = batch.times <= T
-    sel = slice(None) if inside.all() else inside
-    vals = np.zeros(batch.times.size)
-    if inside.any():
-        vals[sel] = np.asarray(
-            kernel.G(T - batch.times[sel], batch.marks[sel]), dtype=float)
-    return np.bincount(batch.path_ids(), weights=vals, minlength=batch.n_paths)
+    """S_T per path, ``T`` defaulting to the horizon: one
+    :func:`~snoise.point_process.past_sum` of ``kernel.G``."""
+    return past_sum(kernel.G, batch, batch.horizon if T is None else T)
 
 
 def batch_log_weights(Y, batch: BatchPaths, compensator_integral: float) -> np.ndarray:

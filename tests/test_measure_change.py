@@ -44,7 +44,6 @@ from snoise.shotnoise import ShotNoiseProcess, conditional_cf, FiltrationState
 from snoise.stats import (
     BatchPaths,
     batch_log_weights,
-    batch_past_sum,
     batch_terminal_shotnoise,
     ks_two_sample_weighted,
     simulate_standard_batch,
@@ -220,7 +219,7 @@ class TestEsscher:
             Y=lambda t, x: np.exp(h * np.asarray(kernel.G(T - t, x))))
         for i in range(20):
             path = simulate_mpp(spec, T, 17, path_index=i)
-            s_T = past_sum(kernel.G, path.times, path.marks, T)
+            s_T = past_sum(kernel.G, path, T)[0]
             want = esscher_density(h, [T], [s_T], [mgf])[0]
             got = density_process(tilt, spec, path, [T]).L[-1]
             assert abs(got / want - 1.0) <= 1e-10, (i, path.n_events)
@@ -237,7 +236,7 @@ class TestEsscher:
             Y=lambda t, x: np.exp(h * np.asarray(x, dtype=float)[..., 0]),
             time_homogeneous=True)
         rw = reweighted_expectation(
-            tilt, spec, lambda b: batch_past_sum(kern.G, b, T)[:, 0], T, n, 21)
+            tilt, spec, lambda b: past_sum(kern.G, b, T), T, n, 21)
         direct = batch_terminal_shotnoise(kern, simulate_standard_batch(
             lam / (1.0 - h), Exponential(1.0 / (1.0 - h)), T, n, 22))
         se_d = direct.std(ddof=1) / math.sqrt(n)
@@ -437,8 +436,8 @@ def dense_trapezoid_drift(kernel, path, grid):
     ref = np.unique(np.concatenate([dense, grid, *kinks]))
     ref = ref[ref <= grid[-1]]
     inset = 1e-9 * np.diff(ref)
-    left = past_sum(kernel.g, path.times, path.marks, ref[:-1] + inset)
-    right = past_sum(kernel.g, path.times, path.marks, ref[1:] - inset)
+    left = past_sum(kernel.g, path, ref[:-1] + inset)[0]
+    right = past_sum(kernel.g, path, ref[1:] - inset)[0]
     drift_ref = np.concatenate(
         [[0.0], np.cumsum(0.5 * (left + right) * np.diff(ref))])
     return drift_ref[np.searchsorted(ref, grid)]
@@ -479,9 +478,9 @@ def test_closed_form_drift_matches_dense_trapezoid(name, times, marks,
     batch = BatchPaths(horizon, np.array([times.size]),
                        np.array([0, times.size]), times, marks)
     grid = np.linspace(0.0, horizon, 9)
-    s_t = batch_past_sum(kernel.G, batch, grid)[0]
-    j_t = batch_past_sum(lambda lag, x: kernel.G(np.zeros_like(lag), x),
-                         batch, grid)[0]
+    s_t = past_sum(kernel.G, batch, grid)[0]
+    j_t = past_sum(lambda lag, x: kernel.G(np.zeros_like(lag), x),
+                   batch, grid)[0]
     err = np.abs((s_t - j_t) - dense_trapezoid_drift(kernel, path, grid))
     assert np.all(err <= trapezoid_bound(grid, marks, g1, g2)), err
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from snoise import point_process
 from snoise.affine import HawkesParams, simulate_hawkes
 from snoise.errors import ExplosionGuardError, InvalidBoundError, NonFiniteError
 from snoise.kernels import exponential, from_table, power_law, random_decay
@@ -22,7 +23,7 @@ from snoise.point_process import (
 )
 from snoise.quadrature import gauss_kronrod
 from snoise.shotnoise import ShotNoiseProcess, eval_shotnoise
-from snoise.stats import ks_against_cdf
+from snoise.stats import ks_against_cdf, simulate_standard_batch
 
 
 def ones(s, x):
@@ -351,13 +352,56 @@ def _kernel_path_at(draw):
 @given(case=_kernel_path_at(), strict=st.booleans())
 def test_past_sum_matches_brute_force(case, strict):
     fn, times, marks, at = case
-    got = past_sum(fn, times, marks, at, strict=strict)
-    assert got.shape == at.shape
-    for u, val in zip(at, got):
+    path = MppPath(times, marks, 4.0)
+    got = past_sum(fn, path, at, strict=strict)
+    assert got.shape == (1,) + at.shape
+    for u, val in zip(at, got[0]):
         terms = [float(fn(u - t, m)) for t, m in zip(times, marks)
                  if (t < u if strict else t <= u)]
         assert abs(val - math.fsum(terms)) <= 1e-13 * math.fsum(map(abs, terms))
-        assert float(past_sum(fn, times, marks, u, strict=strict)) == val
+        assert float(past_sum(fn, path, u, strict=strict)[0]) == val
+
+
+@pytest.mark.parametrize("layout, n_times", [("path", 64), ("batch", 9)])
+def test_past_sum_block_contract(monkeypatch, layout, n_times):
+    # E events at m times take ceil(m / max(1, block // E)) calls of fn, each
+    # on at most max(E, block) pairs, for one long path and for a batch
+    # whose events alone exceed a block; blocking leaves every bit as it is
+    if layout == "path":
+        paths = simulate_mpp(standard(330.0, Exponential(1.0)), 2.0, 5)
+    else:
+        paths = simulate_standard_batch(2.0, Exponential(1.0), 2.0, 10_000, 7)
+    n_events, block = paths.times.size, point_process._PAST_SUM_BLOCK
+    assert (n_events < block) == (layout == "path")
+    at = np.linspace(0.0, 2.0, n_times)
+    kernel = exponential(1.0, 0.7)
+    sizes = []
+
+    def counted(lag, marks):
+        sizes.append(np.size(lag))
+        return kernel.G(lag, marks)
+
+    got = past_sum(counted, paths, at)
+    assert len(sizes) == -(-n_times // max(1, block // n_events))
+    assert max(sizes) <= max(n_events, block)
+    monkeypatch.setattr(point_process, "_PAST_SUM_BLOCK", 2**40)
+    assert got.tobytes() == past_sum(kernel.G, paths, at).tobytes()
+
+
+def test_past_sum_shapes():
+    # (n_paths,) + shape(at) for a scalar, a grid and an empty grid, on a
+    # path, an empty path and a batch; other shapes are refused
+    G = exponential(1.0, 1.0).G
+    batch = simulate_standard_batch(3.0, Exponential(1.0), 1.0, 5, 3)
+    for paths in (MppPath([0.5, 0.8], [[1.0], [2.0]], 1.0), empty_path(1.0),
+                  batch):
+        n = paths.n_paths
+        assert past_sum(G, paths, 0.7).shape == (n,)
+        assert past_sum(G, paths, [0.2, 0.7, 1.0]).shape == (n, 3)
+        assert past_sum(G, paths, np.empty(0)).shape == (n, 0)
+        with pytest.raises(ValueError, match="1-d"):
+            past_sum(G, paths, [[0.5], [0.9]])
+    assert not past_sum(G, empty_path(1.0), [0.2, 1.0]).any()
 
 
 def test_past_sum_rejects_non_finite_times():
@@ -371,7 +415,7 @@ def test_past_sum_rejects_non_finite_times():
     with pytest.raises(NonFiniteError):
         eval_shotnoise(proc, path, math.nan)
     with pytest.raises(NonFiniteError):
-        past_sum(exp_kernel.G, np.empty(0), np.empty((0, 1)), [0.5, math.nan])
+        past_sum(exp_kernel.G, empty_path(1.0), [0.5, math.nan])
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(NonFiniteError):
             hawkes.intensity(bad)

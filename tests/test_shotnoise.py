@@ -285,7 +285,7 @@ def frozen_slice_drift(proc, path, grid, quad_tol=DEFAULT_QUAD_TOL):
     """Reference drift: one Gauss-Kronrod integral per piece between
     consecutive grid points, event times and event + knot lags, integrating
     only the events already active at the piece start."""
-    times, marks = path.times, path.marks
+    times = path.times
     t_end = float(grid[-1])
     bks = [times[times <= t_end]]
     for knot in proc.kernel.params.get("t_knots", ()):
@@ -298,8 +298,8 @@ def frozen_slice_drift(proc, path, grid, quad_tol=DEFAULT_QUAD_TOL):
         a, b = pts[k - 1], pts[k]
         n_active = int(np.searchsorted(times, a, side="right"))
         if n_active and b > a:
-            def piece(u, act_t=times[:n_active], act_m=marks[:n_active]):
-                return past_sum(proc.kernel.g, act_t, act_m, u)
+            def piece(u, active=path.restrict(a)):
+                return past_sum(proc.kernel.g, active, u)[0]
 
             running += float(gauss_kronrod(
                 piece, a, b, quad_tol * (b - a) / t_end))
@@ -346,7 +346,7 @@ def test_decompose_long_path_caps_open_intervals_per_piece(monkeypatch):
     assert path.n_events > 2 * 1024
     grid = np.linspace(0.0, 10.0, 9)
     dec = semimartingale_decompose(proc, path, grid, quad_tol=1e-8)
-    s_t = past_sum(proc.kernel.G, path.times, path.marks, grid)
+    s_t = past_sum(proc.kernel.G, path, grid)[0]
     assert np.abs(dec.drift + dec.jump_part - s_t).max() <= 1e-8
 
 
@@ -360,7 +360,7 @@ def test_decompose_ties_broken_one_ulp_apart():
     path = MppPath(times, [[0.3], [1.1], [2.0], [0.7], [1.4], [0.9]], 2.0)
     grid = np.sort(np.concatenate([np.linspace(0.0, 2.0, 9), times]))
     dec = semimartingale_decompose(proc, path, grid, quad_tol=1e-9)
-    s_t = past_sum(proc.kernel.G, path.times, path.marks, grid)
+    s_t = past_sum(proc.kernel.G, path, grid)[0]
     assert np.abs(dec.drift + dec.jump_part - s_t).max() <= 1e-9
 
 

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 from snoise.errors import ExplosionGuardError, NonFiniteError
 from snoise.kernels import exponential, jump_to_level, power_law
 from snoise.marks import Exponential, Normal, PointMass
-from snoise.point_process import CompensatorSpec, simulate_mpp, standard
+from snoise.point_process import CompensatorSpec, past_sum, simulate_mpp, standard
 from snoise.rng import TAG_BATCH, make_stream
 from snoise.stats import (
     batch_log_weights,
-    batch_past_sum,
     batch_terminal_shotnoise,
     cf_ratio,
     empirical_cf,
@@ -254,23 +253,34 @@ class TestBatchOracle:
                 kern.G(2.0 - path.times, path.marks)))) if path.n_events else 0.0
             assert terminal[i] == pytest.approx(expect, rel=1e-12)
 
-    @pytest.mark.parametrize("kernel, marks, T", [
-        (exponential(1.0, 0.7), Exponential(1.0), None),
-        (power_law(1.5), Exponential(1.0), 0.4),
-        (jump_to_level(), Normal(0.0, 1.0), None),
-        (jump_to_level(), PointMass(-0.0), 0.7),
-    ], ids=["exponential", "power_law_inside", "normal", "negative_zero"])
-    def test_terminal_values_equal_past_sum_column(self, kernel, marks, T):
-        # the one-column fast path and the general batch sum agree bit for
-        # bit, sign of zero included, on an order-statistics and a thinned batch
-        ramp = CompensatorSpec(rate=lambda t: 1.0 + np.asarray(t, dtype=float),
-                               rate_bound=2.0, marks=marks)
-        for batch in (simulate_standard_batch(2.0, marks, 1.0, 3000, 31),
-                      simulate_batch(ramp, 1.0, 3000, 32, tag=TAG_BATCH)):
-            at = batch.horizon if T is None else T
-            got = batch_terminal_shotnoise(kernel, batch, T)
-            want = batch_past_sum(kernel.G, batch, at)[:, 0]
-            assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("kernel, marks", [
+        (exponential(1.0, 0.7), Exponential(1.0)),
+        (power_law(1.5), Exponential(1.0)),
+        (jump_to_level(), Normal(0.0, 1.0)),
+        (jump_to_level(), PointMass(-0.0)),
+    ], ids=["exponential", "power_law", "normal", "negative_zero"])
+    def test_rows_equal_paths_alone(self, kernel, marks):
+        # row i of a batch sum is the sum over path i alone, bit for bit and
+        # sign of zero included, for G and g, both strict values, a scalar
+        # time (an event time, where strict matters) and a grid, on an
+        # order-statistics and a thinned batch
+        ramp = CompensatorSpec(
+            rate=lambda t: 1.0 + 2.0 * np.asarray(t, dtype=float),
+            rate_bound=5.0, marks=marks)
+        grid = np.linspace(0.0, 2.0, 33)
+        for batch in (simulate_standard_batch(4.0, marks, 2.0, 300, 31),
+                      simulate_batch(ramp, 2.0, 300, 32, tag=TAG_BATCH)):
+            paths = [batch.path(i) for i in range(batch.n_paths)]
+            for i, path in enumerate(paths):  # tie-free: path(i) moved nothing
+                lo, hi = batch.offsets[i], batch.offsets[i + 1]
+                assert path.times.tobytes() == batch.times[lo:hi].tobytes()
+            for fn in (kernel.G, kernel.g):
+                for strict in (False, True):
+                    for at in (batch.times[0], grid):
+                        rows = past_sum(fn, batch, at, strict=strict)
+                        for i, path in enumerate(paths):
+                            alone = past_sum(fn, path, at, strict=strict)[0]
+                            assert rows[i].tobytes() == alone.tobytes(), i
 
     def test_log_weights_zero_kernel(self):
         batch = simulate_standard_batch(2.0, PointMass(1.0), 1.0, 200, 18)
