@@ -277,10 +277,31 @@ def _jump_transform_integral(market: MarketParams, fn, t: float,
         t, lambda x: fn(np.exp(G0(x))), quad_tol))
 
 
-def sum_past_g(market: MarketParams, t: float, path: MppPath,
-               *, strict: bool = False) -> float:
-    """sum over past events of g(t - T_i, U_i); ``strict`` excludes T_i = t."""
-    return float(past_sum(market.kernel.g, path, t, strict=strict)[0])
+def sum_past_g(market: MarketParams, t, path, *, strict: bool = False):
+    """sum over past events of g(t - T_i, U_i); ``strict`` excludes T_i = t.
+
+    ``t`` is a scalar with an :class:`MppPath`, which gives a float, or one
+    time per path with a :class:`~snoise.stats.BatchPaths`, which gives one
+    sum per path.
+    """
+    if _one_time(t):
+        return float(past_sum(market.kernel.g, path, t, strict=strict)[0])
+    return past_sum(market.kernel.g, path, np.reshape(t, (-1, 1)),
+                    strict=strict)[:, 0]
+
+
+def _one_time(t) -> bool:
+    # np.isscalar first: np.ndim raises and catches inside for a Python
+    # float, which costs microseconds in per-state loops
+    return np.isscalar(t) or np.ndim(t) == 0
+
+
+def _at_times(t, values):
+    """``values`` (a scalar or one per time) as a float for a scalar ``t``,
+    else as an array shaped like ``t``."""
+    if _one_time(t):
+        return float(values)
+    return np.broadcast_to(np.asarray(values, dtype=float), np.shape(t))
 
 
 def mmm_ell(market: MarketParams, t: float, x_tm: float, path: MppPath, *,
@@ -335,40 +356,48 @@ def jump_moment_m1(market: MarketParams,
 
 def market_price_of_risk(market: MarketParams,
                          mm: MartingaleMeasureSpec | None,
-                         t: float, path: MppPath, *,
-                         quad_tol: float = DEFAULT_QUAD_TOL) -> float:
-    """xi_t = sigma^{-1} (mu - r(t) + m1 + sum_{T_i <= t} g(t - T_i, U_i))."""
+                         t, path, *,
+                         quad_tol: float = DEFAULT_QUAD_TOL):
+    """xi_t = sigma^{-1} (mu - r(t) + m1 + sum_{T_i <= t} g(t - T_i, U_i)).
+
+    A scalar ``t`` with an :class:`MppPath` gives a float; one time per
+    path with a :class:`~snoise.stats.BatchPaths` gives one xi per path,
+    with m1 computed once.
+    """
     m1 = jump_moment_m1(market, mm, quad_tol=quad_tol)
-    r_t = float(market.short_rate(t))
+    r_t = _at_times(t, market.short_rate(t))
     return (market.mu_drift - r_t + m1 + sum_past_g(market, t, path)) / market.sigma
 
 
 def drift_residual(market: MarketParams, mm: MartingaleMeasureSpec | None,
-                   t: float, path: MppPath, *, xi: float | None = None,
-                   quad_tol: float = DEFAULT_QUAD_TOL) -> float:
+                   t, path, *, xi=None,
+                   quad_tol: float = DEFAULT_QUAD_TOL):
     """Residual of the drift condition at (t, path state); zero iff it holds.
 
     Assembled independently of :func:`market_price_of_risk`: the jump term is
     integrated against Y(t, x) nu(t, dx) with Y = (lambda'/lambda) eta rather
     than against lambda' F' directly.  ``mm = None`` targets P itself (Y = 1).
     ``xi`` is the market price of diffusive risk at t; when omitted it is
-    :func:`market_price_of_risk` at (t, path).
+    :func:`market_price_of_risk` at (t, path).  ``t`` and ``path`` are a
+    scalar and an :class:`MppPath` (a float result), or one time per path
+    and a :class:`~snoise.stats.BatchPaths` (one residual per path); the
+    jump term is then one slice integral over the array of times.
     """
     if xi is None:
-        xi_t = market_price_of_risk(market, mm, t, path, quad_tol=quad_tol)
-    else:
-        xi_t = float(xi)
+        xi = market_price_of_risk(market, mm, t, path, quad_tol=quad_tol)
+    xi_t = _at_times(t, xi)
     if market.spec.rate_bound == 0.0:
         jump_term = 0.0
     else:
         y_fn = (identity_kernel() if mm is None
                 else stationary_reweight(mm, market.spec)).Y
         G0 = lambda x: np.asarray(market.kernel.G(0.0, x), dtype=float)
-        jump_term = float(market.spec.slice_integral(
+        # Y is time-homogeneous, so one row of mark values serves every t
+        jump_term = _at_times(t, market.spec.slice_integral(
             t,
             lambda x: (np.exp(G0(x)) - 1.0) * np.asarray(y_fn(t, x), dtype=float),
             quad_tol))
-    r_t = float(market.short_rate(t))
+    r_t = _at_times(t, market.short_rate(t))
     return r_t - (market.mu_drift - market.sigma * xi_t
                   + sum_past_g(market, t, path) + jump_term)
 

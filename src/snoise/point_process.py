@@ -221,12 +221,14 @@ def past_sum(fn, paths, at, *, strict: bool = False) -> np.ndarray:
 
     ``paths`` is a flat layout with ``times``, ``marks``, ``n_paths`` and
     ``path_ids()``: a :class:`~snoise.stats.BatchPaths` or an
-    :class:`MppPath`.  ``at`` is a scalar or a 1-d array of times; the
-    result is shaped ``(paths.n_paths,) + np.shape(at)``.  ``fn`` is a
-    vectorized kernel ``(lag, marks) -> values`` such as ``NoiseKernel.G``
-    or ``.g``.  Every (time, event) pair is evaluated (inactive ones at lag
-    0, so kernels never see a negative lag) and masked to zero, in blocks
-    of at least one time and about ``_PAST_SUM_BLOCK`` pairs.  Each block
+    :class:`MppPath`.  ``at`` is a scalar or a 1-d array of times, which
+    every path is summed at, with a result shaped ``(paths.n_paths,) +
+    np.shape(at)``; or an ``(n_paths, k)`` array whose row p holds path p's
+    own times, with a result of the same shape.  ``fn`` is a vectorized
+    kernel ``(lag, marks) -> values`` such as ``NoiseKernel.G`` or ``.g``.
+    Every (time, event) pair is evaluated (inactive ones at lag 0, so
+    kernels never see a negative lag) and masked to zero, in blocks of at
+    least one time column and about ``_PAST_SUM_BLOCK`` pairs.  Each block
     is one ``fn`` call and one ``np.bincount`` over ``row * n_paths +
     path_id``, which adds every sum's terms in event order, the same bits
     for a path alone and inside a batch.
@@ -236,18 +238,23 @@ def past_sum(fn, paths, at, *, strict: bool = False) -> np.ndarray:
     # a fraction of a ufunc plus reduction
     if not (math.isfinite(at) if at.ndim == 0 else np.isfinite(at).all()):
         raise NonFiniteError("evaluation times must be finite")
-    if at.ndim > 1:
-        raise ValueError("evaluation times must be a scalar or a 1-d array")
     times, n = paths.times, paths.n_paths
+    per_path = at.ndim == 2 and at.shape[0] == n
+    if at.ndim > 1 and not per_path:
+        raise ValueError("evaluation times must be a scalar, a 1-d array or "
+                         f"one row per path ({n}), got shape {at.shape}")
+    cols = at.shape[1:] if per_path else at.shape
     if not (times.size and at.size):
-        return np.zeros((n,) + at.shape)
+        return np.zeros((n,) + cols)
     ids = paths.path_ids()
-    u = at[..., None]  # a scalar time keeps lag 1-d: kernels run faster on it
+    # one row per time column, against every event; a scalar time keeps lag
+    # 1-d, where kernels run faster
+    u = at.T if per_path else at[..., None]
     step = max(1, _PAST_SUM_BLOCK // times.size)
     sums = []
     for lo in range(0, u.shape[0], step):
         rows = u[lo:lo + step]
-        lag = rows - times
+        lag = (rows[:, ids] if per_path else rows) - times
         vals = np.asarray(fn(np.maximum(lag, 0.0), paths.marks), dtype=float)
         live = lag > 0.0 if strict else lag >= 0.0
         k = rows.shape[0]
@@ -257,7 +264,7 @@ def past_sum(fn, paths, at, *, strict: bool = False) -> np.ndarray:
         sums.append(np.bincount(bins, minlength=k * n,
                                 weights=np.where(live, vals, 0.0).ravel()))
     flat = sums[0] if len(sums) == 1 else np.concatenate(sums)
-    return flat.reshape(at.shape + (n,)).T
+    return flat.reshape(cols + (n,)).T
 
 
 def compensator_mass(spec: CompensatorSpec, t0: float, t1: float, test_fn, *,

@@ -51,6 +51,8 @@ from .stats import (
 )
 
 Z_TOL = 3.0
+# rows formatted at once: bounds the text a large table holds in memory
+_CSV_BLOCK = 2**12
 
 
 def _fmt(x) -> str:
@@ -59,14 +61,30 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def write_csv_atomic(path: Path, header, rows) -> None:
+def _cells(column) -> list[str]:
+    """The CSV text of a column: integers in full, floats to 17 significant
+    digits, strings as they are (cell by cell for any other column)."""
+    arr = np.asarray(column)
+    if arr.dtype.kind in "iu":
+        return list(map(str, arr.tolist()))
+    if arr.dtype.kind == "f":
+        return [format(x, ".17g") for x in arr.tolist()]
+    return [cell if isinstance(cell, str) else _fmt(cell) for cell in column]
+
+
+def write_csv_atomic(path: Path, header, columns) -> None:
+    """Write a table given as equal-length 1-d columns (arrays or lists),
+    formatted a block of rows at a time."""
+    n_rows = len(columns[0]) if len(columns) else 0
+    if any(len(col) != n_rows for col in columns):
+        raise ValueError("CSV columns must have equal lengths")
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([cell if isinstance(cell, str) else _fmt(cell)
-                             for cell in row])
+        for lo in range(0, n_rows, _CSV_BLOCK):
+            writer.writerows(zip(*(_cells(col[lo:lo + _CSV_BLOCK])
+                                   for col in columns)))
     os.replace(tmp, path)
 
 
@@ -130,11 +148,11 @@ def _run_simulate(config: ExperimentConfig, out_dir: Path) -> int:
                            tag=TAG_BATCH)
     s_vals = past_sum(config.kernel.G, batch, grid)
     write_csv_atomic(out_dir / "paths.csv", ["path_id", "t", "S_t"],
-                     ((i, t, s) for i, row in enumerate(s_vals)
-                      for t, s in zip(grid, row)))
+                     [np.repeat(np.arange(run.n_paths), grid.size),
+                      np.tile(grid, run.n_paths), s_vals.ravel()])
     mark_cols = [f"U_{d + 1}" for d in range(config.spec.mark_dim)]
     write_csv_atomic(out_dir / "events.csv", ["path_id", "T_i", *mark_cols],
-                     zip(batch.path_ids(), batch.times, *batch.marks.T))
+                     [batch.path_ids(), batch.times, *batch.marks.T])
 
     checks = []
     decomp = semimartingale_decompose(proc, batch.path(0), grid,
@@ -144,7 +162,7 @@ def _run_simulate(config: ExperimentConfig, out_dir: Path) -> int:
     write_csv_atomic(
         out_dir / "decomposition.csv",
         ["t", "S_t", "drift_t", "jump_part_t"],
-        zip(grid, s_first, decomp.drift, decomp.jump_part),
+        [grid, s_first, decomp.drift, decomp.jump_part],
     )
     checks.append(Check(
         "semimartingale_reconstruction",
@@ -168,26 +186,25 @@ def _run_cf_compare(config: ExperimentConfig, out_dir: Path) -> int:
     ])
     write_csv_atomic(
         out_dir / "cf_sweep.csv", ["theta", "re", "im", "abs"],
-        ((th, z.real, z.imag, abs(z))
-         for th, z in zip(run.theta_grid, analytic)),
+        [run.theta_grid, analytic.real, analytic.imag,
+         np.hypot(analytic.real, analytic.imag)],
     )
 
     batch = simulate_batch(config.spec, run.horizon, run.n_paths, run.seed,
                            tag=TAG_BATCH)
     terminal = past_sum(config.kernel.G, batch, run.horizon)
-    rows = []
-    worst = 0.0
-    for th, z in zip(run.theta_grid, analytic):
-        est = empirical_cf(terminal, float(th))
-        ratio = cf_ratio(z, est)
-        worst = max(worst, ratio)
-        rows.append((th, z.real, z.imag, est.value.real, est.value.imag,
-                     est.se, abs(z - est.value), ratio))
+    est = empirical_cf(terminal, run.theta_grid)
+    ratio = cf_ratio(analytic, est)
+    # an array max, unlike max(), keeps a NaN ratio and so fails the check
+    worst = float(np.max(ratio))
+    delta = analytic - est.value
     write_csv_atomic(
         out_dir / "cf_compare.csv",
         ["theta", "re_analytic", "im_analytic", "re_mc", "im_mc", "se",
          "abs_delta", "ratio"],
-        rows,
+        np.broadcast_arrays(run.theta_grid, analytic.real, analytic.imag,
+                            est.value.real, est.value.imag, est.se,
+                            np.hypot(delta.real, delta.imag), ratio),
     )
     checks = [Check(
         "cf_vs_mc",
@@ -244,36 +261,33 @@ def _run_affine_validate(config: ExperimentConfig, out_dir: Path) -> int:
         identity_resid <= 1e-10,
     )]
 
-    u_list = [(0.5, 0.0), (1.0, 0.0), (0.0, 0.5), (0.0, 1.0), (0.5, 0.5)]
-    worst = 0.0
-    rows = []
-    for u in u_list:
-        analytic = affine_cf(params, (0.0, 0.0, params.lambda0),
-                             run.horizon, u)
-        est = empirical_cf(u[0] * n_term + u[1] * lam_term, 1.0)
-        ratio = cf_ratio(analytic, est)
-        worst = max(worst, ratio)
-        rows.append((u[0], u[1], analytic.real, analytic.imag,
-                     est.value.real, est.value.imag, est.se, ratio))
+    u = np.array([(0.5, 0.0), (1.0, 0.0), (0.0, 0.5), (0.0, 1.0), (0.5, 0.5)])
+    analytic = np.array([affine_cf(params, (0.0, 0.0, params.lambda0),
+                                   run.horizon, u_k) for u_k in u.tolist()])
+    est = empirical_cf(u[:, :1] * n_term + u[:, 1:] * lam_term, 1.0)
+    ratio = cf_ratio(analytic, est)
+    worst = float(np.max(ratio))
     write_csv_atomic(
         out_dir / "transform_compare.csv",
         ["u1", "u2", "re_analytic", "im_analytic", "re_mc", "im_mc", "se",
          "ratio"],
-        rows,
+        [u[:, 0], u[:, 1], analytic.real, analytic.imag,
+         est.value.real, est.value.imag, est.se, ratio],
     )
     checks.append(Check(
         "transform_vs_mc",
-        f"max |delta|/SE = {worst:.3f} <= {Z_TOL} over {len(u_list)} "
+        f"max |delta|/SE = {worst:.3f} <= {Z_TOL} over {len(u)} "
         f"transform arguments, {run.n_paths} paths",
         worst <= Z_TOL,
     ))
 
+    events = first.events.times
     write_csv_atomic(out_dir / "events.csv", ["path_id", "T_i"],
-                     ((0, t) for t in first.events.times))
+                     [np.zeros(events.size, dtype=int), events])
     grid = np.unique(np.concatenate(
-        [np.linspace(0.0, run.horizon, run.grid_points), first.events.times]))
+        [np.linspace(0.0, run.horizon, run.grid_points), events]))
     write_csv_atomic(out_dir / "intensity.csv", ["t", "lambda_t"],
-                     zip(grid, first.intensity(grid)))
+                     [grid, first.intensity(grid)])
     return _finish(config, checks, out_dir)
 
 
@@ -344,13 +358,15 @@ def _run_measure_check(config: ExperimentConfig, out_dir: Path) -> int:
             ks.passed,
         ))
 
-    rows = []
     grid = np.linspace(0.0, run.horizon, run.grid_points)
-    for i in range(min(run.n_paths, 10)):
-        dens = density_process(girsanov, spec, batch.path(i), grid,
-                               quad_tol=run.quad_tol)
-        rows.extend((i, t, l) for t, l in zip(dens.times, dens.L))
-    write_csv_atomic(out_dir / "density.csv", ["path_id", "t", "L_t"], rows)
+    dens = [density_process(girsanov, spec, batch.path(i), grid,
+                            quad_tol=run.quad_tol)
+            for i in range(min(run.n_paths, 10))]
+    write_csv_atomic(out_dir / "density.csv", ["path_id", "t", "L_t"],
+                     [np.repeat(np.arange(len(dens)),
+                                [d.times.size for d in dens]),
+                      np.concatenate([d.times for d in dens]),
+                      np.concatenate([d.L for d in dens])])
     return _finish(config, checks, out_dir)
 
 
@@ -363,17 +379,14 @@ def _run_drift_check(config: ExperimentConfig, out_dir: Path) -> int:
     stock = simulate_stock(market, mm, run.horizon, grid, run.n_paths,
                            run.seed, quad_tol=run.quad_tol)
     # the path terms of xi and of the residual cancel, so any state serves:
-    # the stock's own jump paths give them
+    # the stock's own first jump paths give them, one time per path
     checks = []
     n_states = min(run.n_paths, 1000)
-    worst = 0.0
-    for i in range(n_states):
-        path = stock.paths.path(i)
-        t = 0.1 + 0.8 * run.horizon * (i / max(n_states - 1, 1))
-        xi = market_price_of_risk(market, mm, t, path, quad_tol=run.quad_tol)
-        resid = drift_residual(market, mm, t, path, xi=xi,
-                               quad_tol=run.quad_tol)
-        worst = max(worst, abs(resid))
+    states = stock.paths.head(n_states)
+    t = 0.1 + 0.8 * run.horizon * (np.arange(n_states) / max(n_states - 1, 1))
+    xi = market_price_of_risk(market, mm, t, states, quad_tol=run.quad_tol)
+    resid = drift_residual(market, mm, t, states, xi=xi, quad_tol=run.quad_tol)
+    worst = float(np.abs(resid).max())
     checks.append(Check(
         "drift_residual",
         f"max |residual| = {worst:.3e} <= 1e-10 over {n_states} states",
@@ -415,17 +428,16 @@ def _run_drift_check(config: ExperimentConfig, out_dir: Path) -> int:
             ))
 
     girsanov = stationary_reweight(mm, market.spec)
-    rows = []
-    for i in range(min(run.n_paths, 10)):
+    n_rows = min(run.n_paths, 10)
+    l_at_grid = []
+    for i in range(n_rows):
         dens = density_process(girsanov, market.spec, stock.paths.path(i), grid,
                                quad_tol=run.quad_tol)
-        l_at_grid = dens.L[np.searchsorted(dens.times, grid)]
-        rows.extend(
-            (i, grid[k], stock.X[i, k], l_at_grid[k])
-            for k in range(grid.size)
-        )
+        l_at_grid.append(dens.L[np.searchsorted(dens.times, grid)])
     write_csv_atomic(out_dir / "stock.csv", ["path_id", "t", "X_t", "L_t"],
-                     rows)
+                     [np.repeat(np.arange(n_rows), grid.size),
+                      np.tile(grid, n_rows), stock.X[:n_rows].ravel(),
+                      np.concatenate(l_at_grid)])
     return _finish(config, checks, out_dir)
 
 

@@ -47,12 +47,9 @@ class CfEstimate(NamedTuple):
     se_im: float
 
 
-def empirical_cf(values, theta: float) -> CfEstimate:
-    """Mean of exp(i theta v) over the batch with componentwise SEs."""
-    values = np.asarray(values, dtype=float)
+def _cf_at(values, theta: float) -> CfEstimate:
+    """:func:`empirical_cf` of one sample at one theta."""
     n = values.size
-    if n < 100:
-        raise ValueError("need at least 100 samples")
     z = np.exp(1j * theta * values)
     mean = complex(z.mean())
     se_re = math.sqrt(z.real.var(ddof=1) / n)
@@ -60,12 +57,64 @@ def empirical_cf(values, theta: float) -> CfEstimate:
     return CfEstimate(mean, math.hypot(se_re, se_im), se_re, se_im)
 
 
-def cf_ratio(analytic: complex, est: CfEstimate) -> float:
-    """|analytic - empirical| / SE; infinite when SE = 0 and they differ."""
-    delta = abs(analytic - est.value)
-    if est.se == 0.0:
-        return 0.0 if delta == 0.0 else math.inf
-    return delta / est.se
+def empirical_cf(values, theta) -> CfEstimate:
+    """Mean of exp(i theta v) over the batch with componentwise SEs.
+
+    ``values`` is one sample ``(n,)`` or one sample per row ``(m, n)``, and
+    ``theta`` a scalar or a 1-d array; rows broadcast against ``theta`` as
+    ``values[..., 0]`` would.  One sample at a scalar ``theta`` gives
+    Python ``complex``/``float`` fields, anything else arrays of the
+    broadcast shape.  Each (row, |theta|) is computed once, with the
+    arithmetic of its first theta; the opposite sign takes the complex
+    conjugate and the same SEs.  That equals a separate call bit for bit
+    while libm's ``sin`` is odd and ``cos`` even.  No ``(len(theta), n)``
+    array is built.
+    """
+    if np.iscomplexobj(theta):
+        # a cast to float would drop the imaginary part without an error
+        raise TypeError("theta must be real")
+    values = np.asarray(values, dtype=float)
+    thetas = np.asarray(theta, dtype=float)
+    if values.ndim not in (1, 2) or thetas.ndim > 1:
+        raise ValueError("values must be (n,) or (m, n), theta a scalar or 1-d")
+    n = values.shape[-1]
+    if n < 100:
+        raise ValueError("need at least 100 samples")
+    shape = np.broadcast_shapes(values.shape[:-1], thetas.shape)
+    if not shape:
+        return _cf_at(values, float(thetas))
+    rows = np.broadcast_to(values, shape + (n,))
+    first: dict = {}
+    value = np.empty(shape, dtype=complex)
+    ses = np.empty((3,) + shape)
+    for j, th in enumerate(np.broadcast_to(thetas, shape).tolist()):
+        key = (j if values.ndim == 2 else 0, abs(th))
+        if key not in first:
+            first[key] = (th, _cf_at(rows[j], th))
+        th0, est = first[key]
+        flip = math.copysign(1.0, th) != math.copysign(1.0, th0)
+        value[j] = est.value.conjugate() if flip else est.value
+        ses[:, j] = est[1:]
+    return CfEstimate(value, *ses)
+
+
+def cf_ratio(analytic, est: CfEstimate):
+    """|analytic - empirical| / SE, elementwise for a grid estimate.
+
+    Infinite when SE = 0 and they differ, and when the estimate or its SE is
+    not finite, so a NaN sample fails every 3-SE verdict; a scalar estimate
+    gives a float.
+    """
+    diff = np.asarray(analytic) - est.value
+    # libm's hypot, as abs() of one complex: np.abs of an array may round
+    # the last bit another way
+    delta = np.hypot(diff.real, diff.imag)
+    se = np.asarray(est.se, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(se == 0.0, np.where(delta == 0.0, 0.0, np.inf),
+                         delta / se)
+    ratio = np.where(np.isfinite(est.value) & np.isfinite(se), ratio, np.inf)
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
 @dataclass(frozen=True)
@@ -200,6 +249,12 @@ class BatchPaths:
         lo, hi = self.offsets[i], self.offsets[i + 1]
         times = break_ties(self.times[lo:hi])
         return MppPath(times, self.marks[lo:hi], self.horizon)
+
+    def head(self, k: int) -> "BatchPaths":
+        """The first ``k`` paths, as views of this batch's arrays."""
+        end = self.offsets[k]
+        return BatchPaths(self.horizon, self.counts[:k], self.offsets[:k + 1],
+                          self.times[:end], self.marks[:end])
 
 
 def sort_per_path(values: np.ndarray, counts: np.ndarray,

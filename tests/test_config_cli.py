@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from snoise import scenarios
 from snoise.cli import EXIT_NUMERICAL, main
 from snoise.config import parse_config
 from snoise.errors import ConfigError
@@ -31,6 +33,44 @@ b = 0.5
 rate = 1.5
 marks = exponential
 mark_mean = 1.0
+"""
+
+
+NAN_AFFINE = """\
+[run]
+scenario = affine-validate
+horizon = 1.0
+seed = 3
+
+[affine]
+kappa = 2.0
+theta_bar = 0.5
+lambda0 = 1.0
+"""
+
+NAN_DRIFT = """\
+[run]
+scenario = drift-check
+horizon = 1.0
+seed = 3
+
+[kernel]
+kind = jump_to_level
+
+[compensator]
+rate = 1.0
+marks = point_mass
+mark_value = 0.5
+
+[market]
+x0 = 1.0
+mu = 0.1
+sigma = 0.2
+rate_curve = 0.02
+
+[measure]
+lambda_prime = 2.0
+eta = one
 """
 
 
@@ -272,6 +312,32 @@ mark_value = 0.7
         assert "FAIL cf_vs_mc" in report
         assert "RESULT: FAIL" in report
 
+    @pytest.mark.parametrize("scenario, patched, check", [
+        ("cf-compare", "past_sum", "cf_vs_mc"),
+        ("affine-validate", "affine_cf", "transform_vs_mc"),
+        ("drift-check", "drift_residual", "drift_residual"),
+    ])
+    def test_nan_fails_check(self, tmp_path, monkeypatch, scenario, patched,
+                             check):
+        # a NaN in the terminal values, the analytic transforms or the
+        # residuals: max(0.0, nan) is 0.0, so a Python max() passed it
+        real = getattr(scenarios, patched)
+
+        def with_nan(*args, **kwargs):
+            out = np.array(real(*args, **kwargs))
+            out.flat[0] = np.nan
+            return out
+
+        monkeypatch.setattr(scenarios, patched, with_nan)
+        text = {"cf-compare": MINIMAL_SIMULATE.replace(
+                    "scenario = simulate",
+                    "scenario = cf-compare\ntheta_grid = -1:1:3"),
+                "affine-validate": NAN_AFFINE, "drift-check": NAN_DRIFT}[scenario]
+        out = tmp_path / "out"
+        assert main([scenario, "--config", write(tmp_path, text),
+                     "--paths", "200", "--out", str(out)]) == 1
+        assert f"FAIL {check}:" in (out / "report.txt").read_text()
+
     def test_markov_expectation_failure_exit_one(self, tmp_path):
         text = """\
 [run]
@@ -286,6 +352,42 @@ expect_markov = true
         code = main(["markov-test", "--config", write(tmp_path, text),
                      "--out", str(tmp_path / "mk")])
         assert code == 1
+
+
+def _old_cell(x) -> str:
+    # the per-cell formatting the column writer replaced
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
+@pytest.mark.parametrize("block", [2**12, 3])
+def test_csv_writer_matches_per_cell_format(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(scenarios, "_CSV_BLOCK", block)
+    floats = [np.float64(0.1), 1 / 3, -0.0, np.nan, np.inf, -np.inf, 5e-324,
+              np.float64(-2.5e300)]
+    columns = [
+        [0, np.int64(1), 2, np.int64(-3), 2**62, np.int64(5), 6, 7],
+        floats,
+        np.array(floats),
+        np.arange(8) * 3,
+        ["a", "b,c", 'q"uote', "", "nan", "x y", "1e5", "z"],
+        [True, np.True_, False, 1, 0.5, np.float32(0.1), "s", np.int8(-4)],
+    ]
+    header = [f"c{k}" for k in range(len(columns))]
+    for n_rows in (8, 0):
+        cols = [col[:n_rows] for col in columns]
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        scenarios.write_csv_atomic(new, header, cols)
+        with open(old, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([_old_cell(c) for c in row] for row in zip(*cols))
+        assert new.read_bytes() == old.read_bytes()
+    with pytest.raises(ValueError):
+        scenarios.write_csv_atomic(new, header[:2], [[1, 2], [1.0]])
 
 
 def test_table_kernel_with_knots_inside_horizon_simulates(tmp_path, capsys):

@@ -40,12 +40,14 @@ from snoise.point_process import (
     simulate_mpp,
     standard,
 )
+from snoise.rng import TAG_BATCH
 from snoise.shotnoise import ShotNoiseProcess, conditional_cf, FiltrationState
 from snoise.stats import (
     BatchPaths,
     batch_log_weights,
     batch_terminal_shotnoise,
     ks_two_sample_weighted,
+    simulate_batch,
     simulate_standard_batch,
 )
 
@@ -338,6 +340,36 @@ class TestDriftCondition:
             resid = drift_residual(mkt, mm, t, path)
             worst = max(worst, abs(resid))
         assert worst <= 1e-10
+
+    @pytest.mark.parametrize("case", ["discrete", "normal"])
+    @pytest.mark.parametrize("target", ["mm", "identity"])
+    def test_batch_states_equal_path_loop(self, case, target):
+        # one time per path of a batch gives, bit for bit, the per-state
+        # calls on batch.path(i), which still return floats
+        marks = (Discrete([0.2, 0.5, 0.9], [0.3, 0.4, 0.3]) if case == "discrete"
+                 else Normal(0.1, 0.3))
+        spec = standard(1.2, marks)
+        kernel = exponential(1.0, 0.8) if case == "discrete" else jump_to_level()
+        mkt = MarketParams(1.0, 0.07, 0.3,
+                           lambda t: 0.01 + 0.02 * np.asarray(t, dtype=float),
+                           kernel, spec)
+        mm = (MartingaleMeasureSpec(0.7, unit_eta(), marks_prime=marks)
+              if target == "mm" else None)
+        batch = simulate_batch(spec, 1.0, 300, 5, tag=TAG_BATCH)
+        t = np.linspace(0.05, 0.95, 300)
+        t[:10] = batch.times[batch.offsets[1:11] - 1]  # at an event time
+        xi = market_price_of_risk(mkt, mm, t, batch)
+        resid = drift_residual(mkt, mm, t, batch, xi=xi)
+        own = drift_residual(mkt, mm, t, batch)
+        loop = []
+        for i, t_i in enumerate(t.tolist()):
+            path = batch.path(i)
+            xi_i = market_price_of_risk(mkt, mm, t_i, path)
+            loop.append((xi_i, drift_residual(mkt, mm, t_i, path, xi=xi_i),
+                         drift_residual(mkt, mm, t_i, path)))
+        assert all(type(v) is float for row in loop for v in row)
+        assert np.array(loop).T.tobytes() == np.stack([xi, resid, own]).tobytes()
+        assert np.abs(resid).max() <= 1e-10
 
     def test_exponential_moment_guard(self):
         # e^x against Exponential(1) marks diverges: int e^x e^{-x} dx = inf

@@ -404,6 +404,31 @@ def test_past_sum_shapes():
     assert not past_sum(G, empty_path(1.0), [0.2, 1.0]).any()
 
 
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("n_paths, k", [(2000, 12), (10_000, 3), (50, 0)])
+def test_past_sum_per_path_times(strict, n_paths, k):
+    # row p of a 2-d ``at`` holds path p's own times: every row equals the
+    # path summed alone, bit for bit, with empty paths, across block
+    # boundaries (2,000 paths take blocks of 4 columns, 10,000 paths one
+    # column a block) and with no columns at all
+    batch = simulate_standard_batch(1.0, Exponential(1.0), 2.0, n_paths, 8)
+    assert (batch.counts == 0).any()
+    assert (batch.times.size * k > point_process._PAST_SUM_BLOCK) == (k > 0)
+    at = np.random.default_rng(1).uniform(0.0, 2.0, size=(n_paths, k))
+    if k:
+        # an event time exactly, where strict and not strict differ
+        has = batch.counts > 0
+        at[has, 0] = batch.times[batch.offsets[:-1][has]]
+    G = exponential(1.0, 0.7).G
+    got = past_sum(G, batch, at, strict=strict)
+    assert got.shape == (n_paths, k)
+    for i in range(n_paths):
+        alone = past_sum(G, batch.path(i), at[i], strict=strict)[0]
+        assert got[i].tobytes() == alone.tobytes(), i
+    with pytest.raises(ValueError, match="1-d"):
+        past_sum(G, batch, at[:-1], strict=strict)
+
+
 def test_past_sum_rejects_non_finite_times():
     exp_kernel = exponential(1.0, 1.0)
     path = MppPath([0.5, 0.8], [[1.0], [2.0]], 1.0)

@@ -44,6 +44,11 @@ class TestEmpiricalCf:
         with pytest.raises(ValueError):
             empirical_cf(np.ones(99), 1.0)
 
+    def test_complex_theta_rejected(self):
+        for theta in (0.5j, np.array([1.0, 0.5j])):
+            with pytest.raises(TypeError, match="real"):
+                empirical_cf(np.ones(100), theta)
+
     def test_gaussian_cf_recovered(self):
         rng = make_stream(4)
         draws = rng.normal(size=100000)
@@ -57,6 +62,42 @@ class TestEmpiricalCf:
         assert est.se == 0.0
         assert cf_ratio(1.0 + 0.0j, est) == 0.0
         assert cf_ratio(1.1 + 0.0j, est) == math.inf
+
+
+    @pytest.mark.parametrize("law", ["exponential", "normal", "point_mass"])
+    @pytest.mark.parametrize("grid", [
+        pytest.param([-5.0 + 0.5 * k for k in range(21)], id="symmetric"),
+        pytest.param([2.5, -0.3, 1.0, -2.5, 0.3, 1.0, 4.0, -0.0],
+                     id="unsorted-repeated")])
+    def test_grid_equals_scalar_calls(self, law, grid):
+        # -theta reuses theta's estimate, conjugated: equal to a separate
+        # call bit for bit as long as libm's sin is odd and cos even
+        rng = make_stream(9)
+        values = {"exponential": rng.exponential(1.0, 5000),
+                  "normal": rng.normal(0.3, 2.0, 5000),
+                  "point_mass": np.full(500, 0.7)}[law]
+        est = empirical_cf(values, np.array(grid))
+        for j, th in enumerate(grid):
+            one = empirical_cf(values, th)
+            assert type(one.value) is complex
+            assert all(type(se) is float for se in one[1:])
+            for field, fields in zip(one, est):
+                assert np.array(field).tobytes() == fields[j].tobytes(), th
+        rows = empirical_cf(np.stack([values, -2.0 * values]), 1.5)
+        for j, row in enumerate([values, -2.0 * values]):
+            one = empirical_cf(row, 1.5)
+            for field, fields in zip(one, rows):
+                assert np.array(field).tobytes() == fields[j].tobytes()
+
+    def test_nan_sample_ratio_is_infinite(self):
+        # NaN - analytic is NaN, which a max() over ratios would drop
+        values = np.arange(200.0)
+        values[7] = math.nan
+        est = empirical_cf(values, 1.0)
+        assert math.isnan(est.value.real) and math.isnan(est.se)
+        assert cf_ratio(1.0 + 0.0j, est) == math.inf
+        grid = empirical_cf(values, np.array([-1.0, 0.0, 1.0]))
+        assert (cf_ratio(np.ones(3), grid) == math.inf).all()
 
 
 class TestMartingaleDriftTest:
