@@ -8,7 +8,6 @@ with every closed form cross-validated against a Monte Carlo oracle.
 
 from . import errors
 from .affine import (
-    HawkesBatch,
     HawkesParams,
     HawkesPath,
     RiccatiSolution,
@@ -89,7 +88,6 @@ from .shotnoise import (
     state_value,
 )
 from .stats import (
-    BatchPaths,
     CfEstimate,
     DriftTestReport,
     KsResult,

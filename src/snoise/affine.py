@@ -21,14 +21,18 @@ import numpy as np
 from scipy.special import lambertw
 
 from .errors import BlowUpError, ExplosionGuardError, NonFiniteError, ParameterError
-from .point_process import MppPath, break_ties, empty_path, past_sum
+from .point_process import (
+    MAX_BATCH_EVENTS,
+    MAX_PATH_EVENTS,
+    MppPath,
+    break_ties,
+    hand_over,
+    past_sum,
+)
 from .rng import TAG_HAWKES, TAG_HAWKES_BATCH, make_stream
-from .stats import MAX_BATCH_EVENTS, BatchPaths
 
 DEFAULT_STEPS_PER_UNIT = 2048
 _PSI_GUARD = 1e6
-# events one Hawkes path may hold before the simulators call it an explosion
-MAX_PATH_EVENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -54,45 +58,58 @@ class HawkesParams:
         """Mean offspring per event, 1/kappa; subcritical iff < 1."""
         return 1.0 / self.kappa
 
-    def mean_intensity_floor(self, t: float) -> float:
-        """Lowest reachable intensity at time t (no events)."""
-        e = math.exp(-self.kappa * t)
+    def mean_intensity_floor(self, t):
+        """Lowest reachable intensity at time(s) t: the one with no events."""
+        e = np.exp(-self.kappa * np.asarray(t, dtype=float))
         return self.lambda0 * e + self.theta_bar * (1.0 - e)
 
 
 @dataclass(frozen=True)
 class HawkesPath:
-    """Events (unit marks) plus the post-jump intensity recorded at each event."""
+    """Hawkes events (unit marks), one path or a batch, with the post-jump
+    intensity at each event as the simulation recorded it, aligned with
+    ``events.times``."""
 
     events: MppPath
     intensities: np.ndarray
     params: HawkesParams
 
-    def intensity(self, t) -> np.ndarray:
-        """Closed-form lambda_t from the event times (right-continuous)."""
-        return _closed_form_intensity(self.params, self.events, t)[0]
+    def path(self, i: int) -> "HawkesPath":
+        """Path ``i`` alone, as views of this container's arrays."""
+        events = self.events.path(i)
+        lo = self.events.offsets[range(self.events.n_paths)[i]]
+        return HawkesPath(events, self.intensities[lo:lo + events.n_events],
+                          self.params)
 
+    def intensity(self, t):
+        """Closed-form lambda_t = lambda0 e^{-kappa t} + theta_bar (1 -
+        e^{-kappa t}) + sum_{T_i <= t} e^{-kappa (t - T_i)} per path
+        (right-continuous), shaped as :func:`~snoise.point_process.past_sum`."""
+        kappa = self.params.kappa  # past_sum first: it rejects non-finite t
+        return past_sum(lambda lag, _m: np.exp(-kappa * lag), self.events,
+                        t) + self.params.mean_intensity_floor(t)
 
-def _closed_form_intensity(params: HawkesParams, events, t) -> np.ndarray:
-    """lambda_t = lambda0 e^{-kappa t} + theta_bar (1 - e^{-kappa t})
-    + sum_{T_i <= t} e^{-kappa (t - T_i)} per path of ``events`` (a
-    :class:`~snoise.point_process.MppPath` or a ``BatchPaths``), shaped as
-    :func:`~snoise.point_process.past_sum`."""
-    kappa = params.kappa
-    kicks = past_sum(lambda lag, _m: np.exp(-kappa * lag), events, t)
-    decay = np.exp(-kappa * np.asarray(t, dtype=float))
-    return params.lambda0 * decay + params.theta_bar * (1.0 - decay) + kicks
+    def closed_form_intensities(self) -> np.ndarray:
+        """lambda at every event from the event times alone (right-continuous):
+        lambda0 e^{-kappa t} + theta_bar (1 - e^{-kappa t}) + the unit kicks
+        of the path's events up to and including it."""
+        ev, times = self.events, self.events.times
+        pos = np.arange(times.size) - np.repeat(ev.offsets[:-1], ev.counts)
+        out = self.params.mean_intensity_floor(times)
+        for lag in range(int(ev.counts.max(initial=0))):
+            k = np.flatnonzero(pos >= lag)
+            out[k] += np.exp(-self.params.kappa * (times[k] - times[k - lag]))
+        return out
 
 
 def simulate_hawkes(params: HawkesParams, horizon: float, seed: int, *,
-                    path_index: int = 0,
-                    max_events: int = MAX_PATH_EVENTS) -> HawkesPath:
+                    path_index: int = 0) -> HawkesPath:
     """Ogata thinning with the piecewise bound max(current lambda, theta_bar).
 
     Between events the intensity decays toward theta_bar, so that bound
     dominates on each inter-candidate interval; it is refreshed at every
     candidate, accepted or not.  Near-critical parameters can generate huge
-    cascades, hence the event cap.
+    cascades, hence the event cap ``MAX_PATH_EVENTS``.
     """
     if not math.isfinite(horizon):
         raise NonFiniteError(f"horizon must be finite, got {horizon}")
@@ -118,52 +135,15 @@ def simulate_hawkes(params: HawkesParams, horizon: float, seed: int, *,
             lam += 1.0
             times.append(t)
             intens.append(lam)
-            if len(times) > max_events:
+            if len(times) > MAX_PATH_EVENTS:
                 raise ExplosionGuardError(
-                    f"event count exceeded cap {max_events}; "
+                    f"event count exceeded cap {MAX_PATH_EVENTS}; "
                     f"parameters may be supercritical (kappa = {kappa})"
                 )
 
     times_arr = break_ties(np.asarray(times, dtype=float))
-    if times_arr.size:
-        events = MppPath(times_arr, np.ones((times_arr.size, 1)), horizon)
-    else:
-        events = empty_path(horizon, 1)
+    events = MppPath(times_arr, np.ones((times_arr.size, 1)), horizon)
     return HawkesPath(events, np.asarray(intens, dtype=float), params)
-
-
-@dataclass(frozen=True)
-class HawkesBatch:
-    """A batch of Hawkes paths in the flat layout of :class:`BatchPaths`.
-
-    ``intensities`` holds the post-jump intensity at each event as the
-    simulation recorded it, aligned with ``events.times``; ``lambda_T`` is
-    each path's intensity at the horizon, in closed form from its events.
-    """
-
-    events: BatchPaths
-    intensities: np.ndarray
-    lambda_T: np.ndarray
-    params: HawkesParams
-
-    def path(self, i: int) -> HawkesPath:
-        lo, hi = self.events.offsets[i], self.events.offsets[i + 1]
-        return HawkesPath(self.events.path(i), self.intensities[lo:hi],
-                          self.params)
-
-    def closed_form_intensities(self) -> np.ndarray:
-        """lambda at every event from the event times alone (right-continuous):
-        lambda0 e^{-kappa t} + theta_bar (1 - e^{-kappa t}) + the unit kicks
-        of the path's events up to and including it."""
-        p, ev = self.params, self.events
-        times = ev.times
-        pos = np.arange(times.size) - np.repeat(ev.offsets[:-1], ev.counts)
-        decay = np.exp(-p.kappa * times)
-        out = p.lambda0 * decay + p.theta_bar * (1.0 - decay)
-        for lag in range(int(ev.counts.max(initial=0))):
-            k = np.flatnonzero(pos >= lag)
-            out[k] += np.exp(-p.kappa * (times[k] - times[k - lag]))
-        return out
 
 
 def _waiting_times(lam, kappa: float, theta_bar: float, e1, e2):
@@ -196,16 +176,13 @@ def _waiting_times(lam, kappa: float, theta_bar: float, e1, e2):
 
 
 def simulate_hawkes_batch(params: HawkesParams, horizon: float, n_paths: int,
-                          seed: int) -> HawkesBatch:
+                          seed: int) -> HawkesPath:
     """Exact simulation of ``n_paths`` Hawkes paths at once, without thinning.
 
     Every live path draws its next waiting time by inverting the
     compensator (:func:`_waiting_times`), so the loop runs once per event
-    index, over all paths still short of the horizon.  All draws come from
-    the one stream ``(seed, 0, TAG_HAWKES_BATCH)``.  ``MAX_PATH_EVENTS``
-    caps the events of one path, as in :func:`simulate_hawkes`, and
-    ``MAX_BATCH_EVENTS`` the events the batch holds, so that a supercritical
-    batch fails before it exhausts memory.
+    index.  All draws come from the stream ``(seed, 0, TAG_HAWKES_BATCH)``.
+    The caps ``MAX_PATH_EVENTS`` and ``MAX_BATCH_EVENTS`` bound its events.
     """
     if not math.isfinite(horizon):
         raise NonFiniteError(f"horizon must be finite, got {horizon}")
@@ -249,9 +226,8 @@ def simulate_hawkes_batch(params: HawkesParams, horizon: float, n_paths: int,
         slot = offsets[ids] + k
         times[slot] = t_k
         intens[slot] = lam_k
-    events = BatchPaths(horizon, counts, offsets, times, np.ones((total, 1)))
-    return HawkesBatch(events, intens,
-                       _closed_form_intensity(params, events, horizon), params)
+    events = hand_over(times, np.ones((total, 1)), horizon, offsets)
+    return HawkesPath(events, intens, params)
 
 
 @dataclass(frozen=True)

@@ -41,13 +41,14 @@ from .marks import MarkDistribution
 from .point_process import (
     CompensatorSpec,
     MppPath,
+    one_path,
     past_sum,
     slice_integrand,
     standard,
 )
 from .quadrature import DEFAULT_QUAD_TOL, cumulative_integral
 from .rng import TAG_BATCH, TAG_BROWNIAN, TAG_STOCK_JUMPS, make_stream
-from .stats import BatchPaths, batch_log_weights, simulate_batch
+from .stats import batch_log_weights, log_kernel_at_events, simulate_batch
 
 
 @dataclass(frozen=True)
@@ -165,23 +166,16 @@ def girsanov_compensator(kernel: GirsanovKernel, spec: CompensatorSpec,
 def density_process(kernel: GirsanovKernel, spec: CompensatorSpec,
                     path: MppPath, grid, *,
                     quad_tol: float = DEFAULT_QUAD_TOL) -> DensityPath:
-    """The density L along ``path`` at all grid and event times (log-space)."""
+    """The density L along one path at all grid and event times (log-space)."""
+    one_path(path, "density_process")
     grid = np.asarray(grid, dtype=float)
     t_max = float(grid.max())
     ev = path.times[path.times <= t_max]
-    mk = path.marks[: ev.size]
     times = np.unique(np.concatenate([[0.0], grid, ev]))
     comp = _compensator_curve(kernel, spec, times, quad_tol)
 
-    if ev.size:
-        y_ev = np.asarray(kernel.Y(ev, mk), dtype=float)
-        if np.any(y_ev < 0):
-            raise ValueError("Girsanov kernel must be nonnegative")
-    else:
-        y_ev = np.empty(0)
-    zero_flag = bool(np.any(y_ev == 0.0))
-    with np.errstate(divide="ignore"):
-        log_y = np.where(y_ev > 0.0, np.log(np.where(y_ev > 0, y_ev, 1.0)), -np.inf)
+    log_y = log_kernel_at_events(kernel.Y, ev, path.marks[:ev.size])
+    zero_flag = bool(np.isneginf(log_y).any())
     cum_log = np.concatenate([[0.0], np.cumsum(log_y)])
     counts = np.searchsorted(ev, times, side="right")
     log_l = -comp + cum_log[counts]
@@ -200,8 +194,8 @@ def reweighted_expectation(kernel: GirsanovKernel, spec: CompensatorSpec,
     """Importance-sampling estimate of E_{P'}[functional] = E_P[L_T functional].
 
     The paths under P are one :func:`~snoise.stats.simulate_batch` on
-    ``TAG_BATCH``; ``functional`` maps that :class:`~snoise.stats.BatchPaths`
-    to one value per path (``lambda b: b.counts`` for the jump count).
+    ``TAG_BATCH``; ``functional`` maps that batch to one value per path
+    (``lambda b: b.counts`` for the jump count).
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
@@ -278,14 +272,10 @@ def _jump_transform_integral(market: MarketParams, fn, t: float,
 
 
 def sum_past_g(market: MarketParams, t, path, *, strict: bool = False):
-    """sum over past events of g(t - T_i, U_i); ``strict`` excludes T_i = t.
-
-    ``t`` is a scalar with an :class:`MppPath`, which gives a float, or one
-    time per path with a :class:`~snoise.stats.BatchPaths`, which gives one
-    sum per path.
-    """
+    """sum_{T_i <= t} g(t - T_i, U_i) per path (T_i < t if ``strict``), at
+    one time ``t`` for every path or one time per path."""
     if _one_time(t):
-        return float(past_sum(market.kernel.g, path, t, strict=strict)[0])
+        return past_sum(market.kernel.g, path, t, strict=strict)
     return past_sum(market.kernel.g, path, np.reshape(t, (-1, 1)),
                     strict=strict)[:, 0]
 
@@ -297,11 +287,8 @@ def _one_time(t) -> bool:
 
 
 def _at_times(t, values):
-    """``values`` (a scalar or one per time) as a float for a scalar ``t``,
-    else as an array shaped like ``t``."""
-    if _one_time(t):
-        return float(values)
-    return np.broadcast_to(np.asarray(values, dtype=float), np.shape(t))
+    """``values`` (a scalar or one per time) as a float for a scalar ``t``."""
+    return float(values) if _one_time(t) else np.asarray(values, dtype=float)
 
 
 def mmm_ell(market: MarketParams, t: float, x_tm: float, path: MppPath, *,
@@ -314,6 +301,7 @@ def mmm_ell(market: MarketParams, t: float, x_tm: float, path: MppPath, *,
     Exposed as a diagnostic only; simulating under the minimal martingale
     measure is out of scope because it destroys independent increments.
     """
+    one_path(path, "mmm_ell")
     num_jump = _jump_transform_integral(market, lambda e: e - 1.0, t, quad_tol)
     den = _jump_transform_integral(market, lambda e: (e - 1.0) ** 2, t, quad_tol)
     if den <= 0.0:
@@ -358,11 +346,9 @@ def market_price_of_risk(market: MarketParams,
                          mm: MartingaleMeasureSpec | None,
                          t, path, *,
                          quad_tol: float = DEFAULT_QUAD_TOL):
-    """xi_t = sigma^{-1} (mu - r(t) + m1 + sum_{T_i <= t} g(t - T_i, U_i)).
-
-    A scalar ``t`` with an :class:`MppPath` gives a float; one time per
-    path with a :class:`~snoise.stats.BatchPaths` gives one xi per path,
-    with m1 computed once.
+    """xi_t = sigma^{-1} (mu - r(t) + m1 + sum_{T_i <= t} g(t - T_i, U_i))
+    per path of ``path``, at one time ``t`` for every path or one time per
+    path, with m1 computed once.
     """
     m1 = jump_moment_m1(market, mm, quad_tol=quad_tol)
     r_t = _at_times(t, market.short_rate(t))
@@ -378,14 +364,12 @@ def drift_residual(market: MarketParams, mm: MartingaleMeasureSpec | None,
     integrated against Y(t, x) nu(t, dx) with Y = (lambda'/lambda) eta rather
     than against lambda' F' directly.  ``mm = None`` targets P itself (Y = 1).
     ``xi`` is the market price of diffusive risk at t; when omitted it is
-    :func:`market_price_of_risk` at (t, path).  ``t`` and ``path`` are a
-    scalar and an :class:`MppPath` (a float result), or one time per path
-    and a :class:`~snoise.stats.BatchPaths` (one residual per path); the
-    jump term is then one slice integral over the array of times.
+    :func:`market_price_of_risk` at (t, path).  ``t`` is one time for
+    every path of ``path`` or one time per path, and the result one residual
+    per path; an array of times makes the jump term one slice integral.
     """
     if xi is None:
         xi = market_price_of_risk(market, mm, t, path, quad_tol=quad_tol)
-    xi_t = _at_times(t, xi)
     if market.spec.rate_bound == 0.0:
         jump_term = 0.0
     else:
@@ -398,7 +382,7 @@ def drift_residual(market: MarketParams, mm: MartingaleMeasureSpec | None,
             lambda x: (np.exp(G0(x)) - 1.0) * np.asarray(y_fn(t, x), dtype=float),
             quad_tol))
     r_t = _at_times(t, market.short_rate(t))
-    return r_t - (market.mu_drift - market.sigma * xi_t
+    return r_t - (market.mu_drift - market.sigma * xi
                   + sum_past_g(market, t, path) + jump_term)
 
 
@@ -406,7 +390,7 @@ def drift_residual(market: MarketParams, mm: MartingaleMeasureSpec | None,
 class StockPaths:
     times: np.ndarray
     X: np.ndarray  # (n_paths, len(times))
-    paths: BatchPaths  # the jump paths; path i drives row i of X
+    paths: MppPath  # the jump paths; path i drives row i of X
 
 
 def simulate_stock(market: MarketParams, mm: MartingaleMeasureSpec | None,

@@ -24,6 +24,10 @@ from .quadrature import DEFAULT_QUAD_TOL, gauss_kronrod
 from .rng import TAG_EVENTS, TAG_MARKS, make_stream
 
 BOUND_SLACK = 1e-12
+# events one simulated path, and one batch in all, may hold: guards that make
+# a runaway rate or path count fail before its arrays exhaust memory
+MAX_PATH_EVENTS = 1_000_000
+MAX_BATCH_EVENTS = 10_000_000
 # (time, event) pairs past_sum evaluates at once, at least one time per
 # block: bounds its temporaries for a long path summed at many times (a
 # quadrature level over all pieces) and for a large batch at a grid
@@ -78,41 +82,40 @@ def standard(lam: float, marks: MarkDistribution) -> CompensatorSpec:
 
 @dataclass(frozen=True)
 class MppPath:
-    """Realized marked point process on [0, horizon].
+    """Realized marked point process on [0, horizon]: one path or a batch.
 
-    ``times`` is strictly increasing in (0, horizon]; ``marks`` has one row
-    per event.  Arrays are copied and frozen so paths can be shared freely.
-    With ``n_paths`` and :meth:`path_ids` a path is a one-path view of the
-    flat layout of :class:`~snoise.stats.BatchPaths`.
+    Path ``i`` holds the events ``offsets[i]:offsets[i+1]`` of ``times`` and
+    ``marks`` (one row per event), at times strictly increasing in
+    (0, horizon]; ``offsets`` defaults to one path.  Arrays are copied and
+    frozen so paths can be shared freely.
     """
 
     times: np.ndarray
     marks: np.ndarray
     horizon: float
-    n_paths = 1
+    offsets: np.ndarray | None = None
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
         marks = np.array(self.marks, dtype=float)
         if marks.ndim == 1:
             marks = marks.reshape(-1, 1)
-        if times.ndim != 1 or marks.shape[0] != times.size:
-            raise ValueError("times and marks must align")
-        if times.size:
-            if not (np.isfinite(times).all() and np.isfinite(marks).all()):
-                raise ValueError("times and marks must be finite")
-            if times[0] <= 0 or (times[1:] <= times[:-1]).any():
-                raise ValueError("event times must be strictly increasing and > 0")
-            if times[-1] > self.horizon:
-                raise ValueError("event beyond horizon")
-        if not math.isfinite(self.horizon):
-            raise NonFiniteError(f"horizon must be finite, got {self.horizon}")
-        if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
-        times.setflags(write=False)
-        marks.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "marks", marks)
+        if self.offsets is None:
+            offsets = np.array((0, times.size))
+        else:
+            offsets = np.array(self.offsets, dtype=np.intp)
+            if (offsets.ndim != 1 or offsets.size < 2 or offsets[0] != 0
+                    or offsets[-1] != times.size
+                    or (offsets[1:] < offsets[:-1]).any()):
+                raise ValueError("offsets must rise from 0 to the event count")
+        _check(times, marks, self.horizon, offsets)
+        for arr in (times, marks, offsets):
+            arr.setflags(write=False)
+        self.__dict__.update(times=times, marks=marks, offsets=offsets)
+
+    @property
+    def n_paths(self) -> int:
+        return self.offsets.size - 1
 
     @property
     def n_events(self) -> int:
@@ -120,25 +123,94 @@ class MppPath:
 
     @property
     def mark_dim(self) -> int:
-        return int(self.marks.shape[1]) if self.marks.ndim == 2 else 1
+        return int(self.marks.shape[1])
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
 
     def path_ids(self) -> np.ndarray:
-        return np.zeros(self.times.size, dtype=np.intp)
+        if self.offsets.size == 2:
+            return np.zeros(self.times.size, dtype=np.intp)
+        return np.repeat(np.arange(self.n_paths), self.counts)
+
+    def path(self, i: int) -> "MppPath":
+        """Path ``i`` alone, as a view: nothing is copied or checked again."""
+        i = range(self.n_paths)[i]  # IndexError out of range
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return _view(self.times[lo:hi], self.marks[lo:hi], self.horizon,
+                     np.array((0, hi - lo)))
+
+    def head(self, k: int) -> "MppPath":
+        """The first ``k`` paths, as a view."""
+        if not 0 <= k <= self.n_paths:
+            raise IndexError(f"{k} of {self.n_paths} paths")
+        end = self.offsets[k]
+        return _view(self.times[:end], self.marks[:end], self.horizon,
+                     self.offsets[:k + 1])
 
     def count(self, t: float) -> int:
+        one_path(self, "count")
         return int(np.searchsorted(self.times, t, side="right"))
 
     def cumulative_marks(self, t: float) -> np.ndarray:
         """Z'(t) = sum of marks with T_i <= t (right-continuous)."""
-        k = self.count(t)
-        return self.marks[:k].sum(axis=0)
+        return self.marks[:self.count(t)].sum(axis=0)
 
     def restrict(self, t: float) -> "MppPath":
         """The path observed on [0, t]."""
+        one_path(self, "restrict")
         if not 0 <= t <= self.horizon:
             raise ValueError("restriction time must lie in [0, horizon]")
         k = self.count(t)
-        return MppPath(self.times[:k], self.marks[:k], t)
+        return _view(self.times[:k], self.marks[:k], t, np.array((0, k)))
+
+
+def _check(times, marks, horizon, offsets, rise=None) -> None:
+    """Raise unless the paths are valid; ``rise`` (all rise?) is scanned if None."""
+    if times.ndim != 1 or marks.shape[0] != times.size:
+        raise ValueError("times and marks must align")
+    if times.size:
+        rise = _rises(times, offsets).all() if rise is None else rise
+        # a path's ends bound it; times rising in (0, horizon] are finite
+        first, last = ((times[0], times[-1]) if offsets.size == 2
+                       else (times.min(), times.max()))
+        fine = math.isfinite(horizon) and first > 0 and last <= horizon and rise
+        if not ((fine or np.isfinite(times).all()) and np.isfinite(marks).all()):
+            raise ValueError("times and marks must be finite")
+        if first <= 0 or not rise:
+            raise ValueError("event times must be strictly increasing and > 0")
+        if last > horizon:
+            raise ValueError("event beyond horizon")
+    if not math.isfinite(horizon):
+        raise NonFiniteError(f"horizon must be finite, got {horizon}")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+
+
+def _rises(times: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per event after the first: does it start a path or follow its
+    predecessor strictly later?"""
+    rises = times[1:] > times[:-1]
+    if offsets.size > 2:
+        starts = offsets[1:-1]
+        rises[starts[(starts > 0) & (starts < times.size)] - 1] = True
+    return rises
+
+
+def _view(times, marks, horizon, offsets) -> MppPath:
+    """An :class:`MppPath` over valid arrays, frozen but not copied or checked."""
+    for arr in (times, marks, offsets):
+        arr.setflags(write=False)
+    path = object.__new__(MppPath)
+    path.__dict__.update(times=times, marks=marks, horizon=horizon, offsets=offsets)
+    return path
+
+
+def one_path(paths: MppPath, routine: str) -> None:
+    """The check of every routine that reads one path: a batch raises."""
+    if paths.n_paths != 1:
+        raise ValueError(f"{routine} reads one path, got {paths.n_paths}: use .path(i)")
 
 
 def empty_path(horizon: float, mark_dim: int = 1) -> MppPath:
@@ -161,13 +233,25 @@ def break_ties(times: np.ndarray) -> np.ndarray:
     return times
 
 
+def hand_over(times, marks, horizon: float, offsets) -> MppPath:
+    """A batch simulator's paths over arrays no one else holds: a path with a
+    tie gets :func:`break_ties`' nudge in place; nothing is copied."""
+    tied = np.flatnonzero(~_rises(times, offsets)) + 1
+    for p in np.unique(np.searchsorted(offsets, tied, side="right") - 1):
+        lo, hi = offsets[p], offsets[p + 1]
+        times[lo:hi] = break_ties(times[lo:hi])
+    _check(times, marks, horizon, offsets, True)  # a nudged path rises
+    return _view(times, marks, horizon, offsets)
+
+
 def simulate_mpp(spec: CompensatorSpec, horizon: float, seed: int, *,
-                 path_index: int = 0, max_events: int = 1_000_000) -> MppPath:
+                 path_index: int = 0) -> MppPath:
     """Exact simulation of the path law with compensator rate(t) F(t, dx) dt.
 
     Thinning: candidates arrive at the homogeneous rate ``rate_bound`` and are
     accepted at ``t`` with probability ``rate(t)/rate_bound``; accepted events
     get a mark from F(0, .).  Deterministic given ``(seed, path_index)``.
+    More than ``MAX_PATH_EVENTS`` events raise ``ExplosionGuardError``.
     """
     if not math.isfinite(horizon):
         raise NonFiniteError(f"horizon must be finite, got {horizon}")
@@ -200,38 +284,33 @@ def simulate_mpp(spec: CompensatorSpec, horizon: float, seed: int, *,
             )
         accept = unif[inside] * lam_bar <= lam_at
         accepted.extend(cands_in[accept].tolist())
-        if len(accepted) > max_events:
+        if len(accepted) > MAX_PATH_EVENTS:
             raise ExplosionGuardError(
-                f"event count exceeded cap {max_events} before horizon"
+                f"event count exceeded cap {MAX_PATH_EVENTS} before horizon"
             )
         t = float(cands[-1])
         if t > horizon:
             break
 
     times = break_ties(np.asarray(accepted, dtype=float))
-    n = times.size
-    if n == 0:
+    if not times.size:
         return empty_path(horizon, spec.mark_dim)
-    return MppPath(times, spec.marks.sample(mk, 0.0, n), horizon)
+    return MppPath(times, spec.marks.sample(mk, 0.0, times.size), horizon)
 
 
 def past_sum(fn, paths, at, *, strict: bool = False) -> np.ndarray:
     """sum_i fn(u - T_i, U_i) per path over events with T_i <= u (T_i < u if
     ``strict``), at each time u in ``at``.
 
-    ``paths`` is a flat layout with ``times``, ``marks``, ``n_paths`` and
-    ``path_ids()``: a :class:`~snoise.stats.BatchPaths` or an
-    :class:`MppPath`.  ``at`` is a scalar or a 1-d array of times, which
-    every path is summed at, with a result shaped ``(paths.n_paths,) +
-    np.shape(at)``; or an ``(n_paths, k)`` array whose row p holds path p's
-    own times, with a result of the same shape.  ``fn`` is a vectorized
-    kernel ``(lag, marks) -> values`` such as ``NoiseKernel.G`` or ``.g``.
-    Every (time, event) pair is evaluated (inactive ones at lag 0, so
-    kernels never see a negative lag) and masked to zero, in blocks of at
-    least one time column and about ``_PAST_SUM_BLOCK`` pairs.  Each block
-    is one ``fn`` call and one ``np.bincount`` over ``row * n_paths +
-    path_id``, which adds every sum's terms in event order, the same bits
-    for a path alone and inside a batch.
+    ``at`` is a scalar or a 1-d array of times for every path, giving
+    ``(paths.n_paths,) + np.shape(at)`` (a float for one path at a scalar),
+    or an ``(n_paths, k)`` array of each path's own times, giving that
+    shape.  ``fn`` is a vectorized kernel ``(lag, marks) -> values`` such as
+    ``NoiseKernel.G``.  Every (time, event) pair is evaluated (inactive ones
+    at lag 0) and masked to zero, in blocks of at least one time column and
+    about ``_PAST_SUM_BLOCK`` pairs, each one ``fn`` call and one
+    ``np.bincount`` over ``row * n_paths + path_id`` in event order: the
+    same bits for a path alone and inside a batch.
     """
     at = np.asarray(at, dtype=float)
     # per-path loops call this with scalar times, where math.isfinite costs
@@ -244,27 +323,30 @@ def past_sum(fn, paths, at, *, strict: bool = False) -> np.ndarray:
         raise ValueError("evaluation times must be a scalar, a 1-d array or "
                          f"one row per path ({n}), got shape {at.shape}")
     cols = at.shape[1:] if per_path else at.shape
-    if not (times.size and at.size):
-        return np.zeros((n,) + cols)
-    ids = paths.path_ids()
-    # one row per time column, against every event; a scalar time keeps lag
-    # 1-d, where kernels run faster
-    u = at.T if per_path else at[..., None]
-    step = max(1, _PAST_SUM_BLOCK // times.size)
-    sums = []
-    for lo in range(0, u.shape[0], step):
-        rows = u[lo:lo + step]
-        lag = (rows[:, ids] if per_path else rows) - times
-        vals = np.asarray(fn(np.maximum(lag, 0.0), paths.marks), dtype=float)
-        live = lag > 0.0 if strict else lag >= 0.0
-        k = rows.shape[0]
-        # a lone row's bins are the path ids themselves
-        bins = (ids if k == 1
-                else (np.arange(0, k * n, n)[:, None] + ids).ravel())
-        sums.append(np.bincount(bins, minlength=k * n,
-                                weights=np.where(live, vals, 0.0).ravel()))
-    flat = sums[0] if len(sums) == 1 else np.concatenate(sums)
-    return flat.reshape(cols + (n,)).T
+    if times.size and at.size:
+        ids = paths.path_ids()
+        # one row per time column, against every event; a scalar time keeps
+        # lag 1-d, where kernels run faster
+        u = at.T if per_path else at[..., None]
+        step = max(1, _PAST_SUM_BLOCK // times.size)
+        sums = []
+        for lo in range(0, u.shape[0], step):
+            rows = u[lo:lo + step]
+            lag = (rows[:, ids] if per_path else rows) - times
+            vals = np.asarray(fn(np.maximum(lag, 0.0), paths.marks), dtype=float)
+            live = lag > 0.0 if strict else lag >= 0.0
+            k = rows.shape[0]
+            # a lone row's bins are the path ids themselves
+            bins = (ids if k == 1
+                    else (np.arange(0, k * n, n)[:, None] + ids).ravel())
+            sums.append(np.bincount(bins, minlength=k * n,
+                                    weights=np.where(live, vals, 0.0).ravel()))
+        flat = sums[0] if len(sums) == 1 else np.concatenate(sums)
+        out = flat.reshape(cols + (n,)).T
+    else:
+        out = np.zeros((n,) + cols)
+    # the shape rule of every routine that serves a batch
+    return float(out[0]) if n == 1 and at.ndim == 0 else out
 
 
 def compensator_mass(spec: CompensatorSpec, t0: float, t1: float, test_fn, *,

@@ -249,7 +249,7 @@ def _run_affine_validate(config: ExperimentConfig, out_dir: Path) -> int:
     params = config.affine
     batch = simulate_hawkes_batch(params, run.horizon, run.n_paths, run.seed)
     n_term = batch.events.counts
-    lam_term = batch.lambda_T
+    lam_term = batch.intensity(run.horizon)
     identity_resid = float(np.abs(batch.closed_form_intensities()
                                   - batch.intensities).max(initial=0.0))
     first = batch.path(0)
@@ -287,7 +287,7 @@ def _run_affine_validate(config: ExperimentConfig, out_dir: Path) -> int:
     grid = np.unique(np.concatenate(
         [np.linspace(0.0, run.horizon, run.grid_points), events]))
     write_csv_atomic(out_dir / "intensity.csv", ["t", "lambda_t"],
-                     [grid, first.intensity(grid)])
+                     [grid, first.intensity(grid)[0]])
     return _finish(config, checks, out_dir)
 
 

@@ -33,6 +33,7 @@ from .point_process import (
     CompensatorSpec,
     MppPath,
     compensator_mass,
+    one_path,
     past_sum,
 )
 from .quadrature import DEFAULT_QUAD_TOL, cumulative_integral
@@ -75,12 +76,13 @@ class ShotNoiseProcess:
 
 @dataclass(frozen=True)
 class FiltrationState:
-    """What has been observed up to time t: the path restricted to [0, t]."""
+    """What has been observed up to time t: one path restricted to [0, t]."""
 
     t: float
     observed: MppPath
 
     def __post_init__(self):
+        one_path(self.observed, "FiltrationState")
         if self.t < 0:
             raise ValueError("time must be >= 0")
         if self.observed.n_events and self.observed.times[-1] > self.t:
@@ -91,18 +93,18 @@ class FiltrationState:
         return FiltrationState(t, path.restrict(t))
 
 
-def eval_shotnoise(proc: ShotNoiseProcess, path: MppPath, t: float) -> float:
-    """S_t = sum_{T_i <= t} G(t - T_i, U_i); right-continuous at event times."""
+def eval_shotnoise(proc: ShotNoiseProcess, path: MppPath, t: float):
+    """S_t = sum_{T_i <= t} G(t - T_i, U_i) per path; right-continuous."""
     if t < 0:
         raise ValueError("t must be >= 0")
     if t > path.horizon:
         raise ValueError("t beyond path horizon")
-    return float(past_sum(proc.kernel.G, path, t)[0])
+    return past_sum(proc.kernel.G, path, t)
 
 
 def state_value(proc: ShotNoiseProcess, state: FiltrationState) -> float:
     """S at the state time, from the observed events only."""
-    return float(past_sum(proc.kernel.G, state.observed, state.t)[0])
+    return float(past_sum(proc.kernel.G, state.observed, state.t))
 
 
 class CfParts(NamedTuple):
@@ -135,8 +137,7 @@ def conditional_cf_parts(proc: ShotNoiseProcess, state: FiltrationState,
             "for sample-only mark distributions"
         )
 
-    log_state = 1j * theta * float(past_sum(proc.kernel.G, state.observed,
-                                            T)[0])
+    log_state = 1j * theta * float(past_sum(proc.kernel.G, state.observed, T))
 
     if theta == 0.0:
         return CfParts(log_state, 0.0 + 0.0j)
@@ -188,12 +189,13 @@ class Decomposition(NamedTuple):
 
 def semimartingale_decompose(proc: ShotNoiseProcess, path: MppPath, grid, *,
                              quad_tol: float = DEFAULT_QUAD_TOL) -> Decomposition:
-    """Pathwise split S = drift + jump_part on the grid.
+    """Pathwise split S = drift + jump_part of one path on the grid.
 
     drift(t) = int_0^t sum_{T_i <= u} g(u - T_i, U_i) du  (quadrature broken
     at event times, where the integrand kinks); jump_part(t) is the
     accumulated instantaneous response sum_{T_i <= t} G(0, U_i).
     """
+    one_path(path, "semimartingale_decompose")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-d array")

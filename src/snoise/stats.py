@@ -26,18 +26,16 @@ from .kernels import NoiseKernel
 from .marks import MarkDistribution
 from .point_process import (
     BOUND_SLACK,
+    MAX_BATCH_EVENTS,
     CompensatorSpec,
     MppPath,
-    break_ties,
+    hand_over,
     past_sum,
 )
 from .rng import TAG_BATCH, make_stream
 
 Z_BASE = 3.0
 KS_LEVEL = 0.01
-# events one simulated batch may hold in all: a guard that makes a runaway
-# rate or path count fail before its arrays exhaust memory
-MAX_BATCH_EVENTS = 10_000_000
 
 
 class CfEstimate(NamedTuple):
@@ -224,39 +222,6 @@ def ks_against_cdf(x, cdf, level: float = KS_LEVEL) -> KsResult:
                     float(stat) <= threshold)
 
 
-@dataclass(frozen=True)
-class BatchPaths:
-    """Flat batch of paths (the MC oracle format).
-
-    Events of path ``i`` occupy the slice ``offsets[i]:offsets[i+1]`` of
-    ``times``/``marks``; times are sorted within each path.
-    """
-
-    horizon: float
-    counts: np.ndarray
-    offsets: np.ndarray
-    times: np.ndarray
-    marks: np.ndarray
-
-    @property
-    def n_paths(self) -> int:
-        return int(self.counts.size)
-
-    def path_ids(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n_paths), self.counts)
-
-    def path(self, i: int) -> MppPath:
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        times = break_ties(self.times[lo:hi])
-        return MppPath(times, self.marks[lo:hi], self.horizon)
-
-    def head(self, k: int) -> "BatchPaths":
-        """The first ``k`` paths, as views of this batch's arrays."""
-        end = self.offsets[k]
-        return BatchPaths(self.horizon, self.counts[:k], self.offsets[:k + 1],
-                          self.times[:end], self.marks[:end])
-
-
 def sort_per_path(values: np.ndarray, counts: np.ndarray,
                   offsets: np.ndarray) -> None:
     """Sort each path's slice ``values[offsets[i]:offsets[i+1]]`` in place.
@@ -277,17 +242,14 @@ def sort_per_path(values: np.ndarray, counts: np.ndarray,
 
 def simulate_standard_batch(lam: float, marks: MarkDistribution,
                             horizon: float, n_paths: int, seed: int, *,
-                            tag: int = TAG_BATCH) -> BatchPaths:
+                            tag: int = TAG_BATCH) -> MppPath:
     """Vectorized i.i.d. batch of standard (constant-rate) paths.
 
     Counts are Poisson(lam T) and, given the count, event times are uniform
-    order statistics on [0, T]: the classical construction, independent of
-    the thinning simulator, which makes this the oracle side of two-route
-    checks.  All draws come from the stream ``(seed, 0, tag)``: the counts,
-    then the raw times in path order, each path's slice sorted on its own
-    (:func:`sort_per_path`), then the marks.  A non-finite rate or horizon
-    raises ``NonFiniteError``, and a batch expected to hold more than
-    ``MAX_BATCH_EVENTS`` events fails before it draws any.
+    order statistics on [0, T], independent of the thinning simulator.  All
+    draws come from the stream ``(seed, 0, tag)``: the counts, the raw times
+    in path order (then sorted per path), the marks.  A batch expected to
+    hold more than ``MAX_BATCH_EVENTS`` events fails before it draws any.
     """
     if not (math.isfinite(lam) and math.isfinite(horizon)):
         raise NonFiniteError(
@@ -306,20 +268,18 @@ def simulate_standard_batch(lam: float, marks: MarkDistribution,
     times = rng.uniform(0.0, horizon, size=total)
     sort_per_path(times, counts, offsets)
     mk = marks.sample(rng, 0.0, total)
-    return BatchPaths(horizon, counts, offsets, times, mk)
+    return hand_over(times, mk, horizon, offsets)
 
 
 def simulate_batch(spec: CompensatorSpec, horizon: float, n_paths: int,
-                   seed: int, *, tag: int) -> BatchPaths:
+                   seed: int, *, tag: int) -> MppPath:
     """Batch of paths with compensator rate(t) F(0, dx) dt, all at once.
 
     Candidates are a :func:`simulate_standard_batch` at ``rate_bound`` on
-    ``tag``, which also owns the horizon and event-count guards; a rate
-    below the bound then keeps the candidate at ``t`` with probability
-    ``rate(t)/rate_bound`` (Lewis-Shedler thinning), with uniforms from
-    stream ``(seed, 1, tag)``.  As in
-    :func:`~snoise.point_process.simulate_mpp`, the bound is checked at every
-    candidate.
+    ``tag``, with its guards; a rate below the bound keeps the candidate at
+    ``t`` with probability ``rate(t)/rate_bound`` (Lewis-Shedler thinning),
+    with uniforms from stream ``(seed, 1, tag)``, checking the bound at
+    every candidate.
     """
     cand = simulate_standard_batch(spec.rate_bound, spec.marks, horizon,
                                    n_paths, seed, tag=tag)
@@ -335,34 +295,31 @@ def simulate_batch(spec: CompensatorSpec, horizon: float, n_paths: int,
     unif = make_stream(seed, 1, tag).uniform(size=cand.times.size)
     keep = unif * lam_bar <= lam_at
     counts = np.bincount(cand.path_ids()[keep], minlength=n_paths)
-    return BatchPaths(horizon, counts, np.concatenate([[0], np.cumsum(counts)]),
-                      cand.times[keep], cand.marks[keep])
+    return hand_over(cand.times[keep], cand.marks[keep], horizon,
+                     np.concatenate([[0], np.cumsum(counts)]))
 
 
-def batch_terminal_shotnoise(kernel: NoiseKernel, batch: BatchPaths,
+def batch_terminal_shotnoise(kernel: NoiseKernel, batch: MppPath,
                              T: float | None = None) -> np.ndarray:
     """S_T per path, ``T`` defaulting to the horizon: one
     :func:`~snoise.point_process.past_sum` of ``kernel.G``."""
     return past_sum(kernel.G, batch, batch.horizon if T is None else T)
 
 
-def batch_log_weights(Y, batch: BatchPaths, compensator_integral: float) -> np.ndarray:
+def log_kernel_at_events(Y, times, marks) -> np.ndarray:
+    """log Y(T_i, U_i) per event, -inf where Y vanishes; a negative Y raises."""
+    y = np.asarray(Y(times, marks), dtype=float) if times.size else np.empty(0)
+    if np.any(y < 0):
+        raise ValueError("Girsanov kernel must be nonnegative")
+    with np.errstate(divide="ignore"):
+        return np.where(y > 0, np.log(np.where(y > 0, y, 1.0)), -np.inf)
+
+
+def batch_log_weights(Y, batch: MppPath, compensator_integral: float) -> np.ndarray:
     """log L_T per path for a deterministic Girsanov kernel on the batch."""
-    if batch.times.size:
-        y = np.asarray(Y(batch.times, batch.marks), dtype=float)
-        if np.any(y < 0):
-            raise ValueError("Girsanov kernel must be nonnegative")
-        with np.errstate(divide="ignore"):
-            logs = np.where(y > 0, np.log(np.where(y > 0, y, 1.0)), -np.inf)
-    else:
-        logs = np.empty(0)
-    out = np.full(batch.n_paths, -compensator_integral)
-    if logs.size:
-        ids = batch.path_ids()
-        neg = np.isneginf(logs)
-        out += np.bincount(ids, weights=np.where(neg, 0.0, logs),
-                           minlength=batch.n_paths)
-        if neg.any():
-            dead = np.unique(ids[neg])
-            out[dead] = -np.inf
+    logs = log_kernel_at_events(Y, batch.times, batch.marks)
+    ids, dead = batch.path_ids(), np.isneginf(logs)
+    out = np.bincount(ids, weights=np.where(dead, 0.0, logs),
+                      minlength=batch.n_paths) - compensator_integral
+    out[ids[dead]] = -np.inf
     return out

@@ -79,11 +79,12 @@ class TestSimulateHawkes:
         b = simulate_hawkes(params, 2.0, 9, path_index=3)
         assert np.array_equal(a.events.times, b.events.times)
 
-    def test_explosion_guard_supercritical(self):
+    def test_explosion_guard_supercritical(self, monkeypatch):
         # branching ratio 1/kappa = 5: cascades blow past the cap
+        monkeypatch.setattr(affine, "MAX_PATH_EVENTS", 200)
         params = HawkesParams(0.2, 5.0, 20.0)
-        with pytest.raises(ExplosionGuardError):
-            simulate_hawkes(params, 50.0, 2, max_events=200)
+        with pytest.raises(ExplosionGuardError, match="cap 200"):
+            simulate_hawkes(params, 50.0, 2)
 
     def test_unit_marks(self):
         hp = simulate_hawkes(HawkesParams(1.0, 1.0, 1.0), 2.0, 4)
@@ -108,7 +109,7 @@ class TestSimulateHawkesBatch:
         n_ogata = [hp.events.n_events for hp in ogata]
         lam_ogata = [float(hp.intensity(1.0)) for hp in ogata]
         for x_batch, x_ogata in ((batch.events.counts, n_ogata),
-                                 (batch.lambda_T, lam_ogata)):
+                                 (batch.intensity(1.0), lam_ogata)):
             ks = ks_two_sample_weighted(x_batch, x_ogata)
             assert ks.passed, (ks.statistic, ks.threshold)
 
@@ -118,7 +119,7 @@ class TestSimulateHawkesBatch:
         for u in U_ARGS:
             analytic = affine_cf(params, (0.0, 0.0, lambda0), 1.0, u)
             est = empirical_cf(u[0] * batch.events.counts
-                               + u[1] * batch.lambda_T, 1.0)
+                               + u[1] * batch.intensity(1.0), 1.0)
             assert cf_ratio(analytic, est) <= 3.0, u
 
     def test_shotnoise_identity_at_every_event(self, kappa, theta_bar,
@@ -129,12 +130,13 @@ class TestSimulateHawkesBatch:
         resid = np.abs(batch.closed_form_intensities() - batch.intensities)
         assert resid.max() <= 1e-10
         # the one-path views agree with the batch, lambda_T included
+        lambda_T = batch.intensity(2.0)
         for i in range(20):
             hp = batch.path(i)
             if hp.events.n_events:
                 assert np.abs(hp.intensity(hp.events.times)
                               - hp.intensities).max() <= 1e-10
-            assert abs(float(hp.intensity(2.0)) - batch.lambda_T[i]) <= 1e-10
+            assert abs(hp.intensity(2.0) - lambda_T[i]) <= 1e-10
 
 
 @pytest.mark.parametrize("kappa, theta_bar, lambda0", [
@@ -144,7 +146,7 @@ def test_batch_large_intensity_stays_finite(kappa, theta_bar, lambda0):
     # the stationary mean m = kappa theta_bar / (kappa - 1)
     params = HawkesParams(kappa, theta_bar, lambda0)
     batch = simulate_hawkes_batch(params, 1.0, 200, 34)
-    for arr in (batch.events.times, batch.intensities, batch.lambda_T):
+    for arr in (batch.events.times, batch.intensities, batch.intensity(1.0)):
         assert np.isfinite(arr).all()
     m = kappa * theta_bar / (kappa - 1.0)
     mean_n = m + (lambda0 - m) * (1.0 - math.exp(-(kappa - 1.0)))

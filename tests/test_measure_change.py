@@ -43,7 +43,6 @@ from snoise.point_process import (
 from snoise.rng import TAG_BATCH
 from snoise.shotnoise import ShotNoiseProcess, conditional_cf, FiltrationState
 from snoise.stats import (
-    BatchPaths,
     batch_log_weights,
     batch_terminal_shotnoise,
     ks_two_sample_weighted,
@@ -221,7 +220,7 @@ class TestEsscher:
             Y=lambda t, x: np.exp(h * np.asarray(kernel.G(T - t, x))))
         for i in range(20):
             path = simulate_mpp(spec, T, 17, path_index=i)
-            s_T = past_sum(kernel.G, path, T)[0]
+            s_T = past_sum(kernel.G, path, T)
             want = esscher_density(h, [T], [s_T], [mgf])[0]
             got = density_process(tilt, spec, path, [T]).L[-1]
             assert abs(got / want - 1.0) <= 1e-10, (i, path.n_events)
@@ -507,8 +506,7 @@ def test_closed_form_drift_matches_dense_trapezoid(name, times, marks,
     times = np.sort([t for t in times if t <= horizon])
     marks = np.array(marks[: times.size]).reshape(-1, 1)
     path = MppPath(times, marks, horizon)
-    batch = BatchPaths(horizon, np.array([times.size]),
-                       np.array([0, times.size]), times, marks)
+    batch = MppPath(times, marks, horizon, np.array([0, times.size]))
     grid = np.linspace(0.0, horizon, 9)
     s_t = past_sum(kernel.G, batch, grid)[0]
     j_t = past_sum(lambda lag, x: kernel.G(np.zeros_like(lag), x),

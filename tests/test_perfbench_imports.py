@@ -1,14 +1,18 @@
-"""The benchmark's imports from ``snoise`` still resolve.
+"""The benchmark's imports from ``snoise`` still resolve, and its calls work.
 
 ``perfbench/`` drives the library through its public names; a renamed or
-deleted name would surface only as a failed benchmark run, so this test
+deleted name would surface only as a failed benchmark run, so one test
 reads the benchmark's sources (without importing them) and resolves every
-name they import from ``snoise``.
+name they import from ``snoise``.  Another runs one small pass of the
+library-level workloads, so that a changed return shape fails here too.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -41,3 +45,24 @@ def test_benchmark_imports_resolve():
         if name is not None and not hasattr(mod, name):
             missing.append(f"{source}: {name} from {module}")
     assert not missing, missing
+
+
+@pytest.mark.parametrize("name, scale", [
+    ("cf_sweep", 0.01), ("path_loop", 0.01), ("batch_oracle", 0.002)])
+def test_benchmark_pass_gates_hold(monkeypatch, name, scale):
+    # one pass at a small scale, untraced, as perfbench/run.py makes it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for module in ("clock", "tracing", "workloads"):
+        monkeypatch.delitem(sys.modules, module, raising=False)
+    clock = importlib.import_module("clock")
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    wl = workloads.WORKLOADS[name](1, scale, tracing.NullProbe())
+    wl.warmup()
+    watch = clock.Stopwatch()
+    watch.begin()
+    res = wl.run_pass(watch)
+    watch.end()
+    assert res.items >= 1 and res.gates
+    failed = [(g.name, g.detail) for g in res.gates if not g.passed]
+    assert not failed, failed

@@ -253,10 +253,11 @@ class TestSimulateMpp:
         with pytest.raises(NonFiniteError):
             simulate_hawkes(HawkesParams(2.0, 0.5, 1.0), horizon, 1)
 
-    def test_event_cap(self):
+    def test_event_cap(self, monkeypatch):
+        monkeypatch.setattr(point_process, "MAX_PATH_EVENTS", 50)
         spec = standard(100.0, PointMass(1.0))
-        with pytest.raises(ExplosionGuardError):
-            simulate_mpp(spec, 10.0, 1, max_events=50)
+        with pytest.raises(ExplosionGuardError, match="cap 50"):
+            simulate_mpp(spec, 10.0, 1)
 
     def test_mark_law_ks(self):
         spec = standard(2.0, Exponential(1.5))
@@ -359,7 +360,7 @@ def test_past_sum_matches_brute_force(case, strict):
         terms = [float(fn(u - t, m)) for t, m in zip(times, marks)
                  if (t < u if strict else t <= u)]
         assert abs(val - math.fsum(terms)) <= 1e-13 * math.fsum(map(abs, terms))
-        assert float(past_sum(fn, path, u, strict=strict)[0]) == val
+        assert past_sum(fn, path, u, strict=strict) == val
 
 
 @pytest.mark.parametrize("layout, n_times", [("path", 64), ("batch", 9)])
@@ -390,13 +391,14 @@ def test_past_sum_block_contract(monkeypatch, layout, n_times):
 
 def test_past_sum_shapes():
     # (n_paths,) + shape(at) for a scalar, a grid and an empty grid, on a
-    # path, an empty path and a batch; other shapes are refused
+    # path, an empty path and a batch, except a bare float for one path at
+    # a scalar; other shapes are refused
     G = exponential(1.0, 1.0).G
     batch = simulate_standard_batch(3.0, Exponential(1.0), 1.0, 5, 3)
     for paths in (MppPath([0.5, 0.8], [[1.0], [2.0]], 1.0), empty_path(1.0),
                   batch):
         n = paths.n_paths
-        assert past_sum(G, paths, 0.7).shape == (n,)
+        assert np.shape(past_sum(G, paths, 0.7)) == (() if n == 1 else (n,))
         assert past_sum(G, paths, [0.2, 0.7, 1.0]).shape == (n, 3)
         assert past_sum(G, paths, np.empty(0)).shape == (n, 0)
         with pytest.raises(ValueError, match="1-d"):
