@@ -25,7 +25,6 @@ from .point_process import (
     MAX_BATCH_EVENTS,
     MAX_PATH_EVENTS,
     MppPath,
-    break_ties,
     hand_over,
     past_sum,
 )
@@ -131,7 +130,7 @@ def simulate_hawkes(params: HawkesParams, horizon: float, seed: int, *,
             break
         lam_cand = theta_bar + (lam - theta_bar) * math.exp(-kappa * (t_cand - t))
         t, lam = t_cand, lam_cand
-        if rng.uniform() * lam_bar <= lam_cand:
+        if rng.random() * lam_bar <= lam_cand:
             lam += 1.0
             times.append(t)
             intens.append(lam)
@@ -141,9 +140,14 @@ def simulate_hawkes(params: HawkesParams, horizon: float, seed: int, *,
                     f"parameters may be supercritical (kappa = {kappa})"
                 )
 
-    times_arr = break_ties(np.asarray(times, dtype=float))
-    events = MppPath(times_arr, np.ones((times_arr.size, 1)), horizon)
-    return HawkesPath(events, np.asarray(intens, dtype=float), params)
+    events = hand_over(np.array(times, dtype=float), np.ones((len(times), 1)),
+                       horizon, np.array((0, len(times))))
+    return HawkesPath(events, _frozen(np.array(intens, dtype=float)), params)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _waiting_times(lam, kappa: float, theta_bar: float, e1, e2):
@@ -227,7 +231,7 @@ def simulate_hawkes_batch(params: HawkesParams, horizon: float, n_paths: int,
         times[slot] = t_k
         intens[slot] = lam_k
     events = hand_over(times, np.ones((total, 1)), horizon, offsets)
-    return HawkesPath(events, intens, params)
+    return HawkesPath(events, _frozen(intens), params)
 
 
 @dataclass(frozen=True)
@@ -255,6 +259,10 @@ def riccati_solve(params: HawkesParams, u, horizon: float,
     reproducible and give a clean order-4 convergence signature.
     """
     u = (complex(u[0]), complex(u[1]))
+    if not (math.isfinite(horizon) and cmath.isfinite(u[0])
+            and cmath.isfinite(u[1])):
+        raise NonFiniteError(
+            f"horizon and boundary must be finite, got {horizon} and {u}")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if horizon == 0.0:
@@ -307,6 +315,9 @@ def affine_cf(params: HawkesParams, state, T: float, u, *,
               steps: int | None = None) -> complex:
     """E[exp(i u . (N_T, lambda_T)) | state] for state = (t, N_t, lambda_t)."""
     t, n_t, lam_t = state
+    if not all(map(cmath.isfinite, (t, n_t, lam_t, T, *u))):
+        raise NonFiniteError(
+            f"state, horizon and argument must be finite, got {state}, {T} and {u}")
     if t > T:
         raise ValueError("need state time <= T")
     floor = params.mean_intensity_floor(t)

@@ -234,12 +234,14 @@ def break_ties(times: np.ndarray) -> np.ndarray:
 
 
 def hand_over(times, marks, horizon: float, offsets) -> MppPath:
-    """A batch simulator's paths over arrays no one else holds: a path with a
-    tie gets :func:`break_ties`' nudge in place; nothing is copied."""
-    tied = np.flatnonzero(~_rises(times, offsets)) + 1
-    for p in np.unique(np.searchsorted(offsets, tied, side="right") - 1):
-        lo, hi = offsets[p], offsets[p + 1]
-        times[lo:hi] = break_ties(times[lo:hi])
+    """A simulator's paths over arrays no one else holds: a path with a tie
+    gets :func:`break_ties`' nudge in place; nothing is copied."""
+    rises = _rises(times, offsets)
+    if not rises.all():
+        tied = np.flatnonzero(~rises) + 1
+        for p in np.unique(np.searchsorted(offsets, tied, side="right") - 1):
+            lo, hi = offsets[p], offsets[p + 1]
+            times[lo:hi] = break_ties(times[lo:hi])
     _check(times, marks, horizon, offsets, True)  # a nudged path rises
     return _view(times, marks, horizon, offsets)
 
@@ -262,40 +264,51 @@ def simulate_mpp(spec: CompensatorSpec, horizon: float, seed: int, *,
         return empty_path(horizon, spec.mark_dim)
 
     ev = make_stream(seed, path_index, TAG_EVENTS)
-    mk = make_stream(seed, path_index, TAG_MARKS)
-
+    scale = 1.0 / lam_bar
     chunk = 64
     t = 0.0
-    accepted: list[float] = []
+    kept, n_kept = [], 0
     while True:
-        gaps = ev.exponential(1.0 / lam_bar, size=chunk)
-        cands = t + np.cumsum(gaps)
-        unif = ev.uniform(size=chunk)
-        inside = cands <= horizon
-        if not inside.any():
+        cands = t + np.cumsum(ev.exponential(scale, size=chunk))
+        unif = ev.random(size=chunk)
+        # candidates rise, so those inside the horizon are a prefix
+        k = int(cands.searchsorted(horizon, side="right"))
+        if not k:
             break
-        cands_in = cands[inside]
+        cands_in = cands[:k]
         lam_at = np.asarray(spec.rate(cands_in), dtype=float)
-        if (lam_at > lam_bar * (1.0 + BOUND_SLACK)).any():
-            worst = float(lam_at.max())
-            raise InvalidBoundError(
-                f"rate({float(cands_in[np.argmax(lam_at)]):.6g}) = {worst:.6g} "
-                f"exceeds rate_bound = {lam_bar:.6g}"
-            )
-        accept = unif[inside] * lam_bar <= lam_at
-        accepted.extend(cands_in[accept].tolist())
-        if len(accepted) > MAX_PATH_EVENTS:
+        _check_rate_bound(lam_at, cands_in, lam_bar)
+        kept.append(cands_in[unif[:k] * lam_bar <= lam_at])
+        n_kept += kept[-1].size
+        if n_kept > MAX_PATH_EVENTS:
             raise ExplosionGuardError(
                 f"event count exceeded cap {MAX_PATH_EVENTS} before horizon"
             )
-        t = float(cands[-1])
-        if t > horizon:
+        if k < chunk:
             break
+        t = float(cands[-1])
 
-    times = break_ties(np.asarray(accepted, dtype=float))
-    if not times.size:
+    if not n_kept:
         return empty_path(horizon, spec.mark_dim)
-    return MppPath(times, spec.marks.sample(mk, 0.0, times.size), horizon)
+    times = np.concatenate(kept)
+    marks = spec.marks.sample(make_stream(seed, path_index, TAG_MARKS), 0.0,
+                              n_kept)
+    return hand_over(times, marks, horizon, np.array((0, n_kept)))
+
+
+def _check_rate_bound(lam_at, times, lam_bar: float) -> None:
+    """Raise unless every rate in ``lam_at`` (at ``times``) is at most the
+    bound ``lam_bar`` (up to ``BOUND_SLACK``): a NaN rate raises
+    ``NonFiniteError``, one above the bound ``InvalidBoundError``."""
+    if (lam_at <= lam_bar * (1.0 + BOUND_SLACK)).all():  # False at a NaN
+        return
+    lam_at = np.broadcast_to(lam_at, np.shape(times))
+    k = int(np.argmax(lam_at))  # the first NaN, if any
+    at, worst = float(times[k]), float(lam_at[k])
+    if math.isnan(worst):
+        raise NonFiniteError(f"rate({at:.6g}) is NaN")
+    raise InvalidBoundError(
+        f"rate({at:.6g}) = {worst:.6g} exceeds rate_bound = {lam_bar:.6g}")
 
 
 def past_sum(fn, paths, at, *, strict: bool = False) -> np.ndarray:
@@ -318,6 +331,11 @@ def past_sum(fn, paths, at, *, strict: bool = False) -> np.ndarray:
     if not (math.isfinite(at) if at.ndim == 0 else np.isfinite(at).all()):
         raise NonFiniteError("evaluation times must be finite")
     times, n = paths.times, paths.n_paths
+    if n == 1 and at.ndim == 0:
+        # the per-path loops' call, a float by the shape rule of every
+        # routine that serves a batch: the one row of the block loop below
+        return (float(_row_sums(fn, at - times, paths.marks, paths.path_ids(),
+                                1, strict)[0]) if times.size else 0.0)
     per_path = at.ndim == 2 and at.shape[0] == n
     if at.ndim > 1 and not per_path:
         raise ValueError("evaluation times must be a scalar, a 1-d array or "
@@ -332,21 +350,25 @@ def past_sum(fn, paths, at, *, strict: bool = False) -> np.ndarray:
         sums = []
         for lo in range(0, u.shape[0], step):
             rows = u[lo:lo + step]
-            lag = (rows[:, ids] if per_path else rows) - times
-            vals = np.asarray(fn(np.maximum(lag, 0.0), paths.marks), dtype=float)
-            live = lag > 0.0 if strict else lag >= 0.0
             k = rows.shape[0]
             # a lone row's bins are the path ids themselves
             bins = (ids if k == 1
                     else (np.arange(0, k * n, n)[:, None] + ids).ravel())
-            sums.append(np.bincount(bins, minlength=k * n,
-                                    weights=np.where(live, vals, 0.0).ravel()))
+            sums.append(_row_sums(fn, (rows[:, ids] if per_path else rows) - times,
+                                  paths.marks, bins, k * n, strict))
         flat = sums[0] if len(sums) == 1 else np.concatenate(sums)
-        out = flat.reshape(cols + (n,)).T
-    else:
-        out = np.zeros((n,) + cols)
-    # the shape rule of every routine that serves a batch
-    return float(out[0]) if n == 1 and at.ndim == 0 else out
+        return flat.reshape(cols + (n,)).T
+    return np.zeros((n,) + cols)
+
+
+def _row_sums(fn, lag, marks, bins, n_bins: int, strict: bool) -> np.ndarray:
+    """One block of :func:`past_sum`: ``fn`` at every lag (an inactive one,
+    ``lag < 0``, at 0 and masked to zero), summed into ``bins`` by one
+    ``np.bincount`` in event order."""
+    vals = np.asarray(fn(np.maximum(lag, 0.0), marks), dtype=float)
+    live = lag > 0.0 if strict else lag >= 0.0
+    return np.bincount(bins, minlength=n_bins,
+                       weights=np.where(live, vals, 0.0).ravel())
 
 
 def compensator_mass(spec: CompensatorSpec, t0: float, t1: float, test_fn, *,

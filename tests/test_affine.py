@@ -230,6 +230,21 @@ class TestRiccati:
         with pytest.raises(BlowUpError):
             riccati_solve(HawkesParams(1.0, 1.0, 1.0), (0.0, 6.0), 1.0)
 
+    @pytest.mark.parametrize("solve", [
+        lambda p: riccati_solve(p, (0.1j, 0.2j), math.nan),
+        lambda p: riccati_solve(p, (0.1j, 0.2j), math.inf),
+        lambda p: riccati_solve(p, (0.1j, complex(math.nan, 0.0)), 1.0),
+        lambda p: affine_cf(p, (0.0, 0.0, 1.0), math.nan, (0.5, 0.5)),
+        lambda p: affine_cf(p, (0.0, 0.0, 1.0), math.inf, (0.5, 0.5)),
+        lambda p: affine_cf(p, (math.nan, 0.0, 1.0), 1.0, (0.5, 0.5)),
+    ], ids=["nan-horizon", "inf-horizon", "nan-boundary", "cf-nan-horizon",
+            "cf-inf-horizon", "cf-nan-state-time"])
+    def test_non_finite_input_fails_before_stepping(self, solve):
+        # these used to fail in the step count (ValueError, OverflowError)
+        # or as a blow-up at the first step
+        with pytest.raises(NonFiniteError):
+            solve(HawkesParams(2.0, 0.5, 1.0))
+
     def test_steps_minimum(self):
         with pytest.raises(ValueError):
             riccati_solve(HawkesParams(1.0, 1.0, 1.0), (0.0, 0.0), 1.0, steps=50)

@@ -21,7 +21,7 @@ from snoise.measure_change import (
     sum_past_g,
     unit_eta,
 )
-from snoise.point_process import MppPath, hand_over, standard
+from snoise.point_process import MppPath, break_ties, hand_over, standard
 from snoise.shotnoise import (
     FiltrationState,
     ShotNoiseProcess,
@@ -95,6 +95,12 @@ class TestLayout:
         assert b.times[3] == np.nextafter(0.3, 1.0)
         assert b.times[[2, 4, 5]].tolist() == [0.3, 0.4, 0.1]
         assert not b.times.flags.writeable
+
+    def test_hand_over_one_tied_path_as_break_ties(self):
+        raw = [0.2, 0.3, 0.3, 0.3, 0.25, 0.9]
+        b = hand_over(np.array(raw), np.ones((6, 1)), 1.0, np.array((0, 6)))
+        assert b.times.tobytes() == break_ties(raw).tobytes()
+        assert b.n_paths == 1 and not b.times.flags.writeable
 
 
 def test_batch_routines_give_one_value_per_path(batch):

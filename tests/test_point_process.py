@@ -237,6 +237,14 @@ class TestSimulateMpp:
         with pytest.raises(InvalidBoundError):
             simulate_mpp(spec, 5.0, 3)
 
+    def test_nan_rate_fails_fast(self):
+        # NaN > bound and u * bound <= NaN are both False: unchecked, a NaN
+        # rate would thin every candidate away and give an empty path
+        spec = CompensatorSpec(rate=lambda t: np.full(np.shape(t), np.nan),
+                               rate_bound=2.0, marks=PointMass(1.0))
+        with pytest.raises(NonFiniteError, match=r"rate\(0\.\d+\) is NaN"):
+            simulate_mpp(spec, 1.0, 3)
+
     def test_reproducibility_bit_identical(self):
         spec = standard(3.0, Normal(0.0, 1.0))
         a = simulate_mpp(spec, 5.0, 11, path_index=4)

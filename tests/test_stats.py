@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from snoise.errors import ExplosionGuardError, NonFiniteError
+from snoise.errors import ExplosionGuardError, InvalidBoundError, NonFiniteError
 from snoise.kernels import exponential, jump_to_level, power_law
 from snoise.marks import Exponential, Normal, PointMass
 from snoise.point_process import CompensatorSpec, past_sum, simulate_mpp, standard
@@ -142,6 +142,16 @@ class TestKs:
         res = ks_two_sample_weighted(rng.normal(size=4000),
                                      rng.normal(size=4000))
         assert res.passed
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_or_weight_rejected(self, bad):
+        # a NaN value sorts last and left 500 Exp(1) values against
+        # themselves plus one NaN at statistic 0.002, passed
+        x = make_stream(14).exponential(size=500)
+        with pytest.raises(NonFiniteError):
+            ks_two_sample_weighted(np.append(x, bad), x)
+        with pytest.raises(NonFiniteError):
+            ks_two_sample_weighted(x, x, w2=np.append(np.ones(499), bad))
 
     def test_shifted_distribution_fails(self):
         rng = make_stream(12)
@@ -352,6 +362,18 @@ class TestBatchGuards:
                                rate_bound=2.0, marks=Exponential(1.0))
         with pytest.raises(NonFiniteError):
             simulate_batch(spec, math.nan, 10, 1, tag=5)
+
+    def test_thinned_batch_nan_rate(self):
+        spec = CompensatorSpec(rate=lambda t: np.full(np.shape(t), np.nan),
+                               rate_bound=2.0, marks=Exponential(1.0))
+        with pytest.raises(NonFiniteError, match=r"rate\(0\.\d+\) is NaN"):
+            simulate_batch(spec, 1.0, 10, 1, tag=5)
+
+    def test_thinned_batch_rate_above_bound(self):
+        spec = CompensatorSpec(rate=lambda t: 1.0 + 2.0 * np.asarray(t),
+                               rate_bound=2.0, marks=Exponential(1.0))
+        with pytest.raises(InvalidBoundError, match="exceeds rate_bound = 2"):
+            simulate_batch(spec, 1.0, 10, 1, tag=5)
 
     def test_expected_count_guard(self):
         with pytest.raises(ExplosionGuardError, match="batch expects"):
