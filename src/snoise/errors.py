@@ -35,7 +35,7 @@ class ZeroAtOriginError(SnoiseError):
 
 
 class InvalidBoundError(SnoiseError):
-    """A probed jump rate exceeded the declared majorant; thinning would bias."""
+    """A probed jump rate lay outside [0, majorant]; thinning would bias."""
 
     code = "InvalidBound"
 

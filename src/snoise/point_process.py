@@ -297,18 +297,24 @@ def simulate_mpp(spec: CompensatorSpec, horizon: float, seed: int, *,
 
 
 def _check_rate_bound(lam_at, times, lam_bar: float) -> None:
-    """Raise unless every rate in ``lam_at`` (at ``times``) is at most the
-    bound ``lam_bar`` (up to ``BOUND_SLACK``): a NaN rate raises
-    ``NonFiniteError``, one above the bound ``InvalidBoundError``."""
-    if (lam_at <= lam_bar * (1.0 + BOUND_SLACK)).all():  # False at a NaN
+    """Raise unless every rate in ``lam_at`` (at ``times``) lies in
+    [0, ``lam_bar``] (up to ``BOUND_SLACK``): a NaN rate raises
+    ``NonFiniteError``, one outside ``InvalidBoundError``."""
+    cap = lam_bar * (1.0 + BOUND_SLACK)
+    # min and max are NaN at a NaN; the initial 0.0 lets no rates pass
+    if lam_at.min(initial=0.0) >= 0.0 and lam_at.max(initial=0.0) <= cap:
         return
     lam_at = np.broadcast_to(lam_at, np.shape(times))
     k = int(np.argmax(lam_at))  # the first NaN, if any
     at, worst = float(times[k]), float(lam_at[k])
     if math.isnan(worst):
         raise NonFiniteError(f"rate({at:.6g}) is NaN")
+    if worst > cap:
+        raise InvalidBoundError(
+            f"rate({at:.6g}) = {worst:.6g} exceeds rate_bound = {lam_bar:.6g}")
+    k = int(np.argmin(lam_at))
     raise InvalidBoundError(
-        f"rate({at:.6g}) = {worst:.6g} exceeds rate_bound = {lam_bar:.6g}")
+        f"rate({float(times[k]):.6g}) = {float(lam_at[k]):.6g} is below 0")
 
 
 def past_sum(fn, paths, at, *, strict: bool = False) -> np.ndarray:

@@ -48,7 +48,8 @@ class CfEstimate(NamedTuple):
 def _cf_at(values, theta: float) -> CfEstimate:
     """:func:`empirical_cf` of one sample at one theta."""
     n = values.size
-    z = np.exp(1j * theta * values)
+    z = values * (1j * theta)
+    np.exp(z, out=z)
     mean = complex(z.mean())
     se_re = math.sqrt(z.real.var(ddof=1) / n)
     se_im = math.sqrt(z.imag.var(ddof=1) / n)
@@ -160,38 +161,86 @@ class KsResult(NamedTuple):
     passed: bool
 
 
-def _effective_size(x, w) -> float:
-    """(sum w)^2 / sum w^2, or ``x.size`` for unit weights (``w`` None)."""
+def _effective_size(x, w, w_sum) -> float:
+    """(sum w)^2 / sum w^2, or ``x.size`` for unit weights (``w`` None);
+    ``w_sum`` is ``w.sum()``."""
     if w is None:
         if x.size == 0:
             raise ValueError("samples must be nonempty")
         return float(x.size)
-    if np.any(w < 0) or w.sum() == 0:
+    if np.any(w < 0) or w_sum == 0:
         raise ValueError("weights must be nonnegative with positive total")
-    return float(w.sum() ** 2 / np.sum(w**2))
+    return float(w_sum ** 2 / np.sum(w**2))
 
 
-def _weighted_ecdf(x, w):
+def _weighted_ecdf(x, w, w_sum):
     """The sorted sample and its weighted ECDF at each sorted point.
 
-    Unit weights (``w`` None) need no permutation: ``np.sort`` gives the
-    same values, and a cumulative sum of ``1/n`` the same bits, as
-    ``np.ones`` weights through the stable argsort, ties included.
+    The ECDF is the cumulative sum of ``w / w_sum`` in the order of a
+    stable sort, so equal values add in index order.  Unit weights (``w``
+    None) need no permutation: ``np.sort`` gives the same values, and a
+    cumulative sum of ``1/n`` the same bits, ties included.
     """
     if w is None:
-        return np.sort(x), np.cumsum(np.full(x.size, 1.0 / x.size))
-    order = np.argsort(x, kind="stable")
-    return x[order], np.cumsum(w[order] / w.sum())
+        c = np.full(x.size, 1.0 / x.size)
+        return np.sort(x), np.cumsum(c, out=c)
+    order = np.argsort(x)
+    s = x[order]
+    tied = s[1:] == s[:-1]
+    if tied.any():
+        # the default sort leaves each run of equal values (-0.0 beside 0.0
+        # too) in any order; sorting (run, index) keys over the tied
+        # positions puts every run back in index order, as a stable sort
+        pos = np.flatnonzero(np.append(tied, False) | np.insert(tied, 0, False))
+        s_pos = s[pos]
+        run = np.cumsum(np.insert(s_pos[1:] != s_pos[:-1], 0, False)) * x.size
+        key = run + order[pos]
+        key.sort()
+        order[pos] = key - run
+        s[pos] = x[order[pos]]
+    c = w[order]
+    c /= w_sum
+    return s, np.cumsum(c, out=c)
+
+
+_KS_BLOCK = 1 << 16  # sorted points searched in the other sample per call
+
+
+def _max_gap(s, c, s_other, c_other) -> float:
+    """max |c - F_other| over the sorted points ``s`` with ECDF ``c``.
+
+    Only the last point of a run of equal values has its own ECDF value in
+    ``c``, and every point of a run has the gap of that last point, so each
+    block of ``_KS_BLOCK`` points keeps its run ends and looks them up in
+    the slice of ``s_other`` that their values span.
+    """
+    n, gap = s.size, 0.0
+    for a in range(0, n, _KS_BLOCK):
+        b = min(a + _KS_BLOCK, n)
+        keys, own = s[a:b], c[a:b]
+        ends = np.append(keys[1:] != keys[:-1], b == n or s[b] != s[b - 1])
+        if not ends.all():
+            keys, own = keys[ends], own[ends]
+            if not keys.size:
+                continue
+        lo, hi = s_other.searchsorted(keys[[0, -1]], side="right")
+        idx = s_other[lo:hi].searchsorted(keys, side="right") + (lo - 1)
+        other = np.where(idx < 0, 0.0, c_other[idx])
+        gap = max(gap, float(np.abs(own - other).max()))
+    return gap
 
 
 def ks_two_sample_weighted(x1, x2, w1=None, w2=None,
                            level: float = KS_LEVEL) -> KsResult:
     """Two-sample KS test allowing importance weights on either sample.
 
-    The critical value is the standard large-sample one,
-    c(level) * sqrt(1/n1_eff + 1/n2_eff), with effective sample sizes
-    (sum w)^2 / sum w^2.  With unit weights this reduces to the classical
-    two-sample test.
+    The statistic is sup |F1 - F2| over both samples' points, with each
+    weighted ECDF summed in the order of a stable sort; both ECDFs are step
+    functions, so it is attained at a sample point, where one sample's own
+    ECDF is known and only the other is searched.  The critical value is
+    the standard large-sample one, c(level) * sqrt(1/n1_eff + 1/n2_eff),
+    with effective sample sizes (sum w)^2 / sum w^2.  With unit weights
+    this reduces to the classical two-sample test.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -201,15 +250,14 @@ def ks_two_sample_weighted(x1, x2, w1=None, w2=None,
     # gives a statistic that means nothing
     if not all(np.isfinite(a).all() for a in (x1, x2, w1, w2) if a is not None):
         raise NonFiniteError("KS samples and weights must be finite")
-    n1_eff = _effective_size(x1, w1)
-    n2_eff = _effective_size(x2, w2)
+    w1_sum = None if w1 is None else w1.sum()
+    w2_sum = None if w2 is None else w2.sum()
+    n1_eff = _effective_size(x1, w1, w1_sum)
+    n2_eff = _effective_size(x2, w2, w2_sum)
 
-    s1, c1 = _weighted_ecdf(x1, w1)
-    s2, c2 = _weighted_ecdf(x2, w2)
-    all_x = np.concatenate([s1, s2])
-    f1 = np.concatenate([[0.0], c1])[np.searchsorted(s1, all_x, side="right")]
-    f2 = np.concatenate([[0.0], c2])[np.searchsorted(s2, all_x, side="right")]
-    stat = float(np.abs(f1 - f2).max())
+    s1, c1 = _weighted_ecdf(x1, w1, w1_sum)
+    s2, c2 = _weighted_ecdf(x2, w2, w2_sum)
+    stat = max(_max_gap(s1, c1, s2, c2), _max_gap(s2, c2, s1, c1))
 
     c_alpha = math.sqrt(-0.5 * math.log(level / 2.0))
     threshold = c_alpha * math.sqrt(1.0 / n1_eff + 1.0 / n2_eff)
@@ -219,6 +267,10 @@ def ks_two_sample_weighted(x1, x2, w1=None, w2=None,
 def ks_against_cdf(x, cdf, level: float = KS_LEVEL) -> KsResult:
     """One-sample KS of data against a CDF callable, at the given level."""
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        # scipy sorts a NaN last and counts an inf as a point past the CDF:
+        # the statistic then means nothing, yet can pass
+        raise NonFiniteError("KS data must be finite")
     stat, _p = _sps.kstest(x, cdf)
     c_alpha = math.sqrt(-0.5 * math.log(level / 2.0))
     threshold = c_alpha / math.sqrt(x.size)

@@ -245,6 +245,14 @@ class TestSimulateMpp:
         with pytest.raises(NonFiniteError, match=r"rate\(0\.\d+\) is NaN"):
             simulate_mpp(spec, 1.0, 3)
 
+    def test_negative_rate_fails_fast(self):
+        # u * bound <= -1 is never true: unchecked, a negative rate would
+        # thin every candidate away and give an empty path
+        spec = CompensatorSpec(rate=lambda t: -np.ones(np.shape(t)),
+                               rate_bound=2.0, marks=PointMass(1.0))
+        with pytest.raises(InvalidBoundError, match=r"rate\(0\.\d+\) = -1 is below 0"):
+            simulate_mpp(spec, 1.0, 3)
+
     def test_reproducibility_bit_identical(self):
         spec = standard(3.0, Normal(0.0, 1.0))
         a = simulate_mpp(spec, 5.0, 11, path_index=4)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from snoise.marks import Exponential, Normal, PointMass
 from snoise.point_process import CompensatorSpec, past_sum, simulate_mpp, standard
 from snoise.rng import TAG_BATCH, make_stream
 from snoise.stats import (
+    _KS_BLOCK,
     batch_log_weights,
     batch_terminal_shotnoise,
     cf_ratio,
@@ -136,6 +138,82 @@ class TestMartingaleDriftTest:
             martingale_drift_test(np.arange(3.0), np.zeros((100, 3)))
 
 
+def _ks_reference(x1, x2, w1=None, w2=None, level=0.01):
+    """The search the two-sample KS replaces: both ECDFs, from a stable
+    argsort, looked up at every point of the concatenated samples."""
+    def ecdf(x, w):
+        if w is None:
+            return np.sort(x), np.cumsum(np.full(x.size, 1.0 / x.size))
+        order = np.argsort(x, kind="stable")
+        return x[order], np.cumsum(w[order] / w.sum())
+
+    def n_eff(x, w):
+        return float(x.size) if w is None else float(w.sum() ** 2 / np.sum(w**2))
+
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+    s1, c1 = ecdf(x1, w1)
+    s2, c2 = ecdf(x2, w2)
+    all_x = np.concatenate([s1, s2])
+    f1 = np.concatenate([[0.0], c1])[np.searchsorted(s1, all_x, side="right")]
+    f2 = np.concatenate([[0.0], c2])[np.searchsorted(s2, all_x, side="right")]
+    stat = float(np.abs(f1 - f2).max())
+    n1, n2 = n_eff(x1, w1), n_eff(x2, w2)
+    threshold = math.sqrt(-0.5 * math.log(level / 2.0)) * math.sqrt(1.0 / n1 + 1.0 / n2)
+    return stat, threshold, n1, n2, stat <= threshold
+
+
+def _ks_cases():
+    """(name, x1, x2) sample pairs: integer ties with -0.0 beside 0.0,
+    continuous values, one-element samples and samples over a few lookup
+    blocks whose runs of equal values cross the block edges."""
+    rng = make_stream(16)
+
+    def tied(n, lo, hi):
+        x = rng.integers(lo, hi, size=n).astype(float)
+        x[(x == 0.0) & (rng.random(n) < 0.5)] = -0.0
+        return x
+
+    yield "tied", tied(3001, -3, 4), tied(1999, -2, 5)
+    yield "continuous", rng.normal(size=3001), rng.normal(0.05, size=1999)
+    yield "one_each", np.array([0.5]), np.array([-0.0])
+    yield "one_and_tied", np.array([0.0]), tied(50, -1, 2)
+    big = 3 * _KS_BLOCK + 7
+    yield "blocks_tied", tied(big, -40, 40), tied(big // 2, -30, 50)
+    yield "blocks_continuous", rng.exponential(size=big), rng.exponential(size=big + 1)
+
+
+class TestKsBits:
+    @pytest.mark.parametrize("weighted", ["neither", "first", "second", "both"])
+    @pytest.mark.parametrize("case", list(_ks_cases()), ids=lambda c: c[0])
+    def test_every_field_matches_reference(self, case, weighted):
+        _name, x1, x2 = case
+        rng = make_stream(17)
+        w1 = rng.exponential(size=x1.size) if weighted in ("first", "both") else None
+        w2 = rng.exponential(size=x2.size) if weighted in ("second", "both") else None
+        got = ks_two_sample_weighted(x1, x2, w1, w2)
+        for field, value, expect in zip(got._fields, got, _ks_reference(x1, x2, w1, w2)):
+            assert type(value) is type(expect), field
+            assert np.array(value).tobytes() == np.array(expect).tobytes(), field
+
+    def test_peak_memory_below_reference(self):
+        # what the call allocates above its inputs, against the search over
+        # both samples concatenated; allocation sizes do not depend on timing
+        rng = make_stream(18)
+        x1, w1 = rng.exponential(size=200_000), rng.exponential(size=200_000)
+        x2 = rng.exponential(0.5, size=400_000)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                fn(x1, x2, w1=w1)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak(ks_two_sample_weighted) < 0.6 * peak(_ks_reference)
+
+
 class TestKs:
     def test_same_distribution_passes(self):
         rng = make_stream(11)
@@ -185,6 +263,14 @@ class TestKs:
         assert ks_against_cdf(draws, cdf).passed
         bad = lambda x: 1.0 - np.exp(-np.asarray(x))
         assert not ks_against_cdf(draws, bad).passed
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_one_sample_non_finite_rejected(self, bad):
+        # unchecked, these draws plus an inf passed at statistic 0.063, and
+        # plus a NaN gave a NaN statistic
+        draws = np.append(make_stream(14).exponential(size=500), bad)
+        with pytest.raises(NonFiniteError):
+            ks_against_cdf(draws, lambda x: 1.0 - np.exp(-np.asarray(x)))
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -367,6 +453,12 @@ class TestBatchGuards:
         spec = CompensatorSpec(rate=lambda t: np.full(np.shape(t), np.nan),
                                rate_bound=2.0, marks=Exponential(1.0))
         with pytest.raises(NonFiniteError, match=r"rate\(0\.\d+\) is NaN"):
+            simulate_batch(spec, 1.0, 10, 1, tag=5)
+
+    def test_thinned_batch_negative_rate(self):
+        spec = CompensatorSpec(rate=lambda t: -np.ones(np.shape(t)),
+                               rate_bound=2.0, marks=Exponential(1.0))
+        with pytest.raises(InvalidBoundError, match=r"rate\(0\.\d+\) = -1 is below 0"):
             simulate_batch(spec, 1.0, 10, 1, tag=5)
 
     def test_thinned_batch_rate_above_bound(self):
