@@ -177,33 +177,30 @@ def _weighted_ecdf(x, w, w_sum):
     """The sorted sample and its weighted ECDF at each sorted point.
 
     The ECDF is the cumulative sum of ``w / w_sum`` in the order of a
-    stable sort, so equal values add in index order.  Unit weights (``w``
-    None) need no permutation: ``np.sort`` gives the same values, and a
-    cumulative sum of ``1/n`` the same bits, ties included.
+    stable sort, so equal values add in index order.  A sample without
+    ties takes the faster default argsort, which then gives the same
+    order.  Unit weights (``w`` None) need no permutation: ``np.sort``
+    gives the same values, and a cumulative sum of ``1/n`` the same bits,
+    ties included.
     """
     if w is None:
         c = np.full(x.size, 1.0 / x.size)
         return np.sort(x), np.cumsum(c, out=c)
     order = np.argsort(x)
     s = x[order]
-    tied = s[1:] == s[:-1]
-    if tied.any():
-        # the default sort leaves each run of equal values (-0.0 beside 0.0
-        # too) in any order; sorting (run, index) keys over the tied
-        # positions puts every run back in index order, as a stable sort
-        pos = np.flatnonzero(np.append(tied, False) | np.insert(tied, 0, False))
-        s_pos = s[pos]
-        run = np.cumsum(np.insert(s_pos[1:] != s_pos[:-1], 0, False)) * x.size
-        key = run + order[pos]
-        key.sort()
-        order[pos] = key - run
-        s[pos] = x[order[pos]]
+    if (s[1:] == s[:-1]).any():
+        # the default sort leaves a run of equal values (-0.0 beside 0.0
+        # too) in any order
+        order = np.argsort(x, kind="stable")
+        s = x[order]
     c = w[order]
     c /= w_sum
     return s, np.cumsum(c, out=c)
 
 
-_KS_BLOCK = 1 << 16  # sorted points searched in the other sample per call
+# sorted points searched in the other sample per call: bounds the search's
+# temporaries, and the slice of the other sample a block spans is short
+_KS_BLOCK = 1 << 16
 
 
 def _max_gap(s, c, s_other, c_other) -> float:

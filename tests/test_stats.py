@@ -164,8 +164,9 @@ def _ks_reference(x1, x2, w1=None, w2=None, level=0.01):
 
 def _ks_cases():
     """(name, x1, x2) sample pairs: integer ties with -0.0 beside 0.0,
-    continuous values, one-element samples and samples over a few lookup
-    blocks whose runs of equal values cross the block edges."""
+    continuous values, one-element samples, samples over a few lookup
+    blocks whose runs of equal values cross the block edges, and a run
+    longer than a block."""
     rng = make_stream(16)
 
     def tied(n, lo, hi):
@@ -180,6 +181,8 @@ def _ks_cases():
     big = 3 * _KS_BLOCK + 7
     yield "blocks_tied", tied(big, -40, 40), tied(big // 2, -30, 50)
     yield "blocks_continuous", rng.exponential(size=big), rng.exponential(size=big + 1)
+    # a run of equal values over whole blocks leaves them without a run end
+    yield "run_over_blocks", np.r_[np.zeros(2 * _KS_BLOCK + 3), tied(500, -2, 3)], tied(700, -3, 2)
 
 
 class TestKsBits:
