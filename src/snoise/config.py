@@ -1,10 +1,12 @@
 """Experiment configuration: flat INI-style files, strictly validated.
 
 The format is sectioned key-value text (chosen over nested formats for
-diffability in golden tests).  Unknown sections or keys are errors, every
-numeric field is validated on parse, and ``run.seed`` is mandatory
-(reproducibility is a contract, not an option).  See the README for the full
-grammar and examples.
+diffability in golden tests).  Each key is declared once, where a builder
+reads it: a key that no builder reads for the chosen kernel kind, mark law,
+rate form or eta is an error (``rate_bound`` goes with ramp and table rates
+only), as is an unknown section.  Every numeric field is validated on parse,
+and ``run.seed`` is mandatory (reproducibility is a contract, not an option).
+See the README for the full grammar and examples.
 """
 
 from __future__ import annotations
@@ -25,40 +27,16 @@ from .measure_change import MarketParams, MartingaleMeasureSpec, unit_eta
 from .point_process import CompensatorSpec, standard
 from .quadrature import DEFAULT_QUAD_TOL
 
-SCENARIOS = (
-    "simulate",
-    "cf-compare",
-    "markov-test",
-    "affine-validate",
-    "measure-check",
-    "drift-check",
-)
-
-_REQUIRED_BLOCKS = {
-    "simulate": ("kernel", "compensator"),
-    "cf-compare": ("kernel", "compensator"),
-    "markov-test": ("kernel",),
-    "affine-validate": ("affine",),
-    "measure-check": ("compensator", "measure"),
-    "drift-check": ("kernel", "compensator", "market", "measure"),
-}
-
-# the fewest paths a scenario's statistics are defined on: its CF and
-# transform estimates need 100 samples, a standard error needs 2
-_MIN_PATHS = {"cf-compare": 100, "affine-validate": 100, "measure-check": 2,
-              "drift-check": 2}
-
-_ALLOWED_KEYS = {
-    "run": {"scenario", "horizon", "n_paths", "seed", "grid_points",
-            "quad_tol", "theta_grid"},
-    "kernel": {"kind", "a", "b", "c", "table_t", "table_x", "table_g",
-               "expect_markov"},
-    "compensator": {"rate", "rate_bound", "marks", "mark_value", "mark_mean",
-                    "mark_std", "mark_lo", "mark_hi", "mark_points",
-                    "mark_weights"},
-    "market": {"x0", "mu", "sigma", "rate_curve"},
-    "measure": {"lambda_prime", "eta", "eta_rate"},
-    "affine": {"kappa", "theta_bar", "lambda0"},
+# scenario -> (the sections it needs, the fewest paths its statistics are
+# defined on: its CF and transform estimates need 100 samples, a standard
+# error needs 2)
+SCENARIOS = {
+    "simulate": (("kernel", "compensator"), 1),
+    "cf-compare": (("kernel", "compensator"), 100),
+    "markov-test": (("kernel",), 1),
+    "affine-validate": (("affine",), 100),
+    "measure-check": (("compensator", "measure"), 2),
+    "drift-check": (("kernel", "compensator", "market", "measure"), 2),
 }
 
 
@@ -89,79 +67,73 @@ def _fail(section, key, msg):
     raise ConfigError(msg, field=f"{section}.{key}")
 
 
+def _finite(token) -> float:
+    """``float(token)``, raising ValueError for nan and inf as well."""
+    try:
+        out = float(token)
+    except ValueError:
+        raise ValueError(f"not a number: {token!r}") from None
+    if not math.isfinite(out):
+        raise ValueError(f"must be finite, got {token!r}")
+    return out
+
+
+def _integer(token) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"not an integer: {token!r}") from None
+
+
+def _finite_list(token) -> list[float]:
+    """Comma- (or semicolon-) separated finite numbers."""
+    try:
+        out = [float(tok) for tok in token.replace(";", ",").split(",")
+               if tok.strip()]
+    except ValueError:
+        raise ValueError(
+            f"not a comma-separated number list: {token!r}") from None
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"every number must be finite, got {token!r}")
+    return out
+
+
 class _Section:
-    """One config section with typed getters and use-tracking."""
+    """One config section: one typed getter, which records what it reads."""
 
     def __init__(self, name, raw, resolved):
         self.name = name
         self.raw = dict(raw)
         self.resolved = resolved
+        self.read = set()
 
-    def _record(self, key, value):
-        self.resolved.setdefault(self.name, {})[key] = str(value)
-
-    def get_str(self, key, default=None, required=False, choices=None):
-        val = self.raw.get(key)
-        if val is None:
+    def get(self, key, parse=str, default=None, required=False, choices=None):
+        """``parse`` of the key's text, or ``default`` when it is absent,
+        recorded in ``resolved`` unless None (a list as comma-joined reprs);
+        a ValueError from ``parse`` fails as ConfigError on the key."""
+        self.read.add(key)
+        text = self.raw.get(key)
+        if text is None:
             if required:
                 _fail(self.name, key, "required key is missing")
-            val = default
-        if val is not None and choices is not None and val not in choices:
-            _fail(self.name, key, f"must be one of {sorted(choices)}, got {val!r}")
-        if val is not None:
-            self._record(key, val)
-        return val
-
-    def get_float(self, key, default=None, required=False):
-        val = self.raw.get(key)
-        if val is None:
-            if required:
-                _fail(self.name, key, "required key is missing")
-            if default is not None:
-                self._record(key, default)
-            return default
-        try:
-            out = float(val)
-        except ValueError:
-            _fail(self.name, key, f"not a number: {val!r}")
-        if not math.isfinite(out):
-            _fail(self.name, key, f"must be finite, got {val!r}")
-        self._record(key, out)
-        return out
-
-    def get_int(self, key, default=None, required=False):
-        val = self.raw.get(key)
-        if val is None:
-            if required:
-                _fail(self.name, key, "required key is missing")
-            if default is not None:
-                self._record(key, default)
-            return default
-        try:
-            out = int(val)
-        except ValueError:
-            _fail(self.name, key, f"not an integer: {val!r}")
-        self._record(key, out)
-        return out
-
-    def get_floats(self, key, required=False):
-        val = self.raw.get(key)
-        if val is None:
-            if required:
-                _fail(self.name, key, "required key is missing")
-            return None
-        try:
-            out = [float(tok) for tok in val.replace(";", ",").split(",") if tok.strip()]
-        except ValueError:
-            _fail(self.name, key, f"not a comma-separated number list: {val!r}")
-        if not all(map(math.isfinite, out)):
-            _fail(self.name, key, f"every number must be finite, got {val!r}")
-        self._record(key, ",".join(repr(v) for v in out))
-        return out
+            value = default
+        elif choices is not None and text not in choices:
+            _fail(self.name, key,
+                  f"must be one of {sorted(choices)}, got {text!r}")
+        else:
+            try:
+                value = parse(text)
+            except ValueError as exc:
+                _fail(self.name, key, str(exc))
+        if value is not None:
+            self.resolved.setdefault(self.name, {})[key] = (
+                ",".join(map(repr, value)) if isinstance(value, list)
+                else str(value))
+        return value
 
 
 def _parse_theta_grid(section) -> np.ndarray:
-    spec = section.get_str("theta_grid", default="-5:5:21")
+    spec = section.get("theta_grid", default="-5:5:21")
     try:
         lo_s, hi_s, n_s = spec.split(":")
         lo, hi, n = _finite(lo_s), _finite(hi_s), int(n_s)
@@ -173,20 +145,13 @@ def _parse_theta_grid(section) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _finite(token) -> float:
-    """``float(token)``, raising ValueError for nan and inf as well."""
-    out = float(token)
-    if not math.isfinite(out):
-        raise ValueError(f"not finite: {token!r}")
-    return out
-
-
-def _parse_rate(section, key, horizon):
+def _parse_rate(section, key, horizon, marks) -> CompensatorSpec:
     """Rate grammar: a constant, 'ramp: offset slope', or 'table: t v, t v, ...'.
 
-    Returns (callable, inferred_bound).
+    A constant gives the stationary :func:`standard` spec, a ramp or a table
+    one bounded by its largest value on [0, horizon].
     """
-    raw = section.get_str(key, required=True)
+    raw = section.get(key, required=True)
     if raw.startswith("ramp:"):
         try:
             offset, slope = (_finite(tok) for tok in raw[5:].split())
@@ -194,8 +159,8 @@ def _parse_rate(section, key, horizon):
             _fail(section.name, key,
                   f"expected 'ramp: offset slope' (finite), got {raw!r}")
         fn = lambda t: np.maximum(offset + slope * np.asarray(t, dtype=float), 0.0)
-        bound = max(offset, offset + slope * horizon, 0.0)
-        return fn, bound
+        return CompensatorSpec(fn, max(offset, offset + slope * horizon, 0.0),
+                               marks)
     if raw.startswith("table:"):
         pairs = [tok.split() for tok in raw[6:].split(",") if tok.strip()]
         try:
@@ -207,35 +172,31 @@ def _parse_rate(section, key, horizon):
         if ts.size < 2 or np.any(np.diff(ts) <= 0) or np.any(vs < 0):
             _fail(section.name, key, "table needs increasing times and rates >= 0")
         fn = lambda t: np.interp(np.asarray(t, dtype=float), ts, vs)
-        return fn, float(vs.max())
+        return CompensatorSpec(fn, float(vs.max()), marks)
     try:
         const = _finite(raw)
     except ValueError:
         _fail(section.name, key, f"unrecognized or non-finite rate {raw!r}")
-    if const < 0:
-        _fail(section.name, key, "rate must be >= 0")
-    return None, const  # None signals a constant (stationary) rate
+    return _construct(section.name, key, standard, const, marks)
 
 
 def _build_kernel(section) -> NoiseKernel:
-    kind = section.get_str("kind", required=True, choices={
+    kind = section.get("kind", required=True, choices={
         "jump_to_level", "exponential", "power_law", "random_decay", "custom"})
     if kind == "jump_to_level":
         return _kernels.jump_to_level()
     if kind == "exponential":
-        a = section.get_float("a", required=True)
-        b = section.get_float("b", required=True)
-        return _kernels.exponential(a, b)
+        return _kernels.exponential(
+            section.get("a", parse=_finite, required=True),
+            section.get("b", parse=_finite, required=True))
     if kind == "power_law":
-        c = section.get_float("c", required=True)
-        if c <= 0:
-            _fail("kernel", "c", "power-law decay needs c > 0")
-        return _kernels.power_law(c)
+        return _construct("kernel", "c", _kernels.power_law,
+                          section.get("c", parse=_finite, required=True))
     if kind == "random_decay":
         return _kernels.random_decay()
-    ts = section.get_floats("table_t", required=True)
-    xs = section.get_floats("table_x", required=True)
-    raw_g = section.get_str("table_g", required=True)
+    ts = section.get("table_t", parse=_finite_list, required=True)
+    xs = section.get("table_x", parse=_finite_list, required=True)
+    raw_g = section.get("table_g", required=True)
     rows = [r for r in raw_g.split(";") if r.strip()]
     try:
         vals = np.array([[_finite(tok) for tok in row.replace(",", " ").split()]
@@ -251,25 +212,28 @@ def _build_kernel(section) -> NoiseKernel:
 
 
 def _build_marks(section) -> _marks.MarkDistribution:
-    kind = section.get_str("marks", required=True, choices={
+    kind = section.get("marks", required=True, choices={
         "point_mass", "normal", "exponential", "uniform", "discrete"})
+
+    def number(key):
+        return section.get(key, parse=_finite, required=True)
+
+    def numbers(key):
+        return section.get(key, parse=_finite_list, required=True)
+
     if kind == "point_mass":
-        value = section.get_floats("mark_value", required=True)
-        return _marks.PointMass(value)
+        return _marks.PointMass(numbers("mark_value"))
     if kind == "normal":
         return _construct("compensator", "mark_std", _marks.Normal,
-                          section.get_float("mark_mean", required=True),
-                          section.get_float("mark_std", required=True))
+                          number("mark_mean"), number("mark_std"))
     if kind == "exponential":
         return _construct("compensator", "mark_mean", _marks.Exponential,
-                          section.get_float("mark_mean", required=True))
+                          number("mark_mean"))
     if kind == "uniform":
         return _construct("compensator", "mark_hi", _marks.Uniform,
-                          section.get_float("mark_lo", required=True),
-                          section.get_float("mark_hi", required=True))
+                          number("mark_lo"), number("mark_hi"))
     return _construct("compensator", "mark_weights", _marks.Discrete,
-                      section.get_floats("mark_points", required=True),
-                      section.get_floats("mark_weights", required=True))
+                      numbers("mark_points"), numbers("mark_weights"))
 
 
 def _construct(section, key, make, *args, keys=None):
@@ -287,51 +251,59 @@ def _construct(section, key, make, *args, keys=None):
 
 
 def _build_compensator(section, horizon) -> CompensatorSpec:
-    marks = _build_marks(section)
-    fn, inferred = _parse_rate(section, "rate", horizon)
-    bound = section.get_float("rate_bound", default=None)
-    if fn is None:
-        return standard(inferred, marks)
-    if bound is None:
-        bound = inferred
-        section._record("rate_bound", bound)
-    return CompensatorSpec(rate=fn, rate_bound=bound, marks=marks)
+    spec = _parse_rate(section, "rate", horizon, _build_marks(section))
+    if spec.stationary_rate is not None:
+        return spec
+    bound = section.get("rate_bound", parse=_finite, default=spec.rate_bound)
+    return _construct("compensator", "rate_bound", CompensatorSpec, spec.rate,
+                      bound, spec.marks)
 
 
 def _build_measure(section, spec: CompensatorSpec) -> MartingaleMeasureSpec:
-    lam_p = section.get_float("lambda_prime", required=True)
-    if lam_p <= 0:
-        _fail("measure", "lambda_prime", "must be > 0")
-    eta_kind = section.get_str("eta", default="one", choices={"one", "exp_tilt"})
+    lam_p = section.get("lambda_prime", parse=_finite, required=True)
+    eta_kind = section.get("eta", default="one", choices={"one", "exp_tilt"})
     if eta_kind == "one":
-        return MartingaleMeasureSpec(lam_p, unit_eta(), marks_prime=spec.marks)
-    rho_p = section.get_float("eta_rate", required=True)
-    if rho_p <= 0:
-        _fail("measure", "eta_rate", "must be > 0")
-    if not isinstance(spec.marks, _marks.Exponential):
-        _fail("measure", "eta", "exp_tilt requires exponential base marks")
-    rho = 1.0 / spec.marks.mean
-    ratio = rho_p / rho
+        eta, marks_prime = unit_eta(), spec.marks
+    else:
+        rho_p = section.get("eta_rate", parse=_finite, required=True)
+        if rho_p <= 0:
+            _fail("measure", "eta_rate", "must be > 0")
+        if not isinstance(spec.marks, _marks.Exponential):
+            _fail("measure", "eta", "exp_tilt requires exponential base marks")
+        rho = 1.0 / spec.marks.mean
+        ratio = rho_p / rho
 
-    def eta(x):
-        x1 = np.asarray(x, dtype=float)[..., 0]
-        return ratio * np.exp(-(rho_p - rho) * x1)
+        def eta(x):
+            x1 = np.asarray(x, dtype=float)[..., 0]
+            return ratio * np.exp(-(rho_p - rho) * x1)
 
-    return MartingaleMeasureSpec(lam_p, eta,
-                                 marks_prime=_marks.Exponential(1.0 / rho_p))
+        marks_prime = _marks.Exponential(1.0 / rho_p)
+    return _construct("measure", "lambda_prime", MartingaleMeasureSpec, lam_p,
+                      eta, marks_prime)
 
 
 def _build_market(section, kernel, spec, horizon) -> MarketParams:
-    x0 = section.get_float("x0", required=True)
-    mu = section.get_float("mu", required=True)
-    sigma = section.get_float("sigma", required=True)
-    fn, inferred = _parse_rate(section, "rate_curve", horizon)
-    if fn is None:
-        const = inferred
-        fn = lambda t: np.full_like(np.asarray(t, dtype=float), const,
-                                    dtype=float)
-    return _construct("market", "x0", MarketParams, x0, mu, sigma, fn, kernel,
-                      spec)
+    x0 = section.get("x0", parse=_finite, required=True)
+    mu = section.get("mu", parse=_finite, required=True)
+    sigma = section.get("sigma", parse=_finite, required=True)
+    short_rate = _parse_rate(section, "rate_curve", horizon, spec.marks).rate
+    return _construct("market", "x0", MarketParams, x0, mu, sigma, short_rate,
+                      kernel, spec)
+
+
+def _build_affine(section) -> HawkesParams:
+    kappa = section.get("kappa", parse=_finite, required=True)
+    affine = _construct("affine", "kappa", HawkesParams, kappa,
+                        section.get("theta_bar", parse=_finite, required=True),
+                        section.get("lambda0", parse=_finite, required=True))
+    if kappa <= 1.0:
+        warnings.warn(
+            f"affine.kappa = {kappa} gives branching ratio "
+            f"{1.0 / kappa:.3g} >= 1: the cascade is critical or "
+            "supercritical and may hit the event cap",
+            stacklevel=3,
+        )
+    return affine
 
 
 def parse_config(path, *, overrides: dict | None = None) -> ExperimentConfig:
@@ -348,65 +320,58 @@ def parse_config(path, *, overrides: dict | None = None) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}", field="file")
 
+    known = {"run"}.union(*(blocks for blocks, _ in SCENARIOS.values()))
     for sec in cp.sections():
-        if sec not in _ALLOWED_KEYS:
+        if sec not in known:
             raise ConfigError(f"unknown section [{sec}]", field=sec)
-        for key in cp[sec]:
-            if key not in _ALLOWED_KEYS[sec]:
-                raise ConfigError("unknown key", field=f"{sec}.{key}")
-
     if "run" not in cp:
         raise ConfigError("missing [run] section", field="run")
 
     resolved: dict = {}
-    raw_run = dict(cp["run"])
+    sections = {sec: _Section(sec, cp[sec], resolved) for sec in cp.sections()}
+    run_sec = sections["run"]
     if overrides:
         ov_scen = overrides.get("scenario")
-        if (ov_scen is not None and "scenario" in raw_run
-                and raw_run["scenario"] != ov_scen):
+        if (ov_scen is not None and "scenario" in run_sec.raw
+                and run_sec.raw["scenario"] != ov_scen):
             raise ConfigError(
-                f"config requests {raw_run['scenario']!r} but the CLI "
+                f"config requests {run_sec.raw['scenario']!r} but the CLI "
                 f"invoked {ov_scen!r}", field="run.scenario")
-        raw_run.update({k: str(v) for k, v in overrides.items() if v is not None})
-    run_sec = _Section("run", raw_run, resolved)
+        run_sec.raw.update({k: str(v) for k, v in overrides.items()
+                            if v is not None})
 
-    scenario = run_sec.get_str("scenario", required=True, choices=set(SCENARIOS))
-    seed = run_sec.get_int("seed", required=True)
-    horizon = run_sec.get_float("horizon", default=1.0)
+    scenario = run_sec.get("scenario", required=True, choices=SCENARIOS)
+    blocks, min_paths = SCENARIOS[scenario]
+    seed = run_sec.get("seed", parse=_integer, required=True)
+    horizon = run_sec.get("horizon", parse=_finite, default=1.0)
     if horizon <= 0:
         _fail("run", "horizon", "must be > 0")
-    n_paths = run_sec.get_int("n_paths", default=1000)
-    min_paths = _MIN_PATHS.get(scenario, 1)
+    n_paths = run_sec.get("n_paths", parse=_integer, default=1000)
     if n_paths < min_paths:
         _fail("run", "n_paths", f"must be >= {min_paths} for {scenario}")
-    grid_points = run_sec.get_int("grid_points", default=64)
+    grid_points = run_sec.get("grid_points", parse=_integer, default=64)
     if grid_points < 2:
         _fail("run", "grid_points", "must be >= 2")
-    quad_tol = run_sec.get_float("quad_tol", default=DEFAULT_QUAD_TOL)
+    quad_tol = run_sec.get("quad_tol", parse=_finite, default=DEFAULT_QUAD_TOL)
     if quad_tol <= 0:
         _fail("run", "quad_tol", "must be > 0")
     theta_grid = _parse_theta_grid(run_sec)
     run = RunParams(scenario, horizon, n_paths, seed, grid_points, quad_tol,
                     theta_grid)
 
-    for block in _REQUIRED_BLOCKS[scenario]:
+    for block in blocks:
         if block not in cp:
             raise ConfigError(
                 f"scenario {scenario!r} needs a [{block}] section", field=block)
 
-    kernel = spec = market = measure = affine = None
-    expect_markov = None
-
+    kernel = spec = market = measure = affine = expect_markov = None
     if "kernel" in cp:
-        ksec = _Section("kernel", dict(cp["kernel"]), resolved)
-        kernel = _build_kernel(ksec)
-        raw_expect = ksec.get_str("expect_markov", default=None,
-                                  choices={"true", "false"})
-        if raw_expect is not None:
-            expect_markov = raw_expect == "true"
+        kernel = _build_kernel(sections["kernel"])
+        expect = sections["kernel"].get("expect_markov",
+                                        choices={"true", "false"})
+        expect_markov = None if expect is None else expect == "true"
     if "compensator" in cp:
-        csec = _Section("compensator", dict(cp["compensator"]), resolved)
-        spec = _build_compensator(csec, horizon)
+        spec = _build_compensator(sections["compensator"], horizon)
         if kernel is not None and kernel.mark_dim != spec.mark_dim:
             _fail("compensator", "marks",
                   f"mark dimension {spec.mark_dim} does not match kernel "
@@ -415,29 +380,20 @@ def parse_config(path, *, overrides: dict | None = None) -> ExperimentConfig:
         if spec is None:
             raise ConfigError("[measure] needs a [compensator] section",
                               field="measure")
-        msec = _Section("measure", dict(cp["measure"]), resolved)
-        measure = _build_measure(msec, spec)
+        measure = _build_measure(sections["measure"], spec)
     if "market" in cp:
         if kernel is None or spec is None:
             raise ConfigError("[market] needs [kernel] and [compensator]",
                               field="market")
-        marketsec = _Section("market", dict(cp["market"]), resolved)
-        market = _build_market(marketsec, kernel, spec, horizon)
+        market = _build_market(sections["market"], kernel, spec, horizon)
     if "affine" in cp:
-        asec = _Section("affine", dict(cp["affine"]), resolved)
-        kappa = asec.get_float("kappa", required=True)
-        theta_bar = asec.get_float("theta_bar", required=True)
-        lambda0 = asec.get_float("lambda0", required=True)
-        affine = _construct("affine", "kappa", HawkesParams, kappa, theta_bar,
-                            lambda0)
-        if kappa <= 1.0:
-            warnings.warn(
-                f"affine.kappa = {kappa} gives branching ratio "
-                f"{1.0 / kappa:.3g} >= 1: the cascade is critical or "
-                "supercritical and may hit the event cap",
-                stacklevel=2,
-            )
+        affine = _build_affine(sections["affine"])
 
+    for sec in sections.values():
+        unread = [key for key in sec.raw if key not in sec.read]
+        if unread:
+            _fail(sec.name, unread[0], "unknown key, or one the chosen "
+                  "kind, marks, rate form or eta does not read")
     return ExperimentConfig(run=run, kernel=kernel, spec=spec, market=market,
                             measure=measure, affine=affine,
                             expect_markov=expect_markov, resolved=resolved)

@@ -243,6 +243,10 @@ def ks_two_sample_weighted(x1, x2, w1=None, w2=None,
     x2 = np.asarray(x2, dtype=float)
     w1 = None if w1 is None else np.asarray(w1, dtype=float)
     w2 = None if w2 is None else np.asarray(w2, dtype=float)
+    for x, w in ((x1, w1), (x2, w2)):
+        if w is not None and w.shape != x.shape:
+            raise ValueError(f"weights of shape {w.shape} for a sample of "
+                             f"shape {x.shape}")
     # a NaN sorts last and a NaN weight spoils every ECDF value: either
     # gives a statistic that means nothing
     if not all(np.isfinite(a).all() for a in (x1, x2, w1, w2) if a is not None):

@@ -338,6 +338,31 @@ mark_value = 0.7
                      "--paths", "200", "--out", str(out)]) == 1
         assert f"FAIL {check}:" in (out / "report.txt").read_text()
 
+    def test_zero_se_fails_density_martingale(self, tmp_path):
+        # both paths hold one event, so L_T is 2/e on each with SE 0: a
+        # zero SE once passed any mean
+        text = """\
+[run]
+scenario = measure-check
+n_paths = 2
+seed = 2
+
+[compensator]
+rate = 1.0
+marks = exponential
+mark_mean = 1.0
+
+[measure]
+lambda_prime = 2.0
+eta = one
+"""
+        out = tmp_path / "mc"
+        assert main(["measure-check", "--config", write(tmp_path, text),
+                     "--out", str(out)]) == 1
+        report = (out / "report.txt").read_text()
+        assert ("FAIL density_martingale: E[L_T] = 0.735759 +- 0.00e+00, "
+                "|E[L_T]-1|/SE = inf") in report
+
     def test_markov_expectation_failure_exit_one(self, tmp_path):
         text = """\
 [run]
@@ -604,12 +629,70 @@ lambda0 = 1.0
                  "affine.theta_bar", id="theta-bar-negative"),
     pytest.param(AFFINE, "lambda0 = 1.0", "lambda0 = -1", "affine.lambda0",
                  id="lambda0-negative"),
+    pytest.param(MINIMAL_SIMULATE, "rate = 1.5",
+                 "rate = ramp: 1.0 0.5\nrate_bound = -1",
+                 "compensator.rate_bound", id="rate-bound-negative"),
+    # keys the chosen kind, marks, eta or rate form never reads
+    pytest.param(MINIMAL_SIMULATE, "b = 0.5", "b = 0.5\nc = 7.0", "kernel.c",
+                 id="unread-c-exponential-kernel"),
+    pytest.param(MINIMAL_SIMULATE, "mark_mean = 1.0",
+                 "mark_mean = 1.0\nmark_std = 3.0", "compensator.mark_std",
+                 id="unread-mark-std-exponential-marks"),
+    pytest.param(DRIFT_CHECK, "lambda_prime = 2.0",
+                 "lambda_prime = 2.0\neta = one\neta_rate = 2.0",
+                 "measure.eta_rate", id="unread-eta-rate-eta-one"),
+    pytest.param(MINIMAL_SIMULATE, "rate = 1.5", "rate = 1.5\nrate_bound = 5.0",
+                 "compensator.rate_bound", id="unread-rate-bound-constant"),
+    pytest.param(AFFINE, "seed = 1", "seed = 1\nn_path = 10", "run.n_path",
+                 id="unread-typo"),
 ])
-def test_out_of_range_parameter_names_its_field(tmp_path, text, old, new,
-                                                field):
+def test_out_of_range_parameter_names_its_field(tmp_path, capsys, text, old,
+                                                new, field):
+    path = write(tmp_path, text.replace(old, new))
     with pytest.raises(ConfigError) as err:
-        parse_config(write(tmp_path, text.replace(old, new)))
+        parse_config(path)
     assert err.value.field == field
+    scenario = text.split("scenario = ", 1)[1].split("\n", 1)[0]
+    assert main([scenario, "--config", path,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"ConfigError: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, section, keys", [
+    pytest.param("rate = 1.5", "rate = 1.5", "compensator",
+                 {"rate", "marks", "mark_mean"}, id="constant-rate"),
+    pytest.param("rate = 1.5", "rate = ramp: 1.0 0.5", "compensator",
+                 {"rate", "rate_bound", "marks", "mark_mean"},
+                 id="ramp-rate"),
+    pytest.param("rate = 1.5", "rate = table: 0 1.0, 1 3.0\nrate_bound = 4",
+                 "compensator", {"rate", "rate_bound", "marks", "mark_mean"},
+                 id="table-rate"),
+    pytest.param("kind = exponential\na = 1.0\nb = 0.5",
+                 "kind = power_law\nc = 2.0", "kernel", {"kind", "c"},
+                 id="power-law-kernel"),
+    pytest.param("marks = exponential\nmark_mean = 1.0",
+                 "marks = uniform\nmark_lo = 0\nmark_hi = 2", "compensator",
+                 {"rate", "marks", "mark_lo", "mark_hi"}, id="uniform-marks"),
+])
+def test_resolved_lists_only_keys_the_model_reads(tmp_path, old, new,
+                                                  section, keys):
+    # the audit trail once listed rate_bound = 5.0 beside a constant rate
+    # of 1.5, which the model ignored
+    cfg = parse_config(write(tmp_path, MINIMAL_SIMULATE.replace(old, new)))
+    assert set(cfg.resolved[section]) == keys
+    if "rate_bound" in keys:
+        assert (float(cfg.resolved[section]["rate_bound"])
+                == cfg.spec.rate_bound)
+
+
+def test_readme_config_example_parses(tmp_path):
+    # the grammar the README documents is the one the parser reads
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(write(tmp_path, example))
+    assert cfg.run.scenario == "cf-compare"
+    assert None not in (cfg.kernel, cfg.spec, cfg.market, cfg.measure,
+                        cfg.affine)
 
 
 @pytest.mark.parametrize("stem, fewest", [

@@ -304,7 +304,10 @@ class TestKs:
             assert type(fast.n_eff_1) is float and type(fast.n_eff_2) is float
 
     @pytest.mark.parametrize("w1, w2", [([1.0, -1.0], None), (None, [0.0, 0.0]),
-                                        ([0.0, 0.0], [1.0, 2.0])])
+                                        ([0.0, 0.0], [1.0, 2.0]),
+                                        # one weight too many or too few
+                                        ([1.0, 1.0, 1.0], None),
+                                        (None, [1.0])])
     def test_bad_weights_raise_before_sorting(self, monkeypatch, w1, w2):
         def no_sort(*_a, **_k):
             raise AssertionError("sorted before the weights were checked")
