@@ -83,10 +83,18 @@ class HawkesPath:
     def intensity(self, t):
         """Closed-form lambda_t = lambda0 e^{-kappa t} + theta_bar (1 -
         e^{-kappa t}) + sum_{T_i <= t} e^{-kappa (t - T_i)} per path
-        (right-continuous), shaped as :func:`~snoise.point_process.past_sum`."""
+        (right-continuous), shaped as :func:`~snoise.point_process.past_sum`,
+        for t in [0, horizon]."""
         kappa = self.params.kappa  # past_sum first: it rejects non-finite t
-        return past_sum(lambda lag, _m: np.exp(-kappa * lag), self.events,
-                        t) + self.params.mean_intensity_floor(t)
+        kicks = past_sum(lambda lag, _m: np.exp(-kappa * lag), self.events, t)
+        # a float is one comparison; an array's range is two reductions
+        lo, hi = (t, t) if isinstance(t, float) else (np.min(t, initial=0.0),
+                                                      np.max(t, initial=0.0))
+        if lo < 0:
+            raise ValueError("t must be >= 0")
+        if hi > self.events.horizon:
+            raise ValueError("t beyond path horizon")
+        return kicks + self.params.mean_intensity_floor(t)
 
     def closed_form_intensities(self) -> np.ndarray:
         """lambda at every event from the event times alone (right-continuous):

@@ -4,8 +4,9 @@ The format is sectioned key-value text (chosen over nested formats for
 diffability in golden tests).  Each key is declared once, where a builder
 reads it: a key that no builder reads for the chosen kernel kind, mark law,
 rate form or eta is an error (``rate_bound`` goes with ramp and table rates
-only), as is an unknown section.  Every numeric field is validated on parse,
-and ``run.seed`` is mandatory (reproducibility is a contract, not an option).
+only), as is a section the scenario does not read (``SCENARIOS``).  Every
+numeric field is validated on parse, and ``run.seed`` is mandatory
+(reproducibility is a contract, not an option).
 See the README for the full grammar and examples.
 """
 
@@ -320,10 +321,6 @@ def parse_config(path, *, overrides: dict | None = None) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}", field="file")
 
-    known = {"run"}.union(*(blocks for blocks, _ in SCENARIOS.values()))
-    for sec in cp.sections():
-        if sec not in known:
-            raise ConfigError(f"unknown section [{sec}]", field=sec)
     if "run" not in cp:
         raise ConfigError("missing [run] section", field="run")
 
@@ -359,11 +356,17 @@ def parse_config(path, *, overrides: dict | None = None) -> ExperimentConfig:
     run = RunParams(scenario, horizon, n_paths, seed, grid_points, quad_tol,
                     theta_grid)
 
+    for sec in cp.sections():
+        if sec not in ("run", *blocks):
+            raise ConfigError(f"scenario {scenario!r} reads no [{sec}] section",
+                              field=sec)
     for block in blocks:
         if block not in cp:
             raise ConfigError(
                 f"scenario {scenario!r} needs a [{block}] section", field=block)
 
+    # only the scenario's blocks are present, and SCENARIOS pairs [measure]
+    # with [compensator] and [market] with [kernel] and [compensator]
     kernel = spec = market = measure = affine = expect_markov = None
     if "kernel" in cp:
         kernel = _build_kernel(sections["kernel"])
@@ -377,14 +380,8 @@ def parse_config(path, *, overrides: dict | None = None) -> ExperimentConfig:
                   f"mark dimension {spec.mark_dim} does not match kernel "
                   f"dimension {kernel.mark_dim}")
     if "measure" in cp:
-        if spec is None:
-            raise ConfigError("[measure] needs a [compensator] section",
-                              field="measure")
         measure = _build_measure(sections["measure"], spec)
     if "market" in cp:
-        if kernel is None or spec is None:
-            raise ConfigError("[market] needs [kernel] and [compensator]",
-                              field="market")
         market = _build_market(sections["market"], kernel, spec, horizon)
     if "affine" in cp:
         affine = _build_affine(sections["affine"])

@@ -235,7 +235,22 @@ def break_ties(times: np.ndarray) -> np.ndarray:
 
 def hand_over(times, marks, horizon: float, offsets) -> MppPath:
     """A simulator's paths over arrays no one else holds: a path with a tie
-    gets :func:`break_ties`' nudge in place; nothing is copied."""
+    gets :func:`break_ties`' nudge in place; nothing is copied.  One path is
+    checked by one scan for rising times and its end times as floats;
+    :func:`_check` runs where that finds a fault or a nudge, so the validity
+    rules and messages keep one home."""
+    if offsets.size == 2:
+        n = times.size
+        rise = n < 2 or (times[1:] > times[:-1]).all()
+        if not rise:
+            times[:] = break_ties(times)
+        if not (rise and times.ndim == 1 and marks.shape[0] == n
+                and math.isfinite(horizon) and horizon >= 0
+                and (not n or 0.0 < float(times[0])
+                     and float(times[-1]) <= horizon)
+                and np.isfinite(marks).all()):
+            _check(times, marks, horizon, offsets)
+        return _view(times, marks, horizon, offsets)
     rises = _rises(times, offsets)
     if not rises.all():
         tied = np.flatnonzero(~rises) + 1
@@ -269,7 +284,8 @@ def simulate_mpp(spec: CompensatorSpec, horizon: float, seed: int, *,
     t = 0.0
     kept, n_kept = [], 0
     while True:
-        cands = t + np.cumsum(ev.exponential(scale, size=chunk))
+        cands = ev.exponential(scale, size=chunk).cumsum()
+        cands += t
         unif = ev.random(size=chunk)
         # candidates rise, so those inside the horizon are a prefix
         k = int(cands.searchsorted(horizon, side="right"))
@@ -329,7 +345,11 @@ def past_sum(fn, paths, at, *, strict: bool = False) -> np.ndarray:
     at lag 0) and masked to zero, in blocks of at least one time column and
     about ``_PAST_SUM_BLOCK`` pairs, each one ``fn`` call and one
     ``np.bincount`` over ``row * n_paths + path_id`` in event order: the
-    same bits for a path alone and inside a batch.
+    same bits for a path alone and inside a batch.  One path at a scalar
+    time evaluates ``fn`` on the live prefix of its rising times only,
+    summed in event order by ``cumsum``: the same bits, as a sequential sum
+    ignores the block loop's trailing zeros, and ``+ 0.0`` gives
+    ``bincount``'s ``+0.0`` for a sum of ``-0.0`` terms.
     """
     at = np.asarray(at, dtype=float)
     # per-path loops call this with scalar times, where math.isfinite costs
@@ -339,9 +359,12 @@ def past_sum(fn, paths, at, *, strict: bool = False) -> np.ndarray:
     times, n = paths.times, paths.n_paths
     if n == 1 and at.ndim == 0:
         # the per-path loops' call, a float by the shape rule of every
-        # routine that serves a batch: the one row of the block loop below
-        return (float(_row_sums(fn, at - times, paths.marks, paths.path_ids(),
-                                1, strict)[0]) if times.size else 0.0)
+        # routine that serves a batch
+        k = int(times.searchsorted(at, side="left" if strict else "right"))
+        if not k:
+            return 0.0
+        vals = np.asarray(fn(at - times[:k], paths.marks[:k]), dtype=float)
+        return float(vals.cumsum()[-1]) + 0.0
     per_path = at.ndim == 2 and at.shape[0] == n
     if at.ndim > 1 and not per_path:
         raise ValueError("evaluation times must be a scalar, a 1-d array or "

@@ -73,6 +73,22 @@ class TestSimulateHawkes:
                     for ti in hp.events.times if ti <= t)
         assert hp.intensity(t) == pytest.approx(deterministic + kicks, rel=1e-12)
 
+    @pytest.mark.parametrize("t, match", [
+        (5.0, "beyond"), (1.0 + 1e-12, "beyond"), (-1.0, ">= 0"),
+        (-1e-300, ">= 0")])
+    def test_intensity_outside_horizon_rejected(self, t, match):
+        # lambda_t once returned 0.50002 at t = 5 and 4.19 at t = -1 on a
+        # path of horizon 1
+        params = HawkesParams(2.0, 0.5, 1.0)
+        for hp in (simulate_hawkes(params, 1.0, 1),
+                   simulate_hawkes_batch(params, 1.0, 4, 3)):
+            assert hp.events.n_events
+            for arg in (t, np.array(t), np.array([0.5, t]), [t, 0.5]):
+                with pytest.raises(ValueError, match=match):
+                    hp.intensity(arg)
+            for ok in (0.0, 1.0, np.array([0.0, 1.0]), np.empty(0)):
+                assert np.isfinite(hp.intensity(ok)).all()
+
     def test_reproducibility(self):
         params = HawkesParams(2.0, 0.5, 1.0)
         a = simulate_hawkes(params, 2.0, 9, path_index=3)

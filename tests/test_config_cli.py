@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from snoise import scenarios
 from snoise.cli import EXIT_NUMERICAL, main
-from snoise.config import parse_config
+from snoise.config import SCENARIOS, parse_config
 from snoise.errors import ConfigError
 from snoise.stats import CfEstimate
 
@@ -103,8 +103,18 @@ class TestParsing:
         assert err.value.field == "compensator.typo_key"
 
     def test_unknown_section_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            parse_config(write(tmp_path, MINIMAL_SIMULATE + "[extra]\nx = 1\n"))
+        # a known section the scenario does not read was once built and
+        # listed in [resolved config]
+        for scenario, section in (("simulate", "extra"), ("simulate", "market"),
+                                  ("simulate", "measure"),
+                                  ("cf-compare", "affine")):
+            text = MINIMAL_SIMULATE.replace(
+                "scenario = simulate", f"scenario = {scenario}")
+            with pytest.raises(ConfigError,
+                               match=f"reads no \\[{section}\\]") as err:
+                parse_config(write(tmp_path, f"{text}[{section}]\nx = 1\n"),
+                             overrides={"n_paths": 100})
+            assert err.value.field == section
 
     def test_missing_block_for_scenario(self, tmp_path):
         text = MINIMAL_SIMULATE.replace("[kernel]\nkind = exponential\na = 1.0\nb = 0.5\n\n", "")
@@ -151,6 +161,8 @@ class TestParsing:
                                         "scenario = measure-check")
         text = text.replace("marks = exponential\nmark_mean = 1.0",
                             "marks = point_mass\nmark_value = 1.0")
+        # measure-check reads no [kernel]
+        text = text.replace("[kernel]\nkind = exponential\na = 1.0\nb = 0.5\n", "")
         text += "\n[measure]\nlambda_prime = 2.0\neta = exp_tilt\neta_rate = 2.0\n"
         with pytest.raises(ConfigError) as err:
             parse_config(write(tmp_path, text))
@@ -686,13 +698,21 @@ def test_resolved_lists_only_keys_the_model_reads(tmp_path, old, new,
 
 
 def test_readme_config_example_parses(tmp_path):
-    # the grammar the README documents is the one the parser reads
+    # the grammar the README documents is the one the parser reads: each
+    # example holds one scenario's blocks, every one of them built
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
-    cfg = parse_config(write(tmp_path, example))
-    assert cfg.run.scenario == "cf-compare"
-    assert None not in (cfg.kernel, cfg.spec, cfg.market, cfg.measure,
-                        cfg.affine)
+    examples = [block.split("```", 1)[0]
+                for block in readme.split("```ini\n")[1:]]
+    built = {"kernel": "kernel", "compensator": "spec", "market": "market",
+             "measure": "measure", "affine": "affine"}
+    scenarios = []
+    for example in examples:
+        cfg = parse_config(write(tmp_path, example))
+        blocks = SCENARIOS[cfg.run.scenario][0]
+        for block, attr in built.items():
+            assert (getattr(cfg, attr) is not None) == (block in blocks)
+        scenarios.append(cfg.run.scenario)
+    assert scenarios == ["cf-compare", "drift-check", "affine-validate"]
 
 
 @pytest.mark.parametrize("stem, fewest", [

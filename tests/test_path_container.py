@@ -4,10 +4,14 @@ Routines that can serve a batch return one value per path (a bare float for
 one path at a scalar time); routines that read one path refuse a batch.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
 
 from snoise.affine import HawkesParams, simulate_hawkes_batch
+from snoise.errors import NonFiniteError
 from snoise.kernels import exponential
 from snoise.marks import PointMass
 from snoise.measure_change import (
@@ -21,7 +25,7 @@ from snoise.measure_change import (
     sum_past_g,
     unit_eta,
 )
-from snoise.point_process import MppPath, break_ties, hand_over, standard
+from snoise.point_process import MppPath, _check, break_ties, hand_over, standard
 from snoise.shotnoise import (
     FiltrationState,
     ShotNoiseProcess,
@@ -87,6 +91,32 @@ class TestLayout:
     def test_every_path_is_checked(self, times, offsets, match):
         with pytest.raises(ValueError, match=match):
             MppPath(times, np.ones(4), 1.0, offsets)
+
+    @pytest.mark.parametrize("offsets", [(0, 3), (0, 1, 3)],
+                             ids=["one-path", "batch"])
+    @pytest.mark.parametrize("times, mark, horizon", [
+        ([0.0, 0.5, 0.7], 1.0, 1.0),
+        ([-0.1, 0.5, 0.7], 1.0, 1.0),
+        ([0.2, 0.5, 1.5], 1.0, 1.0),
+        ([0.2, 1.0, 1.0], 1.0, 1.0),  # the nudge lands beyond the horizon
+        ([0.2, math.nan, 0.7], 1.0, 1.0),
+        ([0.2, 0.5, math.inf], 1.0, 1.0),
+        ([0.2, 0.5, 0.7], math.nan, 1.0),
+        ([0.2, 0.5, 0.7], math.inf, 1.0),
+        ([0.2, 0.5, 0.7], -math.inf, 1.0),
+        ([0.2, 0.5, 0.7], 1.0, math.nan),
+        ([0.2, 0.5, 0.7], 1.0, math.inf),
+    ])
+    def test_hand_over_raises_as_check(self, times, mark, horizon, offsets):
+        # the one-path route checks by its ends and one scan, yet every
+        # fault raises _check's own error, as the batch route does
+        offsets = np.array(offsets)
+        marks = np.array([[1.0], [mark], [1.0]])
+        with pytest.raises((ValueError, NonFiniteError)) as want:
+            _check(break_ties(times), marks, horizon, offsets)
+        with pytest.raises(type(want.value),
+                           match=f"^{re.escape(str(want.value))}$"):
+            hand_over(np.array(times), marks, horizon, offsets)
 
     def test_hand_over_nudges_tied_paths_only(self):
         times = np.array([0.2, 0.5, 0.3, 0.3, 0.4, 0.1])

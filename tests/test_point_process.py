@@ -348,6 +348,8 @@ _KERNELS = {
     "random_decay_G": (random_decay().G, 2),
     "table_G": (_TABLE.G, 1),
     "table_g": (_TABLE.g, 1),
+    # every term -0.0: the block loop's bincount sums to +0.0
+    "neg_zero": (lambda lag, x: -0.0 * np.exp(-lag) * x[..., 0], 1),
 }
 
 
@@ -368,15 +370,50 @@ def _kernel_path_at(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=_kernel_path_at(), strict=st.booleans())
 def test_past_sum_matches_brute_force(case, strict):
+    # a scalar time takes the one-path prefix route, a 1-d grid the block
+    # loop: the same bits, with fn seeing only the live events
     fn, times, marks, at = case
     path = MppPath(times, marks, 4.0)
     got = past_sum(fn, path, at, strict=strict)
     assert got.shape == (1,) + at.shape
+    seen = []
+
+    def counted(lag, x):
+        seen.append(np.size(lag))
+        return fn(lag, x)
+
     for u, val in zip(at, got[0]):
         terms = [float(fn(u - t, m)) for t, m in zip(times, marks)
                  if (t < u if strict else t <= u)]
         assert abs(val - math.fsum(terms)) <= 1e-13 * math.fsum(map(abs, terms))
-        assert past_sum(fn, path, u, strict=strict) == val
+        seen.clear()
+        alone = past_sum(counted, path, u, strict=strict)
+        assert type(alone) is float and alone.hex() == float(val).hex()
+        assert seen == ([len(terms)] if terms else [])
+
+
+@pytest.mark.parametrize("u, strict, live", [
+    (0.3, False, 0), (0.5, True, 0), (0.5, False, 1), (0.65, False, 1),
+    (0.8, True, 1), (0.8, False, 2), (0.95, False, 3), (1.0, True, 3)])
+@pytest.mark.parametrize("kernel", ["exp_G", "neg_zero"])
+def test_past_sum_one_path_prefix(u, strict, live, kernel):
+    # before the first event, at an event time either side of strict and
+    # with events after u: fn sees the live prefix only, and the sum has the
+    # block loop's bits, +0.0 where every term is -0.0
+    fn = _KERNELS[kernel][0]
+    path = MppPath([0.5, 0.8, 0.9], [[1.0], [2.0], [0.5]], 1.0)
+    seen = []
+
+    def counted(lag, x):
+        seen.append(np.size(lag))
+        return fn(lag, x)
+
+    got = past_sum(counted, path, u, strict=strict)
+    assert seen == ([live] if live else [])
+    block = past_sum(fn, path, [u], strict=strict)[0, 0]
+    assert type(got) is float and got.hex() == float(block).hex()
+    assert math.copysign(1.0, got) == 1.0  # never -0.0
+    assert (got > 0) == (live > 0 and kernel == "exp_G")
 
 
 @pytest.mark.parametrize("layout, n_times", [("path", 64), ("batch", 9)])
