@@ -85,7 +85,6 @@ from .shotnoise import (
     eval_shotnoise,
     ou_recursive_update,
     semimartingale_decompose,
-    state_value,
 )
 from .stats import (
     CfEstimate,

@@ -25,6 +25,8 @@ from .point_process import (
     MAX_BATCH_EVENTS,
     MAX_PATH_EVENTS,
     MppPath,
+    check_horizon,
+    check_times,
     hand_over,
     past_sum,
 )
@@ -85,15 +87,9 @@ class HawkesPath:
         e^{-kappa t}) + sum_{T_i <= t} e^{-kappa (t - T_i)} per path
         (right-continuous), shaped as :func:`~snoise.point_process.past_sum`,
         for t in [0, horizon]."""
-        kappa = self.params.kappa  # past_sum first: it rejects non-finite t
+        check_times(t, self.events.horizon)
+        kappa = self.params.kappa
         kicks = past_sum(lambda lag, _m: np.exp(-kappa * lag), self.events, t)
-        # a float is one comparison; an array's range is two reductions
-        lo, hi = (t, t) if isinstance(t, float) else (np.min(t, initial=0.0),
-                                                      np.max(t, initial=0.0))
-        if lo < 0:
-            raise ValueError("t must be >= 0")
-        if hi > self.events.horizon:
-            raise ValueError("t beyond path horizon")
         return kicks + self.params.mean_intensity_floor(t)
 
     def closed_form_intensities(self) -> np.ndarray:
@@ -118,10 +114,7 @@ def simulate_hawkes(params: HawkesParams, horizon: float, seed: int, *,
     candidate, accepted or not.  Near-critical parameters can generate huge
     cascades, hence the event cap ``MAX_PATH_EVENTS``.
     """
-    if not math.isfinite(horizon):
-        raise NonFiniteError(f"horizon must be finite, got {horizon}")
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
+    check_horizon(horizon)
     rng = make_stream(seed, path_index, TAG_HAWKES)
     kappa, theta_bar = params.kappa, params.theta_bar
 
@@ -196,12 +189,7 @@ def simulate_hawkes_batch(params: HawkesParams, horizon: float, n_paths: int,
     index.  All draws come from the stream ``(seed, 0, TAG_HAWKES_BATCH)``.
     The caps ``MAX_PATH_EVENTS`` and ``MAX_BATCH_EVENTS`` bound its events.
     """
-    if not math.isfinite(horizon):
-        raise NonFiniteError(f"horizon must be finite, got {horizon}")
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    check_horizon(horizon, n_paths)
     rng = make_stream(seed, 0, TAG_HAWKES_BATCH)
     kappa, theta_bar = params.kappa, params.theta_bar
 

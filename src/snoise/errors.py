@@ -52,12 +52,6 @@ class UnsupportedMarksError(SnoiseError):
     code = "UnsupportedMarks"
 
 
-class KernelNotExponentialError(SnoiseError):
-    """Operation requires an exponential-decay kernel."""
-
-    code = "KernelNotExponential"
-
-
 class IntegrabilityFailureError(SnoiseError):
     """A required integrability condition failed its numerical check."""
 

@@ -41,6 +41,7 @@ from .marks import MarkDistribution
 from .point_process import (
     CompensatorSpec,
     MppPath,
+    check_times,
     one_path,
     past_sum,
     slice_integrand,
@@ -138,6 +139,7 @@ def _compensator_curve(kernel: GirsanovKernel, spec: CompensatorSpec,
     nu is finite on [0, t], so int Y d nu = C(t) + int_0^t rate is finite,
     as a density needs, exactly when C(t) is; that is checked here.
     """
+    check_times(times, np.finfo(float).max)  # finite and >= 0, first
     if kernel.time_homogeneous and spec.stationary_rate is not None:
         curve = float(spec.slice_integral(
             0.0, lambda x: np.asarray(kernel.Y(0.0, x), dtype=float) - 1.0,
@@ -169,6 +171,9 @@ def density_process(kernel: GirsanovKernel, spec: CompensatorSpec,
     """The density L along one path at all grid and event times (log-space)."""
     one_path(path, "density_process")
     grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("grid must be non-empty")
+    check_times(grid, path.horizon)
     t_max = float(grid.max())
     ev = path.times[path.times <= t_max]
     times = np.unique(np.concatenate([[0.0], grid, ev]))
@@ -273,7 +278,8 @@ def _jump_transform_integral(market: MarketParams, fn, t: float,
 
 def sum_past_g(market: MarketParams, t, path, *, strict: bool = False):
     """sum_{T_i <= t} g(t - T_i, U_i) per path (T_i < t if ``strict``), at
-    one time ``t`` for every path or one time per path."""
+    one time ``t`` for every path or one time per path, in [0, horizon]."""
+    check_times(t, path.horizon)
     if _one_time(t):
         return past_sum(market.kernel.g, path, t, strict=strict)
     return past_sum(market.kernel.g, path, np.reshape(t, (-1, 1)),
@@ -302,13 +308,15 @@ def mmm_ell(market: MarketParams, t: float, x_tm: float, path: MppPath, *,
     measure is out of scope because it destroys independent increments.
     """
     one_path(path, "mmm_ell")
+    # first, so a bad t fails the read rule before the integrals at t run
+    past = sum_past_g(market, t, path, strict=True)
     num_jump = _jump_transform_integral(market, lambda e: e - 1.0, t, quad_tol)
     den = _jump_transform_integral(market, lambda e: (e - 1.0) ** 2, t, quad_tol)
     if den <= 0.0:
         raise DegenerateJumpsError(
             "int (e^{G(0,x)} - 1)^2 nu(t, dx) vanishes; no jump risk at t"
         )
-    num = market.mu_drift + sum_past_g(market, t, path, strict=True) + num_jump
+    num = market.mu_drift + past + num_jump
     return num / den / x_tm
 
 

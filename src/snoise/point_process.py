@@ -151,6 +151,7 @@ class MppPath:
 
     def count(self, t: float) -> int:
         one_path(self, "count")
+        check_times(t, self.horizon)
         return int(np.searchsorted(self.times, t, side="right"))
 
     def cumulative_marks(self, t: float) -> np.ndarray:
@@ -160,8 +161,6 @@ class MppPath:
     def restrict(self, t: float) -> "MppPath":
         """The path observed on [0, t]."""
         one_path(self, "restrict")
-        if not 0 <= t <= self.horizon:
-            raise ValueError("restriction time must lie in [0, horizon]")
         k = self.count(t)
         return _view(self.times[:k], self.marks[:k], t, np.array((0, k)))
 
@@ -205,6 +204,35 @@ def _view(times, marks, horizon, offsets) -> MppPath:
     path = object.__new__(MppPath)
     path.__dict__.update(times=times, marks=marks, horizon=horizon, offsets=offsets)
     return path
+
+
+def check_horizon(horizon: float, n_paths: int = 1) -> None:
+    """The rule of every simulator: a finite horizon > 0 and, for a batch,
+    at least one path."""
+    if not math.isfinite(horizon):
+        raise NonFiniteError(f"horizon must be finite, got {horizon}")
+    if horizon <= 0:
+        raise ValueError("horizon must be > 0")
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+
+
+def check_times(t, horizon: float) -> None:
+    """The rule of every routine that reads a path at times ``t``, a scalar or
+    an array: each finite (else ``NonFiniteError``) and in [0, ``horizon``]
+    (else ``ValueError``); a valid float costs two comparisons."""
+    if isinstance(t, float):
+        lo = hi = t
+    else:  # min and max are NaN at a NaN; an empty array passes
+        t = np.asarray(t, dtype=float)
+        lo, hi = t.min(initial=0.0), t.max(initial=0.0)
+    if 0.0 <= lo and hi <= horizon:  # False at NaN
+        return
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NonFiniteError("evaluation times must be finite")
+    if lo < 0:
+        raise ValueError("t must be >= 0")
+    raise ValueError("t beyond path horizon")
 
 
 def one_path(paths: MppPath, routine: str) -> None:
@@ -270,10 +298,7 @@ def simulate_mpp(spec: CompensatorSpec, horizon: float, seed: int, *,
     get a mark from F(0, .).  Deterministic given ``(seed, path_index)``.
     More than ``MAX_PATH_EVENTS`` events raise ``ExplosionGuardError``.
     """
-    if not math.isfinite(horizon):
-        raise NonFiniteError(f"horizon must be finite, got {horizon}")
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
+    check_horizon(horizon)
     lam_bar = spec.rate_bound
     if lam_bar == 0.0:
         return empty_path(horizon, spec.mark_dim)

@@ -385,7 +385,7 @@ def _run_drift_check(config: ExperimentConfig, out_dir: Path) -> int:
     checks = []
     n_states = min(run.n_paths, 1000)
     states = stock.paths.head(n_states)
-    t = 0.1 + 0.8 * run.horizon * (np.arange(n_states) / max(n_states - 1, 1))
+    t = run.horizon * (0.1 + 0.8 * (np.arange(n_states) / max(n_states - 1, 1)))
     xi = market_price_of_risk(market, mm, t, states, quad_tol=run.quad_tol)
     resid = drift_residual(market, mm, t, states, xi=xi, quad_tol=run.quad_tol)
     worst = float(np.abs(resid).max())

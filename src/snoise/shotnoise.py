@@ -23,15 +23,15 @@ import numpy as np
 
 from .errors import (
     IntegrabilityFailureError,
-    KernelNotExponentialError,
     QuadratureFailureError,
     UnsupportedMarksError,
 )
-from .kernels import KIND_EXPONENTIAL, NoiseKernel
+from .kernels import NoiseKernel
 from .marks import MODE_SAMPLE
 from .point_process import (
     CompensatorSpec,
     MppPath,
+    check_times,
     compensator_mass,
     one_path,
     past_sum,
@@ -93,18 +93,11 @@ class FiltrationState:
         return FiltrationState(t, path.restrict(t))
 
 
-def eval_shotnoise(proc: ShotNoiseProcess, path: MppPath, t: float):
-    """S_t = sum_{T_i <= t} G(t - T_i, U_i) per path; right-continuous."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t > path.horizon:
-        raise ValueError("t beyond path horizon")
+def eval_shotnoise(proc: ShotNoiseProcess, path: MppPath, t):
+    """S_t = sum_{T_i <= t} G(t - T_i, U_i) per path, right-continuous, at a
+    time or a grid in [0, horizon], shaped as :func:`past_sum`."""
+    check_times(t, path.horizon)
     return past_sum(proc.kernel.G, path, t)
-
-
-def state_value(proc: ShotNoiseProcess, state: FiltrationState) -> float:
-    """S at the state time, from the observed events only."""
-    return float(past_sum(proc.kernel.G, state.observed, state.t))
 
 
 class CfParts(NamedTuple):
@@ -162,23 +155,15 @@ def conditional_cf(proc: ShotNoiseProcess, state: FiltrationState, T: float,
 
 def conditional_mean(proc: ShotNoiseProcess, state: FiltrationState, T: float,
                      *, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
-    """E[S_T | F_t] for an exponential kernel: decayed state plus future inflow."""
-    if proc.kernel.kind != KIND_EXPONENTIAL:
-        raise KernelNotExponentialError(
-            f"conditional_mean needs an exponential kernel, got {proc.kernel.kind}"
-        )
-    a = proc.kernel.params["a"]
-    b = proc.kernel.params["b"]
-    s_t = state_value(proc, state)
-    if T == state.t:
-        return s_t
+    """E[S_T | F_t] for every kernel, split as :func:`conditional_cf_parts`:
+    sum_{T_i <= t} G(T - T_i, U_i) plus int_t^T int G(T - s, x) nu(ds, dx)."""
+    past = float(past_sum(proc.kernel.G, state.observed, T))
     future = compensator_mass(
         proc.spec, state.t, T,
-        lambda s, x: a * np.asarray(x, dtype=float)[..., 0]
-        * np.exp(-b * (T - s)),
+        lambda s, x: np.asarray(proc.kernel.G(T - s, x), dtype=float),
         quad_tol=quad_tol,
-    )
-    return math.exp(-b * (T - state.t)) * s_t + float(future)
+        mark_breakpoints=proc.kernel.params.get("x_knots", ()))
+    return past + float(future)
 
 
 class Decomposition(NamedTuple):
@@ -197,10 +182,11 @@ def semimartingale_decompose(proc: ShotNoiseProcess, path: MppPath, grid, *,
     """
     one_path(path, "semimartingale_decompose")
     grid = np.asarray(grid, dtype=float)
+    check_times(grid, path.horizon)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-d array")
-    if np.any(grid < 0) or np.any(np.diff(grid) < 0) or grid[-1] > path.horizon:
-        raise ValueError("grid must be sorted within [0, horizon]")
+    if np.any(np.diff(grid) < 0):
+        raise ValueError("grid must be sorted")
 
     try:
         gsq = proc.integrability_value(float(grid[-1]), quad_tol=quad_tol)

@@ -29,6 +29,7 @@ from .point_process import (
     CompensatorSpec,
     MppPath,
     _check_rate_bound,
+    check_horizon,
     hand_over,
     past_sum,
 )
@@ -308,11 +309,9 @@ def simulate_standard_batch(lam: float, marks: MarkDistribution,
     in path order (then sorted per path), the marks.  A batch expected to
     hold more than ``MAX_BATCH_EVENTS`` events fails before it draws any.
     """
-    if not (math.isfinite(lam) and math.isfinite(horizon)):
-        raise NonFiniteError(
-            f"rate and horizon must be finite, got {lam} and {horizon}")
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
+    check_horizon(horizon, n_paths)
+    if not math.isfinite(lam):
+        raise NonFiniteError(f"rate must be finite, got {lam}")
     expected = lam * horizon * n_paths
     if expected > MAX_BATCH_EVENTS:
         raise ExplosionGuardError(

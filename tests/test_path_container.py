@@ -168,8 +168,8 @@ def test_hawkes_batch_intensity_per_path():
 
 def test_one_path_routines_refuse_a_batch(batch):
     # each of these reads one path; a batch raises instead of reading
-    # path 0 or merging the paths (state_value and conditional_cf_parts
-    # take a FiltrationState, which refuses a batch)
+    # path 0 or merging the paths (conditional_cf_parts and
+    # conditional_mean take a FiltrationState, which refuses a batch)
     grid = np.array([0.0, 0.5, 1.0])
     calls = {
         "FiltrationState": lambda p: FiltrationState(1.0, p),

@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snoise.errors import (
-    IntegrabilityFailureError,
-    KernelNotExponentialError,
-    UnsupportedMarksError,
-)
+from snoise.errors import IntegrabilityFailureError, UnsupportedMarksError
 from snoise.kernels import (
     custom,
     exponential,
@@ -226,10 +222,12 @@ class TestConditionalMean:
         got = conditional_mean(proc, state, 3.0)
         assert got == pytest.approx(5.0 * math.exp(-b * 2.0), rel=1e-12)
 
-    def test_requires_exponential_kernel(self):
-        proc = ShotNoiseProcess(power_law(1.0), standard(1.0, PointMass(1.0)))
-        with pytest.raises(KernelNotExponentialError):
-            conditional_mean(proc, state_at_zero(), 1.0)
+    def test_power_law_closed_form(self):
+        # oracle: int_0^T lam u / (1 + c (T - s)) ds = (lam u / c) log1p(c T)
+        lam, u, c, T = 1.5, 0.7, 2.0, 3.0
+        proc = ShotNoiseProcess(power_law(c), standard(lam, PointMass(u)))
+        got = conditional_mean(proc, state_at_zero(), T)
+        assert got == pytest.approx(lam * u / c * math.log1p(c * T), abs=1e-10)
 
 
 class TestSemimartingaleDecomposition:
