@@ -27,6 +27,7 @@ from .point_process import (
     MppPath,
     check_horizon,
     check_times,
+    empty_path,
     hand_over,
     past_sum,
 )
@@ -61,7 +62,10 @@ class HawkesParams:
 
     def mean_intensity_floor(self, t):
         """Lowest reachable intensity at time(s) t: the one with no events."""
-        e = np.exp(-self.kappa * np.asarray(t, dtype=float))
+        # a float goes to the same ufunc as its 0-d array, and np.exp still
+        # returns numpy.float64
+        e = np.exp(-self.kappa * (t if isinstance(t, float)
+                                  else np.asarray(t, dtype=float)))
         return self.lambda0 * e + self.theta_bar * (1.0 - e)
 
 
@@ -141,6 +145,8 @@ def simulate_hawkes(params: HawkesParams, horizon: float, seed: int, *,
                     f"parameters may be supercritical (kappa = {kappa})"
                 )
 
+    if not times:
+        return HawkesPath(empty_path(horizon), _frozen(np.empty(0)), params)
     events = hand_over(np.array(times, dtype=float), np.ones((len(times), 1)),
                        horizon, np.array((0, len(times))))
     return HawkesPath(events, _frozen(np.array(intens, dtype=float)), params)

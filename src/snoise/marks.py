@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _sps
+from scipy.special import ndtr
 
 from .errors import NonFiniteError, QuadratureFailureError
 from .quadrature import DEFAULT_QUAD_TOL, gauss_kronrod
@@ -202,7 +202,8 @@ class Normal(MarkDistribution):
         return self.mean - 13.0 * self.std, self.mean + 13.0 * self.std
 
     def cdf(self, t, x):
-        return _sps.norm.cdf(x, loc=self.mean, scale=self.std)
+        # scipy.stats.norm.cdf(x, mean, std) by the same standardization
+        return ndtr((np.asarray(x, dtype=float) - self.mean) / self.std)
 
 
 @dataclass(frozen=True)

@@ -242,7 +242,12 @@ def one_path(paths: MppPath, routine: str) -> None:
 
 
 def empty_path(horizon: float, mark_dim: int = 1) -> MppPath:
-    return MppPath(np.empty(0), np.empty((0, mark_dim)), horizon)
+    """No events on [0, ``horizon``], over fresh frozen arrays: only the
+    horizon needs a check, and a bad one gets :func:`_check`'s error."""
+    times, marks = np.empty(0), np.empty((0, mark_dim))
+    if not (math.isfinite(horizon) and horizon >= 0):
+        _check(times, marks, horizon, None)
+    return _view(times, marks, horizon, np.array((0, 0)))
 
 
 def break_ties(times: np.ndarray) -> np.ndarray:
@@ -331,7 +336,7 @@ def simulate_mpp(spec: CompensatorSpec, horizon: float, seed: int, *,
 
     if not n_kept:
         return empty_path(horizon, spec.mark_dim)
-    times = np.concatenate(kept)
+    times = kept[0] if len(kept) == 1 else np.concatenate(kept)
     marks = spec.marks.sample(make_stream(seed, path_index, TAG_MARKS), 0.0,
                               n_kept)
     return hand_over(times, marks, horizon, np.array((0, n_kept)))
@@ -385,7 +390,8 @@ def past_sum(fn, paths, at, *, strict: bool = False) -> np.ndarray:
     if n == 1 and at.ndim == 0:
         # the per-path loops' call, a float by the shape rule of every
         # routine that serves a batch
-        k = int(times.searchsorted(at, side="left" if strict else "right"))
+        k = times.size and int(times.searchsorted(
+            at, side="left" if strict else "right"))
         if not k:
             return 0.0
         vals = np.asarray(fn(at - times[:k], paths.marks[:k]), dtype=float)

@@ -24,7 +24,12 @@ seed sequence whose only state is ``(seed, path_index << 32 | tag)``, so
 building a stream reads no OS entropy (``Philox(key=...)`` draws a
 ``SeedSequence()`` from ``os.urandom`` and discards it).  Philox starts
 from that key with a zero counter and an empty buffer: the same state, and
-the same draws, as ``Philox(key=...)``.
+the same draws, as ``Philox(key=...)``.  The zero counter is passed as the
+read-only array ``_ZERO_COUNTER`` rather than left to its default ``0``:
+Philox converts an int counter word by word in Python, about a third of
+the cost of building a stream, while an array of the right shape is cast
+in one call.  Philox copies it into its own state, so no two streams share
+a counter.
 
 Tags 0-3 key one stream per path.  The other tags key one stream each, at
 path index 0; a batch thinned to a time-varying rate draws its acceptance
@@ -48,6 +53,8 @@ TAG_STOCK_JUMPS = 7
 TAG_HAWKES_BATCH = 8
 
 _MASK64 = (1 << 64) - 1
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.setflags(write=False)
 
 
 class _StreamKey(ISeedSequence):
@@ -57,7 +64,8 @@ class _StreamKey(ISeedSequence):
         self.key = key
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
+        if n_words != 2 or (dtype is not np.uint64
+                            and np.dtype(dtype) != np.uint64):
             raise ValueError(
                 "a stream key is exactly 2 uint64 words, "
                 f"not {n_words} of {np.dtype(dtype)}")
@@ -71,4 +79,4 @@ def make_stream(seed: int, path_index: int = 0, tag: int = 0) -> np.random.Gener
     if not 0 <= tag < 2**32:
         raise ValueError("tag must fit in 32 bits")
     key = _StreamKey((int(seed) & _MASK64, (int(path_index) << 32) | int(tag)))
-    return np.random.Generator(np.random.Philox(key))
+    return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))

@@ -76,15 +76,15 @@ class ShotNoiseProcess:
 
 @dataclass(frozen=True)
 class FiltrationState:
-    """What has been observed up to time t: one path restricted to [0, t]."""
+    """What has been observed up to time t: one path restricted to [0, t],
+    at a finite t in [0, horizon] (the rule of :func:`check_times`)."""
 
     t: float
     observed: MppPath
 
     def __post_init__(self):
         one_path(self.observed, "FiltrationState")
-        if self.t < 0:
-            raise ValueError("time must be >= 0")
+        check_times(self.t, self.observed.horizon)
         if self.observed.n_events and self.observed.times[-1] > self.t:
             raise ValueError("observed events beyond the state time")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats as _sps
+from scipy.special import ndtr, ndtri
 
 from .errors import ExplosionGuardError, NonFiniteError
 from .kernels import NoiseKernel
@@ -148,8 +148,10 @@ def martingale_drift_test(times, paths, z_base: float = Z_BASE) -> DriftTestRepo
     safe = np.where(se > 0, se, 1.0)
     z = np.where(se > 0, mean / safe,
                  np.where(mean == 0.0, 0.0, np.inf))
-    p_base = 2.0 * _sps.norm.sf(z_base)
-    threshold = float(_sps.norm.isf(p_base / (2.0 * n_windows)))
+    # the standard normal's tail and its inverse, as scipy.stats.norm's sf
+    # and isf compute them
+    p_base = 2.0 * ndtr(-z_base)
+    threshold = float(-ndtri(p_base / (2.0 * n_windows)))
     return DriftTestReport(times[1:], z, threshold,
                            bool(np.all(np.abs(z) <= threshold)))
 
@@ -267,17 +269,25 @@ def ks_two_sample_weighted(x1, x2, w1=None, w2=None,
 
 
 def ks_against_cdf(x, cdf, level: float = KS_LEVEL) -> KsResult:
-    """One-sample KS of data against a CDF callable, at the given level."""
+    """One-sample KS of data against a CDF callable, at the given level.
+
+    The statistic is max(D+, D-) over the sorted sample, with ``cdf`` called
+    once on it: the value ``scipy.stats.kstest`` reports."""
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or not x.size:
+        raise ValueError("KS data must be a nonempty 1-d sample")
     if not np.isfinite(x).all():
-        # scipy sorts a NaN last and counts an inf as a point past the CDF:
+        # a sort puts a NaN last and an inf counts as a point past the CDF:
         # the statistic then means nothing, yet can pass
         raise NonFiniteError("KS data must be finite")
-    stat, _p = _sps.kstest(x, cdf)
+    n = x.size
+    cdfvals = cdf(np.sort(x))
+    d_plus = float((np.arange(1.0, n + 1) / n - cdfvals).max())
+    d_minus = float((cdfvals - np.arange(0.0, n) / n).max())
+    stat = d_plus if d_plus > d_minus else d_minus
     c_alpha = math.sqrt(-0.5 * math.log(level / 2.0))
-    threshold = c_alpha / math.sqrt(x.size)
-    return KsResult(float(stat), threshold, float(x.size), math.inf,
-                    float(stat) <= threshold)
+    threshold = c_alpha / math.sqrt(n)
+    return KsResult(stat, threshold, float(n), math.inf, stat <= threshold)
 
 
 def sort_per_path(values: np.ndarray, counts: np.ndarray,

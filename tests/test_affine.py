@@ -89,6 +89,42 @@ class TestSimulateHawkes:
             for ok in (0.0, 1.0, np.array([0.0, 1.0]), np.empty(0)):
                 assert np.isfinite(hp.intensity(ok)).all()
 
+    @pytest.mark.parametrize("params", [HawkesParams(2.0, 0.5, 1.0),
+                                        HawkesParams(2.0, 0.0, 0.0)])
+    def test_empty_path(self, params):
+        # a zero intensity is absorbing at once; at (2, 0.5, 1) about half
+        # the paths on [0, 1] hold no event
+        paths = [hp for hp in (simulate_hawkes(params, 1.0, 9, path_index=i)
+                               for i in range(20)) if not hp.events.n_events]
+        assert len(paths) >= 2
+        a, b = paths[:2]
+        for hp in (a, b):
+            ev = hp.events
+            assert ev.times.shape == (0,) and ev.marks.shape == (0, 1)
+            assert ev.offsets.tolist() == [0, 0] and ev.horizon == 1.0
+            assert hp.intensities.shape == (0,) and hp.intensities.dtype == float
+            assert not any(arr.flags.writeable for arr in
+                           (ev.times, ev.marks, ev.offsets, hp.intensities))
+        for x, y in ((a.events.times, b.events.times), (a.events.marks, b.events.marks),
+                     (a.events.offsets, b.events.offsets), (a.intensities, b.intensities)):
+            assert x is not y and x.base is None and y.base is None
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+    def test_intensity_at_a_float(self, t):
+        # a float takes its own route through mean_intensity_floor and
+        # past_sum: the same numpy.float64, bit for bit, as a 0-d array and
+        # as the batch route at a 1-d array
+        params = HawkesParams(2.0, 0.5, 1.0)
+        for i in range(12):
+            hp = simulate_hawkes(params, 1.0, 9, path_index=i)
+            got = hp.intensity(t)
+            assert type(got) is np.float64
+            for ref in (hp.intensity(np.array(t)), hp.intensity(np.array([t]))[0, 0]):
+                assert type(ref) is np.float64 and got.tobytes() == ref.tobytes()
+        floor = params.mean_intensity_floor(t)
+        assert type(floor) is np.float64
+        assert floor.tobytes() == params.mean_intensity_floor(np.array(t)).tobytes()
+
     def test_reproducibility(self):
         params = HawkesParams(2.0, 0.5, 1.0)
         a = simulate_hawkes(params, 2.0, 9, path_index=3)

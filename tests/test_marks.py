@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -171,3 +172,22 @@ def test_non_finite_parameters_rejected(family, data, bad):
     params[data.draw(st.integers(0, len(params) - 1))] = bad
     with pytest.raises(NonFiniteError):
         family(*params)
+
+
+@pytest.mark.parametrize("mean,std", [(0.0, 1.0), (-1.3, 0.4), (2.0, 7.5)])
+def test_normal_cdf_matches_scipy_stats(mean, std):
+    # ndtr of the standardized mark: scipy.stats.norm.cdf's bits, also at
+    # the infinities, far tails and NaN, for arrays, lists and scalars
+    x = np.concatenate([make_stream(3).normal(mean, 3.0 * std, size=2000),
+                        [-np.inf, np.inf, np.nan, mean, mean - 40.0 * std,
+                         mean + 40.0 * std]])
+    ref = scipy.stats.norm.cdf(x, loc=mean, scale=std)
+    got = Normal(mean, std).cdf(0.0, x)
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert Normal(mean, std).cdf(0.0, x.tolist()).tobytes() == ref.tobytes()
+    x32 = x.astype(np.float32)
+    assert (Normal(mean, std).cdf(0.0, x32).tobytes()
+            == scipy.stats.norm.cdf(x32, loc=mean, scale=std).tobytes())
+    for xi in (mean + 0.3 * std, 1, -np.inf):
+        got, ref = Normal(mean, std).cdf(0.0, xi), scipy.stats.norm.cdf(xi, mean, std)
+        assert type(got) is type(ref) is np.float64 and got.tobytes() == ref.tobytes()

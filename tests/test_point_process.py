@@ -339,6 +339,46 @@ def test_empty_path_helpers():
     assert np.all(p.cumulative_marks(1.0) == 0.0)
 
 
+def _assert_fresh_empty(a, b, horizon, mark_dim):
+    """Two empty paths from two calls: shapes, offsets, frozen and unshared."""
+    for p in (a, b):
+        assert p.times.shape == (0,) and p.marks.shape == (0, mark_dim)
+        assert p.times.dtype == p.marks.dtype == float
+        assert p.offsets.tolist() == [0, 0] and p.horizon == horizon
+        assert not any(arr.flags.writeable for arr in (p.times, p.marks, p.offsets))
+    for x, y in ((a.times, b.times), (a.marks, b.marks), (a.offsets, b.offsets)):
+        assert x is not y and x.base is None and y.base is None
+
+
+@pytest.mark.parametrize("mark_dim", [1, 3])
+def test_empty_path_arrays(mark_dim):
+    _assert_fresh_empty(empty_path(2.0, mark_dim), empty_path(2.0, mark_dim),
+                        2.0, mark_dim)
+    assert empty_path(0.0).horizon == 0.0
+
+
+@pytest.mark.parametrize("horizon,error,match", [
+    (math.nan, NonFiniteError, "horizon must be finite, got nan"),
+    (math.inf, NonFiniteError, "horizon must be finite, got inf"),
+    (-math.inf, NonFiniteError, "horizon must be finite, got -inf"),
+    (-1.0, ValueError, "horizon must be >= 0"),
+])
+def test_empty_path_keeps_horizon_errors(horizon, error, match):
+    with pytest.raises(error, match=match):
+        empty_path(horizon)
+    with pytest.raises(error, match=match):
+        MppPath([], [], horizon)
+
+
+@pytest.mark.parametrize("rate_bound", [0.0, 5.0])
+def test_simulate_mpp_empty_path(rate_bound):
+    # a zero rate under a positive bound rejects every candidate
+    spec = CompensatorSpec(rate=lambda t: np.zeros(np.shape(t)),
+                           rate_bound=rate_bound, marks=Normal(0.0, 1.0))
+    a, b = (simulate_mpp(spec, 2.0, 3, path_index=i) for i in (0, 1))
+    _assert_fresh_empty(a, b, 2.0, 1)
+
+
 _TABLE = from_table([0.0, 0.5, 1.5, 4.0], [0.0, 1.0, 3.0],
                     [[0.0, 1.0, 3.0], [0.0, 0.7, 2.0],
                      [0.0, 0.2, 1.1], [0.0, 0.0, 0.1]])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import snoise  # noqa: F401  (imported before the entropy source is patched)
+from snoise import rng
 from snoise.rng import make_stream
 
 _MASK64 = (1 << 64) - 1
@@ -105,3 +106,19 @@ def test_reads_no_os_entropy(monkeypatch):
     with pytest.raises(RuntimeError, match="os entropy read"):
         reference_stream(1, 2, 3)
     assert make_stream(1, 2, 3).random() == expected
+
+
+def test_zero_counter_is_shared_read_only_and_copied():
+    assert not rng._ZERO_COUNTER.flags.writeable
+    with pytest.raises(ValueError):
+        rng._ZERO_COUNTER[0] = 1
+    a, b = make_stream(4, 1, 2), make_stream(4, 1, 2)
+    a.random(1000)
+    a.integers(0, 10, size=333)
+    # Philox holds its own counter: drawing from one stream moves neither
+    # the constant nor a twin stream
+    assert rng._ZERO_COUNTER.tolist() == [0, 0, 0, 0]
+    assert b.bit_generator.state["state"]["counter"].tolist() == [0, 0, 0, 0]
+    ref = reference_stream(4, 1, 2)
+    assert_same_state(b, ref)
+    assert b.random(7).tobytes() == ref.random(7).tobytes()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snoise.errors import IntegrabilityFailureError, UnsupportedMarksError
+from snoise.errors import IntegrabilityFailureError, NonFiniteError, UnsupportedMarksError
 from snoise.kernels import (
     custom,
     exponential,
@@ -67,6 +67,30 @@ class TestEvalShotnoise:
         path = MppPath([1.0], [[2.0]], 3.0)
         assert eval_shotnoise(proc, path, 1.0) == 2.0
         assert eval_shotnoise(proc, path, np.nextafter(1.0, 0.0)) == 0.0
+
+
+class TestFiltrationState:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        # a NaN t once passed, and conditional_cf at theta = 0 then gave 1
+        with pytest.raises(NonFiniteError, match="evaluation times must be finite"):
+            FiltrationState(t, empty_path(1.0))
+
+    @pytest.mark.parametrize("t,horizon,match", [
+        (1.5, 1.0, "t beyond path horizon"),
+        (0.5, 0.0, "t beyond path horizon"),
+        (-0.5, 1.0, "t must be >= 0"),
+    ])
+    def test_time_outside_observed_horizon_rejected(self, t, horizon, match):
+        with pytest.raises(ValueError, match=match):
+            FiltrationState(t, empty_path(horizon))
+
+    def test_time_inside_horizon_and_after_the_events(self):
+        path = MppPath([0.2, 0.6], [[1.0], [1.0]], 1.0)
+        assert FiltrationState(0.8, path).t == 0.8
+        assert FiltrationState.at(path, 0.4).observed.n_events == 1
+        with pytest.raises(ValueError, match="observed events beyond the state time"):
+            FiltrationState(0.4, path)
 
 
 class TestConditionalCf:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -137,6 +138,15 @@ class TestMartingaleDriftTest:
         with pytest.raises(ValueError):
             martingale_drift_test(np.arange(3.0), np.zeros((100, 3)))
 
+    @pytest.mark.parametrize("z_base", [2.0, 3.0, 4.5])
+    @pytest.mark.parametrize("n_windows", [1, 2, 8, 1000])
+    def test_threshold_matches_scipy_stats(self, z_base, n_windows):
+        p_base = 2.0 * scipy.stats.norm.sf(z_base)
+        ref = float(scipy.stats.norm.isf(p_base / (2.0 * n_windows)))
+        paths = np.cumsum(make_stream(11).normal(size=(1000, n_windows + 1)), axis=1)
+        got = martingale_drift_test(np.arange(n_windows + 1.0), paths, z_base).threshold
+        assert got.hex() == ref.hex()
+
 
 def _ks_reference(x1, x2, w1=None, w2=None, level=0.01):
     """The search the two-sample KS replaces: both ECDFs, from a stable
@@ -266,6 +276,27 @@ class TestKs:
         assert ks_against_cdf(draws, cdf).passed
         bad = lambda x: 1.0 - np.exp(-np.asarray(x))
         assert not ks_against_cdf(draws, bad).passed
+
+    @pytest.mark.parametrize("n", [1, 2, 37, 5000])
+    def test_one_sample_statistic_matches_scipy_kstest(self, n):
+        # max(D+, D-) over the sorted sample: kstest's statistic, bit for
+        # bit, for a fitting and an unfitting CDF, and with tied draws
+        draws = make_stream(15).exponential(2.0, size=n)
+        samples = (draws, np.round(draws, 1), draws.tolist())
+        for cdf in (lambda x: 1.0 - np.exp(-np.asarray(x) / 2.0),
+                    lambda x: 1.0 - np.exp(-np.asarray(x)),
+                    lambda x: scipy.stats.norm.cdf(x, 1.0, 2.0)):
+            for x in samples:
+                ref = float(scipy.stats.kstest(x, cdf).statistic)
+                got = ks_against_cdf(x, cdf)
+                assert type(got.statistic) is float
+                assert got.statistic.hex() == ref.hex()
+                assert got.passed == (ref <= got.threshold)
+
+    @pytest.mark.parametrize("x", [[], [[0.5, 0.7]], 0.5])
+    def test_one_sample_needs_a_nonempty_1d_sample(self, x):
+        with pytest.raises(ValueError, match="nonempty 1-d sample"):
+            ks_against_cdf(x, lambda v: np.clip(v, 0.0, 1.0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_one_sample_non_finite_rejected(self, bad):
@@ -503,3 +534,15 @@ def test_huge_batch_fails_before_allocating():
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.startswith("ExplosionGuard batch expects"), proc.stdout
+
+
+def test_import_loads_no_scipy_stats():
+    # scipy.stats takes most of a second to import; the library needs only
+    # scipy.special's normal CDF and its inverse, so every CLI start skips it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, snoise, snoise.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
