@@ -41,7 +41,6 @@ from .marks import (
 )
 from .measure_change import (
     DensityPath,
-    Estimate,
     GirsanovKernel,
     MarketParams,
     MartingaleMeasureSpec,
@@ -97,6 +96,7 @@ from .stats import (
     ks_against_cdf,
     ks_two_sample_weighted,
     martingale_drift_test,
+    mean_estimate,
     simulate_batch,
     simulate_standard_batch,
 )

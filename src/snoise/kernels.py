@@ -99,8 +99,7 @@ def random_decay() -> NoiseKernel:
     return NoiseKernel(kind=KIND_RANDOM_DECAY, G=G, g=g, mark_dim=2)
 
 
-def custom(G: Callable, g: Callable, mark_dim: int, *,
-           check: bool = True, t_max: float = 1.0,
+def custom(G: Callable, g: Callable, mark_dim: int, *, check: bool = True,
            quad_tol: float = DEFAULT_QUAD_TOL) -> NoiseKernel:
     """Wrap user-supplied ``(G, g)``, verifying consistency numerically.
 
@@ -110,7 +109,7 @@ def custom(G: Callable, g: Callable, mark_dim: int, *,
     """
     kern = NoiseKernel(kind=KIND_CUSTOM, G=G, g=g, mark_dim=int(mark_dim))
     if check:
-        ts = np.linspace(t_max / 4.0, t_max, 4)
+        ts = np.linspace(0.25, 1.0, 4)
         xs = np.ones((3, kern.mark_dim)) * np.array([0.5, 1.0, 2.0])[:, None]
         resid = check_absolute_continuity(kern, ts, xs, quad_tol=quad_tol)
         if not resid <= quad_tol:
@@ -246,11 +245,13 @@ def is_markov_kernel(kernel: NoiseKernel, grid=None, tol: float = 1e-10) -> Mark
     The functional-equation argument behind this test needs H to take all
     values in some interval (0, eps]; no finite probe can certify that range
     condition, so this test only requires H(0) != 0 and is therefore a
-    grid-level surrogate, exact for the built-in families.
+    grid-level surrogate, exact for the built-in families.  A non-finite
+    grid or ``tol`` raises ``NonFiniteError``; NaN residuals mean not Markov.
     """
-    if grid is None:
-        grid = np.linspace(0.0, 5.0, 11)
-    grid = np.unique(np.asarray(grid, dtype=float))
+    grid = np.unique(np.linspace(0.0, 5.0, 11) if grid is None
+                     else np.asarray(grid, dtype=float))
+    if not (np.isfinite(grid).all() and math.isfinite(tol)):
+        raise NonFiniteError(f"grid and tol must be finite, got tol = {tol}")
     if grid.size < 3:
         raise ValueError("grid needs at least 3 points")
     if np.any(grid < 0):
@@ -264,17 +265,13 @@ def is_markov_kernel(kernel: NoiseKernel, grid=None, tol: float = 1e-10) -> Mark
     if abs(h0) < tol:
         raise ZeroAtOriginError(f"|H(0)| = {abs(h0):.3e} < tol")
 
-    t_small = grid[:, None]
-    s_big = grid[None, :]
+    t_small, s_big = grid[:, None], grid[None, :]
     mask = s_big >= t_small
     lag = np.where(mask, s_big - t_small, 0.0)  # keep H off negative lags
     resid = H(lag) * H(t_small) - H(s_big) * h0
     max_resid = float(np.abs(np.where(mask, resid, 0.0)).max())
-    if max_resid > tol:
-        return MarkovTest(False, None, None, max_resid)
-
     ratio = float(H(1.0)) / h0
-    if ratio <= 0.0:
+    if not (max_resid <= tol and ratio > 0.0):
         return MarkovTest(False, None, None, max_resid)
     return MarkovTest(True, h0, -math.log(ratio), max_resid)
 

@@ -92,7 +92,7 @@ class MarkDistribution:
                 return np.asarray(fn(xs.reshape(-1, 1))) * self.pdf(t, xs)
             cuts = [{"lo": lo, "hi": hi}[e] for e in self.truncated_edges]
             if cuts:
-                edge = float(np.abs(integrand(np.array(cuts))).max())
+                edge = float(np.abs(integrand(np.array(cuts))).max(initial=0.0))
                 if edge * (hi - lo) > 1e3 * tol:
                     raise QuadratureFailureError(
                         f"integrand is not negligible ({edge:.3e}) at the "

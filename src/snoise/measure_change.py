@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -49,7 +49,8 @@ from .point_process import (
 )
 from .quadrature import DEFAULT_QUAD_TOL, cumulative_integral
 from .rng import TAG_BATCH, TAG_BROWNIAN, TAG_STOCK_JUMPS, make_stream
-from .stats import batch_log_weights, log_kernel_at_events, simulate_batch
+from .stats import (CfEstimate, batch_log_weights, log_kernel_at_events,
+                    mean_estimate, simulate_batch)
 
 
 @dataclass(frozen=True)
@@ -188,14 +189,9 @@ def density_process(kernel: GirsanovKernel, spec: CompensatorSpec,
     return DensityPath(times, L, zero_flag)
 
 
-class Estimate(NamedTuple):
-    value: float
-    se: float
-
-
 def reweighted_expectation(kernel: GirsanovKernel, spec: CompensatorSpec,
                            functional, horizon: float, n_paths: int, seed: int,
-                           *, quad_tol: float = DEFAULT_QUAD_TOL) -> Estimate:
+                           *, quad_tol: float = DEFAULT_QUAD_TOL) -> CfEstimate:
     """Importance-sampling estimate of E_{P'}[functional] = E_P[L_T functional].
 
     The paths under P are one :func:`~snoise.stats.simulate_batch` on
@@ -206,24 +202,22 @@ def reweighted_expectation(kernel: GirsanovKernel, spec: CompensatorSpec,
         raise ValueError("need at least 2 paths for a standard error")
     comp_T = girsanov_compensator(kernel, spec, horizon, quad_tol=quad_tol)
     batch = simulate_batch(spec, horizon, n_paths, seed, tag=TAG_BATCH)
-    vals = (np.exp(batch_log_weights(kernel.Y, batch, comp_T))
-            * np.asarray(functional(batch), dtype=float))
-    return Estimate(float(vals.mean()),
-                    float(vals.std(ddof=1) / math.sqrt(n_paths)))
+    return mean_estimate(np.exp(batch_log_weights(kernel.Y, batch, comp_T))
+                         * np.asarray(functional(batch), dtype=float))
 
 
 def esscher_density(h: float, times, x_values, mgf) -> np.ndarray:
     """Exponential-tilt density L_t = exp(h X_t) / E[exp(h X_t)] along a path.
 
     ``mgf`` is E[exp(h X_t)] as a callable of t or as an array aligned with
-    ``times``.
+    ``times``.  A non-finite ``h``, time or value raises ``NonFiniteError``.
     """
     times = np.asarray(times, dtype=float)
     x_values = np.asarray(x_values, dtype=float)
-    if callable(mgf):
-        m = np.array([float(mgf(t)) for t in times])
-    else:
-        m = np.asarray(mgf, dtype=float)
+    if not all(np.isfinite(v).all() for v in (h, times, x_values)):
+        raise NonFiniteError("h, times and x_values must be finite")
+    m = np.array([float(mgf(t)) for t in times] if callable(mgf) else mgf,
+                 dtype=float)
     if m.shape != times.shape or x_values.shape != times.shape:
         raise ValueError("times, x_values and mgf values must align")
     if np.any(~np.isfinite(m)) or np.any(m <= 0):

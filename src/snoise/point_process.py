@@ -441,9 +441,9 @@ def compensator_mass(spec: CompensatorSpec, t0: float, t1: float, test_fn, *,
     refinement levels is one batched mark integral over the 15 Kronrod
     nodes of every open interval: ``test_fn(s, x)`` is called with times
     ``s`` of shape ``(m, 1)`` and marks ``x`` of shape ``(1, n, d)``, and
-    its values (complex allowed) are broadcast to ``(m, n)``.  The mark
-    integral follows the distribution's declared mode, cut at
-    ``mark_breakpoints`` in density mode, to ``max(quad_tol * 1e-3, 1e-14)``.
+    its values (complex allowed) are broadcast to ``(..., m, n)``, leading
+    axes being components.  The mark integral follows the declared mode, cut
+    at ``mark_breakpoints`` in density mode, to ``max(quad_tol * 1e-3, 1e-14)``.
     """
     if t1 < t0:
         raise ValueError("need t0 <= t1")
@@ -458,15 +458,15 @@ def slice_integrand(spec: CompensatorSpec, test_fn, tol: float,
     """``s -> int test_fn(s, x) nu(s, dx)`` over a 1-d array of times ``s``.
 
     One :meth:`CompensatorSpec.slice_integral` call per array, with
-    ``test_fn`` broadcast as :func:`compensator_mass` describes: the
-    scalar-valued integrand that :func:`~snoise.quadrature.gauss_kronrod`
+    ``test_fn`` broadcast as :func:`compensator_mass` describes, leading axes
+    as components: the integrand that :func:`~snoise.quadrature.gauss_kronrod`
     and :func:`~snoise.quadrature.cumulative_integral` evaluate at every
     Kronrod node of a refinement level in one call.
     """
     def integrand(s):
         def fn(x):
             vals = np.asarray(test_fn(s[:, None], x[None]))
-            return np.broadcast_to(vals, (s.size, x.shape[0]))
+            return np.broadcast_to(vals, vals.shape[:-2] + (s.size, x.shape[0]))
 
         return spec.slice_integral(s, fn, tol, breakpoints=mark_breakpoints)
     return integrand

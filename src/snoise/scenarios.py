@@ -43,12 +43,12 @@ from .shotnoise import (
 )
 from .stats import (
     Z_BASE,
-    CfEstimate,
     batch_log_weights,
     cf_ratio,
     empirical_cf,
     ks_two_sample_weighted,
     martingale_drift_test,
+    mean_estimate,
     simulate_batch,
 )
 
@@ -181,10 +181,8 @@ def _run_cf_compare(config: ExperimentConfig, out_dir: Path) -> int:
     proc = ShotNoiseProcess(config.kernel, config.spec)
     state0 = FiltrationState(0.0, empty_path(0.0, config.spec.mark_dim))
 
-    analytic = np.array([
-        conditional_cf(proc, state0, run.horizon, th, quad_tol=run.quad_tol)
-        for th in run.theta_grid
-    ])
+    analytic = conditional_cf(proc, state0, run.horizon, run.theta_grid,
+                              quad_tol=run.quad_tol)
     write_csv_atomic(
         out_dir / "cf_sweep.csv", ["theta", "re", "im", "abs"],
         [run.theta_grid, analytic.real, analytic.imag,
@@ -321,29 +319,24 @@ def _run_measure_check(config: ExperimentConfig, out_dir: Path) -> int:
                            tag=TAG_BATCH)
     weights = np.exp(batch_log_weights(girsanov.Y, batch, comp))
 
-    mean_l = float(weights.mean())
-    se_l = float(weights.std(ddof=1) / math.sqrt(run.n_paths))
-    # a real estimate: its SE is all in the real part
-    ratio = cf_ratio(1.0, CfEstimate(mean_l, se_l, se_l, 0.0))
+    mean_l = mean_estimate(weights)
+    ratio = cf_ratio(1.0, mean_l)
     checks.append(Check(
         "density_martingale",
-        f"E[L_T] = {mean_l:.6f} +- {se_l:.2e}, |E[L_T]-1|/SE = {ratio:.3f} "
-        f"<= {Z_BASE}",
+        f"E[L_T] = {mean_l.value:.6f} +- {mean_l.se:.2e}, "
+        f"|E[L_T]-1|/SE = {ratio:.3f} <= {Z_BASE}",
         ratio <= Z_BASE,
     ))
 
     direct = simulate_batch(prime_spec(mm, spec), run.horizon, run.n_paths,
                             run.seed, tag=TAG_BATCH_PRIME)
-    rw_count = weights * batch.counts
-    mean_rw = float(rw_count.mean())
-    se_rw = float(rw_count.std(ddof=1) / math.sqrt(run.n_paths))
-    mean_d = float(direct.counts.mean())
-    se_d = float(direct.counts.std(ddof=1) / math.sqrt(run.n_paths))
-    se_tot = math.hypot(se_rw, se_d)
-    zratio = cf_ratio(mean_d, CfEstimate(mean_rw, se_tot, se_tot, 0.0))
+    rw = mean_estimate(weights * batch.counts)
+    mean_d = mean_estimate(direct.counts)
+    # independent samples: the SE of the difference adds theirs in quadrature
+    zratio = cf_ratio(mean_d.value, rw._replace(se=math.hypot(rw.se, mean_d.se)))
     checks.append(Check(
         "reweighted_count",
-        f"reweighted mean count {mean_rw:.4f} vs direct {mean_d:.4f}, "
+        f"reweighted mean count {rw.value:.4f} vs direct {mean_d.value:.4f}, "
         f"|delta|/SE = {zratio:.3f} <= {Z_BASE} "
         f"(target lambda'*T = {mm.lambda_prime * run.horizon:.4f})",
         zratio <= Z_BASE,
@@ -397,12 +390,11 @@ def _run_drift_check(config: ExperimentConfig, out_dir: Path) -> int:
 
     disc = np.exp(-market.integrated_rate(grid, run.quad_tol))
     disc_paths = stock.X * disc[None, :]
-    mean_t = float(disc_paths[:, -1].mean())
-    se_t = float(disc_paths[:, -1].std(ddof=1) / math.sqrt(run.n_paths))
-    ratio = cf_ratio(market.x0, CfEstimate(mean_t, se_t, se_t, 0.0))
+    mean_t = mean_estimate(disc_paths[:, -1])
+    ratio = cf_ratio(market.x0, mean_t)
     checks.append(Check(
         "discounted_martingale",
-        f"mean(e^-int r X_T) = {mean_t:.6f} vs X0 = {market.x0}, "
+        f"mean(e^-int r X_T) = {mean_t.value:.6f} vs X0 = {market.x0}, "
         f"|delta|/SE = {ratio:.3f} <= {Z_BASE}",
         ratio <= Z_BASE,
     ))

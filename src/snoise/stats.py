@@ -42,19 +42,23 @@ KS_LEVEL = 0.01
 class CfEstimate(NamedTuple):
     value: complex
     se: float      # combined sqrt(se_re^2 + se_im^2), used by cf_ratio
-    se_re: float
-    se_im: float
+    se_re: float   # sqrt(var(ddof=1) / n) of the real parts, as se_im of the
+    se_im: float   # imaginary parts (0 for a real sample)
+
+
+def mean_estimate(sample) -> CfEstimate:
+    """Mean of a 1-d sample, a Python scalar, with the SEs of :class:`CfEstimate`."""
+    sample = np.asarray(sample)
+    se_re = math.sqrt(sample.real.var(ddof=1) / sample.size)
+    se_im = math.sqrt(sample.imag.var(ddof=1) / sample.size)
+    return CfEstimate(sample.mean().item(), math.hypot(se_re, se_im), se_re, se_im)
 
 
 def _cf_at(values, theta: float) -> CfEstimate:
     """:func:`empirical_cf` of one sample at one theta."""
-    n = values.size
     z = values * (1j * theta)
     np.exp(z, out=z)
-    mean = complex(z.mean())
-    se_re = math.sqrt(z.real.var(ddof=1) / n)
-    se_im = math.sqrt(z.imag.var(ddof=1) / n)
-    return CfEstimate(mean, math.hypot(se_re, se_im), se_re, se_im)
+    return mean_estimate(z)
 
 
 def empirical_cf(values, theta) -> CfEstimate:

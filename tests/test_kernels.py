@@ -158,6 +158,31 @@ class TestMarkovClassification:
         with pytest.raises(ValueError):
             is_markov_kernel(exponential(1.0, 1.0), grid=[0.0, 1.0])
 
+    @pytest.mark.parametrize("grid, tol", [
+        ([0.0, 1.0, math.inf, 2.0], 1e-10),
+        ([0.0, 1.0, math.nan, 2.0], 1e-10),
+        ([0.0, 1.0, 2.0], math.nan),
+        ([0.0, 1.0, 2.0], math.inf),
+    ])
+    def test_non_finite_grid_or_tol_raises(self, grid, tol):
+        # an infinite grid point once gave a NaN residual and a Markov
+        # verdict for the power law
+        with pytest.raises(NonFiniteError):
+            is_markov_kernel(power_law(1.0), grid=grid, tol=tol)
+
+    @pytest.mark.parametrize("nan_at", [2.0, 1.0])
+    def test_nan_kernel_value_is_not_markov(self, nan_at):
+        # H = e^{-t} except NaN at one time: on the grid (a NaN residual)
+        # or at t = 1 only (a NaN fitted ratio); neither is Markov
+        def G(t, x):
+            t = np.asarray(t, dtype=float)
+            return np.asarray(x, dtype=float)[..., 0] * np.where(
+                t == nan_at, math.nan, np.exp(-t))
+        kern = custom(G, lambda t, x: -G(t, x), 1, check=False)
+        res = is_markov_kernel(kern, grid=[0.0, 0.5, 2.0, 2.5])
+        assert not res.is_markov
+        assert res.a is None and res.b is None
+
 
 @settings(max_examples=50, deadline=None)
 @given(

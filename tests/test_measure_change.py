@@ -250,6 +250,19 @@ class TestEsscher:
             assert abs(delta) <= 3.0 * se, \
                 f"{name}: |delta|/SE = {abs(delta) / se:.3f}"
 
+    @pytest.mark.parametrize("h, times, x_values", [
+        (math.nan, [0.0, 1.0], [1.0, 2.0]),
+        (math.inf, [0.0, 1.0], [1.0, 2.0]),
+        (1.0, [0.0, math.nan], [1.0, 2.0]),
+        (1.0, [0.0, 1.0], [math.nan, 2.0]),
+        (1.0, [0.0, 1.0], [1.0, -math.inf]),
+    ])
+    def test_non_finite_input_raises(self, h, times, x_values):
+        # a NaN h, time or value once gave a NaN density without an error
+        for mgf in ([1.0, 1.0], lambda t: 1.0):
+            with pytest.raises(NonFiniteError):
+                esscher_density(h, times, x_values, mgf)
+
     def test_mgf_diverges(self):
         with pytest.raises(MgfDivergesError):
             esscher_density(1.0, [0.0, 1.0], [1.0, 2.0], lambda t: math.inf)

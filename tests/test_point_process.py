@@ -627,6 +627,22 @@ def test_batched_compensator_mass_matches_scalar_nested_loop(
     assert abs(got - ref) <= 10.0 * quad_tol
 
 
+def test_compensator_mass_of_stacked_components():
+    # leading axes of test_fn's values are components of one frontier, each
+    # to the tolerance of its own integral
+    spec = CompensatorSpec(rate=lambda t: 1.0 + 2.0 * np.asarray(t, dtype=float),
+                           rate_bound=3.0, marks=Normal(0.5, 0.3))
+    kern = power_law(1.0)
+    fns = [lambda s, x: np.asarray(kern.G(2.0 - s, x)),
+           lambda s, x: np.asarray(kern.G(2.0 - s, x)) ** 2,
+           lambda s, x: np.exp(1.5j * np.asarray(kern.G(2.0 - s, x))) - 1.0]
+    stacked = compensator_mass(
+        spec, 0.3, 2.0, lambda s, x: np.stack([fn(s, x) for fn in fns]))
+    assert stacked.shape == (3,)
+    for k, fn in enumerate(fns):
+        assert abs(stacked[k] - compensator_mass(spec, 0.3, 2.0, fn)) <= 1e-12
+
+
 def test_slice_integral_over_times_matches_scalar_calls():
     spec = CompensatorSpec(
         rate=lambda t: np.where(np.asarray(t, dtype=float) < 1.0, 0.0, 2.0),

@@ -1,5 +1,7 @@
 import cmath
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snoise.errors import IntegrabilityFailureError, NonFiniteError, UnsupportedMarksError
+from snoise import shotnoise
 from snoise.kernels import (
+    NoiseKernel,
     custom,
     exponential,
     from_table,
@@ -16,6 +20,7 @@ from snoise.kernels import (
 )
 from snoise.marks import Exponential, Normal, PointMass, SampleOnly
 from snoise.point_process import (
+    CompensatorSpec,
     MppPath,
     break_ties,
     empty_path,
@@ -211,6 +216,138 @@ class TestConditionalCf:
         assert abs(mean - target) <= 3.0 * se
 
 
+# the cf_sweep benchmark's three cases: (a) OU kernel, Exp(1) marks, state at
+# 0; (b) power-law kernel, ramp rate, Normal marks; (c) case (a) conditioned
+# at t = 0.5 on two observed events
+_SPEC_A = standard(1.0, Exponential(1.0))
+_SPEC_B = CompensatorSpec(rate=lambda t: 1.0 + 2.0 * np.asarray(t, dtype=float),
+                          rate_bound=3.0, marks=Normal(0.5, 0.3))
+SWEEP_CASES = (
+    (ShotNoiseProcess(exponential(1.0, 1.0), _SPEC_A), state_at_zero()),
+    (ShotNoiseProcess(power_law(1.0), _SPEC_B), state_at_zero()),
+    (ShotNoiseProcess(exponential(1.0, 1.0), _SPEC_A),
+     FiltrationState(0.5, MppPath([0.2, 0.4], [[1.3], [0.6]], 0.5))),
+)
+SWEEP_THETAS = np.linspace(-5.0, 5.0, 21)
+
+
+def _per_theta(proc, state, thetas):
+    """The parts of one scalar call per theta, as (len(thetas), 2) complex."""
+    return np.array([conditional_cf_parts(proc, state, 1.0, th)
+                     for th in thetas], dtype=complex)
+
+
+class TestCfGrid:
+    def test_scalar_calls_keep_their_bits(self):
+        # sha256 of the scalar parts when conditional_cf_parts took one theta
+        h = hashlib.sha256()
+        for proc, state in SWEEP_CASES:
+            h.update(_per_theta(proc, state, SWEEP_THETAS).tobytes())
+        assert h.hexdigest() == (
+            "94108ff8c18eb71e3e4321ab017b2fd7a0e595df3f79a123baba0f78bb489d81")
+
+    def test_scalar_parts_are_numpy_complex(self):
+        proc, state = SWEEP_CASES[0]
+        parts = conditional_cf_parts(proc, state, 1.0, 1.5)
+        for val in (*parts, parts.value):
+            assert isinstance(val, np.complex128) and np.shape(val) == ()
+
+    @pytest.mark.parametrize("case", range(len(SWEEP_CASES)))
+    def test_grid_matches_per_theta_loop(self, case):
+        proc, state = SWEEP_CASES[case]
+        want = _per_theta(proc, state, SWEEP_THETAS)
+        grid = SWEEP_THETAS[:20].reshape(4, 5)
+        parts = conditional_cf_parts(proc, state, 1.0, grid)
+        assert parts.log_state.shape == parts.log_future.shape == (4, 5)
+        assert parts.value.shape == (4, 5)
+        got = np.stack([parts.log_state.ravel(), parts.log_future.ravel()], 1)
+        assert np.abs(got - want[:20]).max() <= 1e-15
+        value = conditional_cf(proc, state, 1.0, SWEEP_THETAS)
+        assert np.abs(value - np.exp(want.sum(axis=1))).max() <= 1e-15
+
+    def test_real_part_capped_per_real_component(self, monkeypatch):
+        # an integral with positive real parts for both components: only the
+        # real theta's is capped (its exact value has real part <= 0)
+        monkeypatch.setattr(shotnoise, "compensator_mass",
+                            lambda *a, **k: np.array([0.5 + 1.0j, 0.5 + 1.0j]))
+        proc, state = SWEEP_CASES[0]
+        parts = conditional_cf_parts(proc, state, 1.0, [1.0, -0.4j])
+        assert parts.log_future.tolist() == [1.0j, 0.5 + 1.0j]
+
+    def test_mixed_grid_matches_scalar_calls(self):
+        # E[e^{0.4 S}] > 1: the imaginary component keeps its positive real part
+        proc, state = SWEEP_CASES[0]
+        parts = conditional_cf_parts(proc, state, 1.0, [1.0, -0.4j])
+        assert parts.log_future[1].real > 0.0
+        for th, got in zip((1.0, -0.4j), parts.log_future):
+            assert abs(got - conditional_cf_parts(proc, state, 1.0, th)
+                       .log_future) <= 1e-15
+
+    def test_long_grid_is_blocked(self):
+        proc, state = SWEEP_CASES[0]
+        thetas = np.linspace(-5.0, 5.0, 2001)
+        tracemalloc.start()
+        try:
+            parts = conditional_cf_parts(proc, state, 1.0, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # unblocked, the frontier of 2001 theta would peak near 354 MB
+        assert peak <= 16e6, peak
+        step = shotnoise._THETA_BLOCK
+        blocks = [conditional_cf_parts(proc, state, 1.0, thetas[lo:lo + step])
+                  for lo in range(0, thetas.size, step)]
+        for got, part in zip(parts, zip(*blocks)):
+            assert got.shape == thetas.shape
+            assert np.array_equal(got, np.concatenate(part))
+
+    def test_zero_grid_is_exactly_one(self):
+        marks = SampleOnly(lambda rng, t, n: rng.normal(size=(n, 1)), 1)
+        for spec in (standard(1.0, marks), _SPEC_B):
+            proc = ShotNoiseProcess(jump_to_level(), spec)
+            value = conditional_cf(proc, state_at_zero(), 1.0, np.zeros(3))
+            assert value.tolist() == [1.0, 1.0, 1.0]
+
+    def test_sample_only_marks_refused_for_any_nonzero_theta(self):
+        marks = SampleOnly(lambda rng, t, n: rng.normal(size=(n, 1)), 1)
+        proc = ShotNoiseProcess(jump_to_level(), standard(1.0, marks))
+        for grid in ([0.0, 1.0], [0.0, 0.5j], [[0.0], [-2.0]]):
+            with pytest.raises(UnsupportedMarksError):
+                conditional_cf(proc, state_at_zero(), 1.0, grid)
+
+    def test_empty_range_gives_theta_shape(self):
+        proc, _state = SWEEP_CASES[0]
+        parts = conditional_cf_parts(proc, FiltrationState.at(
+            MppPath([0.3], [[2.0]], 1.0), 1.0), 1.0, [1.0, 2.0])
+        assert parts.log_future.tolist() == [0j, 0j]
+        assert parts.value == pytest.approx(np.exp(2j * math.exp(-0.7)
+                                                   * np.array([1.0, 2.0])))
+
+    @pytest.mark.parametrize("case", range(2))
+    def test_empty_grid_gives_empty_parts(self, case):
+        # case (b)'s Normal marks check their truncated edges on no values
+        proc, state = SWEEP_CASES[case]
+        parts = conditional_cf_parts(proc, state, 1.0, np.zeros((0, 3)))
+        for part in (*parts, parts.value):
+            assert part.shape == (0, 3) and part.dtype == complex
+
+    def test_grid_costs_about_one_scalar_call_of_the_kernel(self):
+        calls = []
+        base = exponential(1.0, 1.0)
+        kern = NoiseKernel(base.kind, lambda t, x: calls.append(1) or base.G(t, x),
+                           base.g, 1, base.params)
+        proc = ShotNoiseProcess(kern, _SPEC_A)
+        per_theta = []
+        for th in SWEEP_THETAS:
+            calls.clear()
+            conditional_cf_parts(proc, state_at_zero(), 1.0, th)
+            per_theta.append(len(calls))
+        calls.clear()
+        conditional_cf_parts(proc, state_at_zero(), 1.0, SWEEP_THETAS)
+        assert len(calls) <= max(per_theta) + 2
+        assert sum(per_theta) >= 15 * len(calls)
+
+
 class TestConditionalMean:
     def test_horizon_equals_state_time(self):
         proc = ShotNoiseProcess(exponential(1.0, 1.0), standard(1.0, PointMass(1.0)))
@@ -396,6 +533,21 @@ class TestOuRecursiveUpdate:
     def test_offsets_validated(self):
         with pytest.raises(ValueError):
             ou_recursive_update(1.0, 0.0, 1.0, [(1.5, 1.0)])
+
+    @pytest.mark.parametrize("b, s_t, dt, jumps, a", [
+        (1.0, 2.0, math.nan, [], 1.0),
+        (math.nan, 2.0, 1.0, [], 1.0),
+        (1.0, math.nan, 1.0, [], 1.0),
+        (1.0, math.inf, 1.0, [], 1.0),
+        (1.0, 2.0, 1.0, [], math.nan),
+        (1.0, 2.0, 1.0, [(0.5, math.nan)], 1.0),
+        (1.0, 2.0, 1.0, [(math.nan, 1.0)], 1.0),
+        (1.0, 2.0, 1.0, [(0.5, 1.0), (0.7, -math.inf)], 1.0),
+    ])
+    def test_non_finite_input_raises(self, b, s_t, dt, jumps, a):
+        # each once returned NaN (or raised the offset ValueError)
+        with pytest.raises(NonFiniteError):
+            ou_recursive_update(b, s_t, dt, jumps, a=a)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6), b=st.floats(0.0, 3.0),

@@ -25,6 +25,7 @@ from snoise.stats import (
     ks_against_cdf,
     ks_two_sample_weighted,
     martingale_drift_test,
+    mean_estimate,
     simulate_batch,
     simulate_standard_batch,
     sort_per_path,
@@ -101,6 +102,29 @@ class TestEmpiricalCf:
         assert cf_ratio(1.0 + 0.0j, est) == math.inf
         grid = empirical_cf(values, np.array([-1.0, 0.0, 1.0]))
         assert (cf_ratio(np.ones(3), grid) == math.inf).all()
+
+
+class TestMeanEstimate:
+    def test_complex_sample_gives_empirical_cf_bits(self):
+        # one SE convention: empirical_cf is mean_estimate of exp(i theta v)
+        draws = make_stream(5).normal(size=1000)
+        for theta in (0.0, 0.7, -2.5):
+            est = mean_estimate(np.exp(1j * theta * draws))
+            assert est == empirical_cf(draws, theta)
+            assert type(est.value) is complex
+
+    def test_real_sample(self):
+        draws = make_stream(6).exponential(size=500)
+        est = mean_estimate(draws)
+        assert type(est.value) is float and est.value == draws.mean()
+        assert est.se_im == 0.0 and est.se == est.se_re
+        assert est.se_re == math.sqrt(draws.var(ddof=1) / draws.size)
+        assert est.se == pytest.approx(scipy.stats.sem(draws), rel=1e-14)
+
+    def test_integer_sample(self):
+        est = mean_estimate(np.array([1, 2, 3, 6]))
+        assert est.value == 3.0
+        assert est.se == pytest.approx(math.sqrt(14.0 / 3.0 / 4.0), rel=1e-15)
 
 
 class TestMartingaleDriftTest:
