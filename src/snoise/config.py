@@ -340,6 +340,8 @@ def parse_config(path, *, overrides: dict | None = None) -> ExperimentConfig:
     scenario = run_sec.get("scenario", required=True, choices=SCENARIOS)
     blocks, min_paths = SCENARIOS[scenario]
     seed = run_sec.get("seed", parse=_integer, required=True)
+    if not 0 <= seed < 2**64:
+        _fail("run", "seed", f"must be in [0, 2^64), got {seed}")
     horizon = run_sec.get("horizon", parse=_finite, default=1.0)
     if horizon <= 0:
         _fail("run", "horizon", "must be > 0")

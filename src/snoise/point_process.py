@@ -56,13 +56,16 @@ class CompensatorSpec:
         ``t`` is a scalar or a 1-d array of ``m`` times.  ``fn`` maps
         ``(n, d)`` mark rows to values shaped ``(n,)`` for a scalar ``t``
         and ``(m, n)`` for an array, so every slice is one mark integral;
-        the result has the shape of ``t``.  ``breakpoints`` are marks where
-        ``fn`` may kink (see :meth:`MarkDistribution.integrate`).
+        the result has the shape of ``t``, after any leading component axes
+        of ``fn``'s values.  ``breakpoints`` are marks where ``fn`` may kink
+        (see :meth:`MarkDistribution.integrate`).
         """
         lam = np.broadcast_to(np.asarray(self.rate(t), dtype=float),
                               np.shape(t))
         if not lam.any():
-            return np.zeros(lam.shape)[()]
+            # zeros shaped as fn's values over no marks, less the mark axis
+            shape = np.shape(fn(np.empty((0, self.mark_dim))))[:-1]
+            return np.zeros(np.broadcast_shapes(shape, lam.shape))[()]
         val = self.marks.integrate(fn, t, tol, breakpoints=breakpoints)
         return np.where(lam == 0.0, 0.0, lam * val)[()]
 

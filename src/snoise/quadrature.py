@@ -29,7 +29,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import NonFiniteError, QuadratureFailureError
+from .errors import NonFiniteError, ParameterError, QuadratureFailureError
 
 DEFAULT_QUAD_TOL = 1e-8
 _MAX_DEPTH = 30
@@ -112,7 +112,11 @@ def cumulative_integral(
     bks = np.asarray(list(breakpoints), dtype=float)
     inner = bks[(bks > points[0]) & (bks < points[-1])]
     edges = np.unique(np.concatenate([points, inner]))
-    cum = np.concatenate([[0.0], np.cumsum(_pieces(f, edges, tol))])
+    pieces = _pieces(f, edges, tol)
+    if pieces.ndim != 1:
+        raise ValueError("cumulative_integral takes a scalar-valued f, got "
+                         f"values of shape {pieces.shape[1:]} per piece")
+    cum = np.concatenate([[0.0], np.cumsum(pieces)])
     out = cum[np.searchsorted(edges, points)]
     if np.all(out.imag == 0.0):
         return out.real
@@ -135,8 +139,15 @@ def _pieces(f, edges, tol):
     frontier: each open interval carries its piece id, each level is one
     call of ``f`` over the 15 Kronrod nodes of every open interval, accepted
     K15 estimates are summed per piece, and the depth and ``_MAX_OPEN`` caps
-    hold per piece (``_MAX_FRONTIER`` bounds all pieces together).
+    hold per piece (``_MAX_FRONTIER`` bounds all pieces together).  A
+    non-finite ``tol`` raises ``NonFiniteError`` and ``tol <= 0``
+    ``ParameterError``, before ``f`` is called: no tolerance share of a
+    positive piece could be met.
     """
+    if not math.isfinite(tol):
+        raise NonFiniteError(f"quadrature tolerance must be finite, got {tol}")
+    if tol <= 0:
+        raise ParameterError("tol", f"must be > 0, got {tol}")
     edges = np.asarray(edges, dtype=float)
     n_pieces = edges.size - 1
     lo, hi = edges[:-1], edges[1:]

@@ -39,6 +39,8 @@ unthinned run would draw.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
@@ -52,7 +54,6 @@ TAG_BATCH_PRIME = 6
 TAG_STOCK_JUMPS = 7
 TAG_HAWKES_BATCH = 8
 
-_MASK64 = (1 << 64) - 1
 _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
 _ZERO_COUNTER.setflags(write=False)
 
@@ -73,10 +74,17 @@ class _StreamKey(ISeedSequence):
 
 
 def make_stream(seed: int, path_index: int = 0, tag: int = 0) -> np.random.Generator:
-    """Return the Philox stream keyed by ``(seed, path_index, tag)``."""
+    """Return the Philox stream keyed by ``(seed, path_index, tag)``.
+
+    ``seed`` is an integer in [0, 2^64): a float, a negative seed or a wider
+    one raises instead of aliasing another seed's stream.
+    """
+    seed = operator.index(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed}")
     if not 0 <= path_index < 2**32:
         raise ValueError("path_index must fit in 32 bits")
     if not 0 <= tag < 2**32:
         raise ValueError("tag must fit in 32 bits")
-    key = _StreamKey((int(seed) & _MASK64, (int(path_index) << 32) | int(tag)))
+    key = _StreamKey((seed, (int(path_index) << 32) | int(tag)))
     return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))

@@ -56,36 +56,29 @@ from .stats import (
 _CSV_BLOCK = 2**12
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
-def _cells(column) -> list[str]:
-    """The CSV text of a column: integers in full, floats to 17 significant
-    digits, strings as they are (cell by cell for any other column)."""
-    arr = np.asarray(column)
-    if arr.dtype.kind in "iu":
-        return list(map(str, arr.tolist()))
-    if arr.dtype.kind == "f":
-        return [format(x, ".17g") for x in arr.tolist()]
-    return [cell if isinstance(cell, str) else _fmt(cell) for cell in column]
+# the text of a cell by its column's dtype kind: integers in full, floats to
+# 17 significant digits
+_CELL_FORMAT = {"i": "%d", "u": "%d", "f": "%.17g"}
 
 
 def write_csv_atomic(path: Path, header, columns) -> None:
-    """Write a table given as equal-length 1-d columns (arrays or lists),
-    formatted a block of rows at a time."""
-    n_rows = len(columns[0]) if len(columns) else 0
+    """Write a table given as equal-length 1-d integer or float columns
+    (arrays or lists), one ``%``-format per row, a block of rows at a time;
+    the rows read as ``csv.writer`` would write them."""
+    columns = [np.asarray(col) for col in columns]
+    if any(col.dtype.kind not in _CELL_FORMAT for col in columns):
+        raise TypeError("CSV columns must be integer or float, got "
+                        f"{[col.dtype.str for col in columns]}")
+    n_rows = len(columns[0]) if columns else 0
     if any(len(col) != n_rows for col in columns):
         raise ValueError("CSV columns must have equal lengths")
+    row = ",".join(_CELL_FORMAT[col.dtype.kind] for col in columns) + "\r\n"
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)
         for lo in range(0, n_rows, _CSV_BLOCK):
-            writer.writerows(zip(*(_cells(col[lo:lo + _CSV_BLOCK])
-                                   for col in columns)))
+            cells = zip(*(col[lo:lo + _CSV_BLOCK].tolist() for col in columns))
+            fh.write("".join(map(row.__mod__, cells)))
     os.replace(tmp, path)
 
 

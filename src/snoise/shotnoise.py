@@ -148,8 +148,7 @@ def conditional_cf_parts(proc: ShotNoiseProcess, state: FiltrationState,
         g_vals = np.asarray(proc.kernel.G(T - s, x), dtype=float)
         return np.exp(i_theta * g_vals) - 1.0
 
-    # an empty or zero-rate range gives a scalar 0, which fills every component
-    log_future = np.full(theta.shape, compensator_mass(
+    log_future = np.array(compensator_mass(
         proc.spec, state.t, T, test_fn, quad_tol=quad_tol,
         mark_breakpoints=proc.kernel.params.get("x_knots", ())), dtype=complex)
     log_future.real[(theta.imag == 0.0) & (log_future.real > 0.0)] = 0.0
@@ -211,7 +210,7 @@ def semimartingale_decompose(proc: ShotNoiseProcess, path: MppPath, grid, *,
     times, G = path.times, proc.kernel.G
     t_end = float(grid[-1])
     drift = np.zeros(grid.size)
-    if times.size and times[0] <= t_end:
+    if times.size and times[0] < t_end:
         # the drift is zero up to the first event; from there the integrand
         # can kink at event times and, for tabulated kernels, at event time +
         # knot lag, and the tolerance keeps its share of [0, t_end]

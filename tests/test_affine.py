@@ -302,6 +302,74 @@ class TestRiccati:
             riccati_solve(HawkesParams(1.0, 1.0, 1.0), (0.0, 0.0), 1.0, steps=50)
 
 
+def _reference_rk4(params, u, horizon, steps=None):
+    """The RK4 loop of riccati_solve as it stood before it ran on plain
+    complex floats: a right-hand-side closure, values stored per step."""
+    if steps is None:
+        steps = max(100, int(math.ceil(affine.DEFAULT_STEPS_PER_UNIT * horizon)))
+    kappa, theta_bar = params.kappa, params.theta_bar
+    psi1 = u[0]
+    h = horizon / steps
+    grid = np.linspace(0.0, horizon, steps + 1)
+    phi = np.zeros(steps + 1, dtype=complex)
+    psi2 = np.zeros(steps + 1, dtype=complex)
+    psi2[0] = u[1]
+
+    def rhs(p2):
+        return kappa * theta_bar * p2, -kappa * p2 + cmath.exp(psi1 + p2) - 1.0
+
+    p, q = 0.0 + 0.0j, u[1]
+    for k in range(steps):
+        try:
+            dp1, dq1 = rhs(q)
+            dp2, dq2 = rhs(q + 0.5 * h * dq1)
+            dp3, dq3 = rhs(q + 0.5 * h * dq2)
+            dp4, dq4 = rhs(q + h * dq3)
+        except OverflowError as exc:
+            raise BlowUpError(
+                f"exp(psi1 + psi2) overflowed at t = {grid[k]:.6g}") from exc
+        p = p + (h / 6.0) * (dp1 + 2.0 * dp2 + 2.0 * dp3 + dp4)
+        q = q + (h / 6.0) * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
+        if not (cmath.isfinite(p) and cmath.isfinite(q)) or abs(q) > affine._PSI_GUARD:
+            raise BlowUpError(f"|psi2| exceeded guard {affine._PSI_GUARD:.1e} "
+                              f"at t = {grid[k + 1]:.6g}")
+        phi[k + 1] = p
+        psi2[k + 1] = q
+    return phi, psi2
+
+
+# affine-validate's five transform arguments for configs/affine_validate.ini
+_SHIPPED_U = [(0.5, 0.0), (1.0, 0.0), (0.0, 0.5), (0.0, 1.0), (0.5, 0.5)]
+
+
+@pytest.mark.parametrize("params,u,horizon,steps", [
+    *((HawkesParams(2.0, 0.5, 1.0), (1j * u1, 1j * u2), 1.0, None)
+      for u1, u2 in _SHIPPED_U),
+    (HawkesParams(0.3, 3.0, 0.5), (0.2 + 1.0j, -0.4 + 0.3j), 2.7, None),
+    (HawkesParams(1.0, 0.0, 0.5), (-0.5j, 0.25), 0.5, 137),
+])
+def test_riccati_bits_equal_the_reference_loop(params, u, horizon, steps):
+    sol = riccati_solve(params, u, horizon, steps)
+    phi, psi2 = _reference_rk4(params, u, horizon, steps)
+    assert sol.phi.dtype == sol.psi1.dtype == sol.psi2.dtype == complex
+    assert sol.phi.tobytes() == phi.tobytes()
+    assert sol.psi2.tobytes() == psi2.tobytes()
+    assert sol.psi1.tobytes() == np.full(phi.size, u[0], dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("u,cause", [
+    ((0.0, 6.0), "overflowed"), ((0.0, 3.0), "overflowed"),
+    ((2.0, 1.5), "overflowed"), ((0.0, 2e6j), "exceeded guard")])
+def test_riccati_blow_up_as_the_reference_loop(u, cause):
+    # the same error, at the same step, as the reference loop
+    params = HawkesParams(1.0, 1.0, 1.0)
+    with pytest.raises(BlowUpError, match=cause) as ref:
+        _reference_rk4(params, u, 1.0)
+    with pytest.raises(BlowUpError) as got:
+        riccati_solve(params, u, 1.0)
+    assert str(got.value) == str(ref.value)
+
+
 class TestAffineCf:
     def test_zero_argument(self):
         params = HawkesParams(2.0, 0.5, 1.0)

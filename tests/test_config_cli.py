@@ -392,9 +392,7 @@ expect_markov = true
 
 
 def _old_cell(x) -> str:
-    # the per-cell formatting the column writer replaced
-    if isinstance(x, str):
-        return x
+    # the per-cell formatting the row-format writer replaced
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
@@ -410,8 +408,10 @@ def test_csv_writer_matches_per_cell_format(tmp_path, monkeypatch, block):
         floats,
         np.array(floats),
         np.arange(8) * 3,
-        ["a", "b,c", 'q"uote', "", "nan", "x y", "1e5", "z"],
-        [True, np.True_, False, 1, 0.5, np.float32(0.1), "s", np.int8(-4)],
+        np.array([0, 1, 2, 3, 2**63, 5, 6, 2**64 - 1], dtype=np.uint64),
+        np.array([-128, 127, 0, -1, 1, 2, 3, -4], dtype=np.int8),
+        np.array([0.1, -0.0, np.nan, np.inf, 1e-45, 3.4e38, 1 / 3, -2.5],
+                 dtype=np.float32),
     ]
     header = [f"c{k}" for k in range(len(columns))]
     for n_rows in (8, 0):
@@ -425,6 +425,16 @@ def test_csv_writer_matches_per_cell_format(tmp_path, monkeypatch, block):
         assert new.read_bytes() == old.read_bytes()
     with pytest.raises(ValueError):
         scenarios.write_csv_atomic(new, header[:2], [[1, 2], [1.0]])
+
+
+def test_csv_writer_refuses_non_numeric_columns(tmp_path):
+    # every table a scenario writes is integer or float columns only
+    out = tmp_path / "t.csv"
+    for column in (["a", "b,c", 'q"uote'], [True, False, True],
+                   [True, np.True_, 0.5, "s", np.int8(-4)]):
+        with pytest.raises(TypeError):
+            scenarios.write_csv_atomic(out, ["x", "y"], [[1, 2, 3], column])
+        assert not out.exists()
 
 
 def test_table_kernel_with_knots_inside_horizon_simulates(tmp_path, capsys):
@@ -780,3 +790,23 @@ def test_high_rate_stock_batch_fails_cleanly(tmp_path):
         assert proc.returncode == EXIT_NUMERICAL, (stem, proc.stderr[-2000:])
         assert proc.stderr.startswith("ExplosionGuard: batch expects"), \
             (stem, proc.stderr[-2000:])
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7", str(2**64)])
+def test_seed_outside_64_bits_exits_two(tmp_path, capsys, seed):
+    # a negative seed used to draw the stream of seed + 2^64
+    out = tmp_path / "o"
+    text = MINIMAL_SIMULATE.replace("seed = 42", f"seed = {seed}")
+    code = main(["simulate", "--config", write(tmp_path, text),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "ConfigError: run.seed: must be in [0, 2^64)" in err
+    code = main(["simulate", "--config", write(tmp_path, MINIMAL_SIMULATE),
+                 "--seed", seed, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "ConfigError: run.seed: must be in [0, 2^64)" in err
+    assert not out.exists()
+    assert parse_config(write(tmp_path, MINIMAL_SIMULATE), overrides={
+        "seed": 2**64 - 1}).run.seed == 2**64 - 1

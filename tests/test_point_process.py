@@ -658,3 +658,29 @@ def test_slice_integral_over_times_matches_scalar_calls():
         # E e^{-s X} for X ~ Exp(mean 0.5) is 1 / (1 + s / 2)
         assert got[k] == pytest.approx(
             0.0 if sk < 1.0 else 2.0 / (1.0 + 0.5 * sk), abs=1e-11)
+
+
+def _two_components(s, x):
+    g = np.asarray(x, dtype=float)[..., 0] * np.exp(-np.asarray(s, dtype=float))
+    return np.stack([g, g * g])
+
+
+@pytest.mark.parametrize("rate,t0,t1", [(0.0, 0.0, 1.0), (1.5, 0.4, 0.4)],
+                         ids=["zero-rate", "empty-range"])
+def test_compensator_mass_keeps_component_axes_of_a_zero_mass(rate, t0, t1):
+    # a zero rate everywhere, or t0 == t1, used to give a scalar 0
+    spec = standard(rate, Exponential(1.0))
+    got = compensator_mass(spec, t0, t1, _two_components)
+    assert got.shape == (2,)
+    assert got.tobytes() == np.zeros(2).tobytes()
+
+
+def test_slice_integral_keeps_component_axes_at_zero_rate():
+    spec = standard(0.0, Exponential(1.0))
+    s = np.array([0.25, 0.5, 1.0])
+    fn = lambda x: _two_components(s[:, None], x[None])
+    assert spec.slice_integral(s, fn).shape == (2, 3)
+    assert spec.slice_integral(0.5, lambda x: _two_components(
+        0.5, x)).shape == (2,)
+    # values that broadcast over the times keep the times' axis
+    assert spec.slice_integral(s, lambda x: x[:, 0]).shape == (3,)

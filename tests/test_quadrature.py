@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snoise.errors import NonFiniteError, QuadratureFailureError
+from snoise.errors import NonFiniteError, ParameterError, QuadratureFailureError
 from snoise import quadrature
 from snoise.quadrature import (
     _WG,
@@ -96,6 +97,29 @@ def test_cumulative_handles_duplicate_points():
     assert np.allclose(cum, [0.0, 1.0, 1.0, 4.0], atol=1e-10)
 
 
+@pytest.mark.parametrize("tol,error", [
+    (0.0, ParameterError), (-1e-8, ParameterError),
+    (math.nan, NonFiniteError), (math.inf, NonFiniteError),
+    (-math.inf, NonFiniteError)], ids=["zero", "negative", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("integrate", [
+    lambda tol: gauss_kronrod(np.sin, 0.0, 3.0, tol),
+    lambda tol: gauss_kronrod(np.sin, 1.0, 1.0, tol),
+    lambda tol: cumulative_integral(np.sin, [0.0, 1.0, 3.0], tol),
+], ids=["gauss_kronrod", "empty-range", "cumulative_integral"])
+def test_bad_tolerance_is_refused_before_f_is_called(integrate, tol, error):
+    # tol = 0 or NaN used to refine up to the frontier cap
+    t0 = time.perf_counter()
+    with pytest.raises(error, match="tol"):
+        integrate(tol)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_cumulative_integral_refuses_vector_valued_f():
+    # it used to cumulate across pieces and components: [0, 0.5, 1.5]
+    with pytest.raises(ValueError, match="scalar-valued"):
+        cumulative_integral(lambda s: np.stack([s, 2 * s]), [0.0, 1.0, 2.0])
+
+
 def test_short_piece_far_from_zero_keeps_breakpoint_unsampled():
     # the outermost Kronrod node sits 0.4 % of a piece inside its ends, so
     # even a short piece next to 1.0 leaves the jump at the breakpoint
@@ -113,8 +137,10 @@ def test_cumulative_with_breakpoints_matches_per_gap_loop():
     cum = cumulative_integral(f, pts, 1e-11, breakpoints=bks)
     running, expect = 0.0, [0.0]
     for a, b in zip(pts[:-1], pts[1:]):
-        running += gauss_kronrod(f, a, b, 1e-11 * (b - a) / 2.0,
-                                 breakpoints=bks)
+        # the duplicate point's empty gap adds 0 (its tol share, 0, is refused)
+        if b > a:
+            running += gauss_kronrod(f, a, b, 1e-11 * (b - a) / 2.0,
+                                     breakpoints=bks)
         expect.append(running)
     assert np.abs(cum - np.array(expect)).max() <= 1e-12
 

@@ -10,8 +10,7 @@ import snoise  # noqa: F401  (imported before the entropy source is patched)
 from snoise import rng
 from snoise.rng import make_stream
 
-_MASK64 = (1 << 64) - 1
-SEEDS = [0, 2**63 + 5, -7]
+SEEDS = [0, 2**63 + 5, 2**64 - 7]
 PATH_INDICES = [0, 2**32 - 1]
 TAGS = [0, 2**32 - 1]
 KEYS = list(itertools.product(SEEDS, PATH_INDICES, TAGS))
@@ -19,7 +18,7 @@ KEYS = list(itertools.product(SEEDS, PATH_INDICES, TAGS))
 
 def reference_stream(seed, path_index, tag):
     """The stream as ``Philox(key=...)`` builds it from the same key."""
-    key = np.array([seed & _MASK64, (path_index << 32) | tag], dtype=np.uint64)
+    key = np.array([seed, (path_index << 32) | tag], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -53,8 +52,8 @@ def test_same_state_and_draws_as_philox_key(seed, path_index, tag):
 @pytest.mark.parametrize("path_index,tag", [(np.int64(5), np.int64(3)),
                                             (np.uint32(2**32 - 1), np.uint8(7))])
 def test_numpy_integer_keys(path_index, tag):
-    got = make_stream(np.int64(-7), path_index, tag)
-    ref = reference_stream(-7, int(path_index), int(tag))
+    got = make_stream(np.uint64(2**64 - 7), path_index, tag)
+    ref = reference_stream(2**64 - 7, int(path_index), int(tag))
     assert_same_state(got, ref)
     assert got.random() == ref.random()
 
@@ -78,6 +77,17 @@ def test_copies_continue_the_stream(clone):
 def test_range_errors(path_index, tag, message):
     with pytest.raises(ValueError, match=message):
         make_stream(1, path_index, tag)
+
+
+@pytest.mark.parametrize("seed,error", [
+    (-1, ValueError), (np.int64(-7), ValueError), (2**64, ValueError),
+    (1.5, TypeError), (1.0, TypeError), (np.float64(3.0), TypeError),
+    ("1", TypeError), (None, TypeError),
+])
+def test_seed_outside_64_bits_is_refused(seed, error):
+    # -1 used to draw what 2^64 - 1 draws, and 1.5 what 1 draws
+    with pytest.raises(error):
+        make_stream(seed)
 
 
 def test_key_is_the_only_state():

@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snoise.errors import IntegrabilityFailureError, NonFiniteError, UnsupportedMarksError
+from snoise.errors import (
+    IntegrabilityFailureError,
+    NonFiniteError,
+    ParameterError,
+    UnsupportedMarksError,
+)
 from snoise import shotnoise
 from snoise.kernels import (
     NoiseKernel,
@@ -348,6 +354,29 @@ class TestCfGrid:
         assert sum(per_theta) >= 15 * len(calls)
 
 
+def test_cf_parts_over_an_empty_range_have_theta_shape():
+    # T equal to the state time: compensator_mass gives zeros per theta
+    proc = ShotNoiseProcess(exponential(1.0, 1.0), standard(1.0, PointMass(1.0)))
+    path = MppPath([0.3, 0.6], [[1.0], [1.0]], 1.0)
+    parts = conditional_cf_parts(proc, FiltrationState.at(path, 1.0), 1.0,
+                                 [1.0, 2.0])
+    assert parts.log_state.shape == parts.log_future.shape == (2,)
+    assert parts.log_future.tobytes() == np.zeros(2, dtype=complex).tobytes()
+    assert parts.value.shape == (2,)
+
+
+@pytest.mark.parametrize("quad_tol,error", [
+    (0.0, ParameterError), (-1.0, ParameterError), (math.nan, NonFiniteError),
+    (math.inf, NonFiniteError)], ids=["zero", "negative", "nan", "inf"])
+def test_conditional_cf_refuses_bad_quad_tol_at_entry(quad_tol, error):
+    # quad_tol = 0 used to refine for 11.6 s up to 1.3 GB before failing
+    proc = ShotNoiseProcess(exponential(1.0, 1.0), standard(1.0, Exponential(1.0)))
+    t0 = time.perf_counter()
+    with pytest.raises(error):
+        conditional_cf(proc, state_at_zero(), 1.0, 0.7, quad_tol=quad_tol)
+    assert time.perf_counter() - t0 < 1.0
+
+
 class TestConditionalMean:
     def test_horizon_equals_state_time(self):
         proc = ShotNoiseProcess(exponential(1.0, 1.0), standard(1.0, PointMass(1.0)))
@@ -507,6 +536,15 @@ def test_decompose_long_path_caps_open_intervals_per_piece(monkeypatch):
     dec = semimartingale_decompose(proc, path, grid, quad_tol=1e-8)
     s_t = past_sum(proc.kernel.G, path, grid)[0]
     assert np.abs(dec.drift + dec.jump_part - s_t).max() <= 1e-8
+
+
+def test_decompose_first_event_at_the_grid_end_has_zero_drift():
+    # the drift integral over [T_1, t_end] is empty: no zero tolerance share
+    proc = ShotNoiseProcess(exponential(1.2, 0.7), standard(2.0, Exponential(1.0)))
+    path = MppPath([2.0], [[0.5]], 2.0)
+    dec = semimartingale_decompose(proc, path, np.linspace(0.0, 2.0, 9))
+    assert np.all(dec.drift == 0.0)
+    assert dec.jump_part[-1] == pytest.approx(1.2 * 0.5)
 
 
 def test_decompose_ties_broken_one_ulp_apart():

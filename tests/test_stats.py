@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from snoise import stats
 from snoise.errors import ExplosionGuardError, InvalidBoundError, NonFiniteError
 from snoise.kernels import exponential, jump_to_level, power_law
 from snoise.marks import Exponential, Normal, PointMass
@@ -390,6 +392,20 @@ _VALUES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
                     st.floats(-1e3, 1e3).map(lambda v: v + 0.0))
 
 
+def _check_sort_per_path(data, counts):
+    counts = np.array(counts, dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    n = int(offsets[-1])
+    if data is None:  # explicit examples: ties in every path
+        values = make_stream(20).integers(0, 3, size=n).astype(float)
+    else:
+        values = np.array(data.draw(st.lists(_VALUES, min_size=n,
+                                             max_size=n)), dtype=float)
+    expect = _lexsort_reference(values, counts)
+    sort_per_path(values, counts, offsets)
+    assert values.tobytes() == expect.tobytes()
+
+
 class TestSortPerPath:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(),
@@ -397,22 +413,26 @@ class TestSortPerPath:
     @example(data=None, counts=[0, 0, 0])
     @example(data=None, counts=[7])
     @example(data=None, counts=list(range(30)))
+    @example(data=None, counts=[8, 8, 9, 9, 8])
     def test_matches_global_lexsort(self, data, counts):
-        counts = np.array(counts, dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        n = int(offsets[-1])
-        if data is None:  # explicit examples: ties in every path
-            values = make_stream(20).integers(0, 3, size=n).astype(float)
-        else:
-            values = np.array(data.draw(st.lists(_VALUES, min_size=n,
-                                                 max_size=n)), dtype=float)
-        expect = _lexsort_reference(values, counts)
-        sort_per_path(values, counts, offsets)
-        assert values.tobytes() == expect.tobytes()
+        _check_sort_per_path(data, counts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(),
+           counts=st.lists(st.integers(0, 12), min_size=1, max_size=40))
+    @example(data=None, counts=[8] * 5)
+    @example(data=None, counts=[9] * 5)
+    @example(data=None, counts=[8, 9, 2, 8, 9, 3, 8])
+    def test_network_matches_global_lexsort(self, data, counts):
+        # every block of at most _NETWORK_MAX events takes the network,
+        # in chunks of 3 paths; count 9 and above takes np.sort
+        with mock.patch.multiple(stats, _NETWORK_PATHS=0, _NETWORK_CHUNK=3):
+            _check_sort_per_path(data, counts)
 
     def test_batch_times_match_global_lexsort(self):
-        # one path with many events and a spread of counts across paths
-        for lam, n in ((3000.0, 1), (30.0, 400), (0.5, 50)):
+        # one path with many events and a spread of counts across paths;
+        # at rate 4 over 10^5 paths every count up to 8 takes the network
+        for lam, n in ((3000.0, 1), (30.0, 400), (0.5, 50), (4.0, 10**5)):
             batch = simulate_standard_batch(lam, PointMass(1.0), 1.0, n, 21)
             raw = make_stream(21, 0, TAG_BATCH)
             raw.poisson(lam, size=n)
