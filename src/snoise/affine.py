@@ -34,6 +34,10 @@ from .point_process import (
 from .rng import TAG_HAWKES, TAG_HAWKES_BATCH, make_stream
 
 DEFAULT_STEPS_PER_UNIT = 2048
+# RK4 steps one riccati_solve may take (horizon 512 at the default rule):
+# beside MAX_PATH_EVENTS, it makes a huge horizon fail before its
+# trajectory exhausts memory
+MAX_RICCATI_STEPS = 2**20
 _PSI_GUARD = 1e6
 
 
@@ -146,15 +150,21 @@ def simulate_hawkes(params: HawkesParams, horizon: float, seed: int, *,
                 )
 
     if not times:
-        return HawkesPath(empty_path(horizon), _frozen(np.empty(0)), params)
+        return _hawkes_view(empty_path(horizon), np.empty(0), params)
     events = hand_over(np.array(times, dtype=float), np.ones((len(times), 1)),
                        horizon, np.array((0, len(times))))
-    return HawkesPath(events, _frozen(np.array(intens, dtype=float)), params)
+    return _hawkes_view(events, np.array(intens, dtype=float), params)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def _hawkes_view(events: MppPath, intensities: np.ndarray,
+                 params: HawkesParams) -> HawkesPath:
+    """A :class:`HawkesPath` over a simulator's own arrays, ``intensities``
+    frozen here, without the dataclass ``__init__``: the per-path loop's
+    build, as ``point_process._view`` builds an ``MppPath``."""
+    intensities.setflags(write=False)
+    path = object.__new__(HawkesPath)
+    path.__dict__.update(events=events, intensities=intensities, params=params)
+    return path
 
 
 def _waiting_times(lam, kappa: float, theta_bar: float, e1, e2):
@@ -233,7 +243,7 @@ def simulate_hawkes_batch(params: HawkesParams, horizon: float, n_paths: int,
         times[slot] = t_k
         intens[slot] = lam_k
     events = hand_over(times, np.ones((total, 1)), horizon, offsets)
-    return HawkesPath(events, _frozen(intens), params)
+    return _hawkes_view(events, intens, params)
 
 
 @dataclass(frozen=True)
@@ -258,7 +268,9 @@ def riccati_solve(params: HawkesParams, u, horizon: float,
 
     with phi(0) = 0 and psi(0) = u (the complex boundary datum).  psi1 is
     constant by construction, not integration.  Fixed steps keep runs
-    reproducible and give a clean order-4 convergence signature.
+    reproducible and give a clean order-4 convergence signature.  More than
+    ``MAX_RICCATI_STEPS`` steps, by the default rule or given, raise
+    ``ExplosionGuardError`` before anything is allocated.
     """
     u = (complex(u[0]), complex(u[1]))
     if not (math.isfinite(horizon) and cmath.isfinite(u[0])
@@ -277,6 +289,10 @@ def riccati_solve(params: HawkesParams, u, horizon: float,
         steps = max(100, int(math.ceil(DEFAULT_STEPS_PER_UNIT * horizon)))
     if steps < 100:
         raise ValueError("steps must be >= 100")
+    if steps > MAX_RICCATI_STEPS:
+        raise ExplosionGuardError(
+            f"{steps} RK4 steps over horizon {horizon:.6g} exceed cap "
+            f"{MAX_RICCATI_STEPS}")
 
     # RK4 on plain complex floats, the right-hand side inlined:
     # phi' = kt psi2 and psi2' = mk psi2 + exp(psi1 + psi2) - 1

@@ -63,6 +63,9 @@ def jump_to_level() -> NoiseKernel:
 def exponential(a: float, b: float) -> NoiseKernel:
     """G(t, x) = a * x1 * exp(-b t): the Ornstein-Uhlenbeck (Markov) kernel."""
     a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NonFiniteError(
+            f"exponential kernel parameters must be finite, got a = {a}, b = {b}")
     return NoiseKernel(
         kind=KIND_EXPONENTIAL,
         G=lambda t, x: a * _x1(x) * np.exp(-b * np.asarray(t, dtype=float)),
@@ -75,6 +78,8 @@ def exponential(a: float, b: float) -> NoiseKernel:
 def power_law(c: float) -> NoiseKernel:
     """G(t, x) = x1 / (1 + c t): slow decay with long-memory effects."""
     c = float(c)
+    if not math.isfinite(c):
+        raise NonFiniteError(f"power-law decay c must be finite, got {c}")
     if c <= 0:
         raise ValueError("power-law decay requires c > 0")
     return NoiseKernel(
@@ -246,12 +251,15 @@ def is_markov_kernel(kernel: NoiseKernel, grid=None, tol: float = 1e-10) -> Mark
     values in some interval (0, eps]; no finite probe can certify that range
     condition, so this test only requires H(0) != 0 and is therefore a
     grid-level surrogate, exact for the built-in families.  A non-finite
-    grid or ``tol`` raises ``NonFiniteError``; NaN residuals mean not Markov.
+    grid or ``tol`` raises ``NonFiniteError`` and ``tol <= 0``
+    ``ParameterError``; NaN residuals mean not Markov.
     """
     grid = np.unique(np.linspace(0.0, 5.0, 11) if grid is None
                      else np.asarray(grid, dtype=float))
     if not (np.isfinite(grid).all() and math.isfinite(tol)):
         raise NonFiniteError(f"grid and tol must be finite, got tol = {tol}")
+    if tol <= 0:
+        raise ParameterError("tol", f"must be > 0, got {tol}")
     if grid.size < 3:
         raise ValueError("grid needs at least 3 points")
     if np.any(grid < 0):

@@ -14,7 +14,9 @@ fails loudly rather than silently biasing the law.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -32,6 +34,11 @@ MAX_BATCH_EVENTS = 10_000_000
 # block: bounds its temporaries for a long path summed at many times (a
 # quadrature level over all pieces) and for a large batch at a grid
 _PAST_SUM_BLOCK = 2**14
+# values up to which the interpreter checks a path's times or a chunk's
+# rates, by comparisons on Python floats, faster than numpy's scans and
+# reductions: measured crossovers lie between 64 and 96 event times and
+# near 64 rates, the candidates of one simulate_mpp chunk
+_FEW = 64
 
 
 @dataclass(frozen=True)
@@ -58,10 +65,12 @@ class CompensatorSpec:
         and ``(m, n)`` for an array, so every slice is one mark integral;
         the result has the shape of ``t``, after any leading component axes
         of ``fn``'s values.  ``breakpoints`` are marks where ``fn`` may kink
-        (see :meth:`MarkDistribution.integrate`).
+        (see :meth:`MarkDistribution.integrate`).  Every rate must lie in
+        [0, ``rate_bound``], the simulators' rule (:func:`_check_rate_bound`).
         """
         lam = np.broadcast_to(np.asarray(self.rate(t), dtype=float),
                               np.shape(t))
+        _check_rate_bound(lam, t, self.rate_bound)
         if not lam.any():
             # zeros shaped as fn's values over no marks, less the mark axis
             shape = np.shape(fn(np.empty((0, self.mark_dim))))[:-1]
@@ -271,20 +280,13 @@ def break_ties(times: np.ndarray) -> np.ndarray:
 
 def hand_over(times, marks, horizon: float, offsets) -> MppPath:
     """A simulator's paths over arrays no one else holds: a path with a tie
-    gets :func:`break_ties`' nudge in place; nothing is copied.  One path is
-    checked by one scan for rising times and its end times as floats;
-    :func:`_check` runs where that finds a fault or a nudge, so the validity
-    rules and messages keep one home."""
+    gets :func:`break_ties`' nudge in place; nothing is copied.  One path of
+    at most ``_FEW`` events is checked on Python floats; a longer one, or
+    one where that finds a fault or a nudge, goes to :func:`break_ties` and
+    :func:`_check`, so the validity rules and messages keep one home."""
     if offsets.size == 2:
-        n = times.size
-        rise = n < 2 or (times[1:] > times[:-1]).all()
-        if not rise:
+        if not (times.size <= _FEW and _few_fine(times, marks, horizon)):
             times[:] = break_ties(times)
-        if not (rise and times.ndim == 1 and marks.shape[0] == n
-                and math.isfinite(horizon) and horizon >= 0
-                and (not n or 0.0 < float(times[0])
-                     and float(times[-1]) <= horizon)
-                and np.isfinite(marks).all()):
             _check(times, marks, horizon, offsets)
         return _view(times, marks, horizon, offsets)
     rises = _rises(times, offsets)
@@ -295,6 +297,21 @@ def hand_over(times, marks, horizon: float, offsets) -> MppPath:
             times[lo:hi] = break_ties(times[lo:hi])
     _check(times, marks, horizon, offsets, True)  # a nudged path rises
     return _view(times, marks, horizon, offsets)
+
+
+def _few_fine(times, marks, horizon: float) -> bool:
+    """Is one short path valid as it stands: 1-d times rising from above 0
+    to at most a finite ``horizon`` (a NaN fails each comparison), one
+    mark row per time, and marks of finite sum (so each finite)?"""
+    if times.ndim != 1 or marks.shape[0] != times.size:
+        return False
+    prev = 0.0
+    for t in times.tolist():
+        if not prev < t:
+            return False
+        prev = t
+    return (prev <= horizon and math.isfinite(horizon)
+            and math.isfinite(sum(marks.ravel().tolist())))
 
 
 def simulate_mpp(spec: CompensatorSpec, horizon: float, seed: int, *,
@@ -318,7 +335,8 @@ def simulate_mpp(spec: CompensatorSpec, horizon: float, seed: int, *,
     kept, n_kept = [], 0
     while True:
         cands = ev.exponential(scale, size=chunk).cumsum()
-        cands += t
+        if t:  # the first chunk starts at 0.0, whose addition changes no bit
+            cands += t
         unif = ev.random(size=chunk)
         # candidates rise, so those inside the horizon are a prefix
         k = int(cands.searchsorted(horizon, side="right"))
@@ -348,12 +366,19 @@ def simulate_mpp(spec: CompensatorSpec, horizon: float, seed: int, *,
 def _check_rate_bound(lam_at, times, lam_bar: float) -> None:
     """Raise unless every rate in ``lam_at`` (at ``times``) lies in
     [0, ``lam_bar``] (up to ``BOUND_SLACK``): a NaN rate raises
-    ``NonFiniteError``, one outside ``InvalidBoundError``."""
+    ``NonFiniteError``, one outside ``InvalidBoundError``.  Up to ``_FEW``
+    rates are compared as Python floats, more by ``min`` and ``max``."""
     cap = lam_bar * (1.0 + BOUND_SLACK)
+    if lam_at.size <= _FEW:
+        for x in lam_at.ravel().tolist():
+            if not 0.0 <= x <= cap:  # False at NaN
+                break
+        else:
+            return
     # min and max are NaN at a NaN; the initial 0.0 lets no rates pass
-    if lam_at.min(initial=0.0) >= 0.0 and lam_at.max(initial=0.0) <= cap:
+    elif lam_at.min(initial=0.0) >= 0.0 and lam_at.max(initial=0.0) <= cap:
         return
-    lam_at = np.broadcast_to(lam_at, np.shape(times))
+    lam_at, times = (np.ravel(a) for a in np.broadcast_arrays(lam_at, times))
     k = int(np.argmax(lam_at))  # the first NaN, if any
     at, worst = float(times[k]), float(lam_at[k])
     if math.isnan(worst):
@@ -379,26 +404,26 @@ def past_sum(fn, paths, at, *, strict: bool = False) -> np.ndarray:
     about ``_PAST_SUM_BLOCK`` pairs, each one ``fn`` call and one
     ``np.bincount`` over ``row * n_paths + path_id`` in event order: the
     same bits for a path alone and inside a batch.  One path at a scalar
-    time evaluates ``fn`` on the live prefix of its rising times only,
-    summed in event order by ``cumsum``: the same bits, as a sequential sum
-    ignores the block loop's trailing zeros, and ``+ 0.0`` gives
-    ``bincount``'s ``+0.0`` for a sum of ``-0.0`` terms.
+    time evaluates ``fn`` on the live prefix of its rising times only, and
+    adds the values to ``0.0`` in event order as Python floats:
+    ``bincount``'s own sum, less the block loop's trailing zeros, which
+    change no sum that starts from ``+0.0``.  A Python float time (the
+    per-path loops' call) takes that route before any array is built from
+    it, and any other scalar as its float.
     """
+    if paths.offsets.size == 2:
+        # one path at one time, a float by the shape rule of every routine
+        # that serves a batch
+        if not isinstance(at, float) and np.ndim(at) == 0:
+            at = float(np.asarray(at, dtype=float))
+        if isinstance(at, float):
+            if not math.isfinite(at):
+                raise NonFiniteError("evaluation times must be finite")
+            return _live_prefix_sum(fn, paths, at, strict)
     at = np.asarray(at, dtype=float)
-    # per-path loops call this with scalar times, where math.isfinite costs
-    # a fraction of a ufunc plus reduction
-    if not (math.isfinite(at) if at.ndim == 0 else np.isfinite(at).all()):
+    if not np.isfinite(at).all():
         raise NonFiniteError("evaluation times must be finite")
     times, n = paths.times, paths.n_paths
-    if n == 1 and at.ndim == 0:
-        # the per-path loops' call, a float by the shape rule of every
-        # routine that serves a batch
-        k = times.size and int(times.searchsorted(
-            at, side="left" if strict else "right"))
-        if not k:
-            return 0.0
-        vals = np.asarray(fn(at - times[:k], paths.marks[:k]), dtype=float)
-        return float(vals.cumsum()[-1]) + 0.0
     per_path = at.ndim == 2 and at.shape[0] == n
     if at.ndim > 1 and not per_path:
         raise ValueError("evaluation times must be a scalar, a 1-d array or "
@@ -422,6 +447,18 @@ def past_sum(fn, paths, at, *, strict: bool = False) -> np.ndarray:
         flat = sums[0] if len(sums) == 1 else np.concatenate(sums)
         return flat.reshape(cols + (n,)).T
     return np.zeros((n,) + cols)
+
+
+def _live_prefix_sum(fn, path: MppPath, at, strict: bool) -> float:
+    """:func:`past_sum` of one path at one finite time ``at``: ``fn`` on the
+    events up to ``at`` only, summed in event order."""
+    times = path.times
+    k = times.size and int(times.searchsorted(
+        at, side="left" if strict else "right"))
+    if not k:
+        return 0.0
+    vals = np.asarray(fn(at - times[:k], path.marks[:k]), dtype=float)
+    return reduce(operator.add, vals.ravel().tolist(), 0.0)
 
 
 def _row_sums(fn, lag, marks, bins, n_bins: int, strict: bool) -> np.ndarray:

@@ -76,15 +76,18 @@ class _StreamKey(ISeedSequence):
 def make_stream(seed: int, path_index: int = 0, tag: int = 0) -> np.random.Generator:
     """Return the Philox stream keyed by ``(seed, path_index, tag)``.
 
-    ``seed`` is an integer in [0, 2^64): a float, a negative seed or a wider
-    one raises instead of aliasing another seed's stream.
+    ``seed`` is an integer in [0, 2^64), ``path_index`` and ``tag`` integers
+    in [0, 2^32): a float (``TypeError``) or a value out of range
+    (``ValueError``) raises instead of aliasing another key's stream.
     """
     seed = operator.index(seed)
+    path_index = operator.index(path_index)
+    tag = operator.index(tag)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed}")
     if not 0 <= path_index < 2**32:
         raise ValueError("path_index must fit in 32 bits")
     if not 0 <= tag < 2**32:
         raise ValueError("tag must fit in 32 bits")
-    key = _StreamKey((seed, (int(path_index) << 32) | int(tag)))
+    key = _StreamKey((seed, path_index << 32 | tag))
     return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))

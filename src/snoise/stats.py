@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import ExplosionGuardError, NonFiniteError
+from .errors import ExplosionGuardError, NonFiniteError, ParameterError
 from .kernels import NoiseKernel
 from .marks import MarkDistribution
 from .point_process import (
@@ -234,6 +234,17 @@ def _max_gap(s, c, s_other, c_other) -> float:
     return gap
 
 
+def _ks_c_alpha(level: float) -> float:
+    """c(level) = sqrt(-log(level / 2) / 2), the large-sample KS critical
+    value per unit of 1/sqrt(n), for a ``level`` in (0, 1): a NaN raises
+    ``NonFiniteError``, a level outside ``ParameterError``."""
+    if math.isnan(level):
+        raise NonFiniteError("KS level must be finite, got nan")
+    if not 0.0 < level < 1.0:
+        raise ParameterError("level", f"must lie in (0, 1), got {level}")
+    return math.sqrt(-0.5 * math.log(level / 2.0))
+
+
 def ks_two_sample_weighted(x1, x2, w1=None, w2=None,
                            level: float = KS_LEVEL) -> KsResult:
     """Two-sample KS test allowing importance weights on either sample.
@@ -244,8 +255,10 @@ def ks_two_sample_weighted(x1, x2, w1=None, w2=None,
     ECDF is known and only the other is searched.  The critical value is
     the standard large-sample one, c(level) * sqrt(1/n1_eff + 1/n2_eff),
     with effective sample sizes (sum w)^2 / sum w^2.  With unit weights
-    this reduces to the classical two-sample test.
+    this reduces to the classical two-sample test.  ``level`` must lie in
+    (0, 1).
     """
+    c_alpha = _ks_c_alpha(level)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     w1 = None if w1 is None else np.asarray(w1, dtype=float)
@@ -266,8 +279,6 @@ def ks_two_sample_weighted(x1, x2, w1=None, w2=None,
     s1, c1 = _weighted_ecdf(x1, w1, w1_sum)
     s2, c2 = _weighted_ecdf(x2, w2, w2_sum)
     stat = max(_max_gap(s1, c1, s2, c2), _max_gap(s2, c2, s1, c1))
-
-    c_alpha = math.sqrt(-0.5 * math.log(level / 2.0))
     threshold = c_alpha * math.sqrt(1.0 / n1_eff + 1.0 / n2_eff)
     return KsResult(stat, threshold, n1_eff, n2_eff, stat <= threshold)
 
@@ -276,7 +287,9 @@ def ks_against_cdf(x, cdf, level: float = KS_LEVEL) -> KsResult:
     """One-sample KS of data against a CDF callable, at the given level.
 
     The statistic is max(D+, D-) over the sorted sample, with ``cdf`` called
-    once on it: the value ``scipy.stats.kstest`` reports."""
+    once on it: the value ``scipy.stats.kstest`` reports.  ``level`` must
+    lie in (0, 1)."""
+    c_alpha = _ks_c_alpha(level)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or not x.size:
         raise ValueError("KS data must be a nonempty 1-d sample")
@@ -289,7 +302,6 @@ def ks_against_cdf(x, cdf, level: float = KS_LEVEL) -> KsResult:
     d_plus = float((np.arange(1.0, n + 1) / n - cdfvals).max())
     d_minus = float((cdfvals - np.arange(0.0, n) / n).max())
     stat = d_plus if d_plus > d_minus else d_minus
-    c_alpha = math.sqrt(-0.5 * math.log(level / 2.0))
     threshold = c_alpha / math.sqrt(n)
     return KsResult(stat, threshold, float(n), math.inf, stat <= threshold)
 

@@ -301,6 +301,46 @@ class TestRiccati:
         with pytest.raises(ValueError):
             riccati_solve(HawkesParams(1.0, 1.0, 1.0), (0.0, 0.0), 1.0, steps=50)
 
+    def test_step_cap(self):
+        # horizon 1e9 died in numpy's MemoryError for a 14.9 TiB grid, and
+        # 1e5 asked for gigabytes: both run in a child process under an
+        # address-space cap, where each must raise the guard before it
+        # allocates anything
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", _STEP_CAP],
+                              capture_output=True, text=True, timeout=60,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        cap = affine.MAX_RICCATI_STEPS
+        assert proc.stdout.split("\n")[:-1] == [
+            f"ExplosionGuard 2048000000000 RK4 steps over horizon 1e+09 exceed cap {cap}",
+            f"ExplosionGuard 204800000 RK4 steps over horizon 100000 exceed cap {cap}",
+            f"ExplosionGuard {cap + 1} RK4 steps over horizon 1 exceed cap {cap}",
+            f"ExplosionGuard 204800000 RK4 steps over horizon 100000 exceed cap {cap}",
+        ]
+
+
+_STEP_CAP = """
+import resource
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from snoise.affine import HawkesParams, affine_cf, riccati_solve
+from snoise.errors import SnoiseError
+p = HawkesParams(2.0, 0.5, 1.0)
+calls = (lambda: riccati_solve(p, (0.5j, 0.0), 1e9),
+         lambda: riccati_solve(p, (0.5j, 0.0), 1e5),
+         lambda: riccati_solve(p, (0.5j, 0.0), 1.0, steps=2**20 + 1),
+         lambda: affine_cf(p, (0.0, 0, 1.0), 1e5, (0.5, 0.0)))
+for call in calls:
+    try:
+        call()
+        print("OK")
+    except (SnoiseError, MemoryError) as exc:
+        print(getattr(exc, "code", type(exc).__name__), exc)
+"""
+
 
 def _reference_rk4(params, u, horizon, steps=None):
     """The RK4 loop of riccati_solve as it stood before it ran on plain

@@ -9,6 +9,7 @@ from snoise.errors import (
     DimensionMismatchError,
     NonFiniteError,
     NotSeparableError,
+    ParameterError,
     ZeroAtOriginError,
 )
 from snoise.kernels import (
@@ -55,6 +56,18 @@ class TestEvalG:
                      1, check=False)
         with np.errstate(divide="ignore"), pytest.raises(NonFiniteError):
             eval_G(bad, 0.5, [1.0])
+
+    @pytest.mark.parametrize("build", [
+        lambda: exponential(math.nan, 1.0), lambda: exponential(1.0, math.nan),
+        lambda: exponential(math.inf, 1.0), lambda: exponential(1.0, -math.inf),
+        lambda: power_law(math.nan), lambda: power_law(math.inf),
+    ], ids=["exp-a-nan", "exp-b-nan", "exp-a-inf", "exp-b-minf",
+            "power-nan", "power-inf"])
+    def test_non_finite_parameter_refused(self, build):
+        # exponential(nan, 1.0) and power_law(nan) used to build kernels
+        # whose every value is NaN
+        with pytest.raises(NonFiniteError):
+            build()
 
 
 class TestAbsoluteContinuity:
@@ -169,6 +182,12 @@ class TestMarkovClassification:
         # verdict for the power law
         with pytest.raises(NonFiniteError):
             is_markov_kernel(power_law(1.0), grid=grid, tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_tol_not_above_zero_raises(self, tol):
+        # tol = -1 used to return "not Markov" for the exponential kernel
+        with pytest.raises(ParameterError, match="^tol must be > 0"):
+            is_markov_kernel(exponential(1.0, 1.0), tol=tol)
 
     @pytest.mark.parametrize("nan_at", [2.0, 1.0])
     def test_nan_kernel_value_is_not_markov(self, nan_at):

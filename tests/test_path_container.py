@@ -25,7 +25,14 @@ from snoise.measure_change import (
     sum_past_g,
     unit_eta,
 )
-from snoise.point_process import MppPath, _check, break_ties, hand_over, standard
+from snoise.point_process import (
+    _FEW,
+    MppPath,
+    _check,
+    break_ties,
+    hand_over,
+    standard,
+)
 from snoise.shotnoise import (
     FiltrationState,
     ShotNoiseProcess,
@@ -92,8 +99,7 @@ class TestLayout:
         with pytest.raises(ValueError, match=match):
             MppPath(times, np.ones(4), 1.0, offsets)
 
-    @pytest.mark.parametrize("offsets", [(0, 3), (0, 1, 3)],
-                             ids=["one-path", "batch"])
+    @pytest.mark.parametrize("route", ["one-path", "batch", "long"])
     @pytest.mark.parametrize("times, mark, horizon", [
         ([0.0, 0.5, 0.7], 1.0, 1.0),
         ([-0.1, 0.5, 0.7], 1.0, 1.0),
@@ -106,17 +112,48 @@ class TestLayout:
         ([0.2, 0.5, 0.7], -math.inf, 1.0),
         ([0.2, 0.5, 0.7], 1.0, math.nan),
         ([0.2, 0.5, 0.7], 1.0, math.inf),
+        ([0.2, 0.5, 0.5, 0.7], 1.0, 1.0),  # a tie: nudged
+        ([0.2, 0.5, 0.4, 0.7], 1.0, 1.0),  # a fall: nudged
+        ([0.2, 0.5, math.nan], 1.0, 1.0),
+        ([0.2, 0.5, 0.7], [1e308, 1e308, 1.0], 1.0),  # finite, sum inf
+        ([0.2, 0.5], [1.0] * 3, 1.0),  # a mark row too many
+        ([[0.2], [0.5], [0.7]], 1.0, 1.0),  # 2-d times
+        ([], [], 1.0),
+        ([], [], 0.0),
+        ([], [], math.nan),
+        ([], [], -1.0),
     ])
-    def test_hand_over_raises_as_check(self, times, mark, horizon, offsets):
-        # the one-path route checks by its ends and one scan, yet every
-        # fault raises _check's own error, as the batch route does
-        offsets = np.array(offsets)
-        marks = np.array([[1.0], [mark], [1.0]])
-        with pytest.raises((ValueError, NonFiniteError)) as want:
-            _check(break_ties(times), marks, horizon, offsets)
-        with pytest.raises(type(want.value),
-                           match=f"^{re.escape(str(want.value))}$"):
-            hand_over(np.array(times), marks, horizon, offsets)
+    def test_hand_over_raises_as_check(self, times, mark, horizon, route):
+        # a path of at most _FEW events is checked on Python floats, a
+        # longer one (after _FEW lead events) and a batch (its first event
+        # a path of its own) by break_ties and _check; each gives
+        # break_ties' nudge, or _check's own error and message
+        times = np.array(times, dtype=float)
+        if isinstance(mark, list):
+            marks = np.array(mark).reshape(-1, 1)
+        else:
+            marks = np.ones((times.shape[0], 1))
+            marks[1] = mark
+        if route == "long" and times.size:
+            lead = np.linspace(1e-3, 0.1, _FEW)
+            times = np.concatenate([lead.reshape((-1,) + times.shape[1:]),
+                                    times])
+            marks = np.concatenate([np.ones((_FEW, 1)), marks])
+        n = times.shape[0]
+        offsets = np.array((0, min(n, 1), n) if route == "batch" else (0, n))
+        assert (n <= _FEW) == (route != "long" or not n)
+        want = times.copy()
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            want[lo:hi] = break_ties(want[lo:hi])
+        try:
+            _check(want, marks, horizon, offsets)
+        except (ValueError, NonFiniteError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                hand_over(times, marks, horizon, offsets)
+            return
+        got = hand_over(times, marks, horizon, offsets)
+        assert got.times.tobytes() == want.tobytes()
+        assert got.marks is marks and not got.times.flags.writeable
 
     def test_hand_over_nudges_tied_paths_only(self):
         times = np.array([0.2, 0.5, 0.3, 0.3, 0.4, 0.1])

@@ -23,6 +23,12 @@ RAMP = CompensatorSpec(rate=lambda t: 1.0 + 2.0 * np.asarray(t, dtype=float),
 PROC = ShotNoiseProcess(exponential(1.0, 1.0), RAMP)
 HAWKES = HawkesParams(kappa=2.0, theta_bar=0.5, lambda0=1.0)
 
+# path_loop's pair mix over 2000 path indices, recorded from the simulators
+# and readers before they checked, handed over and read a short path on
+# Python floats
+PAIR_SEED, PAIR_PATHS = 22, 2000
+PAIR_MIX_DIGEST = "b278aa4c8078c1422ab3f6a7cf50d4a936a4a8dc6caa655554fff8b5c293cbd2"
+
 DIGESTS = {
     "simulate_mpp": "4adc2f26a0c0cb6926978f5dca4214855f40228a72b3d3ed29e41346876b375e",
     "simulate_hawkes": "a9755a17369dab278b15cafd3f37299d150b7169b02eb57eebcbc57f1320e741",
@@ -59,3 +65,18 @@ def test_per_path_simulators_keep_their_bits():
     assert got == DIGESTS
     # handed over, not copied: nothing may write into a simulated path
     assert not any(arr.flags.writeable for arr in arrays)
+
+
+def test_pair_mix_keeps_its_bits():
+    # a ramp-rate path with its S_T and an Ogata path with its lambda_T, as
+    # the path_loop benchmark pairs them
+    h = hashlib.sha256()
+    for i in range(PAIR_PATHS):
+        path = simulate_mpp(RAMP, 2.0, PAIR_SEED, path_index=i)
+        s_T = eval_shotnoise(PROC, path, 2.0)
+        hp = simulate_hawkes(HAWKES, 1.0, PAIR_SEED, path_index=i)
+        lam_T = hp.intensity(1.0)
+        assert type(s_T) is float
+        h.update(_digest(path.times, path.marks, [s_T], hp.events.times,
+                         hp.intensities, [lam_T]).encode())
+    assert h.hexdigest() == PAIR_MIX_DIGEST

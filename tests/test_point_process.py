@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -252,6 +253,34 @@ class TestSimulateMpp:
                                rate_bound=2.0, marks=PointMass(1.0))
         with pytest.raises(InvalidBoundError, match=r"rate\(0\.\d+\) = -1 is below 0"):
             simulate_mpp(spec, 1.0, 3)
+
+    @pytest.mark.parametrize("n", [10, 100], ids=["few", "many"])
+    @pytest.mark.parametrize("faults, error, message", [
+        ({3: math.nan}, NonFiniteError, "rate({t3}) is NaN"),
+        ({3: -0.5}, InvalidBoundError, "rate({t3}) = -0.5 is below 0"),
+        ({3: 2.5}, InvalidBoundError,
+         "rate({t3}) = 2.5 exceeds rate_bound = 2"),
+        # the first NaN wins over any other fault, the highest rate over a
+        # negative one
+        ({1: 9.0, 3: math.nan, 5: math.nan}, NonFiniteError,
+         "rate({t3}) is NaN"),
+        ({1: -3.0, 3: 2.5, 5: 2.25}, InvalidBoundError,
+         "rate({t3}) = 2.5 exceeds rate_bound = 2"),
+        ({3: 0.0, 5: 2.0 * (1 + 1e-12)}, None, None),  # both ends pass
+    ])
+    def test_rate_bound_rule(self, n, faults, error, message):
+        # up to _FEW rates are compared as Python floats, more by min and
+        # max: either way a fault raises the same error and message
+        times = np.linspace(0.1, 1.9, n)
+        lam = np.full(n, 1.0)
+        for k, v in faults.items():
+            lam[k] = v
+        if error is None:
+            point_process._check_rate_bound(lam, times, 2.0)
+            return
+        message = message.format(t3=f"{times[3]:.6g}")
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            point_process._check_rate_bound(lam, times, 2.0)
 
     def test_reproducibility_bit_identical(self):
         spec = standard(3.0, Normal(0.0, 1.0))
@@ -629,9 +658,9 @@ def test_batched_compensator_mass_matches_scalar_nested_loop(
 
 def test_compensator_mass_of_stacked_components():
     # leading axes of test_fn's values are components of one frontier, each
-    # to the tolerance of its own integral
+    # to the tolerance of its own integral; the rate reaches 5 at t = 2
     spec = CompensatorSpec(rate=lambda t: 1.0 + 2.0 * np.asarray(t, dtype=float),
-                           rate_bound=3.0, marks=Normal(0.5, 0.3))
+                           rate_bound=5.0, marks=Normal(0.5, 0.3))
     kern = power_law(1.0)
     fns = [lambda s, x: np.asarray(kern.G(2.0 - s, x)),
            lambda s, x: np.asarray(kern.G(2.0 - s, x)) ** 2,

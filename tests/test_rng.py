@@ -90,6 +90,16 @@ def test_seed_outside_64_bits_is_refused(seed, error):
         make_stream(seed)
 
 
+@pytest.mark.parametrize("path_index,tag", [
+    (1.5, 0), (1.0, 0), (np.float64(2.0), 0),
+    (0, 2.7), (0, 2.0), (0, np.float32(1.0)),
+])
+def test_non_integer_path_index_or_tag_is_refused(path_index, tag):
+    # make_stream(1, 1.5, 0) used to draw what make_stream(1, 1, 0) draws
+    with pytest.raises(TypeError):
+        make_stream(1, path_index, tag)
+
+
 def test_key_is_the_only_state():
     seed_seq = make_stream(5, 2, 3).bit_generator.seed_seq
     np.testing.assert_array_equal(seed_seq.generate_state(2, np.uint64),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from snoise.errors import (
     IntegrabilityFailureError,
+    InvalidBoundError,
     NonFiniteError,
     ParameterError,
     UnsupportedMarksError,
@@ -29,6 +30,7 @@ from snoise.point_process import (
     CompensatorSpec,
     MppPath,
     break_ties,
+    compensator_mass,
     empty_path,
     past_sum,
     simulate_mpp,
@@ -675,3 +677,28 @@ def test_table_kernel_with_density_marks_cf_vs_monte_carlo():
     for theta in (0.5, 1.7, 4.0):
         got = conditional_cf(proc, state_at_zero(), 2.0, theta)
         assert cf_ratio(got, empirical_cf(terminal, theta)) <= 3.0, theta
+
+
+@pytest.mark.parametrize("level, error, message", [
+    (math.nan, NonFiniteError, r"^rate\(0\.\d+\) is NaN$"),
+    (-1.0, InvalidBoundError, r"^rate\(0\.\d+\) = -1 is below 0$"),
+    (2.0, InvalidBoundError, r"^rate\(0\.\d+\) = 2 exceeds rate_bound = 1$"),
+], ids=["nan", "negative", "over-bound"])
+def test_exact_routes_check_the_rate_at_their_nodes(level, error, message):
+    # the simulators' rule, at the first quadrature level: a NaN rate ran
+    # conditional_cf for 6 s to 918 MB before it raised, and a rate of -1
+    # or above rate_bound gave the CF of no law or of a spec the
+    # simulators refuse
+    spec = CompensatorSpec(
+        rate=lambda t: np.full(np.shape(t), level), rate_bound=1.0,
+        marks=Exponential(1.0))
+    proc = ShotNoiseProcess(exponential(1.0, 1.0), spec)
+    start = time.perf_counter()
+    with pytest.raises(error, match=message):
+        conditional_cf(proc, state_at_zero(), 1.0, 0.7)
+    with pytest.raises(error, match=message):
+        compensator_mass(spec, 0.0, 1.0, lambda s, x: s + x[..., 0])
+    # a scalar time names itself
+    with pytest.raises(error, match=message.replace(r"0\.\d+", "0.5")):
+        spec.slice_integral(0.5, lambda x: x[:, 0])
+    assert time.perf_counter() - start < 1.0

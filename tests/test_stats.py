@@ -13,7 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snoise import stats
-from snoise.errors import ExplosionGuardError, InvalidBoundError, NonFiniteError
+from snoise.errors import (
+    ExplosionGuardError,
+    InvalidBoundError,
+    NonFiniteError,
+    ParameterError,
+)
 from snoise.kernels import exponential, jump_to_level, power_law
 from snoise.marks import Exponential, Normal, PointMass
 from snoise.point_process import CompensatorSpec, past_sum, simulate_mpp, standard
@@ -269,6 +274,21 @@ class TestKs:
             ks_two_sample_weighted(np.append(x, bad), x)
         with pytest.raises(NonFiniteError):
             ks_two_sample_weighted(x, x, w2=np.append(np.ones(499), bad))
+
+    @pytest.mark.parametrize("level, error", [
+        (2.0, ParameterError), (1.0, ParameterError), (0.0, ParameterError),
+        (-0.01, ParameterError), (math.inf, ParameterError),
+        (math.nan, NonFiniteError),
+    ])
+    def test_level_outside_unit_interval_is_refused(self, level, error):
+        # level 2 gave threshold -0.0 and level NaN threshold NaN: verdicts
+        # of no test; the sample is refused before it is sorted
+        x = np.arange(10.0)
+        with pytest.raises(error):
+            ks_two_sample_weighted(x, x, level=level)
+        with pytest.raises(error):
+            ks_against_cdf(x, lambda v: np.clip(v / 10.0, 0.0, 1.0),
+                           level=level)
 
     def test_shifted_distribution_fails(self):
         rng = make_stream(12)
