@@ -15,10 +15,11 @@ dispatches on:
     fixed Philox substream (deterministic, but accuracy is statistical).
     The analytic characteristic-function path refuses this mode.
 
-The built-in families are stationary (they ignore ``t``).  Integration
-passes ``t`` through (an array of times when a batch of time slices is
-integrated at once), but path simulation draws every mark from F(0, dx),
-so a time-varying subclass would be simulated with its time-0 law.
+The built-in families are stationary (they ignore ``t``).  A time-varying
+subclass gets the time from every caller: integration passes ``t`` through
+(an array of times when a batch of time slices is integrated at once), and
+path simulation passes each event's own time, so an event at ``t`` gets its
+mark from F(t, dx).
 Integrand callables are vectorized and may be vector-valued: ``fn(x)``
 receives an ``(n, d)`` array of mark rows and returns values shaped
 ``(..., n)``; the integral has shape ``(...)``.
@@ -55,7 +56,8 @@ class MarkDistribution:
     truncated_edges: tuple = ()
 
     def sample(self, rng: np.random.Generator, t: float, n: int) -> np.ndarray:
-        """Draw ``n`` marks at time ``t`` as an ``(n, mark_dim)`` array."""
+        """Draw ``n`` marks as an ``(n, mark_dim)`` array, at a time ``t``
+        or, for an ``(n,)`` array ``t``, each draw at its own time."""
         raise NotImplementedError
 
     def atoms(self, t: float) -> tuple[np.ndarray, np.ndarray]:

@@ -319,8 +319,8 @@ def simulate_mpp(spec: CompensatorSpec, horizon: float, seed: int, *,
     """Exact simulation of the path law with compensator rate(t) F(t, dx) dt.
 
     Thinning: candidates arrive at the homogeneous rate ``rate_bound`` and are
-    accepted at ``t`` with probability ``rate(t)/rate_bound``; accepted events
-    get a mark from F(0, .).  Deterministic given ``(seed, path_index)``.
+    accepted at ``t`` with probability ``rate(t)/rate_bound``; an event at
+    ``t`` gets a mark from F(t, .).  Deterministic given ``(seed, path_index)``.
     More than ``MAX_PATH_EVENTS`` events raise ``ExplosionGuardError``.
     """
     check_horizon(horizon)
@@ -358,7 +358,7 @@ def simulate_mpp(spec: CompensatorSpec, horizon: float, seed: int, *,
     if not n_kept:
         return empty_path(horizon, spec.mark_dim)
     times = kept[0] if len(kept) == 1 else np.concatenate(kept)
-    marks = spec.marks.sample(make_stream(seed, path_index, TAG_MARKS), 0.0,
+    marks = spec.marks.sample(make_stream(seed, path_index, TAG_MARKS), times,
                               n_kept)
     return hand_over(times, marks, horizon, np.array((0, n_kept)))
 

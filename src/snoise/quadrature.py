@@ -4,9 +4,9 @@ Every integral, over time or over marks, is adaptive bisection with the
 QUADPACK qk15 pair of Piessens et al. (1983): an interval is accepted with
 its K15 estimate once every component's |K15 - G7| is within its share of
 the tolerance, else it is halved.  Integrands map a 1-d array of nodes to
-an ndarray of values, complex ones natively, and may be vector-valued: a
-whole batch of outer time nodes is one call of a mark integrand.
-Refinement reads the modulus of the error estimate, so conjugate
+an ndarray of values, complex ones natively, and may be vector-valued in
+both front ends: a whole batch of outer time nodes is one call of a mark
+integrand.  Refinement reads the modulus of the error estimate, so conjugate
 integrands refine identically and Hermitian symmetry survives to rounding
 level.
 
@@ -16,10 +16,12 @@ The range is cut into pieces at the bounds, known kinks passed as
 the tolerance proportional to its length, and all pieces refine in one
 frontier.  Kronrod nodes are interior, 0.43 % of an interval's length
 from its ends, so breakpoints see one-sided limits on any piece longer
-than about 250 ulps; on a shorter one the outer nodes can round onto the
-ends.  A piece of at most two ulps contributes 0 unsampled.  Non-finite bounds, and refinement of a piece
-past ``_MAX_DEPTH`` or ``_MAX_OPEN`` open intervals, fail fast
-(``NonFiniteError`` if its unconverged values are NaN/inf).
+than about 250 ulps (an integrable singularity belongs at one); on a
+shorter one the outer nodes can round onto the ends.  A piece of at most
+two ulps contributes 0 unsampled.  A NaN or inf value raises
+``NonFiniteError`` at the level that produces it, as non-finite bounds do,
+and a level past ``_MAX_DEPTH`` or over ``_MAX_VALUES`` integrand values
+raises ``QuadratureFailureError``.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from .errors import NonFiniteError, ParameterError, QuadratureFailureError
 
 DEFAULT_QUAD_TOL = 1e-8
 _MAX_DEPTH = 30
-_MAX_OPEN = 2**14  # legitimate integrals here peak at 18 open intervals
-# open intervals of all pieces together: a memory guard far above legitimate
-# frontiers (a 3000-event decomposition opens 3,030 intervals)
-_MAX_FRONTIER = 2**19
+# integrand values of one level (intervals x 15 nodes x components): a memory
+# guard far above legitimate levels (a 64-theta CF block holds 2.6e5 values,
+# the first level of a 3000-event decomposition 45k)
+_MAX_VALUES = 2**21
 
 # Gauss-Kronrod 7-15 on [-1, 1] (QUADPACK qk15): the 15 Kronrod nodes, the
 # Kronrod weights, and the Gauss weights, nonzero on the 7 Gauss nodes
@@ -78,9 +80,9 @@ def gauss_kronrod(
     Raises
     ------
     NonFiniteError
-        if a bound is not finite, or refinement fails on NaN/inf values.
+        if a bound or a value of ``f`` is not finite.
     QuadratureFailureError
-        if some piece fails to converge within the depth or frontier cap.
+        if some piece fails to converge within the depth or value cap.
     """
     total = sum(_pieces(f, _edges(a, b, breakpoints), tol))
     if np.iscomplexobj(total) and not np.any(total.imag):
@@ -95,12 +97,15 @@ def cumulative_integral(
     *,
     breakpoints: Iterable[float] = (),
 ) -> np.ndarray:
-    """Cumulative integral of a scalar ``f`` from ``points[0]`` to each point.
+    """Cumulative integral of ``f`` from ``points[0]`` to each point.
 
-    Integrates each piece between consecutive distinct points and interior
-    breakpoints once and accumulates, so every partial sum meets ``tol``
-    and the result at ``points[k]`` is consistent with
-    :func:`gauss_kronrod` over ``[points[0], points[k]]``.
+    ``f`` is vector-valued as for :func:`gauss_kronrod`, with values shaped
+    ``(..., n)`` at ``n`` nodes, and the result is shaped
+    ``(..., len(points))``.  Each piece between consecutive distinct points
+    and interior breakpoints is integrated once and the pieces are
+    cumulated, so every partial sum of every component meets ``tol`` and
+    the result at ``points[k]`` is consistent with :func:`gauss_kronrod`
+    over ``[points[0], points[k]]``.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 1 or points.size < 1:
@@ -113,11 +118,9 @@ def cumulative_integral(
     inner = bks[(bks > points[0]) & (bks < points[-1])]
     edges = np.unique(np.concatenate([points, inner]))
     pieces = _pieces(f, edges, tol)
-    if pieces.ndim != 1:
-        raise ValueError("cumulative_integral takes a scalar-valued f, got "
-                         f"values of shape {pieces.shape[1:]} per piece")
-    cum = np.concatenate([[0.0], np.cumsum(pieces)])
-    out = cum[np.searchsorted(edges, points)]
+    cum = np.concatenate([np.zeros((1,) + pieces.shape[1:]),
+                          np.cumsum(pieces, axis=0)])
+    out = np.moveaxis(cum[np.searchsorted(edges, points)], 0, -1)
     if np.all(out.imag == 0.0):
         return out.real
     return out
@@ -137,9 +140,11 @@ def _pieces(f, edges, tol):
 
     One value per gap, stacked on the first axis.  All gaps refine in one
     frontier: each open interval carries its piece id, each level is one
-    call of ``f`` over the 15 Kronrod nodes of every open interval, accepted
-    K15 estimates are summed per piece, and the depth and ``_MAX_OPEN`` caps
-    hold per piece (``_MAX_FRONTIER`` bounds all pieces together).  A
+    call of ``f`` over the 15 Kronrod nodes of every open interval, and
+    accepted K15 estimates are summed per piece.  A NaN or inf value raises
+    ``NonFiniteError`` at its level; a level past ``_MAX_DEPTH``, or after
+    the first one over ``_MAX_VALUES`` values, raises
+    ``QuadratureFailureError``; each names a piece and the depth.  A
     non-finite ``tol`` raises ``NonFiniteError`` and ``tol <= 0``
     ``ParameterError``, before ``f`` is called: no tolerance share of a
     positive piece could be met.
@@ -159,10 +164,9 @@ def _pieces(f, edges, tol):
         return np.zeros((n_pieces,) + np.shape(f(np.empty(0)))[:-1])
     share = np.maximum(tol * (hi - lo) / (edges[-1] - edges[0]), 1e-300)
     lo, h = lo[piece], (hi - lo)[piece]
-    acc = 0.0
+    acc, per_interval = 0.0, 0  # values per interval, known after a level
     for depth in range(_MAX_DEPTH + 1):
-        if lo.size > _MAX_OPEN and (lo.size > _MAX_FRONTIER or np.bincount(
-                np.broadcast_to(piece, lo.shape)).max() > _MAX_OPEN):
+        if lo.size * per_interval > _MAX_VALUES:
             break
         half = 0.5 * h
         # bisect every interval where some component has |K15 - G7| above
@@ -171,15 +175,23 @@ def _pieces(f, edges, tol):
         nodes = (lo + half)[:, None] + half[:, None] * _XK
         vals = np.asarray(f(nodes.ravel()))
         vals = vals.reshape(vals.shape[:-1] + nodes.shape)
+        per_interval = vals.size // lo.size
         k15 = (vals @ _WK) * half
         err = np.abs(k15 - (vals @ _WG) * half)
+        # every Kronrod weight is nonzero, so a NaN or inf value makes its
+        # interval's error estimate NaN or inf (which max propagates), and
+        # it would never converge
+        if not err.max(initial=0.0) < math.inf:
+            finite = np.isfinite(err).reshape(-1, lo.size).all(axis=0)
+            p = int(np.broadcast_to(piece, lo.shape)[finite.argmin()])
+            raise NonFiniteError(f"integrand is not finite on "
+                                 f"{edges[p:p + 2].tolist()} at depth {depth}")
         # a lone piece keeps the ids [0], which broadcast over its intervals
         tols = (share * 0.5**depth)[piece]
         done = (err <= tols).reshape(-1, lo.size).all(axis=0)
         acc = acc + _piece_sums(k15[..., done], done, piece, n_pieces)
 
         keep = ~done
-        last = (vals.swapaxes(0, -2), piece, keep)
         k_lo, k_half = lo[keep], half[keep]
         lo = np.concatenate([k_lo, k_lo + k_half])
         h = np.concatenate([k_half, k_half])
@@ -187,19 +199,11 @@ def _pieces(f, edges, tol):
         if lo.size == 0:
             return acc
 
-    # the first piece over the cap, else the most crowded, with the values
-    # its open intervals hold
     n_open = np.bincount(np.broadcast_to(piece, lo.shape), minlength=n_pieces)
-    over = n_open > _MAX_OPEN
-    p = int(np.argmax(over if over.any() else n_open))
-    vals, piece, keep = last
-    vals = vals[keep & (piece == p)]
-    span = f"[{float(edges[p])!r}, {float(edges[p + 1])!r}]"
-    count = f"{n_open[p]} open intervals at depth {depth}"
-    if not np.isfinite(vals).all():
-        raise NonFiniteError(f"integrand is not finite on {span} ({count})")
+    p = int(np.argmax(n_open))
     raise QuadratureFailureError(
-        f"adaptive Gauss-Kronrod did not converge on {span}: {count}")
+        f"adaptive Gauss-Kronrod did not converge on {edges[p:p + 2].tolist()}"
+        f": {n_open[p]} open intervals at depth {depth}")
 
 
 def _piece_sums(est, done, piece, n_pieces):

@@ -143,14 +143,9 @@ def conditional_cf_parts(proc: ShotNoiseProcess, state: FiltrationState,
 
     log_state = 1j * theta * float(past_sum(proc.kernel.G, state.observed, T))
     i_theta = 1j * theta[..., None, None]  # ahead of the (time, mark) axes
-
-    def test_fn(s, x):
-        g_vals = np.asarray(proc.kernel.G(T - s, x), dtype=float)
-        return np.exp(i_theta * g_vals) - 1.0
-
-    log_future = np.array(compensator_mass(
-        proc.spec, state.t, T, test_fn, quad_tol=quad_tol,
-        mark_breakpoints=proc.kernel.params.get("x_knots", ())), dtype=complex)
+    log_future = np.array(_future_mass(
+        proc, state.t, T, lambda g: np.exp(i_theta * g) - 1.0, quad_tol),
+        dtype=complex)
     log_future.real[(theta.imag == 0.0) & (log_future.real > 0.0)] = 0.0
     return CfParts(log_state[()], log_future[()])
 
@@ -166,12 +161,18 @@ def conditional_mean(proc: ShotNoiseProcess, state: FiltrationState, T: float,
     """E[S_T | F_t] for every kernel, split as :func:`conditional_cf_parts`:
     sum_{T_i <= t} G(T - T_i, U_i) plus int_t^T int G(T - s, x) nu(ds, dx)."""
     past = float(past_sum(proc.kernel.G, state.observed, T))
-    future = compensator_mass(
-        proc.spec, state.t, T,
-        lambda s, x: np.asarray(proc.kernel.G(T - s, x), dtype=float),
-        quad_tol=quad_tol,
-        mark_breakpoints=proc.kernel.params.get("x_knots", ()))
-    return past + float(future)
+    return past + float(_future_mass(proc, state.t, T, lambda g: g, quad_tol))
+
+
+def _future_mass(proc: ShotNoiseProcess, t: float, T: float, fn,
+                 quad_tol: float):
+    """int_t^T int fn(G(T - s, x)) nu(ds, dx), cut where G(T - s, x) kinks
+    (a table kernel's knots): at s = T - t_knot and at the x-knots."""
+    params, G = proc.kernel.params, proc.kernel.G
+    return compensator_mass(
+        proc.spec, t, T, lambda s, x: fn(np.asarray(G(T - s, x), dtype=float)),
+        quad_tol=quad_tol, breakpoints=[T - k for k in params.get("t_knots", ())],
+        mark_breakpoints=params.get("x_knots", ()))
 
 
 class Decomposition(NamedTuple):
@@ -207,22 +208,15 @@ def semimartingale_decompose(proc: ShotNoiseProcess, path: MppPath, grid, *,
             f"int g^2 d nu = {gsq}; semimartingale condition fails"
         )
 
+    # the integrand is zero up to the first event and can kink at event
+    # times and, for tabulated kernels, at event time + knot lag
     times, G = path.times, proc.kernel.G
-    t_end = float(grid[-1])
-    drift = np.zeros(grid.size)
-    if times.size and times[0] < t_end:
-        # the drift is zero up to the first event; from there the integrand
-        # can kink at event times and, for tabulated kernels, at event time +
-        # knot lag, and the tolerance keeps its share of [0, t_end]
-        t0 = float(times[0])
-        knots = proc.kernel.params.get("t_knots", ())
-        late = grid >= t0
-        drift[late] = cumulative_integral(
-            lambda u: past_sum(proc.kernel.g, path, u)[0],
-            np.concatenate([[t0], grid[late]]),
-            quad_tol * (t_end - t0) / t_end,
-            breakpoints=np.concatenate([times, *(times + k for k in knots)]),
-        )[1:]
+    knots = proc.kernel.params.get("t_knots", ())
+    drift = cumulative_integral(
+        lambda u: past_sum(proc.kernel.g, path, u)[0],
+        np.concatenate([[0.0], grid]), quad_tol,
+        breakpoints=np.concatenate([times, *(times + k for k in knots)]),
+    )[1:]
     jumps = past_sum(lambda lag, x: G(np.zeros_like(lag), x), path, grid)[0]
     return Decomposition(grid, drift, jumps)
 

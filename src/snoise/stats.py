@@ -363,8 +363,9 @@ def simulate_standard_batch(lam: float, marks: MarkDistribution,
     Counts are Poisson(lam T) and, given the count, event times are uniform
     order statistics on [0, T], independent of the thinning simulator.  All
     draws come from the stream ``(seed, 0, tag)``: the counts, the raw times
-    in path order (then sorted per path), the marks.  A batch expected to
-    hold more than ``MAX_BATCH_EVENTS`` events fails before it draws any.
+    in path order (then sorted per path), the marks at their event times.  A
+    batch expected to hold more than ``MAX_BATCH_EVENTS`` events fails
+    before it draws any.
     """
     check_horizon(horizon, n_paths)
     if not math.isfinite(lam):
@@ -380,13 +381,13 @@ def simulate_standard_batch(lam: float, marks: MarkDistribution,
     offsets = np.concatenate([[0], np.cumsum(counts)])
     times = rng.uniform(0.0, horizon, size=total)
     sort_per_path(times, counts, offsets)
-    mk = marks.sample(rng, 0.0, total)
+    mk = marks.sample(rng, times, total)
     return hand_over(times, mk, horizon, offsets)
 
 
 def simulate_batch(spec: CompensatorSpec, horizon: float, n_paths: int,
                    seed: int, *, tag: int) -> MppPath:
-    """Batch of paths with compensator rate(t) F(0, dx) dt, all at once.
+    """Batch of paths with compensator rate(t) F(t, dx) dt, all at once.
 
     Candidates are a :func:`simulate_standard_batch` at ``rate_bound`` on
     ``tag``, with its guards; a rate below the bound keeps the candidate at

@@ -13,6 +13,7 @@ from snoise.errors import (
     ZeroAtOriginError,
 )
 from snoise.kernels import (
+    NoiseKernel,
     check_absolute_continuity,
     custom,
     eval_G,
@@ -23,6 +24,7 @@ from snoise.kernels import (
     power_law,
     random_decay,
 )
+from snoise.quadrature import cumulative_integral
 
 QUAD_TOL = 1e-8
 
@@ -51,9 +53,11 @@ class TestEvalG:
             eval_G(exponential(1.0, 1.0), -0.1, [1.0])
 
     def test_non_finite_detected(self):
-        bad = custom(lambda t, x: np.asarray(x, dtype=float)[..., 0] / (np.asarray(t, dtype=float) - 0.5),
-                     lambda t, x: np.zeros(np.broadcast(np.asarray(t, dtype=float), np.asarray(x, dtype=float)[..., 0]).shape),
-                     1, check=False)
+        bad = NoiseKernel(
+            "custom",
+            lambda t, x: np.asarray(x, dtype=float)[..., 0] / (np.asarray(t, dtype=float) - 0.5),
+            lambda t, x: np.zeros(np.broadcast(np.asarray(t, dtype=float), np.asarray(x, dtype=float)[..., 0]).shape),
+            1)
         with np.errstate(divide="ignore"), pytest.raises(NonFiniteError):
             eval_G(bad, 0.5, [1.0])
 
@@ -83,6 +87,37 @@ class TestAbsoluteContinuity:
         xs = np.column_stack([x1, np.linspace(0.2, 2.5, 50)])
         assert check_absolute_continuity(random_decay(), xs=xs) <= QUAD_TOL
 
+    @pytest.mark.parametrize("kernel, dim2", [
+        (exponential(1.2, 0.7), False), (power_law(1.5), False),
+        (random_decay(), True), (jump_to_level(), False),
+        (from_table([0.0, 0.5, 1.0, 2.0], [0.0, 1.0, 2.0, 4.0],
+                    np.outer([1.0, 0.7, 0.5, 0.3], [0.0, 1.0, 2.0, 4.0])), False),
+        # an inconsistent pair: g is 0.9 times the derivative of G
+        (NoiseKernel("custom",
+                     lambda t, x: np.asarray(x)[..., 0] * np.exp(-np.asarray(t)),
+                     lambda t, x: -0.9 * np.asarray(x)[..., 0] * np.exp(-np.asarray(t)),
+                     1), False),
+    ], ids=["exponential", "power_law", "random_decay", "jump_to_level",
+            "table", "inconsistent"])
+    def test_one_call_equals_per_mark_loop(self, kernel, dim2):
+        # every probe mark is one component of a single cumulative integral;
+        # each mark's own integral gives the same worst residual
+        ts = np.linspace(0.0, 2.0, 50)
+        xs = np.ones((50, kernel.mark_dim))
+        xs[:, 0] = np.linspace(0.1, 3.0, 50)
+        if dim2:
+            xs[:, 1] = np.linspace(0.2, 2.5, 50)
+        ts_all = np.unique(np.concatenate([[0.0], ts]))
+        worst = 0.0
+        for x in xs:
+            integral = cumulative_integral(
+                lambda s: kernel.g(s, x), ts_all, QUAD_TOL / 10.0,
+                breakpoints=kernel.params.get("t_knots", ()))
+            worst = max(worst, float(np.abs(
+                kernel.G(ts_all, x) - kernel.G(0.0, x) - integral).max()))
+        got = check_absolute_continuity(kernel, ts, xs, quad_tol=QUAD_TOL)
+        assert got == pytest.approx(worst, rel=1e-12, abs=1e-14)
+
 
 class TestCustomKernels:
     def test_consistent_pair_accepted(self):
@@ -97,6 +132,16 @@ class TestCustomKernels:
             custom(
                 lambda t, x: np.asarray(x, dtype=float)[..., 0] * np.exp(-1.5 * np.asarray(t, dtype=float)),
                 lambda t, x: -0.5 * np.asarray(x, dtype=float)[..., 0] * np.exp(-1.5 * np.asarray(t, dtype=float)),
+                1)
+
+    def test_nan_residual_is_refused(self):
+        # G is NaN past t = 0.9, g finite: the per-mark loop's running max
+        # read the NaN residual as 0.0 and accepted the pair
+        with pytest.raises(ValueError, match="= nan exceeds"):
+            custom(
+                lambda t, x: np.where(np.asarray(t) > 0.9, np.nan,
+                                      np.asarray(x)[..., 0] * np.exp(-np.asarray(t))),
+                lambda t, x: -np.asarray(x)[..., 0] * np.exp(-np.asarray(t)),
                 1)
 
     def test_table_kernel_interpolates_and_is_consistent(self):
@@ -197,7 +242,7 @@ class TestMarkovClassification:
             t = np.asarray(t, dtype=float)
             return np.asarray(x, dtype=float)[..., 0] * np.where(
                 t == nan_at, math.nan, np.exp(-t))
-        kern = custom(G, lambda t, x: -G(t, x), 1, check=False)
+        kern = NoiseKernel("custom", G, lambda t, x: -G(t, x), 1)
         res = is_markov_kernel(kern, grid=[0.0, 0.5, 2.0, 2.5])
         assert not res.is_markov
         assert res.a is None and res.b is None

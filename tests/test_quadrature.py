@@ -114,10 +114,25 @@ def test_bad_tolerance_is_refused_before_f_is_called(integrate, tol, error):
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_cumulative_integral_refuses_vector_valued_f():
-    # it used to cumulate across pieces and components: [0, 0.5, 1.5]
-    with pytest.raises(ValueError, match="scalar-valued"):
-        cumulative_integral(lambda s: np.stack([s, 2 * s]), [0.0, 1.0, 2.0])
+def test_cumulative_integral_takes_vector_valued_f():
+    # components cumulate along the pieces, each to tol, with the points on
+    # the last axis: equal to per-component calls within tol
+    fns = [np.exp, lambda x: np.abs(x - 0.35), lambda x: np.exp(2.5j * x)]
+    pts = np.array([0.0, 0.2, 0.9, 0.9, 1.7, 2.0])
+    tol = 1e-10
+    got = cumulative_integral(lambda x: np.stack([f(x) for f in fns]), pts,
+                              tol, breakpoints=[0.35])
+    assert got.shape == (3, pts.size)
+    for f, row in zip(fns, got):
+        one = cumulative_integral(f, pts, tol, breakpoints=[0.35])
+        assert np.abs(row - one).max() <= tol
+    # two component axes, and a real result for real values
+    grid = cumulative_integral(
+        lambda x: np.stack([[x, 2 * x], [x * x, np.ones_like(x)]]),
+        [0.0, 1.0, 2.0], tol)
+    assert not np.iscomplexobj(grid) and grid.shape == (2, 2, 3)
+    assert np.abs(grid - [[[0, 0.5, 2], [0, 1, 4]],
+                          [[0, 1 / 3, 8 / 3], [0, 1, 2]]]).max() <= tol
 
 
 def test_short_piece_far_from_zero_keeps_breakpoint_unsampled():
@@ -147,15 +162,61 @@ def test_cumulative_with_breakpoints_matches_per_gap_loop():
 
 # Hostile inputs run in a child process under an address-space cap and a
 # timeout, so an engine that refines them without bound fails the test
-# instead of exhausting the machine's memory.
+# instead of exhausting the machine's memory.  The child prints the case's
+# outcome, then its own peak RSS and the case's time.
 _HOSTILE = """
-import math, resource, sys
+import contextlib, io, math, os, resource, sys, tempfile, time
 cap = 1 << 30
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 import numpy as np
+from snoise.cli import main
 from snoise.errors import SnoiseError
+from snoise.kernels import NoiseKernel, exponential
 from snoise.marks import Exponential
+from snoise.point_process import empty_path, standard
 from snoise.quadrature import cumulative_integral, gauss_kronrod
+from snoise.shotnoise import FiltrationState, ShotNoiseProcess, conditional_cf
+
+def cf(kernel, rate, n_theta, quad_tol):
+    proc = ShotNoiseProcess(kernel, standard(rate, Exponential(1.0)))
+    state = FiltrationState(0.0, empty_path(0.0))
+    return conditional_cf(proc, state, 1.0, np.linspace(-5.0, 5.0, n_theta),
+                          quad_tol=quad_tol)
+
+def nan_past_half(t, x):
+    t = np.asarray(t, dtype=float)
+    return np.where(t > 0.5, np.nan, np.asarray(x, dtype=float)[..., 0])
+
+# a quad_tol the parser accepts but rounding cannot meet: on a theta grid
+# the mark integrals of each outer level refine every theta towards it
+CONFIG = \"\"\"
+[run]
+scenario = cf-compare
+horizon = 1.0
+n_paths = 100
+seed = 1
+quad_tol = 1e-14
+theta_grid = -5:5:21
+[kernel]
+kind = exponential
+a = 1.0
+b = 0.8
+[compensator]
+rate = 1.5
+marks = exponential
+mark_mean = 1.0
+\"\"\"
+
+def cli():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cf.ini")
+        with open(path, "w") as fh:
+            fh.write(CONFIG)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["cf-compare", "--config", path, "--out", tmp])
+    raise SystemExit(f"{code} {err.getvalue().strip()}")
+
 cases = {
     "nan_half": lambda: gauss_kronrod(
         lambda x: np.where(x < 0.5, np.nan, 1.0), 0.0, 1.0, 1e-8),
@@ -175,38 +236,60 @@ cases = {
         lambda x: np.where(x[:, 0] < 0.5, np.nan, 1.0), tol=1e-8),
     "gk_tol_below_resolution": lambda: gauss_kronrod(
         lambda x: 1e6 / (1.0 + x * x), 0.0, 1.0, 1e-20),
-    # 1000 pieces refine together, so the whole frontier would hold
-    # 1000 * 2**14 intervals before any one piece reached its cap
+    # 1000 pieces refine together, so refining NaN would double all of them
     "many_pieces_nan": lambda: gauss_kronrod(
         lambda x: np.full(np.shape(x), np.nan), 0.0, 1.0, 1e-8,
         breakpoints=np.linspace(0.0, 1.0, 1001)[1:-1]),
+    # the exact CF on a theta grid: each outer node holds a mark integral
+    # of every theta, so refinement grows by components as well
+    "cf_nan_kernel_21": lambda: cf(
+        NoiseKernel("custom", nan_past_half, nan_past_half, 1), 1.0, 21, 1e-8),
+    "cf_tol_21": lambda: cf(exponential(1.0, 0.8), 1.5, 21, 1e-14),
+    "cf_tol_64": lambda: cf(exponential(1.0, 0.8), 1.5, 64, 1e-14),
+    "cli_cf_compare_tol": cli,
 }
+start = time.perf_counter()
 try:
     print("OK", cases[sys.argv[1]]())
 except SnoiseError as exc:
     print(exc.code, exc)
+except SystemExit as exc:
+    print("exit", exc.code)
+print(time.perf_counter() - start,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 """
 
 
 @pytest.mark.parametrize("case, code, detail", [
-    ("nan_half", "NonFinite", "open intervals at depth"),
+    ("nan_half", "NonFinite", "at depth 0"),
     ("nan_bound", "NonFinite", "bounds must be finite"),
     ("inf_bound", "NonFinite", "bounds must be finite"),
     ("nan_point", "NonFinite", "points must be finite"),
     ("ulp_piece", "OK", "0.0"),
-    ("gk_nan_density", "NonFinite", "open intervals at depth"),
+    ("gk_nan_density", "NonFinite", "at depth 0"),
     ("gk_tol_below_resolution", "QuadratureFailure", "open intervals at depth"),
-    ("many_pieces_nan", "NonFinite", "open intervals at depth"),
+    ("many_pieces_nan", "NonFinite", "at depth 0"),
+    ("cf_nan_kernel_21", "NonFinite", "at depth 0"),
+    ("cf_tol_21", "QuadratureFailure", "open intervals at depth"),
+    ("cf_tol_64", "QuadratureFailure", "open intervals at depth"),
+    ("cli_cf_compare_tol", "exit", "3 QuadratureFailure: adaptive"),
 ])
 def test_hostile_input_fails_fast(case, code, detail):
+    # each case ends in its own error within 2 s and 256 MB; while NaN was
+    # refined up to interval caps that did not count values, the cf and CLI
+    # cases ran 1.9-2.4 s into numpy's MemoryError at 0.8 GB under this cap,
+    # and many_pieces_nan took 272 MB
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", _HOSTILE, case],
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.startswith(code + " "), proc.stdout
-    assert detail in proc.stdout
+    outcome, usage = proc.stdout.splitlines()
+    assert outcome.startswith(code + " "), outcome
+    assert detail in outcome
+    seconds, peak_mb = map(float, usage.split())
+    assert seconds < 2.0 and peak_mb < 256.0, (seconds, peak_mb)
 
 
 def test_gauss_kronrod_vector_valued_matches_components():
@@ -366,10 +449,27 @@ def test_convergence_at_the_last_level_is_accepted(monkeypatch):
 
 
 def test_failing_piece_is_named_as_by_per_piece_loop():
-    # NaN on the middle piece only: the frontier names that piece, with the
-    # depth and open-interval count the per-piece loop reaches on it
-    f = lambda xs: np.where((xs > 1.0) & (xs < 2.0), np.nan, xs)
+    # NaN on the middle piece only: the frontier names that piece, as the
+    # per-piece loop would, at the first level, which holds the NaN
+    f = CountingIntegrand(
+        lambda xs: np.where((xs > 1.0) & (xs < 2.0), np.nan, xs))
     with pytest.raises(NonFiniteError) as exc:
         gauss_kronrod(f, 0.0, 3.0, 1e-8, breakpoints=[1.0, 2.0])
-    assert "[1.0, 2.0]" in str(exc.value)
-    assert "32768 open intervals at depth 15" in str(exc.value)
+    assert "not finite on [1.0, 2.0] at depth 0" in str(exc.value)
+    assert f.points == 3 * 15
+
+
+def test_value_guard_counts_components(monkeypatch):
+    # a level is refused past _MAX_VALUES values, intervals x 15 nodes x
+    # components: this integrand's deepest level opens 32 intervals, 480
+    # values for one component and 960 for two; the first level always runs
+    f = lambda t: np.cos(80.0 * t)
+    monkeypatch.setattr(quadrature, "_MAX_VALUES", 600)
+    assert gauss_kronrod(f, 0.0, 1.0, 1e-12) == pytest.approx(
+        math.sin(80.0) / 80.0, abs=1e-12)
+    with pytest.raises(QuadratureFailureError,
+                       match="32 open intervals at depth 5"):
+        gauss_kronrod(lambda t: np.stack([f(t), 2.0 * f(t)]), 0.0, 1.0, 1e-12)
+    monkeypatch.setattr(quadrature, "_MAX_VALUES", 1)
+    assert gauss_kronrod(lambda t: t**3, 0.0, 2.0, 1e-12, breakpoints=[0.5, 1.0]
+                         ) == pytest.approx(4.0, abs=1e-12)

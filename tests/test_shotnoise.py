@@ -19,13 +19,20 @@ from snoise.errors import (
 from snoise import shotnoise
 from snoise.kernels import (
     NoiseKernel,
-    custom,
     exponential,
     from_table,
     jump_to_level,
     power_law,
 )
-from snoise.marks import Exponential, Normal, PointMass, SampleOnly
+from snoise.marks import (
+    MODE_DISCRETE,
+    Exponential,
+    MarkDistribution,
+    Normal,
+    PointMass,
+    SampleOnly,
+    Uniform,
+)
 from snoise.point_process import (
     CompensatorSpec,
     MppPath,
@@ -38,6 +45,7 @@ from snoise.point_process import (
 )
 from snoise import quadrature
 from snoise.quadrature import DEFAULT_QUAD_TOL, gauss_kronrod
+from snoise.rng import TAG_BATCH
 from snoise.shotnoise import (
     FiltrationState,
     ShotNoiseProcess,
@@ -52,6 +60,7 @@ from snoise.stats import (
     batch_terminal_shotnoise,
     cf_ratio,
     empirical_cf,
+    simulate_batch,
     simulate_standard_batch,
 )
 
@@ -421,6 +430,75 @@ class TestConditionalMean:
         got = conditional_mean(proc, state_at_zero(), T)
         assert got == pytest.approx(lam * u / c * math.log1p(c * T), abs=1e-10)
 
+    def test_table_kernel_time_knots_are_breakpoints(self):
+        # G(T - s, x) kinks at s = T - t_knot: cut there, each piece is
+        # bilinear and converges at the first level, one G call for the mean
+        # and two for a 21-theta CF (43 and 19 calls when only the x-knots
+        # were cut)
+        table = from_table([0.0, 0.3, 0.7, 1.5], [0.0, 1.0, 3.0],
+                           [[0.0, 1.0, 2.0], [0.0, 0.6, 1.5],
+                            [0.0, 0.5, 0.4], [0.0, 0.1, 0.2]])
+        calls = []
+
+        def G(t, x):
+            calls.append(1)
+            return table.G(t, x)
+
+        kern = NoiseKernel(table.kind, G, table.g, 1, table.params)
+        spec = standard(2.0, Uniform(0.0, 3.0))
+        proc = ShotNoiseProcess(kern, spec)
+        theta = np.linspace(-5.0, 5.0, 21)
+        cf = conditional_cf(proc, state_at_zero(), 1.0, theta)
+        assert len(calls) <= 3
+        del calls[:]
+        mean = conditional_mean(proc, state_at_zero(), 1.0)
+        assert len(calls) == 1
+        # oracle: E G(u, X) is linear in u between knots, so the trapezoid
+        # rule over [0, 0.3, 0.7, 1] is exact; X ~ U(0, 3) averages the x
+        # pieces [0, 1] and [1, 3] by weights 1/3 and 2/3
+        ages = np.array([0.0, 0.3, 0.7, 1.0])
+        avg = (table.G(ages, [0.5]) + 2.0 * table.G(ages, [2.0])) / 3.0
+        assert mean == pytest.approx(
+            2.0 * np.sum(np.diff(ages) * (avg[1:] + avg[:-1]) / 2.0), abs=1e-12)
+        uncut = compensator_mass(
+            spec, 0.0, 1.0,
+            lambda s, x: np.exp(1j * theta[:, None, None] * table.G(1.0 - s, x)) - 1.0,
+            mark_breakpoints=table.params["x_knots"])
+        assert np.abs(np.log(cf) - uncut).max() <= 2 * DEFAULT_QUAD_TOL
+
+    @pytest.mark.parametrize("ramp", [False, True], ids=["constant", "ramp"])
+    def test_time_varying_marks_are_simulated_at_event_times(self, ramp):
+        # a mark of 1 before t = 0.5 and 3 after: both simulators draw each
+        # mark at its event's time, as the exact mean integrates F(t, dx);
+        # drawn at t = 0, the constant-rate mean was 1.0 against 2.0
+        class StepMarks(MarkDistribution):
+            mode = MODE_DISCRETE
+
+            def sample(self, rng, t, n):
+                return np.where(np.broadcast_to(t, (n,)) < 0.5, 1.0,
+                                3.0).reshape(n, 1)
+
+            def atoms(self, t):
+                late = np.asarray(t, dtype=float)[..., None] >= 0.5
+                return (np.array([[1.0], [3.0]]),
+                        np.where(late, [0.0, 1.0], [1.0, 0.0]))
+
+        rate = ((lambda t: 1.0 + 2.0 * np.asarray(t, dtype=float)) if ramp
+                else (lambda t: np.ones(np.shape(t))))
+        spec = CompensatorSpec(rate=rate, rate_bound=3.0 if ramp else 1.0,
+                               marks=StepMarks())
+        proc = ShotNoiseProcess(jump_to_level(), spec)
+        exact = conditional_mean(proc, state_at_zero(), 1.0)
+        assert exact == pytest.approx(4.5 if ramp else 2.0, abs=1e-12)
+        per_path = np.array([
+            past_sum(proc.kernel.G, simulate_mpp(spec, 1.0, 5, path_index=i), 1.0)
+            for i in range(4000)])
+        batch = past_sum(proc.kernel.G,
+                         simulate_batch(spec, 1.0, 20000, 5, tag=TAG_BATCH), 1.0)
+        for sums in (per_path, batch):
+            se = sums.std(ddof=1) / math.sqrt(sums.size)
+            assert abs(sums.mean() - exact) <= 3.0 * se
+
 
 class TestSemimartingaleDecomposition:
     def test_jump_to_level_has_zero_drift(self):
@@ -459,12 +537,13 @@ class TestSemimartingaleDecomposition:
 
     def test_integrability_failure_raised(self):
         # g ~ s^{-3/4} is integrable but g^2 is not: the check must fail
-        bad = custom(
+        bad = NoiseKernel(
+            "custom",
             lambda t, x: np.asarray(x, dtype=float)[..., 0]
             * 4.0 * np.asarray(t, dtype=float) ** 0.25,
             lambda t, x: np.asarray(x, dtype=float)[..., 0]
             * np.asarray(t, dtype=float) ** -0.75,
-            1, check=False)
+            1)
         proc = ShotNoiseProcess(bad, standard(1.0, PointMass(1.0)))
         path = MppPath([0.5], [[1.0]], 2.0)
         with np.errstate(divide="ignore"), pytest.raises(IntegrabilityFailureError):
@@ -526,14 +605,14 @@ def test_decompose_matches_frozen_slice_reference(proc, data):
 
 def test_decompose_long_path_caps_open_intervals_per_piece(monkeypatch):
     # about 3000 events cut [0, 10] into about 3000 pieces, and the frontier
-    # opens with one interval per piece; with the open-interval cap lowered
-    # below that count the decomposition still succeeds, because the cap
-    # holds per piece (a cap on the whole frontier fails at the first level)
-    monkeypatch.setattr(quadrature, "_MAX_OPEN", 1024)
+    # opens with one interval per piece, 45k values; with the value guard
+    # lowered below that count the decomposition still succeeds, because
+    # the first level always runs, however many pieces it has
+    monkeypatch.setattr(quadrature, "_MAX_VALUES", 2**14)
     spec = standard(300.0, Exponential(1.0))
     proc = ShotNoiseProcess(power_law(1.5), spec)
     path = simulate_mpp(spec, 10.0, 3)
-    assert path.n_events > 2 * 1024
+    assert 15 * path.n_events > 2 * 2**14
     grid = np.linspace(0.0, 10.0, 9)
     dec = semimartingale_decompose(proc, path, grid, quad_tol=1e-8)
     s_t = past_sum(proc.kernel.G, path, grid)[0]
