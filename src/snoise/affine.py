@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lambertw
 
-from .errors import BlowUpError, ExplosionGuardError, NonFiniteError, ParameterError
+from .errors import BlowUpError, ExplosionGuardError, ParameterError, check_finite
 from .point_process import (
     MAX_BATCH_EVENTS,
     MAX_PATH_EVENTS,
@@ -48,9 +48,8 @@ class HawkesParams:
     lambda0: float
 
     def __post_init__(self):
-        params = (self.kappa, self.theta_bar, self.lambda0)
-        if not all(map(math.isfinite, params)):
-            raise NonFiniteError(f"Hawkes parameters must be finite: {self}")
+        check_finite(kappa=self.kappa, theta_bar=self.theta_bar,
+                     lambda0=self.lambda0)
         if self.kappa <= 0:
             raise ParameterError("kappa", "must be > 0")
         if self.theta_bar < 0:
@@ -273,10 +272,7 @@ def riccati_solve(params: HawkesParams, u, horizon: float,
     ``ExplosionGuardError`` before anything is allocated.
     """
     u = (complex(u[0]), complex(u[1]))
-    if not (math.isfinite(horizon) and cmath.isfinite(u[0])
-            and cmath.isfinite(u[1])):
-        raise NonFiniteError(
-            f"horizon and boundary must be finite, got {horizon} and {u}")
+    check_finite(u=u, horizon=horizon)
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if horizon == 0.0:
@@ -333,10 +329,8 @@ def riccati_solve(params: HawkesParams, u, horizon: float,
 def affine_cf(params: HawkesParams, state, T: float, u, *,
               steps: int | None = None) -> complex:
     """E[exp(i u . (N_T, lambda_T)) | state] for state = (t, N_t, lambda_t)."""
+    check_finite(state=state, T=T, u=u)
     t, n_t, lam_t = state
-    if not all(map(cmath.isfinite, (t, n_t, lam_t, T, *u))):
-        raise NonFiniteError(
-            f"state, horizon and argument must be finite, got {state}, {T} and {u}")
     if t > T:
         raise ValueError("need state time <= T")
     floor = params.mean_intensity_floor(t)

@@ -297,10 +297,10 @@ def _build_affine(section) -> HawkesParams:
     affine = _construct("affine", "kappa", HawkesParams, kappa,
                         section.get("theta_bar", parse=_finite, required=True),
                         section.get("lambda0", parse=_finite, required=True))
-    if kappa <= 1.0:
+    if affine.branching_ratio >= 1.0:
         warnings.warn(
             f"affine.kappa = {kappa} gives branching ratio "
-            f"{1.0 / kappa:.3g} >= 1: the cascade is critical or "
+            f"{affine.branching_ratio:.3g} >= 1: the cascade is critical or "
             "supercritical and may hit the event cap",
             stacklevel=3,
         )

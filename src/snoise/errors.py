@@ -1,9 +1,12 @@
-"""Exception hierarchy for the snoise toolkit.
+"""Exception hierarchy for the snoise toolkit, and the number rule.
 
 Every exception carries a short machine-readable ``code`` which the CLI
 prints on stderr, so scripted callers can dispatch on failure kind without
-parsing prose.
+parsing prose.  :func:`check_finite` is the number rule's home; the path and
+time rules live in ``point_process``, the tolerance rule in ``quadrature``.
 """
+
+import numpy as np
 
 
 class SnoiseError(Exception):
@@ -11,9 +14,20 @@ class SnoiseError(Exception):
 
 
 class NonFiniteError(SnoiseError):
-    """A kernel or model function returned NaN or infinity."""
+    """An input, or a kernel or model function's value, is NaN or infinite."""
 
     code = "NonFinite"
+
+
+def check_finite(**named) -> None:
+    """Raise :class:`NonFiniteError` naming the first of ``named`` (numbers
+    or array-likes, complex allowed; ``None`` passes) that holds NaN or +-inf,
+    with its first such value."""
+    for name, value in named.items():
+        if value is None or np.isfinite(value).all():
+            continue
+        bad = next(v for v in np.ravel(value) if not np.isfinite(v))
+        raise NonFiniteError(f"{name} must be finite, got {bad}")
 
 
 class DimensionMismatchError(SnoiseError):

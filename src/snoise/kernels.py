@@ -23,6 +23,7 @@ from .errors import (
     NotSeparableError,
     ParameterError,
     ZeroAtOriginError,
+    check_finite,
 )
 from .quadrature import DEFAULT_QUAD_TOL, cumulative_integral
 
@@ -63,9 +64,7 @@ def jump_to_level() -> NoiseKernel:
 def exponential(a: float, b: float) -> NoiseKernel:
     """G(t, x) = a * x1 * exp(-b t): the Ornstein-Uhlenbeck (Markov) kernel."""
     a, b = float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise NonFiniteError(
-            f"exponential kernel parameters must be finite, got a = {a}, b = {b}")
+    check_finite(a=a, b=b)
     return NoiseKernel(
         kind=KIND_EXPONENTIAL,
         G=lambda t, x: a * _x1(x) * np.exp(-b * np.asarray(t, dtype=float)),
@@ -78,8 +77,7 @@ def exponential(a: float, b: float) -> NoiseKernel:
 def power_law(c: float) -> NoiseKernel:
     """G(t, x) = x1 / (1 + c t): slow decay with long-memory effects."""
     c = float(c)
-    if not math.isfinite(c):
-        raise NonFiniteError(f"power-law decay c must be finite, got {c}")
+    check_finite(c=c)
     if c <= 0:
         raise ValueError("power-law decay requires c > 0")
     return NoiseKernel(
@@ -136,6 +134,7 @@ def from_table(ts, xs, values) -> NoiseKernel:
     ts = np.asarray(ts, dtype=float)
     xs = np.asarray(xs, dtype=float)
     vals = np.asarray(values, dtype=float)
+    check_finite(ts=ts, xs=xs, values=vals)
     if ts.ndim != 1 or xs.ndim != 1 or vals.shape != (ts.size, xs.size):
         raise ValueError("need values shaped (len(ts), len(xs))")
     for name, knots in (("ts", ts), ("xs", xs)):
@@ -180,9 +179,10 @@ def from_table(ts, xs, values) -> NoiseKernel:
 
 def eval_G(kernel: NoiseKernel, t: float, x) -> float:
     """Evaluate G(t, x) with full validation; the checked scalar entry point."""
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    check_finite(t=t, x=xv)
     if t < 0:
         raise ValueError("t must be >= 0")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
     if xv.shape != (kernel.mark_dim,):
         raise DimensionMismatchError(
             f"mark has shape {xv.shape}, kernel expects ({kernel.mark_dim},)"
@@ -209,6 +209,7 @@ def check_absolute_continuity(kernel: NoiseKernel, ts=None, xs=None, *,
     xs = np.asarray(xs, dtype=float)
     if xs.ndim == 1:
         xs = xs.reshape(-1, 1)
+    check_finite(ts=ts, xs=xs)
 
     ts_all = np.unique(np.concatenate([[0.0], ts]))
     if ts_all[0] < 0:
@@ -251,8 +252,7 @@ def is_markov_kernel(kernel: NoiseKernel, grid=None, tol: float = 1e-10) -> Mark
     """
     grid = np.unique(np.linspace(0.0, 5.0, 11) if grid is None
                      else np.asarray(grid, dtype=float))
-    if not (np.isfinite(grid).all() and math.isfinite(tol)):
-        raise NonFiniteError(f"grid and tol must be finite, got tol = {tol}")
+    check_finite(grid=grid, tol=tol)
     if tol <= 0:
         raise ParameterError("tol", f"must be > 0, got {tol}")
     if grid.size < 3:

@@ -27,13 +27,12 @@ receives an ``(n, d)`` array of mark rows and returns values shaped
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import NonFiniteError, QuadratureFailureError
+from .errors import QuadratureFailureError, check_finite
 from .quadrature import DEFAULT_QUAD_TOL, gauss_kronrod
 from .rng import TAG_AVG, make_stream
 
@@ -107,11 +106,6 @@ class MarkDistribution:
         return np.asarray(fn(draws)).mean(axis=-1)
 
 
-def _require_finite(dist, *params):
-    if not all(map(math.isfinite, params)):
-        raise NonFiniteError(f"parameters must be finite: {dist}")
-
-
 def _rows(values, dim):
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 1:
@@ -130,6 +124,7 @@ class PointMass(MarkDistribution):
 
     def __init__(self, point):
         object.__setattr__(self, "point", tuple(np.atleast_1d(np.asarray(point, dtype=float))))
+        check_finite(point=self.point)
         object.__setattr__(self, "mark_dim", len(self.point))
 
     def sample(self, rng, t, n):
@@ -152,6 +147,7 @@ class Discrete(MarkDistribution):
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         w = np.asarray(weights, dtype=float)
+        check_finite(points=pts, weights=w)
         if w.ndim != 1 or w.size != pts.shape[0]:
             raise ValueError("weights must align with points")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
@@ -188,7 +184,7 @@ class Normal(MarkDistribution):
     truncated_edges: tuple = field(default=("lo", "hi"), init=False)
 
     def __post_init__(self):
-        _require_finite(self, self.mean, self.std)
+        check_finite(mean=self.mean, std=self.std)
         if self.std <= 0:
             raise ValueError("std must be positive")
 
@@ -218,7 +214,7 @@ class Exponential(MarkDistribution):
     truncated_edges: tuple = field(default=("hi",), init=False)
 
     def __post_init__(self):
-        _require_finite(self, self.mean)
+        check_finite(mean=self.mean)
         if self.mean <= 0:
             raise ValueError("mean must be positive")
 
@@ -248,7 +244,7 @@ class Uniform(MarkDistribution):
     mark_dim: int = field(default=1, init=False)
 
     def __post_init__(self):
-        _require_finite(self, self.lo, self.hi)
+        check_finite(lo=self.lo, hi=self.hi)
         if not self.hi > self.lo:
             raise ValueError("hi must exceed lo")
 

@@ -32,9 +32,9 @@ from .errors import (
     DegenerateJumpsError,
     IntegrabilityFailureError,
     MgfDivergesError,
-    NonFiniteError,
     ParameterError,
     QuadratureFailureError,
+    check_finite,
 )
 from .kernels import NoiseKernel
 from .marks import MarkDistribution
@@ -84,9 +84,7 @@ class MartingaleMeasureSpec:
     marks_prime: MarkDistribution | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.lambda_prime):
-            raise NonFiniteError(
-                f"lambda_prime must be finite, got {self.lambda_prime}")
+        check_finite(lambda_prime=self.lambda_prime)
         if self.lambda_prime <= 0:
             raise ValueError("lambda_prime must be > 0")
 
@@ -146,12 +144,9 @@ def _compensator_curve(kernel: GirsanovKernel, spec: CompensatorSpec,
             0.0, lambda x: np.asarray(kernel.Y(0.0, x), dtype=float) - 1.0,
             quad_tol)) * times
     else:
-        curve = np.asarray(cumulative_integral(
-            slice_integrand(
-                spec, lambda s, x: np.asarray(kernel.Y(s, x), dtype=float) - 1.0,
-                max(quad_tol * 1e-2, 1e-14)),
-            times, quad_tol,
-        ), dtype=float)
+        curve = np.asarray(cumulative_integral(slice_integrand(
+            spec, lambda s, x: np.asarray(kernel.Y(s, x), dtype=float) - 1.0,
+            quad_tol), times, quad_tol), dtype=float)
     if not np.isfinite(curve).all():
         raise IntegrabilityFailureError(
             f"int Y d nu over [0, {times[-1]}] is not finite")
@@ -200,8 +195,8 @@ def reweighted_expectation(kernel: GirsanovKernel, spec: CompensatorSpec,
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
-    comp_T = girsanov_compensator(kernel, spec, horizon, quad_tol=quad_tol)
     batch = simulate_batch(spec, horizon, n_paths, seed, tag=TAG_BATCH)
+    comp_T = girsanov_compensator(kernel, spec, horizon, quad_tol=quad_tol)
     return mean_estimate(np.exp(batch_log_weights(kernel.Y, batch, comp_T))
                          * np.asarray(functional(batch), dtype=float))
 
@@ -214,8 +209,7 @@ def esscher_density(h: float, times, x_values, mgf) -> np.ndarray:
     """
     times = np.asarray(times, dtype=float)
     x_values = np.asarray(x_values, dtype=float)
-    if not all(np.isfinite(v).all() for v in (h, times, x_values)):
-        raise NonFiniteError("h, times and x_values must be finite")
+    check_finite(h=h, times=times, x_values=x_values)
     m = np.array([float(mgf(t)) for t in times] if callable(mgf) else mgf,
                  dtype=float)
     if m.shape != times.shape or x_values.shape != times.shape:
@@ -241,10 +235,7 @@ class MarketParams:
     spec: CompensatorSpec
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.x0, self.mu_drift, self.sigma))):
-            raise NonFiniteError(
-                f"market parameters must be finite: x0 = {self.x0}, "
-                f"mu = {self.mu_drift}, sigma = {self.sigma}")
+        check_finite(x0=self.x0, mu_drift=self.mu_drift, sigma=self.sigma)
         if self.x0 <= 0:
             raise ParameterError("x0", "must be > 0")
         if self.sigma <= 0:
@@ -302,6 +293,7 @@ def mmm_ell(market: MarketParams, t: float, x_tm: float, path: MppPath, *,
     measure is out of scope because it destroys independent increments.
     """
     one_path(path, "mmm_ell")
+    check_finite(x_tm=x_tm)
     # first, so a bad t fails the read rule before the integrals at t run
     past = sum_past_g(market, t, path, strict=True)
     num_jump = _jump_transform_integral(market, lambda e: e - 1.0, t, quad_tol)

@@ -20,7 +20,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import ExplosionGuardError, InvalidBoundError, NonFiniteError
+from .errors import (ExplosionGuardError, InvalidBoundError, NonFiniteError,
+                     QuadratureFailureError, check_finite)
 from .marks import MarkDistribution
 from .quadrature import DEFAULT_QUAD_TOL, gauss_kronrod
 from .rng import TAG_EVENTS, TAG_MARKS, make_stream
@@ -49,8 +50,10 @@ class CompensatorSpec:
     stationary_rate: float | None = None  # set by standard(); enables shortcuts
 
     def __post_init__(self):
-        if self.rate_bound < 0 or not np.isfinite(self.rate_bound):
-            raise ValueError("rate_bound must be finite and >= 0")
+        check_finite(rate_bound=self.rate_bound,
+                     stationary_rate=self.stationary_rate)
+        if self.rate_bound < 0:
+            raise ValueError("rate_bound must be >= 0")
 
     @property
     def mark_dim(self) -> int:
@@ -67,6 +70,7 @@ class CompensatorSpec:
         of ``fn``'s values.  ``breakpoints`` are marks where ``fn`` may kink
         (see :meth:`MarkDistribution.integrate`).  Every rate must lie in
         [0, ``rate_bound``], the simulators' rule (:func:`_check_rate_bound`).
+        A mark integral's failure keeps its class and names the slice times.
         """
         lam = np.broadcast_to(np.asarray(self.rate(t), dtype=float),
                               np.shape(t))
@@ -75,13 +79,18 @@ class CompensatorSpec:
             # zeros shaped as fn's values over no marks, less the mark axis
             shape = np.shape(fn(np.empty((0, self.mark_dim))))[:-1]
             return np.zeros(np.broadcast_shapes(shape, lam.shape))[()]
-        val = self.marks.integrate(fn, t, tol, breakpoints=breakpoints)
+        try:
+            val = self.marks.integrate(fn, t, tol, breakpoints=breakpoints)
+        except (NonFiniteError, QuadratureFailureError) as exc:
+            raise type(exc)(f"{exc}; in the mark integral at times in "
+                            f"[{np.min(t):.6g}, {np.max(t):.6g}]") from exc
         return np.where(lam == 0.0, 0.0, lam * val)[()]
 
 
 def standard(lam: float, marks: MarkDistribution) -> CompensatorSpec:
     """Stationary compensator lam * F(dx) dt: i.i.d. marks at Poisson times."""
     lam = float(lam)
+    check_finite(lam=lam)
     if lam < 0:
         raise ValueError("rate must be >= 0")
     return CompensatorSpec(
@@ -483,17 +492,16 @@ def compensator_mass(spec: CompensatorSpec, t0: float, t1: float, test_fn, *,
     ``s`` of shape ``(m, 1)`` and marks ``x`` of shape ``(1, n, d)``, and
     its values (complex allowed) are broadcast to ``(..., m, n)``, leading
     axes being components.  The mark integral follows the declared mode, cut
-    at ``mark_breakpoints`` in density mode, to ``max(quad_tol * 1e-3, 1e-14)``.
+    at ``mark_breakpoints`` in density mode (see :func:`slice_integrand`).
     """
     if t1 < t0:
         raise ValueError("need t0 <= t1")
-    inner_tol = max(quad_tol * 1e-3, 1e-14)
     return gauss_kronrod(
-        slice_integrand(spec, test_fn, inner_tol, mark_breakpoints),
+        slice_integrand(spec, test_fn, quad_tol, mark_breakpoints),
         t0, t1, quad_tol, breakpoints=breakpoints)
 
 
-def slice_integrand(spec: CompensatorSpec, test_fn, tol: float,
+def slice_integrand(spec: CompensatorSpec, test_fn, quad_tol: float,
                     mark_breakpoints=()):
     """``s -> int test_fn(s, x) nu(s, dx)`` over a 1-d array of times ``s``.
 
@@ -501,12 +509,14 @@ def slice_integrand(spec: CompensatorSpec, test_fn, tol: float,
     ``test_fn`` broadcast as :func:`compensator_mass` describes, leading axes
     as components: the integrand that :func:`~snoise.quadrature.gauss_kronrod`
     and :func:`~snoise.quadrature.cumulative_integral` evaluate at every
-    Kronrod node of a refinement level in one call.
+    Kronrod node of a refinement level in one call.  Its mark integrals run
+    to ``max(quad_tol * 1e-3, 1e-14)``, well inside the outer ``quad_tol``.
     """
     def integrand(s):
         def fn(x):
             vals = np.asarray(test_fn(s[:, None], x[None]))
             return np.broadcast_to(vals, vals.shape[:-2] + (s.size, x.shape[0]))
 
-        return spec.slice_integral(s, fn, tol, breakpoints=mark_breakpoints)
+        return spec.slice_integral(s, fn, max(quad_tol * 1e-3, 1e-14),
+                                   breakpoints=mark_breakpoints)
     return integrand

@@ -22,7 +22,6 @@ from .affine import affine_cf, simulate_hawkes_batch
 from .config import ExperimentConfig
 from .errors import ConfigError, NotSeparableError, ZeroAtOriginError
 from .kernels import is_markov_kernel
-from .marks import MODE_SAMPLE
 from .measure_change import (
     density_process,
     drift_residual,
@@ -168,9 +167,6 @@ def _run_simulate(config: ExperimentConfig, out_dir: Path) -> int:
 
 def _run_cf_compare(config: ExperimentConfig, out_dir: Path) -> int:
     run = config.run
-    if config.spec.marks.mode == MODE_SAMPLE:
-        raise ConfigError("cf-compare needs integrable marks",
-                          field="compensator.marks")
     proc = ShotNoiseProcess(config.kernel, config.spec)
     state0 = FiltrationState(0.0, empty_path(0.0, config.spec.mark_dim))
 

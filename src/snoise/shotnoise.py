@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import (
     IntegrabilityFailureError,
-    NonFiniteError,
     QuadratureFailureError,
     UnsupportedMarksError,
+    check_finite,
 )
 from .kernels import NoiseKernel
 from .marks import MODE_SAMPLE
@@ -126,6 +126,7 @@ def conditional_cf_parts(proc: ShotNoiseProcess, state: FiltrationState,
     at zero, which is a property of the exact integral (its integrand has
     nonpositive real part) and keeps |CF| <= 1 exactly.
     """
+    check_finite(T=T, theta=theta)
     theta = np.asarray(theta, dtype=complex)
     if state.t > T:
         raise ValueError("need state time <= T")
@@ -160,6 +161,7 @@ def conditional_mean(proc: ShotNoiseProcess, state: FiltrationState, T: float,
                      *, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
     """E[S_T | F_t] for every kernel, split as :func:`conditional_cf_parts`:
     sum_{T_i <= t} G(T - T_i, U_i) plus int_t^T int G(T - s, x) nu(ds, dx)."""
+    check_finite(T=T)
     past = float(past_sum(proc.kernel.G, state.observed, T))
     return past + float(_future_mass(proc, state.t, T, lambda g: g, quad_tol))
 
@@ -228,14 +230,11 @@ def ou_recursive_update(b: float, s_t: float, dt: float, new_jumps, *,
     ``new_jumps`` lists ``(offset, x1)`` pairs with offsets in (0, dt] measured
     from the step start.  Equals re-evaluating the full path at t + dt.
     """
-    if not all(map(math.isfinite, (b, s_t, dt, a))):
-        raise NonFiniteError(f"b, s_t, dt and a must be finite: {b, s_t, dt, a}")
+    check_finite(b=b, s_t=s_t, dt=dt, a=a, new_jumps=new_jumps)
     if dt < 0:
         raise ValueError("dt must be >= 0")
     out = math.exp(-b * dt) * s_t
     for offset, x1 in new_jumps:
-        if not (math.isfinite(offset) and math.isfinite(x1)):
-            raise NonFiniteError(f"jump ({offset}, {x1}) is not finite")
         if not 0.0 < offset <= dt:
             raise ValueError("jump offsets must lie in (0, dt]")
         out += a * float(x1) * math.exp(-b * (dt - offset))

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import ExplosionGuardError, NonFiniteError, ParameterError
+from .errors import ExplosionGuardError, ParameterError, check_finite
 from .kernels import NoiseKernel
 from .marks import MarkDistribution
 from .point_process import (
@@ -41,17 +41,15 @@ KS_LEVEL = 0.01
 
 class CfEstimate(NamedTuple):
     value: complex
-    se: float      # combined sqrt(se_re^2 + se_im^2), used by cf_ratio
-    se_re: float   # sqrt(var(ddof=1) / n) of the real parts, as se_im of the
-    se_im: float   # imaginary parts (0 for a real sample)
+    se: float  # sqrt(se_re^2 + se_im^2), each sqrt(var(ddof=1) / n) of a part
 
 
 def mean_estimate(sample) -> CfEstimate:
-    """Mean of a 1-d sample, a Python scalar, with the SEs of :class:`CfEstimate`."""
+    """Mean of a 1-d sample, a Python scalar, with the SE of :class:`CfEstimate`."""
     sample = np.asarray(sample)
-    se_re = math.sqrt(sample.real.var(ddof=1) / sample.size)
-    se_im = math.sqrt(sample.imag.var(ddof=1) / sample.size)
-    return CfEstimate(sample.mean().item(), math.hypot(se_re, se_im), se_re, se_im)
+    return CfEstimate(sample.mean().item(), math.hypot(
+        math.sqrt(sample.real.var(ddof=1) / sample.size),
+        math.sqrt(sample.imag.var(ddof=1) / sample.size)))
 
 
 def _cf_at(values, theta: float) -> CfEstimate:
@@ -62,7 +60,7 @@ def _cf_at(values, theta: float) -> CfEstimate:
 
 
 def empirical_cf(values, theta) -> CfEstimate:
-    """Mean of exp(i theta v) over the batch with componentwise SEs.
+    """Mean of exp(i theta v) over the batch with its combined SE.
 
     ``values`` is one sample ``(n,)`` or one sample per row ``(m, n)``, and
     ``theta`` a scalar or a 1-d array; rows broadcast against ``theta`` as
@@ -79,6 +77,7 @@ def empirical_cf(values, theta) -> CfEstimate:
         raise TypeError("theta must be real")
     values = np.asarray(values, dtype=float)
     thetas = np.asarray(theta, dtype=float)
+    check_finite(theta=thetas)
     if values.ndim not in (1, 2) or thetas.ndim > 1:
         raise ValueError("values must be (n,) or (m, n), theta a scalar or 1-d")
     n = values.shape[-1]
@@ -90,7 +89,7 @@ def empirical_cf(values, theta) -> CfEstimate:
     rows = np.broadcast_to(values, shape + (n,))
     first: dict = {}
     value = np.empty(shape, dtype=complex)
-    ses = np.empty((3,) + shape)
+    se = np.empty(shape)
     for j, th in enumerate(np.broadcast_to(thetas, shape).tolist()):
         key = (j if values.ndim == 2 else 0, abs(th))
         if key not in first:
@@ -98,16 +97,16 @@ def empirical_cf(values, theta) -> CfEstimate:
         th0, est = first[key]
         flip = math.copysign(1.0, th) != math.copysign(1.0, th0)
         value[j] = est.value.conjugate() if flip else est.value
-        ses[:, j] = est[1:]
-    return CfEstimate(value, *ses)
+        se[j] = est.se
+    return CfEstimate(value, se)
 
 
 def cf_ratio(analytic, est: CfEstimate):
     """|analytic - empirical| / SE, elementwise for a grid estimate.
 
-    Infinite when SE = 0 and they differ, and when the estimate or its SE is
-    not finite, so a NaN sample fails every 3-SE verdict; a scalar estimate
-    gives a float.
+    Infinite when SE = 0 and they differ, and when either side or the SE
+    is not finite, so a NaN sample or analytic value fails every 3-SE
+    verdict; a scalar estimate gives a float.
     """
     diff = np.asarray(analytic) - est.value
     # libm's hypot, as abs() of one complex: np.abs of an array may round
@@ -117,7 +116,7 @@ def cf_ratio(analytic, est: CfEstimate):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(se == 0.0, np.where(delta == 0.0, 0.0, np.inf),
                          delta / se)
-    ratio = np.where(np.isfinite(est.value) & np.isfinite(se), ratio, np.inf)
+    ratio = np.where(np.isfinite(delta) & np.isfinite(se), ratio, np.inf)
     return float(ratio) if ratio.ndim == 0 else ratio
 
 
@@ -134,8 +133,11 @@ def martingale_drift_test(times, paths, z_base: float = Z_BASE) -> DriftTestRepo
 
     ``paths`` is (n_paths, len(times)).  Pass iff every |z| stays below the
     Bonferroni-adjusted threshold: the base two-sided level of ``z_base``
-    standard errors is split across the windows.
+    standard errors is split across the windows; ``z_base`` must be > 0.
     """
+    check_finite(z_base=z_base)
+    if z_base <= 0:
+        raise ParameterError("z_base", f"must be > 0, got {z_base}")
     times = np.asarray(times, dtype=float)
     paths = np.asarray(paths, dtype=float)
     if paths.ndim != 2 or paths.shape[1] != times.size:
@@ -236,12 +238,11 @@ def _max_gap(s, c, s_other, c_other) -> float:
 
 def _ks_c_alpha(level: float) -> float:
     """c(level) = sqrt(-log(level / 2) / 2), the large-sample KS critical
-    value per unit of 1/sqrt(n), for a ``level`` in (0, 1): a NaN raises
-    ``NonFiniteError``, a level outside ``ParameterError``."""
-    if math.isnan(level):
-        raise NonFiniteError("KS level must be finite, got nan")
-    if not 0.0 < level < 1.0:
+    value per unit of 1/sqrt(n), for a ``level`` in (0, 1): one outside,
+    infinities included, raises ``ParameterError``, a NaN ``NonFiniteError``."""
+    if level <= 0.0 or level >= 1.0:  # False at NaN
         raise ParameterError("level", f"must lie in (0, 1), got {level}")
+    check_finite(level=level)
     return math.sqrt(-0.5 * math.log(level / 2.0))
 
 
@@ -269,8 +270,7 @@ def ks_two_sample_weighted(x1, x2, w1=None, w2=None,
                              f"shape {x.shape}")
     # a NaN sorts last and a NaN weight spoils every ECDF value: either
     # gives a statistic that means nothing
-    if not all(np.isfinite(a).all() for a in (x1, x2, w1, w2) if a is not None):
-        raise NonFiniteError("KS samples and weights must be finite")
+    check_finite(x1=x1, x2=x2, w1=w1, w2=w2)
     w1_sum = None if w1 is None else w1.sum()
     w2_sum = None if w2 is None else w2.sum()
     n1_eff = _effective_size(x1, w1, w1_sum)
@@ -293,10 +293,9 @@ def ks_against_cdf(x, cdf, level: float = KS_LEVEL) -> KsResult:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or not x.size:
         raise ValueError("KS data must be a nonempty 1-d sample")
-    if not np.isfinite(x).all():
-        # a sort puts a NaN last and an inf counts as a point past the CDF:
-        # the statistic then means nothing, yet can pass
-        raise NonFiniteError("KS data must be finite")
+    # a sort puts a NaN last and an inf counts as a point past the CDF: the
+    # statistic then means nothing, yet can pass
+    check_finite(x=x)
     n = x.size
     cdfvals = cdf(np.sort(x))
     d_plus = float((np.arange(1.0, n + 1) / n - cdfvals).max())
@@ -368,8 +367,9 @@ def simulate_standard_batch(lam: float, marks: MarkDistribution,
     before it draws any.
     """
     check_horizon(horizon, n_paths)
-    if not math.isfinite(lam):
-        raise NonFiniteError(f"rate must be finite, got {lam}")
+    check_finite(lam=lam)
+    if lam < 0:
+        raise ParameterError("lam", f"must be >= 0, got {lam}")
     expected = lam * horizon * n_paths
     if expected > MAX_BATCH_EVENTS:
         raise ExplosionGuardError(
@@ -409,11 +409,9 @@ def simulate_batch(spec: CompensatorSpec, horizon: float, n_paths: int,
                      np.concatenate([[0], np.cumsum(counts)]))
 
 
-def batch_terminal_shotnoise(kernel: NoiseKernel, batch: MppPath,
-                             T: float | None = None) -> np.ndarray:
-    """S_T per path, ``T`` defaulting to the horizon: one
-    :func:`~snoise.point_process.past_sum` of ``kernel.G``."""
-    return past_sum(kernel.G, batch, batch.horizon if T is None else T)
+def batch_terminal_shotnoise(kernel: NoiseKernel, batch: MppPath) -> np.ndarray:
+    """S at the horizon per path: one :func:`past_sum` of ``kernel.G``."""
+    return past_sum(kernel.G, batch, batch.horizon)
 
 
 def log_kernel_at_events(Y, times, marks) -> np.ndarray:
@@ -427,6 +425,7 @@ def log_kernel_at_events(Y, times, marks) -> np.ndarray:
 
 def batch_log_weights(Y, batch: MppPath, compensator_integral: float) -> np.ndarray:
     """log L_T per path for a deterministic Girsanov kernel on the batch."""
+    check_finite(compensator_integral=compensator_integral)
     logs = log_kernel_at_events(Y, batch.times, batch.marks)
     ids, dead = batch.path_ids(), np.isneginf(logs)
     out = np.bincount(ids, weights=np.where(dead, 0.0, logs),

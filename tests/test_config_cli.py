@@ -314,7 +314,7 @@ mark_value = 0.7
         # the CF ratio is a numpy float, so its verdict is a numpy bool: a
         # failing comparison must still fail the run
         monkeypatch.setattr("snoise.scenarios.empirical_cf",
-                            lambda values, theta: CfEstimate(2.0, 0.01, 0.01, 0.0))
+                            lambda values, theta: CfEstimate(2.0, 0.01))
         out = tmp_path / "cf"
         cfg = write(tmp_path, MINIMAL_SIMULATE.replace(
             "scenario = simulate", "scenario = cf-compare\ntheta_grid = 0:1:2"))
@@ -568,6 +568,18 @@ def test_invalid_mark_parameters_exit_two(tmp_path, capsys, marks, field):
     assert main(["simulate", "--config", path,
                  "--out", str(tmp_path / "o")]) == 2
     assert f"ConfigError: {field}:" in capsys.readouterr().err
+
+
+def test_negative_rate_names_the_rate_key(tmp_path, capsys):
+    # standard() keeps its own range check, so the field is the key the
+    # config spells, not the rate_bound of the spec that it builds
+    path = write(tmp_path, MINIMAL_SIMULATE.replace("rate = 1.5", "rate = -1"))
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert err.value.field == "compensator.rate"
+    assert main(["simulate", "--config", path,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "ConfigError: compensator.rate:" in capsys.readouterr().err
 
 
 def test_table_kernel_with_density_marks_simulates(tmp_path, capsys):

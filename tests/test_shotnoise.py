@@ -781,3 +781,21 @@ def test_exact_routes_check_the_rate_at_their_nodes(level, error, message):
     with pytest.raises(error, match=message.replace(r"0\.\d+", "0.5")):
         spec.slice_integral(0.5, lambda x: x[:, 0])
     assert time.perf_counter() - start < 1.0
+
+
+def test_mark_integral_failure_names_its_slice_times():
+    # a kernel that is NaN past lag 0.5 fails inside the mark integral,
+    # whose own message names only the Exponential(1) support [0, 60]; the
+    # slice times it ran at follow, and G(1 - s) is NaN for s < 0.5
+    def nan_past_half(t, x):
+        t = np.asarray(t, dtype=float)
+        return np.where(t > 0.5, np.nan, np.asarray(x, dtype=float)[..., 0])
+
+    kern = NoiseKernel("custom", nan_past_half, nan_past_half, 1)
+    proc = ShotNoiseProcess(kern, standard(1.0, Exponential(1.0)))
+    with pytest.raises(NonFiniteError) as exc:
+        conditional_cf(proc, state_at_zero(), 1.0, 0.7)
+    message = str(exc.value)
+    assert message.startswith("integrand is not finite on [0.0, 60.0] at depth 0")
+    lo, hi = map(float, message.split("at times in [")[1].rstrip("]").split(", "))
+    assert 0.0 <= lo < 0.5 and lo < hi <= 1.0
