@@ -9,7 +9,14 @@ dispatches on:
     one-dimensional law with a density on a finite effective support;
     integration is adaptive Gauss-Kronrod 7-15 over the support, cut at
     any mark breakpoints (kinks of the integrand in x, such as a table
-    kernel's x-knots).
+    kernel's x-knots).  A support that truncates an infinite tail is also
+    cut where bisection would walk in from that edge toward the mass:
+    at lo + (hi - lo)/2^j for a truncated ``hi``, at the midpoint and
+    mid -+ (hi - lo)/2^(j+1) for both, j = 1.._EDGE_CUTS.  A piece's
+    tolerance share is proportional to its length, which is the share
+    bisection gives the same interval at that depth, so the same intervals
+    are accepted to the same error; only the levels spent halving the
+    negligible tail go.
 ``sample``
     only sampling is available; integration falls back to averaging over a
     fixed Philox substream (deterministic, but accuracy is statistical).
@@ -33,7 +40,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import QuadratureFailureError, check_finite
-from .quadrature import DEFAULT_QUAD_TOL, gauss_kronrod
+from .quadrature import DEFAULT_QUAD_TOL, check_tol, gauss_kronrod
 from .rng import TAG_AVG, make_stream
 
 MODE_DISCRETE = "discrete"
@@ -41,6 +48,11 @@ MODE_DENSITY = "density"
 MODE_SAMPLE = "sample"
 
 _N_AVG = 4096  # draws averaged by sample-only integration
+# bisection depths a truncated support starts cut at (see _start_cuts): the
+# smallest that reaches the floor of both the levels of 63 per-theta CF calls
+# (254 from 4 cuts up) and the widest level of a 64-theta CF block on
+# [-20, 20] (1,123,200 values from 6 cuts up; 1,584,000 at 4)
+_EDGE_CUTS = 6
 
 
 class MarkDistribution:
@@ -88,22 +100,38 @@ class MarkDistribution:
             pts, w = self.atoms(t)
             return (w * np.asarray(fn(pts))).sum(axis=-1)
         if self.mode == MODE_DENSITY:
+            check_tol(tol)
             lo, hi = self.support(t)
             def integrand(xs):
                 return np.asarray(fn(xs.reshape(-1, 1))) * self.pdf(t, xs)
-            cuts = [{"lo": lo, "hi": hi}[e] for e in self.truncated_edges]
-            if cuts:
-                edge = float(np.abs(integrand(np.array(cuts))).max(initial=0.0))
+            edges = [{"lo": lo, "hi": hi}[e] for e in self.truncated_edges]
+            if edges:
+                edge = float(np.abs(integrand(np.array(edges))).max(initial=0.0))
                 if edge * (hi - lo) > 1e3 * tol:
                     raise QuadratureFailureError(
                         f"integrand is not negligible ({edge:.3e}) at the "
                         "truncated support edge; the integral may diverge"
                     )
-            return gauss_kronrod(integrand, lo, hi, tol, breakpoints=breakpoints)
+            cuts = _start_cuts(lo, hi, self.truncated_edges)
+            return gauss_kronrod(integrand, lo, hi, tol,
+                                 breakpoints=[*breakpoints, *cuts])
         # sample-only: fixed substream so repeated calls agree bit for bit
         rng = make_stream(0, 0, TAG_AVG)
         draws = self.sample(rng, t, _N_AVG)
         return np.asarray(fn(draws)).mean(axis=-1)
+
+
+def _start_cuts(lo, hi, truncated_edges):
+    """Cuts of ``[lo, hi]`` that bisection reaches walking in from its
+    truncated edges to the mass (the density mode of the module docstring)."""
+    steps = [(hi - lo) * 0.5**j for j in range(1, _EDGE_CUTS + 1)]
+    if truncated_edges == ("hi",):
+        return [lo + d for d in steps]
+    if truncated_edges == ("lo", "hi"):
+        mid = lo + 0.5 * (hi - lo)
+        return [mid, *(mid - 0.5 * d for d in steps),
+                *(mid + 0.5 * d for d in steps)]
+    return []
 
 
 def _rows(values, dim):

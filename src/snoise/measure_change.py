@@ -362,6 +362,7 @@ def drift_residual(market: MarketParams, mm: MartingaleMeasureSpec | None,
     every path of ``path`` or one time per path, and the result one residual
     per path; an array of times makes the jump term one slice integral.
     """
+    check_finite(xi=xi)
     if xi is None:
         xi = market_price_of_risk(market, mm, t, path, quad_tol=quad_tol)
     if market.spec.rate_bound == 0.0:

@@ -515,7 +515,8 @@ def slice_integrand(spec: CompensatorSpec, test_fn, quad_tol: float,
     def integrand(s):
         def fn(x):
             vals = np.asarray(test_fn(s[:, None], x[None]))
-            return np.broadcast_to(vals, vals.shape[:-2] + (s.size, x.shape[0]))
+            shape = vals.shape[:-2] + (s.size, x.shape[0])
+            return vals if vals.shape == shape else np.broadcast_to(vals, shape)
 
         return spec.slice_integral(s, fn, max(quad_tol * 1e-3, 1e-14),
                                    breakpoints=mark_breakpoints)

@@ -490,7 +490,7 @@ SHIPPED_OUTPUT_SHA256 = {
     "measure_check/density.csv":
         "648686c008543f04ed0369d03207e4514a65f48d168246351a08117018124b7a",
     "measure_check/report.txt":
-        "d82e7bcce98fb034993d9db030c897b31cf3fdd1cc6792e70d1c8c635808e56e",
+        "9bb09901b43e0bcc424a295427f0a33a152b28d38c9dae676f3febb203006f6f",
     "simulate_ou/decomposition.csv":
         "9be1ab1cb21b15cdd6db4cfe13188c41ab8a6c33017f07038d852fb3585195db",
     "simulate_ou/events.csv":

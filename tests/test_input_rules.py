@@ -275,6 +275,8 @@ PARAMETERS = {
     "esscher_density": lambda h=0.5, times=(0.0, 1.0), x_values=(0.0, 0.3):
         esscher_density(h, times, x_values, lambda t: 1.0),
     "mmm_ell": lambda x_tm=1.0: mmm_ell(MARKET, 0.5, x_tm, PATH),
+    "drift_residual": lambda xi=0.5: drift_residual(MARKET, MM, 0.5, PAIR,
+                                                    xi=xi),
     "conditional_cf": lambda T=1.0, theta=0.7:
         conditional_cf(PROC, STATE0, T, theta),
     "conditional_cf_parts": lambda T=1.0, theta=(-0.7, 0.7j):

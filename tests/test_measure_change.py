@@ -11,6 +11,7 @@ from snoise.errors import (
     InvalidBoundError,
     MgfDivergesError,
     NonFiniteError,
+    ParameterError,
 )
 from snoise.kernels import exponential, from_table, jump_to_level, power_law
 from snoise.marks import Discrete, Exponential, Normal, PointMass
@@ -24,6 +25,7 @@ from snoise.measure_change import (
     eta_normalization,
     girsanov_compensator,
     identity_kernel,
+    jump_moment_m1,
     market_price_of_risk,
     mmm_ell,
     prime_spec,
@@ -390,6 +392,15 @@ class TestDriftCondition:
         mm = MartingaleMeasureSpec(1.0, unit_eta(), marks_prime=Exponential(1.0))
         with pytest.raises(MgfDivergesError):
             market_price_of_risk(mkt, mm, 0.5, empty_path(1.0))
+
+    @pytest.mark.parametrize("quad_tol, error", [
+        (-math.inf, NonFiniteError), (0.0, ParameterError)])
+    def test_bad_tolerance_is_not_a_divergent_moment(self, quad_tol, error):
+        # the mark integral's tolerance rule, not MgfDivergesError
+        mkt = MarketParams(1.0, 0.05, 0.2, flat_rate(0.0), exponential(0.3, 1.0),
+                           standard(1.0, Exponential(1.0)))
+        with pytest.raises(error, match="tol"):
+            jump_moment_m1(mkt, None, quad_tol=quad_tol)
 
 
 class TestSimulateStock:

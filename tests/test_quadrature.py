@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from snoise.errors import NonFiniteError, ParameterError, QuadratureFailureError
 from snoise import quadrature
+from snoise.marks import Exponential, Normal
 from snoise.quadrature import (
     _WG,
     _WK,
@@ -97,6 +98,10 @@ def test_cumulative_handles_duplicate_points():
     assert np.allclose(cum, [0.0, 1.0, 1.0, 4.0], atol=1e-10)
 
 
+def _never_called(x):
+    raise AssertionError("the integrand was called")
+
+
 @pytest.mark.parametrize("tol,error", [
     (0.0, ParameterError), (-1e-8, ParameterError),
     (math.nan, NonFiniteError), (math.inf, NonFiniteError),
@@ -105,9 +110,14 @@ def test_cumulative_handles_duplicate_points():
     lambda tol: gauss_kronrod(np.sin, 0.0, 3.0, tol),
     lambda tol: gauss_kronrod(np.sin, 1.0, 1.0, tol),
     lambda tol: cumulative_integral(np.sin, [0.0, 1.0, 3.0], tol),
-], ids=["gauss_kronrod", "empty-range", "cumulative_integral"])
+    lambda tol: Exponential(1.0).integrate(_never_called, tol=tol),
+    lambda tol: Normal(0.3, 1.2).integrate(_never_called, tol=tol),
+], ids=["gauss_kronrod", "empty-range", "cumulative_integral",
+        "exponential-marks", "normal-marks"])
 def test_bad_tolerance_is_refused_before_f_is_called(integrate, tol, error):
-    # tol = 0 or NaN used to refine up to the frontier cap
+    # tol = 0 or NaN used to refine up to the frontier cap; a truncated mark
+    # support's edge guard, which compares the integrand with 1e3 * tol,
+    # used to call such a tol a non-negligible edge
     t0 = time.perf_counter()
     with pytest.raises(error, match="tol"):
         integrate(tol)

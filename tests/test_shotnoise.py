@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate as spi
 
 from snoise.errors import (
     IntegrabilityFailureError,
@@ -256,12 +257,13 @@ def _per_theta(proc, state, thetas):
 
 class TestCfGrid:
     def test_scalar_calls_keep_their_bits(self):
-        # sha256 of the scalar parts when conditional_cf_parts took one theta
+        # sha256 of the scalar parts of one theta per call; the start cuts
+        # of the mark supports moved them by at most 5.0e-16
         h = hashlib.sha256()
         for proc, state in SWEEP_CASES:
             h.update(_per_theta(proc, state, SWEEP_THETAS).tobytes())
         assert h.hexdigest() == (
-            "94108ff8c18eb71e3e4321ab017b2fd7a0e595df3f79a123baba0f78bb489d81")
+            "b0e2eccb36df25c9659da37028a056d892d67a053fbba2ff257c4813cf29f818")
 
     def test_scalar_parts_are_numpy_complex(self):
         proc, state = SWEEP_CASES[0]
@@ -729,6 +731,44 @@ def test_exponential_kernel_exp_marks_closed_form(lam, a, b, mu, T, t):
         assert abs(got - closed) <= 1e-10, theta
 
 
+@pytest.mark.parametrize("lam, a, b, mu, sigma, T, t", [
+    (1.0, 1.0, 1.0, 0.5, 0.3, 1.0, 0.0),
+    (2.5, 0.7, 1.8, -0.4, 1.1, 2.0, 0.0),
+    (2.5, 0.7, 1.8, -0.4, 1.1, 2.0, 1.3),
+])
+def test_exponential_kernel_normal_marks_closed_form(lam, a, b, mu, sigma, T, t):
+    # with F = Normal(mu, sigma^2) the mark integral is the normal CF at
+    # theta a e^{-bu}: int_0^{T-t} lam (exp(i c mu - sigma^2 c^2 / 2) - 1) du,
+    # c = theta a e^{-bu}, one real quad per part; the density route cuts
+    # both truncated tails of the support
+    proc = ShotNoiseProcess(exponential(a, b), standard(lam, Normal(mu, sigma)))
+    state = FiltrationState(t, empty_path(t))
+    for theta in (-20.0, -5.0, -0.5, 0.5, 5.0, 20.0):
+        def f(u):
+            c = theta * a * math.exp(-b * u)
+            return lam * (cmath.exp(1j * c * mu - 0.5 * (sigma * c) ** 2) - 1.0)
+        re, im = (spi.quad(lambda u: part(f(u)), 0.0, T - t, epsabs=1e-13,
+                           epsrel=0.0, limit=200)[0]
+                  for part in (lambda z: z.real, lambda z: z.imag))
+        got = conditional_cf_parts(proc, state, T, theta).log_future
+        assert abs(got - complex(re, im)) <= 1e-9, theta
+
+
+def test_sweep_levels_start_from_the_cuts(monkeypatch):
+    # integrand levels of the three sweep cases at 21 theta, counted as
+    # mark pdf calls (one per level of a mark integral, one per edge
+    # guard): 474 when every truncated support started whole
+    calls = []
+    for cls in (Exponential, Normal):
+        def pdf(self, t, x, _pdf=cls.pdf):
+            calls.append(np.size(x))
+            return _pdf(self, t, x)
+        monkeypatch.setattr(cls, "pdf", pdf)
+    for proc, state in SWEEP_CASES:
+        _per_theta(proc, state, SWEEP_THETAS)
+    assert len(calls) == 254
+
+
 @pytest.mark.parametrize("marks, phi", [
     (Exponential(0.8), lambda th: 1.0 / (1.0 - 0.8j * th)),
     (Normal(0.3, 1.1), lambda th: cmath.exp(0.3j * th - 0.5 * (1.1 * th) ** 2)),
@@ -785,8 +825,9 @@ def test_exact_routes_check_the_rate_at_their_nodes(level, error, message):
 
 def test_mark_integral_failure_names_its_slice_times():
     # a kernel that is NaN past lag 0.5 fails inside the mark integral,
-    # whose own message names only the Exponential(1) support [0, 60]; the
-    # slice times it ran at follow, and G(1 - s) is NaN for s < 0.5
+    # whose own message names only its first piece, [0, 60/2^6] of the
+    # Exponential(1) support cut at its start cuts; the slice times it ran
+    # at follow, and G(1 - s) is NaN for s < 0.5
     def nan_past_half(t, x):
         t = np.asarray(t, dtype=float)
         return np.where(t > 0.5, np.nan, np.asarray(x, dtype=float)[..., 0])
@@ -796,6 +837,6 @@ def test_mark_integral_failure_names_its_slice_times():
     with pytest.raises(NonFiniteError) as exc:
         conditional_cf(proc, state_at_zero(), 1.0, 0.7)
     message = str(exc.value)
-    assert message.startswith("integrand is not finite on [0.0, 60.0] at depth 0")
+    assert message.startswith("integrand is not finite on [0.0, 0.9375] at depth 0")
     lo, hi = map(float, message.split("at times in [")[1].rstrip("]").split(", "))
     assert 0.0 <= lo < 0.5 and lo < hi <= 1.0
