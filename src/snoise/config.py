@@ -178,7 +178,8 @@ def _parse_rate(section, key, horizon, marks) -> CompensatorSpec:
         const = _finite(raw)
     except ValueError:
         _fail(section.name, key, f"unrecognized or non-finite rate {raw!r}")
-    return _construct(section.name, key, standard, const, marks)
+    return _construct(section.name, key, standard, const, marks,
+                      keys={"lam": key})
 
 
 def _build_kernel(section) -> NoiseKernel:
@@ -222,19 +223,24 @@ def _build_marks(section) -> _marks.MarkDistribution:
     def numbers(key):
         return section.get(key, parse=_finite_list, required=True)
 
+    # the config's names of the fields a mark law's ParameterError names
+    keys = {name: "mark_" + name for name in ("mean", "std", "lo", "hi")}
+    keys["weights"] = "mark_weights"
+
     if kind == "point_mass":
         return _marks.PointMass(numbers("mark_value"))
     if kind == "normal":
         return _construct("compensator", "mark_std", _marks.Normal,
-                          number("mark_mean"), number("mark_std"))
+                          number("mark_mean"), number("mark_std"), keys=keys)
     if kind == "exponential":
         return _construct("compensator", "mark_mean", _marks.Exponential,
-                          number("mark_mean"))
+                          number("mark_mean"), keys=keys)
     if kind == "uniform":
         return _construct("compensator", "mark_hi", _marks.Uniform,
-                          number("mark_lo"), number("mark_hi"))
+                          number("mark_lo"), number("mark_hi"), keys=keys)
     return _construct("compensator", "mark_weights", _marks.Discrete,
-                      numbers("mark_points"), numbers("mark_weights"))
+                      numbers("mark_points"), numbers("mark_weights"),
+                      keys=keys)
 
 
 def _construct(section, key, make, *args, keys=None):

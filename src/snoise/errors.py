@@ -60,6 +60,11 @@ class QuadratureFailureError(SnoiseError):
     code = "QuadratureFailure"
 
 
+class LevelTooWideError(QuadratureFailureError):
+    """A refinement level would hold more integrand values than the memory
+    guard allows; the integral may converge in smaller parts."""
+
+
 class UnsupportedMarksError(SnoiseError):
     """The mark distribution's integration mode cannot serve this operation."""
 
@@ -96,8 +101,11 @@ class DegenerateJumpsError(SnoiseError):
     code = "DegenerateJumps"
 
 
-class ParameterError(ValueError):
-    """A model parameter is out of range; ``field`` names the parameter."""
+class ParameterError(SnoiseError, ValueError):
+    """A model parameter is out of range; ``field`` names the parameter.
+    Still a ``ValueError``, so ``except ValueError`` keeps catching it."""
+
+    code = "Parameter"
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field} {message}")

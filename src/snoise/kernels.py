@@ -79,7 +79,7 @@ def power_law(c: float) -> NoiseKernel:
     c = float(c)
     check_finite(c=c)
     if c <= 0:
-        raise ValueError("power-law decay requires c > 0")
+        raise ParameterError("c", "must be > 0 for power-law decay")
     return NoiseKernel(
         kind=KIND_POWER_LAW,
         G=lambda t, x: _x1(x) / (1.0 + c * np.asarray(t, dtype=float)),

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import QuadratureFailureError, check_finite
+from .errors import ParameterError, QuadratureFailureError, check_finite
 from .quadrature import DEFAULT_QUAD_TOL, check_tol, gauss_kronrod
 from .rng import TAG_AVG, make_stream
 
@@ -50,8 +50,9 @@ MODE_SAMPLE = "sample"
 _N_AVG = 4096  # draws averaged by sample-only integration
 # bisection depths a truncated support starts cut at (see _start_cuts): the
 # smallest that reaches the floor of both the levels of 63 per-theta CF calls
-# (254 from 4 cuts up) and the widest level of a 64-theta CF block on
-# [-20, 20] (1,123,200 values from 6 cuts up; 1,584,000 at 4)
+# (216 from 4 cuts up) and the widest Exp-mark level of a 64-theta CF block
+# on [-20, 20] (576,000 values from 6 cuts up; 806,400 at 4), both with the
+# mark tolerance point_process.mark_tol budgets
 _EDGE_CUTS = 6
 
 
@@ -179,7 +180,7 @@ class Discrete(MarkDistribution):
         if w.ndim != 1 or w.size != pts.shape[0]:
             raise ValueError("weights must align with points")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be nonnegative and sum to 1")
+            raise ParameterError("weights", "must be nonnegative and sum to 1")
         object.__setattr__(self, "points", tuple(map(tuple, pts)))
         object.__setattr__(self, "weights", tuple(w))
         object.__setattr__(self, "mark_dim", pts.shape[1])
@@ -214,7 +215,7 @@ class Normal(MarkDistribution):
     def __post_init__(self):
         check_finite(mean=self.mean, std=self.std)
         if self.std <= 0:
-            raise ValueError("std must be positive")
+            raise ParameterError("std", "must be positive")
 
     def sample(self, rng, t, n):
         return rng.normal(self.mean, self.std, size=n).reshape(-1, 1)
@@ -244,7 +245,7 @@ class Exponential(MarkDistribution):
     def __post_init__(self):
         check_finite(mean=self.mean)
         if self.mean <= 0:
-            raise ValueError("mean must be positive")
+            raise ParameterError("mean", "must be positive")
 
     def sample(self, rng, t, n):
         return rng.exponential(self.mean, size=n).reshape(-1, 1)
@@ -274,7 +275,7 @@ class Uniform(MarkDistribution):
     def __post_init__(self):
         check_finite(lo=self.lo, hi=self.hi)
         if not self.hi > self.lo:
-            raise ValueError("hi must exceed lo")
+            raise ParameterError("hi", "must exceed lo")
 
     def sample(self, rng, t, n):
         return rng.uniform(self.lo, self.hi, size=n).reshape(-1, 1)

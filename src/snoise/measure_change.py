@@ -146,7 +146,7 @@ def _compensator_curve(kernel: GirsanovKernel, spec: CompensatorSpec,
     else:
         curve = np.asarray(cumulative_integral(slice_integrand(
             spec, lambda s, x: np.asarray(kernel.Y(s, x), dtype=float) - 1.0,
-            quad_tol), times, quad_tol), dtype=float)
+            quad_tol, times[-1] - times[0]), times, quad_tol), dtype=float)
     if not np.isfinite(curve).all():
         raise IntegrabilityFailureError(
             f"int Y d nu over [0, {times[-1]}] is not finite")

@@ -21,7 +21,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import (ExplosionGuardError, InvalidBoundError, NonFiniteError,
-                     QuadratureFailureError, check_finite)
+                     ParameterError, QuadratureFailureError, check_finite)
 from .marks import MarkDistribution
 from .quadrature import DEFAULT_QUAD_TOL, gauss_kronrod
 from .rng import TAG_EVENTS, TAG_MARKS, make_stream
@@ -92,7 +92,7 @@ def standard(lam: float, marks: MarkDistribution) -> CompensatorSpec:
     lam = float(lam)
     check_finite(lam=lam)
     if lam < 0:
-        raise ValueError("rate must be >= 0")
+        raise ParameterError("lam", "must be >= 0 (a rate)")
     return CompensatorSpec(
         rate=lambda t: np.full_like(np.asarray(t, dtype=float), lam, dtype=float),
         rate_bound=lam,
@@ -235,7 +235,7 @@ def check_horizon(horizon: float, n_paths: int = 1) -> None:
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
     if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+        raise ParameterError("n_paths", "must be >= 1")
 
 
 def check_times(t, horizon: float) -> None:
@@ -492,32 +492,57 @@ def compensator_mass(spec: CompensatorSpec, t0: float, t1: float, test_fn, *,
     ``s`` of shape ``(m, 1)`` and marks ``x`` of shape ``(1, n, d)``, and
     its values (complex allowed) are broadcast to ``(..., m, n)``, leading
     axes being components.  The mark integral follows the declared mode, cut
-    at ``mark_breakpoints`` in density mode (see :func:`slice_integrand`).
+    at ``mark_breakpoints`` in density mode, to the tolerance
+    :func:`mark_tol` budgets from the mass ``rate_bound * (t1 - t0)`` (see
+    :func:`slice_integrand`).
     """
     if t1 < t0:
         raise ValueError("need t0 <= t1")
     return gauss_kronrod(
-        slice_integrand(spec, test_fn, quad_tol, mark_breakpoints),
+        slice_integrand(spec, test_fn, quad_tol, t1 - t0, mark_breakpoints),
         t0, t1, quad_tol, breakpoints=breakpoints)
 
 
 def slice_integrand(spec: CompensatorSpec, test_fn, quad_tol: float,
-                    mark_breakpoints=()):
+                    span: float, mark_breakpoints=()):
     """``s -> int test_fn(s, x) nu(s, dx)`` over a 1-d array of times ``s``.
 
     One :meth:`CompensatorSpec.slice_integral` call per array, with
     ``test_fn`` broadcast as :func:`compensator_mass` describes, leading axes
     as components: the integrand that :func:`~snoise.quadrature.gauss_kronrod`
     and :func:`~snoise.quadrature.cumulative_integral` evaluate at every
-    Kronrod node of a refinement level in one call.  Its mark integrals run
-    to ``max(quad_tol * 1e-3, 1e-14)``, well inside the outer ``quad_tol``.
+    Kronrod node of a refinement level in one call, over an outer range of
+    length ``span`` to ``quad_tol``.  Its mark integrals run to
+    :func:`mark_tol`.
     """
+    tol = mark_tol(spec, span, quad_tol)
+
     def integrand(s):
         def fn(x):
             vals = np.asarray(test_fn(s[:, None], x[None]))
             shape = vals.shape[:-2] + (s.size, x.shape[0])
             return vals if vals.shape == shape else np.broadcast_to(vals, shape)
 
-        return spec.slice_integral(s, fn, max(quad_tol * 1e-3, 1e-14),
-                                   breakpoints=mark_breakpoints)
+        return spec.slice_integral(s, fn, tol, breakpoints=mark_breakpoints)
     return integrand
+
+
+def mark_tol(spec: CompensatorSpec, span: float, quad_tol: float) -> float:
+    """Tolerance of the mark integrals nested in a time integral to
+    ``quad_tol`` over a range of length ``span``.
+
+    A mark integral's error is scaled by a rate of at most ``rate_bound``,
+    so over the range the inner errors add at most M * tol to the result,
+    M = ``rate_bound`` * ``span`` the compensator mass it can carry.  A
+    quarter of ``quad_tol`` is theirs: tol = ``quad_tol`` / (4M).  Since
+    the GK 7-15 weights give sum |w_K15 - w_G7| = 2.005, they then also
+    add at most a quarter of any outer piece's share to its |K15 - G7|.
+    The budget is bounded above by ``quad_tol`` (a mass below 1/4, or
+    none) and below by ``quad_tol * 1e-3`` (a mass above 250 keeps that
+    older rule, at which heavy compensators converge) and by 1e-14, the
+    floor of double-precision mark integrals.  It reads ``rate_bound``
+    and ``span`` only: no rate call, so a traced rate counts the same work.
+    """
+    mass = 4.0 * spec.rate_bound * span
+    budget = quad_tol / mass if mass > 1.0 else quad_tol
+    return max(budget, quad_tol * 1e-3, 1e-14)

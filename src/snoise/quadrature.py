@@ -20,8 +20,9 @@ than about 250 ulps (an integrable singularity belongs at one); on a
 shorter one the outer nodes can round onto the ends.  A piece of at most
 two ulps contributes 0 unsampled.  A NaN or inf value raises
 ``NonFiniteError`` at the level that produces it, as non-finite bounds do,
-and a level past ``_MAX_DEPTH`` or over ``_MAX_VALUES`` integrand values
-raises ``QuadratureFailureError``.
+a level past ``_MAX_DEPTH`` raises ``QuadratureFailureError``, and one over
+``_MAX_VALUES`` integrand values its subclass ``LevelTooWideError``, which
+says that a memory guard refused the level, not that it diverged.
 """
 
 from __future__ import annotations
@@ -31,14 +32,16 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import NonFiniteError, ParameterError, QuadratureFailureError
+from .errors import (LevelTooWideError, NonFiniteError, ParameterError,
+                     QuadratureFailureError)
 
 DEFAULT_QUAD_TOL = 1e-8
 _MAX_DEPTH = 30
 # integrand values of one level (intervals x 15 nodes x components): a memory
 # guard above legitimate levels (the widest mark level of a 64-theta CF block
-# on [-20, 20] holds 1,123,200 values for Exp(1) marks and 460,800 for
-# Normal(0.5, 0.3), the first level of a 3000-event decomposition 45k)
+# on [-20, 20] holds 576,000 values for Exp(1) marks and 403,200 for
+# Normal(0.5, 0.3), the first level of a 3000-event decomposition 45k); a
+# CF block whose levels would grow past it is halved (LevelTooWideError)
 _MAX_VALUES = 2**21
 
 # Gauss-Kronrod 7-15 on [-1, 1] (QUADPACK qk15): the 15 Kronrod nodes, the
@@ -83,7 +86,8 @@ def gauss_kronrod(
     NonFiniteError
         if a bound or a value of ``f`` is not finite.
     QuadratureFailureError
-        if some piece fails to converge within the depth or value cap.
+        if some piece fails to converge within the depth cap, or
+        (``LevelTooWideError``) a level would exceed the value cap.
     """
     total = sum(_pieces(f, _edges(a, b, breakpoints), tol))
     if np.iscomplexobj(total) and not np.any(total.imag):
@@ -154,10 +158,11 @@ def _pieces(f, edges, tol):
     call of ``f`` over the 15 Kronrod nodes of every open interval, and
     the accepted K15 estimates of every level are summed per piece once, at
     the end.  A NaN or inf value raises
-    ``NonFiniteError`` at its level; a level past ``_MAX_DEPTH``, or after
-    the first one over ``_MAX_VALUES`` values, raises
-    ``QuadratureFailureError``; each names a piece and the depth.  ``tol``
-    meets :func:`check_tol` before ``f`` is called.
+    ``NonFiniteError`` at its level; a level past ``_MAX_DEPTH`` raises
+    ``QuadratureFailureError``, and one after the first that would hold
+    over ``_MAX_VALUES`` values its subclass ``LevelTooWideError``, before
+    that level is built; each names a piece and the depth.  ``tol`` meets
+    :func:`check_tol` before ``f`` is called.
     """
     check_tol(tol)
     edges = np.asarray(edges, dtype=float)
@@ -176,7 +181,12 @@ def _pieces(f, edges, tol):
     per_interval = 0  # values per interval, known after a level
     for depth in range(_MAX_DEPTH + 1):
         if lo.size * per_interval > _MAX_VALUES:
-            break
+            p, n_open = _widest(piece, lo, n_pieces)
+            raise LevelTooWideError(
+                f"adaptive Gauss-Kronrod level would hold "
+                f"{lo.size * per_interval} integrand values, over _MAX_VALUES "
+                f"= {_MAX_VALUES}: widest on {edges[p:p + 2].tolist()}, "
+                f"{n_open} open intervals at depth {depth}")
         half = 0.5 * h
         # bisect every interval where some component has |K15 - G7| above
         # its share of tol, and accept K15 on the rest; a component's
@@ -210,11 +220,17 @@ def _pieces(f, edges, tol):
         if lo.size == 0:
             return _piece_sums(np.concatenate(ests, axis=-1), ids, n_pieces)
 
-    n_open = np.bincount(np.broadcast_to(piece, lo.shape), minlength=n_pieces)
-    p = int(np.argmax(n_open))
+    p, n_open = _widest(piece, lo, n_pieces)
     raise QuadratureFailureError(
         f"adaptive Gauss-Kronrod did not converge on {edges[p:p + 2].tolist()}"
-        f": {n_open[p]} open intervals at depth {depth}")
+        f": {n_open} open intervals at depth {depth}")
+
+
+def _widest(piece, lo, n_pieces):
+    """The piece with the most open intervals, and their count."""
+    n_open = np.bincount(np.broadcast_to(piece, lo.shape), minlength=n_pieces)
+    p = int(np.argmax(n_open))
+    return p, int(n_open[p])
 
 
 def _piece_sums(est, ids, n_pieces):

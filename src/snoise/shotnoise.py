@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     IntegrabilityFailureError,
+    LevelTooWideError,
     QuadratureFailureError,
     UnsupportedMarksError,
     check_finite,
@@ -122,9 +123,12 @@ def conditional_cf_parts(proc: ShotNoiseProcess, state: FiltrationState,
 
     ``theta`` is a scalar or an array, complex allowed (imaginary arguments
     give exponential moments); up to ``_THETA_BLOCK`` values share one
-    frontier.  For a real theta the future log-factor's real part is capped
-    at zero, which is a property of the exact integral (its integrand has
-    nonpositive real part) and keeps |CF| <= 1 exactly.
+    frontier, and a block whose mark levels would hold more values than
+    the quadrature's guard allows (``LevelTooWideError``) is halved, down
+    to one theta, which then raises it.  For a real theta the future
+    log-factor's real part is capped at zero, which is a property of the
+    exact integral (its integrand has nonpositive real part) and keeps
+    |CF| <= 1 exactly.
     """
     check_finite(T=T, theta=theta)
     theta = np.asarray(theta, dtype=complex)
@@ -135,19 +139,31 @@ def conditional_cf_parts(proc: ShotNoiseProcess, state: FiltrationState,
             "analytic CF needs integrable marks; use the Monte Carlo oracle "
             "for sample-only mark distributions"
         )
-    if theta.size > _THETA_BLOCK:
-        flat, step = theta.ravel(), _THETA_BLOCK
-        blocks = zip(*(conditional_cf_parts(proc, state, T, flat[lo:lo + step],
-                                            quad_tol=quad_tol)
-                       for lo in range(0, flat.size, step)))
-        return CfParts(*(np.concatenate(b).reshape(theta.shape) for b in blocks))
 
-    log_state = 1j * theta * float(past_sum(proc.kernel.G, state.observed, T))
+    def blocks(step):
+        flat = theta.ravel()
+        parts = zip(*(conditional_cf_parts(proc, state, T, flat[lo:lo + step],
+                                           quad_tol=quad_tol)
+                      for lo in range(0, flat.size, step)))
+        return CfParts(*(np.concatenate(b).reshape(theta.shape) for b in parts))
+
+    if theta.size > _THETA_BLOCK:
+        return blocks(_THETA_BLOCK)
     i_theta = 1j * theta[..., None, None]  # ahead of the (time, mark) axes
-    log_future = np.array(_future_mass(
-        proc, state.t, T, lambda g: np.exp(i_theta * g) - 1.0, quad_tol),
-        dtype=complex)
+    try:
+        log_future = np.array(_future_mass(
+            proc, state.t, T, lambda g: np.exp(i_theta * g) - 1.0, quad_tol),
+            dtype=complex)
+    except LevelTooWideError:
+        if theta.size == 1:
+            raise
+        log_future = None
+    if log_future is None:
+        # every theta is a component of each mark level: halve the block,
+        # outside the handler, whose traceback holds the failed levels
+        return blocks((theta.size + 1) // 2)
     log_future.real[(theta.imag == 0.0) & (log_future.real > 0.0)] = 0.0
+    log_state = 1j * theta * float(past_sum(proc.kernel.G, state.observed, T))
     return CfParts(log_state[()], log_future[()])
 
 

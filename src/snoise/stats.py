@@ -82,7 +82,7 @@ def empirical_cf(values, theta) -> CfEstimate:
         raise ValueError("values must be (n,) or (m, n), theta a scalar or 1-d")
     n = values.shape[-1]
     if n < 100:
-        raise ValueError("need at least 100 samples")
+        raise ParameterError("values", f"needs at least 100 samples, got {n}")
     shape = np.broadcast_shapes(values.shape[:-1], thetas.shape)
     if not shape:
         return _cf_at(values, float(thetas))

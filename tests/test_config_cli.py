@@ -557,6 +557,9 @@ def test_non_finite_rate_and_theta_grid_exit_two(tmp_path, capsys, old, new,
                  "compensator.mark_hi", id="uniform-empty"),
     pytest.param("marks = uniform\nmark_lo = 2\nmark_hi = 1",
                  "compensator.mark_hi", id="uniform-reversed"),
+    pytest.param("marks = discrete\nmark_points = 1, 2\n"
+                 "mark_weights = 0.5, 0.6",
+                 "compensator.mark_weights", id="discrete-weights-sum"),
 ])
 def test_invalid_mark_parameters_exit_two(tmp_path, capsys, marks, field):
     text = MINIMAL_SIMULATE.replace("marks = exponential\nmark_mean = 1.0",
@@ -580,6 +583,19 @@ def test_negative_rate_names_the_rate_key(tmp_path, capsys):
     assert main(["simulate", "--config", path,
                  "--out", str(tmp_path / "o")]) == 2
     assert "ConfigError: compensator.rate:" in capsys.readouterr().err
+
+
+def test_power_law_decay_zero_names_its_key(tmp_path, capsys):
+    # power_law's ParameterError, a SnoiseError now, still ends as the
+    # config's error on the key it names
+    path = write(tmp_path, MINIMAL_SIMULATE.replace(
+        "kind = exponential\na = 1.0\nb = 0.5", "kind = power_law\nc = 0"))
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert err.value.field == "kernel.c"
+    assert main(["simulate", "--config", path,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "ConfigError: kernel.c:" in capsys.readouterr().err
 
 
 def test_table_kernel_with_density_marks_simulates(tmp_path, capsys):

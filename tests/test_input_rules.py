@@ -184,7 +184,8 @@ def test_every_simulator_applies_the_simulation_rule():
         simulate(1.0, 3)  # a good horizon is served
         cases = [(h, 3, err, message) for h, err, message in BAD_HORIZONS]
         if name.endswith("_batch"):
-            cases += [(1.0, n, ValueError, "n_paths must be >= 1")
+            # a ParameterError, which is a ValueError
+            cases += [(1.0, n, ParameterError, "n_paths must be >= 1")
                       for n in (0, -1)]
         for h, n, err, message in cases:
             got = _raised(lambda: simulate(h, n))
@@ -337,13 +338,26 @@ def test_every_number_parameter_applies_the_number_rule():
      "z_base"),
     (lambda: martingale_drift_test([0.0, 1.0], np.zeros((1000, 2)), -1.0),
      "z_base"),
-], ids=["negative-rate", "zero-z_base", "negative-z_base"])
+    (lambda: Exponential(-1.0), "mean"),
+    (lambda: Normal(0.0, -1.0), "std"),
+    (lambda: Uniform(1.0, 0.0), "hi"),
+    (lambda: Discrete([1.0, 2.0], [0.5, 0.6]), "weights"),
+    (lambda: power_law(0.0), "c"),
+    (lambda: standard(-1.0, PointMass(0.5)), "lam"),
+    (lambda: simulate_standard_batch(1.0, PointMass(0.5), 1.0, 0, 1),
+     "n_paths"),
+    (lambda: empirical_cf(np.zeros(99), 1.0), "values"),
+], ids=["negative-rate", "zero-z_base", "negative-z_base", "exponential-mean",
+        "normal-std", "uniform-hi", "discrete-weights", "power-law-c",
+        "standard-rate", "batch-n_paths", "cf-samples"])
 def test_out_of_range_number_names_its_parameter(call, field):
     # numpy's own "lam < 0" error, and a drift verdict against a
-    # meaningless threshold, before
+    # meaningless threshold, before; a coded SnoiseError now, which callers
+    # catching ValueError still catch
     with pytest.raises(ParameterError) as err:
         call()
-    assert err.value.field == field
+    assert err.value.field == field and str(err.value).startswith(field + " ")
+    assert err.value.code == "Parameter" and isinstance(err.value, ValueError)
 
 
 _RESULT = "a result the library builds, not an input"

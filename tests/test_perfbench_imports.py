@@ -4,7 +4,10 @@
 deleted name would surface only as a failed benchmark run, so one test
 reads the benchmark's sources (without importing them) and resolves every
 name they import from ``snoise``.  Another runs one small pass of the
-library-level workloads, so that a changed return shape fails here too.
+library-level workloads, so that a changed return shape fails here too, and
+a third runs that pass traced: the benchmark's counting wrappers forward
+only some hooks of a kernel or mark law, so a library route keyed on
+anything else would compute other outputs in the traced pass.
 """
 
 import ast
@@ -47,22 +50,39 @@ def test_benchmark_imports_resolve():
     assert not missing, missing
 
 
-@pytest.mark.parametrize("name, scale", [
+SMALL_PASSES = pytest.mark.parametrize("name, scale", [
     ("cf_sweep", 0.01), ("path_loop", 0.01), ("batch_oracle", 0.002)])
-def test_benchmark_pass_gates_hold(monkeypatch, name, scale):
-    # one pass at a small scale, untraced, as perfbench/run.py makes it
+
+
+def _pass(monkeypatch, name, scale, traced=False):
+    """One pass at a small scale, as perfbench/run.py makes it."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     for module in ("clock", "tracing", "workloads"):
         monkeypatch.delitem(sys.modules, module, raising=False)
     clock = importlib.import_module("clock")
     tracing = importlib.import_module("tracing")
     workloads = importlib.import_module("workloads")
-    wl = workloads.WORKLOADS[name](1, scale, tracing.NullProbe())
+    probe = tracing.Probe() if traced else tracing.NullProbe()
+    wl = workloads.WORKLOADS[name](1, scale, probe)
     wl.warmup()
     watch = clock.Stopwatch()
     watch.begin()
     res = wl.run_pass(watch)
     watch.end()
+    return res
+
+
+@SMALL_PASSES
+def test_benchmark_pass_gates_hold(monkeypatch, name, scale):
+    res = _pass(monkeypatch, name, scale)
     assert res.items >= 1 and res.gates
     failed = [(g.name, g.detail) for g in res.gates if not g.passed]
     assert not failed, failed
+
+
+@SMALL_PASSES
+def test_traced_pass_computes_the_same_outputs(monkeypatch, name, scale):
+    # the benchmark's trace_transparent gate, in the small passes
+    plain = _pass(monkeypatch, name, scale)
+    traced = _pass(monkeypatch, name, scale, traced=True)
+    assert traced.digest == plain.digest

@@ -18,6 +18,7 @@ from snoise.point_process import (
     break_ties,
     compensator_mass,
     empty_path,
+    mark_tol,
     past_sum,
     simulate_mpp,
     standard,
@@ -713,3 +714,19 @@ def test_slice_integral_keeps_component_axes_at_zero_rate():
         0.5, x)).shape == (2,)
     # values that broadcast over the times keep the times' axis
     assert spec.slice_integral(s, lambda x: x[:, 0]).shape == (3,)
+
+
+@pytest.mark.parametrize("rate_bound, span, quad_tol, want", [
+    (1.0, 1.0, 1e-8, 2.5e-9),      # the budget: quad_tol / (4 M), M = 1
+    (3.0, 1.0, 1e-8, 1e-8 / 12.0),
+    (0.4, 0.5, 1e-8, 1e-8),        # a mass below 1/4: no looser than quad_tol
+    (0.0, 1.0, 1e-8, 1e-8),        # no mass
+    (1.0, 0.0, 1e-8, 1e-8),
+    (1e4, 1.0, 1e-8, 1e-8 * 1e-3),  # past M = 250 the older quad_tol * 1e-3
+    (1.0, 1.0, 1e-12, 2.5e-13),
+    (1e4, 1.0, 1e-12, 1e-14),      # the floor
+])
+def test_mark_tol_budgets_the_compensator_mass(rate_bound, span, quad_tol,
+                                               want):
+    spec = CompensatorSpec(lambda t: t, rate_bound, PointMass(1.0))
+    assert mark_tol(spec, span, quad_tol) == want

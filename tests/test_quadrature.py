@@ -11,7 +11,8 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snoise.errors import NonFiniteError, ParameterError, QuadratureFailureError
+from snoise.errors import (LevelTooWideError, NonFiniteError, ParameterError,
+                           QuadratureFailureError)
 from snoise import quadrature
 from snoise.marks import Exponential, Normal
 from snoise.quadrature import (
@@ -467,6 +468,19 @@ def test_failing_piece_is_named_as_by_per_piece_loop():
         gauss_kronrod(f, 0.0, 3.0, 1e-8, breakpoints=[1.0, 2.0])
     assert "not finite on [1.0, 2.0] at depth 0" in str(exc.value)
     assert f.points == 3 * 15
+
+
+def test_value_guard_says_it_refused_a_level(monkeypatch):
+    # a QuadratureFailureError with its code, naming the values the level
+    # would hold, so a caller can tell a memory guard from divergence
+    monkeypatch.setattr(quadrature, "_MAX_VALUES", 600)
+    with pytest.raises(LevelTooWideError) as err:
+        gauss_kronrod(lambda t: np.stack([np.cos(80.0 * t)] * 2), 0.0, 1.0,
+                      1e-12)
+    assert err.value.code == "QuadratureFailure"
+    assert str(err.value) == (
+        "adaptive Gauss-Kronrod level would hold 960 integrand values, over "
+        "_MAX_VALUES = 600: widest on [0.0, 1.0], 32 open intervals at depth 5")
 
 
 def test_value_guard_counts_components(monkeypatch):

@@ -13,8 +13,10 @@ from scipy import integrate as spi
 from snoise.errors import (
     IntegrabilityFailureError,
     InvalidBoundError,
+    LevelTooWideError,
     NonFiniteError,
     ParameterError,
+    QuadratureFailureError,
     UnsupportedMarksError,
 )
 from snoise import shotnoise
@@ -257,13 +259,14 @@ def _per_theta(proc, state, thetas):
 
 class TestCfGrid:
     def test_scalar_calls_keep_their_bits(self):
-        # sha256 of the scalar parts of one theta per call; the start cuts
-        # of the mark supports moved them by at most 5.0e-16
+        # sha256 of the scalar parts of one theta per call; the mark
+        # tolerance budgeted from the compensator mass moved them by at
+        # most 4.6e-16
         h = hashlib.sha256()
         for proc, state in SWEEP_CASES:
             h.update(_per_theta(proc, state, SWEEP_THETAS).tobytes())
         assert h.hexdigest() == (
-            "b0e2eccb36df25c9659da37028a056d892d67a053fbba2ff257c4813cf29f818")
+            "45140072c15c91a75232bddb52c15d752b608fd08f6f0860484ae57444fa55df")
 
     def test_scalar_parts_are_numpy_complex(self):
         proc, state = SWEEP_CASES[0]
@@ -319,6 +322,33 @@ class TestCfGrid:
         for got, part in zip(parts, zip(*blocks)):
             assert got.shape == thetas.shape
             assert np.array_equal(got, np.concatenate(part))
+
+    def test_wide_block_is_halved_until_its_levels_fit(self):
+        # case a at theta_k = k pi / 12, k < 256: the mark levels of the
+        # blocks k >= 128 would hold over _MAX_VALUES values, which refused
+        # the call; halved, those blocks converge
+        proc, state = SWEEP_CASES[0]
+        thetas = np.arange(256) * math.pi / 12.0
+        tracemalloc.start()
+        try:
+            got = conditional_cf_parts(proc, state, 1.0, thetas).log_future
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 160e6, peak  # 71-78 MB seen
+        closed = [cmath.log(1.0 - 1j * th / math.e) - cmath.log(1.0 - 1j * th)
+                  for th in thetas]
+        assert np.abs(got - closed).max() <= DEFAULT_QUAD_TOL
+
+    def test_one_theta_over_the_value_guard_names_it(self, monkeypatch):
+        # a lone theta is not halved: the guard's own error reaches the caller
+        monkeypatch.setattr(quadrature, "_MAX_VALUES", 2**10)
+        proc, state = SWEEP_CASES[0]
+        with pytest.raises(LevelTooWideError) as err:
+            conditional_cf_parts(proc, state, 1.0, 5.0)
+        assert err.value.code == "QuadratureFailure"
+        assert "integrand values, over _MAX_VALUES = 1024" in str(err.value)
+        assert "in the mark integral" in str(err.value)
 
     def test_zero_grid_is_exactly_one(self):
         marks = SampleOnly(lambda rng, t, n: rng.normal(size=(n, 1)), 1)
@@ -744,20 +774,64 @@ def test_exponential_kernel_normal_marks_closed_form(lam, a, b, mu, sigma, T, t)
     proc = ShotNoiseProcess(exponential(a, b), standard(lam, Normal(mu, sigma)))
     state = FiltrationState(t, empty_path(t))
     for theta in (-20.0, -5.0, -0.5, 0.5, 5.0, 20.0):
-        def f(u):
-            c = theta * a * math.exp(-b * u)
-            return lam * (cmath.exp(1j * c * mu - 0.5 * (sigma * c) ** 2) - 1.0)
-        re, im = (spi.quad(lambda u: part(f(u)), 0.0, T - t, epsabs=1e-13,
-                           epsrel=0.0, limit=200)[0]
-                  for part in (lambda z: z.real, lambda z: z.imag))
+        want = lam * _normal_marks_future(theta, a, b, mu, sigma, T - t)
         got = conditional_cf_parts(proc, state, T, theta).log_future
-        assert abs(got - complex(re, im)) <= 1e-9, theta
+        assert abs(got - want) <= 1e-9, theta
+
+
+def _normal_marks_future(theta, a, b, mu, sigma, span):
+    """int_0^span (exp(i c mu - sigma^2 c^2 / 2) - 1) du, c = theta a e^{-bu}:
+    the future log-factor per unit rate, by one real quad per part."""
+    def f(u):
+        c = theta * a * math.exp(-b * u)
+        return cmath.exp(1j * c * mu - 0.5 * (sigma * c) ** 2) - 1.0
+    re, im = (spi.quad(lambda u: part(f(u)), 0.0, span, epsabs=3e-14,
+                       epsrel=0.0, limit=200)[0]
+              for part in (lambda z: z.real, lambda z: z.imag))
+    return complex(re, im)
+
+
+_BUDGET_THETAS = (-50.0, -5.0, 0.5, 5.0, 20.0, 50.0)
+# theta that refuse quad_tol 1e-12 at rate 1e4, whose mark integrals run to
+# the 1e-14 floor under any budget: the documented limit
+_BUDGET_LIMIT = {"exp": (-50.0, -5.0, 5.0, 20.0, 50.0),
+                 "normal": (-50.0, -5.0, 5.0, 50.0)}
+
+
+@pytest.mark.parametrize("rate", [0.3, 1.0, 1e4])
+@pytest.mark.parametrize("quad_tol", [1e-6, 1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("marks", ["exp", "normal"])
+def test_mark_tolerance_budget_keeps_quad_tol(marks, quad_tol, rate):
+    # the mark integrals run to quad_tol / (4 rate T) within [quad_tol *
+    # 1e-3, quad_tol] (point_process.mark_tol), and the CF still meets
+    # quad_tol against its closed form: the worst error seen is 2e-2 of
+    # it; at rate <= 1, quad_tol 1e-12 with Exp(1) marks converges, which
+    # a fixed inner quad_tol * 1e-3 cannot reach below the 1e-14 floor
+    law = Exponential(1.0) if marks == "exp" else Normal(0.5, 0.3)
+    proc = ShotNoiseProcess(exponential(1.0, 1.0), standard(rate, law))
+    refused = _BUDGET_LIMIT[marks] if (rate, quad_tol) == (1e4, 1e-12) else ()
+    for theta in _BUDGET_THETAS:
+        if theta in refused:
+            with pytest.raises(QuadratureFailureError):
+                conditional_cf_parts(proc, state_at_zero(), 1.0, theta,
+                                     quad_tol=quad_tol)
+            continue
+        if marks == "exp":
+            want = rate * (cmath.log(1.0 - 1j * theta / math.e)
+                           - cmath.log(1.0 - 1j * theta))
+        else:
+            want = rate * _normal_marks_future(theta, 1.0, 1.0, 0.5, 0.3, 1.0)
+        got = conditional_cf_parts(proc, state_at_zero(), 1.0, theta,
+                                   quad_tol=quad_tol).log_future
+        assert abs(got - want) <= quad_tol, theta
 
 
 def test_sweep_levels_start_from_the_cuts(monkeypatch):
     # integrand levels of the three sweep cases at 21 theta, counted as
     # mark pdf calls (one per level of a mark integral, one per edge
-    # guard): 474 when every truncated support started whole
+    # guard): 474 when every truncated support started whole, 254 when
+    # every mark integral ran to quad_tol * 1e-3 whatever the compensator
+    # mass (point_process.mark_tol)
     calls = []
     for cls in (Exponential, Normal):
         def pdf(self, t, x, _pdf=cls.pdf):
@@ -766,7 +840,7 @@ def test_sweep_levels_start_from_the_cuts(monkeypatch):
         monkeypatch.setattr(cls, "pdf", pdf)
     for proc, state in SWEEP_CASES:
         _per_theta(proc, state, SWEEP_THETAS)
-    assert len(calls) == 254
+    assert len(calls) == 216
 
 
 @pytest.mark.parametrize("marks, phi", [
