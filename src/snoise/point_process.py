@@ -53,7 +53,7 @@ class CompensatorSpec:
         check_finite(rate_bound=self.rate_bound,
                      stationary_rate=self.stationary_rate)
         if self.rate_bound < 0:
-            raise ValueError("rate_bound must be >= 0")
+            raise ParameterError("rate_bound", "must be >= 0")
 
     @property
     def mark_dim(self) -> int:
@@ -233,7 +233,7 @@ def check_horizon(horizon: float, n_paths: int = 1) -> None:
     if not math.isfinite(horizon):
         raise NonFiniteError(f"horizon must be finite, got {horizon}")
     if horizon <= 0:
-        raise ValueError("horizon must be > 0")
+        raise ParameterError("horizon", "must be > 0")
     if n_paths < 1:
         raise ParameterError("n_paths", "must be >= 1")
 

@@ -124,11 +124,10 @@ def conditional_cf_parts(proc: ShotNoiseProcess, state: FiltrationState,
     ``theta`` is a scalar or an array, complex allowed (imaginary arguments
     give exponential moments); up to ``_THETA_BLOCK`` values share one
     frontier, and a block whose mark levels would hold more values than
-    the quadrature's guard allows (``LevelTooWideError``) is halved, down
-    to one theta, which then raises it.  For a real theta the future
-    log-factor's real part is capped at zero, which is a property of the
-    exact integral (its integrand has nonpositive real part) and keeps
-    |CF| <= 1 exactly.
+    the quadrature's guard allows (``LevelTooWideError``) is halved as
+    :func:`_log_future` says.  For a real theta the future log-factor's
+    real part is capped at zero, which is a property of the exact integral
+    (its integrand has nonpositive real part) and keeps |CF| <= 1 exactly.
     """
     check_finite(T=T, theta=theta)
     theta = np.asarray(theta, dtype=complex)
@@ -140,31 +139,46 @@ def conditional_cf_parts(proc: ShotNoiseProcess, state: FiltrationState,
             "for sample-only mark distributions"
         )
 
-    def blocks(step):
-        flat = theta.ravel()
-        parts = zip(*(conditional_cf_parts(proc, state, T, flat[lo:lo + step],
-                                           quad_tol=quad_tol)
-                      for lo in range(0, flat.size, step)))
-        return CfParts(*(np.concatenate(b).reshape(theta.shape) for b in parts))
-
     if theta.size > _THETA_BLOCK:
-        return blocks(_THETA_BLOCK)
+        flat = theta.ravel()
+        parts = zip(*(conditional_cf_parts(proc, state, T,
+                                           flat[lo:lo + _THETA_BLOCK],
+                                           quad_tol=quad_tol)
+                      for lo in range(0, flat.size, _THETA_BLOCK)))
+        return CfParts(*(np.concatenate(b).reshape(theta.shape) for b in parts))
+    log_future = _log_future(proc, state.t, T, theta, quad_tol)
+    log_future.real[(theta.imag == 0.0) & (log_future.real > 0.0)] = 0.0
+    log_state = 1j * theta * float(past_sum(proc.kernel.G, state.observed, T))
+    return CfParts(log_state[()], log_future[()])
+
+
+def _log_future(proc: ShotNoiseProcess, t: float, T: float, theta,
+                quad_tol: float, *, probed: bool = False) -> np.ndarray:
+    """The future log-factor of one theta block, in one frontier.
+
+    Every theta is a component of each mark level, so a block refused by
+    ``LevelTooWideError`` is halved, down to one theta, which then raises
+    it.  At the first refusal the block's largest |theta| is solved alone:
+    if no theta of the block can meet ``quad_tol``, that one fails with its
+    own ``QuadratureFailureError`` before any halving.
+    """
     i_theta = 1j * theta[..., None, None]  # ahead of the (time, mark) axes
     try:
-        log_future = np.array(_future_mass(
-            proc, state.t, T, lambda g: np.exp(i_theta * g) - 1.0, quad_tol),
+        return np.array(_future_mass(
+            proc, t, T, lambda g: np.exp(i_theta * g) - 1.0, quad_tol),
             dtype=complex)
     except LevelTooWideError:
         if theta.size == 1:
             raise
-        log_future = None
-    if log_future is None:
-        # every theta is a component of each mark level: halve the block,
-        # outside the handler, whose traceback holds the failed levels
-        return blocks((theta.size + 1) // 2)
-    log_future.real[(theta.imag == 0.0) & (log_future.real > 0.0)] = 0.0
-    log_state = 1j * theta * float(past_sum(proc.kernel.G, state.observed, T))
-    return CfParts(log_state[()], log_future[()])
+    # outside the handler, whose traceback holds the failed levels
+    flat = theta.ravel()
+    if not probed:
+        _log_future(proc, t, T, flat[[np.abs(flat).argmax()]], quad_tol)
+    half = (flat.size + 1) // 2
+    return np.concatenate([
+        _log_future(proc, t, T, flat[:half], quad_tol, probed=True),
+        _log_future(proc, t, T, flat[half:], quad_tol, probed=True),
+    ]).reshape(theta.shape)
 
 
 def conditional_cf(proc: ShotNoiseProcess, state: FiltrationState, T: float, theta,

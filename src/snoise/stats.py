@@ -52,11 +52,55 @@ def mean_estimate(sample) -> CfEstimate:
         math.sqrt(sample.imag.var(ddof=1) / sample.size)))
 
 
+def _exp_i(values, theta: float) -> np.ndarray:
+    """exp(i theta v) for each value of a 1-d sample."""
+    z = values * (1j * theta)
+    return np.exp(z, out=z)
+
+
 def _cf_at(values, theta: float) -> CfEstimate:
     """:func:`empirical_cf` of one sample at one theta."""
-    z = values * (1j * theta)
-    np.exp(z, out=z)
-    return mean_estimate(z)
+    return mean_estimate(_exp_i(values, theta))
+
+
+# steps of the angle-addition walk between two direct exponentials: bounds
+# the rounding that successive products carry into a grid value
+_RESTART = 64
+
+
+def _uniform_grid_cf(values, thetas) -> dict:
+    """Estimates keyed by each distinct nonzero |theta| of a uniform grid,
+    by angle addition; empty for any other grid.
+
+    A grid is uniform when its distinct nonzero |theta| are k * delta,
+    k = 1..K with K >= 3, each within 4 ulps of the largest (as
+    ``np.linspace`` leaves them).  The walk takes exp(i delta v) once and
+    each next k by one complex multiply, restarting every ``_RESTART``
+    steps from a direct :func:`_exp_i` at the first |theta| of that k, so
+    a restart value equals a separate call bit for bit.  The |theta| that
+    share a k share its estimate.
+    """
+    mags = np.unique(np.abs(thetas))
+    mags = mags[mags > 0.0]
+    if mags.size < 3 or not mags[-1] / mags[0] < mags.size + 0.5:
+        return {}  # K >= 3 needs three values, and K values at least K
+    n_steps = round(mags[-1] / mags[0])
+    delta = mags[-1] / n_steps
+    ks = np.rint(mags / delta)  # 1 at mags[0], n_steps at mags[-1]
+    if (n_steps < 3 or np.diff(ks).max() > 1.0
+            or np.abs(mags - ks * delta).max() > 4.0 * np.spacing(mags[-1])):
+        return {}
+    step = _exp_i(values, delta)
+    ests, last = {}, 0
+    for k, mag in zip(ks.astype(int).tolist(), mags.tolist()):
+        if k != last:
+            if (k - 1) % _RESTART:
+                w *= step
+            else:
+                w = step.copy() if mag == delta else _exp_i(values, mag)
+            est, last = mean_estimate(w), k
+        ests[mag] = est
+    return ests
 
 
 def empirical_cf(values, theta) -> CfEstimate:
@@ -71,6 +115,17 @@ def empirical_cf(values, theta) -> CfEstimate:
     conjugate and the same SEs.  That equals a separate call bit for bit
     while libm's ``sin`` is odd and ``cos`` even.  No ``(len(theta), n)``
     array is built.
+
+    One sample on a uniform grid of theta (:func:`_uniform_grid_cf`, which
+    ``np.linspace`` grids meet) takes its nonzero |theta| by angle
+    addition instead, one complex multiply each in place of one complex
+    exponential.  Such a grid value is within rounding of a separate call,
+    not equal to it bit for bit, by a gap that grows with the phase
+    |theta v|: 5.2e-16 at most on cf-compare's sample, 7.4e-15 on the value
+    and 3.4e-14 relative on the SE for 10^5 Normal(0, 3) values on
+    ``linspace(-20, 20, 401)`` (``tests/test_stats.py`` asserts 1e-13 and
+    1e-12).  Its restart values and every -theta conjugate keep the bits of
+    a separate call.
     """
     if np.iscomplexobj(theta):
         # a cast to float would drop the imaginary part without an error
@@ -88,6 +143,9 @@ def empirical_cf(values, theta) -> CfEstimate:
         return _cf_at(values, float(thetas))
     rows = np.broadcast_to(values, shape + (n,))
     first: dict = {}
+    if values.ndim == 1:
+        first = {(0, mag): (mag, est)
+                 for mag, est in _uniform_grid_cf(values, thetas).items()}
     value = np.empty(shape, dtype=complex)
     se = np.empty(shape)
     for j, th in enumerate(np.broadcast_to(thetas, shape).tolist()):

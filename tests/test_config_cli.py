@@ -476,7 +476,7 @@ SHIPPED_OUTPUT_SHA256 = {
     "affine_validate/transform_compare.csv":
         "1dd6e526176c0621d1e934d2ea14f765333a44af0a51bf78190e91caf17c0dfe",
     "cf_compare/cf_compare.csv":
-        "4fcbff736eb0ef4847398666fe6d471b06b62701de69de284bf53cc5c6f6cfc7",
+        "d2153709006eef82a7937ac2a64de9dac67b5ec9e52d29a3e40ad4477b31ed22",
     "cf_compare/cf_sweep.csv":
         "68103f3d8c0c048ea578722b0b6aba5cf26b4ea1c08938fd2c30fd9204f42d20",
     "cf_compare/report.txt":

@@ -173,8 +173,9 @@ SIMULATORS = {
 BAD_HORIZONS = [
     (math.nan, NonFiniteError, "horizon must be finite, got nan"),
     (math.inf, NonFiniteError, "horizon must be finite, got inf"),
-    (0.0, ValueError, "horizon must be > 0"),
-    (-1.0, ValueError, "horizon must be > 0"),
+    # a ParameterError, which is a ValueError
+    (0.0, ParameterError, "horizon must be > 0"),
+    (-1.0, ParameterError, "horizon must be > 0"),
 ]
 
 
@@ -347,9 +348,14 @@ def test_every_number_parameter_applies_the_number_rule():
     (lambda: simulate_standard_batch(1.0, PointMass(0.5), 1.0, 0, 1),
      "n_paths"),
     (lambda: empirical_cf(np.zeros(99), 1.0), "values"),
+    (lambda: simulate_standard_batch(1.0, PointMass(0.5), 0.0, 3, 1),
+     "horizon"),
+    (lambda: CompensatorSpec(lambda t: 1.0, -1.0, PointMass(0.5)),
+     "rate_bound"),
 ], ids=["negative-rate", "zero-z_base", "negative-z_base", "exponential-mean",
         "normal-std", "uniform-hi", "discrete-weights", "power-law-c",
-        "standard-rate", "batch-n_paths", "cf-samples"])
+        "standard-rate", "batch-n_paths", "cf-samples", "batch-horizon",
+        "compensator-rate_bound"])
 def test_out_of_range_number_names_its_parameter(call, field):
     # numpy's own "lam < 0" error, and a drift verdict against a
     # meaningless threshold, before; a coded SnoiseError now, which callers

@@ -5,9 +5,10 @@ deleted name would surface only as a failed benchmark run, so one test
 reads the benchmark's sources (without importing them) and resolves every
 name they import from ``snoise``.  Another runs one small pass of the
 library-level workloads, so that a changed return shape fails here too, and
-a third runs that pass traced: the benchmark's counting wrappers forward
-only some hooks of a kernel or mark law, so a library route keyed on
-anything else would compute other outputs in the traced pass.
+a third runs those passes and a small pass of the shipped configs traced:
+the benchmark's counting wrappers forward only some hooks of a kernel or
+mark law, so a library route keyed on anything else would compute other
+outputs in the traced pass.
 """
 
 import ast
@@ -50,8 +51,8 @@ def test_benchmark_imports_resolve():
     assert not missing, missing
 
 
-SMALL_PASSES = pytest.mark.parametrize("name, scale", [
-    ("cf_sweep", 0.01), ("path_loop", 0.01), ("batch_oracle", 0.002)])
+SMALL_SCALES = [("cf_sweep", 0.01), ("path_loop", 0.01), ("batch_oracle", 0.002)]
+SMALL_PASSES = pytest.mark.parametrize("name, scale", SMALL_SCALES)
 
 
 def _pass(monkeypatch, name, scale, traced=False):
@@ -80,9 +81,10 @@ def test_benchmark_pass_gates_hold(monkeypatch, name, scale):
     assert not failed, failed
 
 
-@SMALL_PASSES
+@pytest.mark.parametrize("name, scale", [*SMALL_SCALES, ("cli_configs", 0.01)])
 def test_traced_pass_computes_the_same_outputs(monkeypatch, name, scale):
-    # the benchmark's trace_transparent gate, in the small passes
+    # the benchmark's trace_transparent gate, in the small passes; the
+    # cli_configs digest reads the CSV bytes only
     plain = _pass(monkeypatch, name, scale)
     traced = _pass(monkeypatch, name, scale, traced=True)
     assert traced.digest == plain.digest

@@ -340,6 +340,26 @@ class TestCfGrid:
                   for th in thetas]
         assert np.abs(got - closed).max() <= DEFAULT_QUAD_TOL
 
+    def test_block_no_theta_can_meet_fails_at_its_largest_theta(
+            self, monkeypatch):
+        # quad_tol 1e-14 is beyond every theta of this grid: the refused
+        # block's lone largest |theta| fails, where halving used to refine
+        # blocks of 11, 6, 3 and 2 theta before a lone theta failed
+        proc = ShotNoiseProcess(exponential(1.0, 0.8),
+                                standard(1.5, Exponential(1.0)))
+        sizes = []
+        future_mass = shotnoise._future_mass
+
+        def counted(proc, t, T, fn, quad_tol):
+            sizes.append(fn(np.zeros(1)).shape[0])
+            return future_mass(proc, t, T, fn, quad_tol)
+
+        monkeypatch.setattr(shotnoise, "_future_mass", counted)
+        with pytest.raises(QuadratureFailureError, match="open intervals"):
+            conditional_cf_parts(proc, state_at_zero(), 1.0,
+                                 np.linspace(-5.0, 5.0, 21), quad_tol=1e-14)
+        assert sizes == [21, 1]
+
     def test_one_theta_over_the_value_guard_names_it(self, monkeypatch):
         # a lone theta is not halved: the guard's own error reaches the caller
         monkeypatch.setattr(quadrature, "_MAX_VALUES", 2**10)

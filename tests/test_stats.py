@@ -82,23 +82,75 @@ class TestEmpiricalCf:
                      id="unsorted-repeated")])
     def test_grid_equals_scalar_calls(self, law, grid):
         # -theta reuses theta's estimate, conjugated: equal to a separate
-        # call bit for bit as long as libm's sin is odd and cos even
+        # call bit for bit as long as libm's sin is odd and cos even.  The
+        # symmetric grid is uniform: its values past the restart at
+        # |theta| = 0.5 come by angle addition, within rounding of a
+        # separate call; the restart, theta = 0 and the conjugates keep
+        # their bits
         rng = make_stream(9)
         values = {"exponential": rng.exponential(1.0, 5000),
                   "normal": rng.normal(0.3, 2.0, 5000),
                   "point_mass": np.full(500, 0.7)}[law]
         est = empirical_cf(values, np.array(grid))
+        uniform = len(grid) == 21
         for j, th in enumerate(grid):
             one = empirical_cf(values, th)
             assert type(one.value) is complex
             assert all(type(se) is float for se in one[1:])
+            if uniform and abs(th) > 0.5:
+                _assert_within_rounding(one, est, j)
+                continue
             for field, fields in zip(one, est):
                 assert np.array(field).tobytes() == fields[j].tobytes(), th
+        if uniform:
+            _assert_conjugates_keep_their_bits(np.array(grid), est)
         rows = empirical_cf(np.stack([values, -2.0 * values]), 1.5)
         for j, row in enumerate([values, -2.0 * values]):
             one = empirical_cf(row, 1.5)
             for field, fields in zip(one, rows):
                 assert np.array(field).tobytes() == fields[j].tobytes()
+
+    def test_uniform_grid_drift_is_bounded_across_restarts(self):
+        # theta_k = k pi / 12, k < 256: four restarts (k = 1, 65, 129, 193)
+        # and 251 products; gaps of 1e-16 and 3e-16 relative seen
+        values = make_stream(11).exponential(1.0, 100000)
+        grid = np.arange(256) * math.pi / 12.0
+        grid = np.concatenate([grid, -grid[1:]])
+        est = empirical_cf(values, grid)
+        for j, th in enumerate(grid[:256].tolist()):
+            one = empirical_cf(values, th)
+            if j % stats._RESTART == 1 or j == 0:
+                assert one.value == est.value[j] and one.se == est.se[j], th
+            else:
+                _assert_within_rounding(one, est, j)
+        _assert_conjugates_keep_their_bits(grid, est)
+
+    @pytest.mark.parametrize("grid, exps", [
+        pytest.param(np.linspace(-1.0, 1.0, 21), 3, id="linspace-inexact-step"),
+        pytest.param(np.linspace(0.0, 3.0, 4)[1:], 1, id="three-steps"),
+        pytest.param([1.0, 2.0, 4.0, 8.0], 4, id="geometric"),
+        pytest.param([-1.0, 1.0, 2.0], 2, id="two-steps"),
+        pytest.param([1.0, 2.0, 3.0 + 1e-14, 4.0], 4, id="off-by-11-ulps"),
+        pytest.param([1e-300, 1.0, 2.0], 3, id="far-apart"),
+    ])
+    def test_only_uniform_grids_take_angle_addition(self, monkeypatch, grid,
+                                                    exps):
+        # one complex exponential for theta = 0, one per restart and one for
+        # the step unless the first |theta| is the step itself; any other
+        # grid takes one per distinct |theta|
+        values = make_stream(12).normal(0.0, 3.0, 1000)
+        exp_i, calls = stats._exp_i, []
+
+        def counted(v, theta):
+            calls.append(theta)
+            return exp_i(v, theta)
+
+        monkeypatch.setattr(stats, "_exp_i", counted)
+        est = empirical_cf(values, np.asarray(grid))
+        assert len(calls) == exps, calls
+        monkeypatch.undo()
+        for j, th in enumerate(np.asarray(grid).tolist()):
+            _assert_within_rounding(empirical_cf(values, th), est, j)
 
     def test_nan_sample_ratio_is_infinite(self):
         # NaN - analytic is NaN, which a max() over ratios would drop
@@ -116,6 +168,25 @@ class TestEmpiricalCf:
         assert cf_ratio(math.nan, empirical_cf(values, 1.0)) == math.inf
         grid = empirical_cf(values, np.array([0.5, 1.0]))
         assert cf_ratio(np.array([math.nan, 1.0]), grid)[0] == math.inf
+
+
+def _assert_within_rounding(one, grid_est, j):
+    """A grid value by angle addition against a separate call: the gap
+    that ``empirical_cf``'s docstring states.  The SE of a constant sample
+    is itself rounding (5e-18 here), hence the absolute 1e-16."""
+    assert abs(one.value - grid_est.value[j]) <= 1e-13
+    assert abs(one.se - grid_est.se[j]) <= 1e-12 * one.se + 1e-16
+
+
+def _assert_conjugates_keep_their_bits(grid, est):
+    """Each -theta of the grid holds its +theta's conjugate and SE, bits
+    and all."""
+    where = {th: j for j, th in enumerate(grid.tolist())}
+    for j, th in enumerate(grid.tolist()):
+        i = where.get(-th)
+        if th > 0.0 and i is not None:
+            assert est.value[i].tobytes() == np.conj(est.value[j]).tobytes()
+            assert est.se[i].tobytes() == est.se[j].tobytes(), th
 
 
 class TestMeanEstimate:
