@@ -146,11 +146,11 @@ def _parse_theta_grid(section) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _parse_rate(section, key, horizon, marks) -> CompensatorSpec:
-    """Rate grammar: a constant, 'ramp: offset slope', or 'table: t v, t v, ...'.
+def _parse_curve(section, key):
+    """Curve grammar: a constant, 'ramp: offset slope', or 'table: t v, t v, ...'.
 
-    A constant gives the stationary :func:`standard` spec, a ramp or a table
-    one bounded by its largest value on [0, horizon].
+    Returns the vectorized curve, its constant (None for a ramp or a table)
+    and its table knots, with values of any sign as written.
     """
     raw = section.get(key, required=True)
     if raw.startswith("ramp:"):
@@ -159,27 +159,22 @@ def _parse_rate(section, key, horizon, marks) -> CompensatorSpec:
         except ValueError:
             _fail(section.name, key,
                   f"expected 'ramp: offset slope' (finite), got {raw!r}")
-        fn = lambda t: np.maximum(offset + slope * np.asarray(t, dtype=float), 0.0)
-        return CompensatorSpec(fn, max(offset, offset + slope * horizon, 0.0),
-                               marks)
+        return lambda t: offset + slope * np.asarray(t, dtype=float), None, ()
     if raw.startswith("table:"):
         pairs = [tok.split() for tok in raw[6:].split(",") if tok.strip()]
         try:
-            ts = np.array([_finite(p[0]) for p in pairs])
-            vs = np.array([_finite(p[1]) for p in pairs])
+            ts, vs = np.array([(_finite(p[0]), _finite(p[1])) for p in pairs]).T
         except (ValueError, IndexError):
             _fail(section.name, key,
                   f"expected 'table: t v, t v, ...' (finite), got {raw!r}")
-        if ts.size < 2 or np.any(np.diff(ts) <= 0) or np.any(vs < 0):
-            _fail(section.name, key, "table needs increasing times and rates >= 0")
-        fn = lambda t: np.interp(np.asarray(t, dtype=float), ts, vs)
-        return CompensatorSpec(fn, float(vs.max()), marks)
+        if ts.size < 2 or np.any(np.diff(ts) <= 0):
+            _fail(section.name, key, "table needs increasing times")
+        return lambda t: np.interp(np.asarray(t, dtype=float), ts, vs), None, ts
     try:
         const = _finite(raw)
     except ValueError:
         _fail(section.name, key, f"unrecognized or non-finite rate {raw!r}")
-    return _construct(section.name, key, standard, const, marks,
-                      keys={"lam": key})
+    return lambda t: np.full_like(np.asarray(t, dtype=float), const), const, ()
 
 
 def _build_kernel(section) -> NoiseKernel:
@@ -258,12 +253,20 @@ def _construct(section, key, make, *args, keys=None):
 
 
 def _build_compensator(section, horizon) -> CompensatorSpec:
-    spec = _parse_rate(section, "rate", horizon, _build_marks(section))
-    if spec.stationary_rate is not None:
-        return spec
-    bound = section.get("rate_bound", parse=_finite, default=spec.rate_bound)
-    return _construct("compensator", "rate_bound", CompensatorSpec, spec.rate,
-                      bound, spec.marks)
+    marks = _build_marks(section)
+    rate, const, knots = _parse_curve(section, "rate")
+    if const is not None:
+        return _construct("compensator", "rate", standard, const, marks,
+                          keys={"lam": "rate"})
+    # a ramp or a table is least and largest on [0, horizon] at an end or a knot
+    at = np.array([0.0, *(k for k in knots if 0.0 < k < horizon), horizon])
+    values = rate(at)
+    if values.min() < 0:
+        _fail("compensator", "rate", f"must be >= 0 on [0, horizon], got "
+              f"rate({at[values.argmin()]:.6g}) = {values.min():.6g}")
+    bound = section.get("rate_bound", parse=_finite, default=float(values.max()))
+    return _construct("compensator", "rate_bound", CompensatorSpec, rate,
+                      bound, marks)
 
 
 def _build_measure(section, spec: CompensatorSpec) -> MartingaleMeasureSpec:
@@ -289,13 +292,12 @@ def _build_measure(section, spec: CompensatorSpec) -> MartingaleMeasureSpec:
                       eta, marks_prime)
 
 
-def _build_market(section, kernel, spec, horizon) -> MarketParams:
+def _build_market(section, kernel, spec) -> MarketParams:
     x0 = section.get("x0", parse=_finite, required=True)
     mu = section.get("mu", parse=_finite, required=True)
     sigma = section.get("sigma", parse=_finite, required=True)
-    short_rate = _parse_rate(section, "rate_curve", horizon, spec.marks).rate
-    return _construct("market", "x0", MarketParams, x0, mu, sigma, short_rate,
-                      kernel, spec)
+    return _construct("market", "x0", MarketParams, x0, mu, sigma,
+                      _parse_curve(section, "rate_curve")[0], kernel, spec)
 
 
 def _build_affine(section) -> HawkesParams:
@@ -390,7 +392,7 @@ def parse_config(path, *, overrides: dict | None = None) -> ExperimentConfig:
     if "measure" in cp:
         measure = _build_measure(sections["measure"], spec)
     if "market" in cp:
-        market = _build_market(sections["market"], kernel, spec, horizon)
+        market = _build_market(sections["market"], kernel, spec)
     if "affine" in cp:
         affine = _build_affine(sections["affine"])
 

@@ -276,7 +276,7 @@ def is_markov_kernel(kernel: NoiseKernel, grid=None, tol: float = 1e-10) -> Mark
     ratio = float(H(1.0)) / h0
     if not (max_resid <= tol and ratio > 0.0):
         return MarkovTest(False, None, None, max_resid)
-    return MarkovTest(True, h0, -math.log(ratio), max_resid)
+    return MarkovTest(True, h0, 0.0 - math.log(ratio), max_resid)  # not -0.0
 
 
 def _require_separable(kernel, grid):

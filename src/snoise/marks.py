@@ -198,8 +198,9 @@ class Discrete(MarkDistribution):
 
     def cdf(self, t, x):
         pts, w = self._arrays()
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.array([w[pts[:, 0] <= xi].sum() for xi in x])
+        order = np.argsort(pts[:, 0])
+        cum = np.concatenate([[0.0], np.cumsum(w[order])])
+        return cum[np.searchsorted(pts[order, 0], np.atleast_1d(x), side="right")]
 
 
 @dataclass(frozen=True)

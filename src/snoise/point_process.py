@@ -47,7 +47,7 @@ class CompensatorSpec:
     rate: object  # callable t -> intensity, vectorized over arrays
     rate_bound: float
     marks: MarkDistribution
-    stationary_rate: float | None = None  # set by standard(); enables shortcuts
+    stationary_rate: float | None = None  # set by standard(); not read by simulate_batch
 
     def __post_init__(self):
         check_finite(rate_bound=self.rate_bound,
@@ -93,12 +93,8 @@ def standard(lam: float, marks: MarkDistribution) -> CompensatorSpec:
     check_finite(lam=lam)
     if lam < 0:
         raise ParameterError("lam", "must be >= 0 (a rate)")
-    return CompensatorSpec(
-        rate=lambda t: np.full_like(np.asarray(t, dtype=float), lam, dtype=float),
-        rate_bound=lam,
-        marks=marks,
-        stationary_rate=lam,
-    )
+    return CompensatorSpec(lambda t: np.full_like(np.asarray(t, dtype=float), lam),
+                           lam, marks, stationary_rate=lam)
 
 
 @dataclass(frozen=True)

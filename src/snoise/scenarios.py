@@ -280,11 +280,10 @@ def _run_affine_validate(config: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _require_stationary(config):
-    if config.spec.stationary_rate is None:
-        raise ConfigError("this scenario needs a constant rate",
-                          field="compensator.rate")
-    if config.spec.stationary_rate <= 0:
-        raise ConfigError("this scenario needs a positive rate",
+    lam = config.spec.stationary_rate
+    if lam is None or lam <= 0:
+        need = "constant" if lam is None else "positive"
+        raise ConfigError(f"this scenario needs a {need} rate",
                           field="compensator.rate")
 
 

@@ -192,6 +192,8 @@ def conditional_mean(proc: ShotNoiseProcess, state: FiltrationState, T: float,
     """E[S_T | F_t] for every kernel, split as :func:`conditional_cf_parts`:
     sum_{T_i <= t} G(T - T_i, U_i) plus int_t^T int G(T - s, x) nu(ds, dx)."""
     check_finite(T=T)
+    if state.t > T:
+        raise ValueError("need state time <= T")
     past = float(past_sum(proc.kernel.G, state.observed, T))
     return past + float(_future_mass(proc, state.t, T, lambda g: g, quad_tol))
 

@@ -127,9 +127,9 @@ def empirical_cf(values, theta) -> CfEstimate:
     1e-12).  Its restart values and every -theta conjugate keep the bits of
     a separate call.
     """
-    if np.iscomplexobj(theta):
+    if np.iscomplexobj(theta) or np.iscomplexobj(values):
         # a cast to float would drop the imaginary part without an error
-        raise TypeError("theta must be real")
+        raise TypeError("theta and values must be real")
     values = np.asarray(values, dtype=float)
     thetas = np.asarray(theta, dtype=float)
     check_finite(theta=thetas)
@@ -448,18 +448,18 @@ def simulate_batch(spec: CompensatorSpec, horizon: float, n_paths: int,
     """Batch of paths with compensator rate(t) F(t, dx) dt, all at once.
 
     Candidates are a :func:`simulate_standard_batch` at ``rate_bound`` on
-    ``tag``, with its guards; a rate below the bound keeps the candidate at
-    ``t`` with probability ``rate(t)/rate_bound`` (Lewis-Shedler thinning),
-    with uniforms from stream ``(seed, 1, tag)``, checking the bound at
-    every candidate.
+    ``tag``, with its guards, and the rate is checked at every one.  Unless
+    it equals the bound at all of them, the candidate at ``t`` is kept with
+    probability ``rate(t)/rate_bound`` (Lewis-Shedler thinning), with
+    uniforms from stream ``(seed, 1, tag)``.
     """
-    cand = simulate_standard_batch(spec.rate_bound, spec.marks, horizon,
-                                   n_paths, seed, tag=tag)
-    if spec.stationary_rate == spec.rate_bound:
-        return cand
     lam_bar = spec.rate_bound
+    cand = simulate_standard_batch(lam_bar, spec.marks, horizon, n_paths,
+                                   seed, tag=tag)
     lam_at = np.asarray(spec.rate(cand.times), dtype=float)
     _check_rate_bound(lam_at, cand.times, lam_bar)
+    if np.all(lam_at == lam_bar):
+        return cand
     unif = make_stream(seed, 1, tag).random(size=cand.times.size)
     keep = unif * lam_bar <= lam_at
     counts = np.bincount(cand.path_ids()[keep], minlength=n_paths)

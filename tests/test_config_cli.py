@@ -838,3 +838,92 @@ def test_seed_outside_64_bits_exits_two(tmp_path, capsys, seed):
     assert not out.exists()
     assert parse_config(write(tmp_path, MINIMAL_SIMULATE), overrides={
         "seed": 2**64 - 1}).run.seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("curve, at_075", [
+    ("-0.01", -0.01), ("table: 0 0.02, 1 -0.02", -0.01)],
+    ids=["constant", "table"])
+def test_short_rate_curve_takes_any_sign(tmp_path, curve, at_075):
+    # the short rate once went through the intensity rule: a negative
+    # constant failed on market.rate_curve and a ramp was clamped at 0
+    cfg = parse_config(write(tmp_path, DRIFT_CHECK.replace(
+        "rate_curve = 0.02", f"rate_curve = {curve}")))
+    assert float(cfg.market.short_rate(0.75)) == pytest.approx(at_075, abs=1e-15)
+
+
+def test_drift_check_with_a_negative_short_rate_passes(tmp_path, capsys):
+    path = write(tmp_path, DRIFT_CHECK.replace(
+        "rate_curve = 0.02", "rate_curve = ramp: 0.05 -0.1"))
+    assert float(parse_config(path).market.short_rate(0.75)) == pytest.approx(-0.025)
+    out = tmp_path / "dc"
+    assert main(["drift-check", "--config", path, "--paths", "200",
+                 "--out", str(out)]) == 0, capsys.readouterr().err
+    assert "PASS drift_residual:" in (out / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("rate", ["ramp: 1.0 -2.0", "table: 0 1.0, 1 -1.0",
+                                  "table: 0 1.0, 0.5 -0.1, 2 2.0"],
+                         ids=["ramp", "table-end", "table-knot"])
+def test_intensity_below_zero_on_the_horizon_exits_two(tmp_path, capsys, rate):
+    # a ramp below 0 was once clamped there, silently changing the model
+    path = write(tmp_path, MINIMAL_SIMULATE.replace("rate = 1.5", f"rate = {rate}"))
+    assert main(["simulate", "--config", path,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert ("ConfigError: compensator.rate: must be >= 0 on [0, horizon]"
+            in capsys.readouterr().err)
+
+
+def test_intensity_reaching_zero_at_the_horizon_parses(tmp_path):
+    cfg = parse_config(write(tmp_path, MINIMAL_SIMULATE.replace(
+        "rate = 1.5", "rate = ramp: 1.0 -1.0")))
+    assert cfg.spec.rate_bound == 1.0
+    assert float(cfg.spec.rate(1.0)) == 0.0
+    # a table is held to its values on [0, horizon] only, and bounded by them
+    cfg = parse_config(write(tmp_path, MINIMAL_SIMULATE.replace(
+        "rate = 1.5", "rate = table: 0 1.0, 0.5 2.0, 2 -1.0")))
+    assert cfg.spec.rate_bound == 2.0
+
+
+MARKOV_TEST = """\
+[run]
+scenario = markov-test
+seed = 1
+
+[kernel]
+{kernel}
+"""
+
+
+@pytest.mark.parametrize("kernel, line", [
+    ("kind = jump_to_level",
+     "INFO markov_classification: Markov; fitted a = 1, b = 0, "
+     "max Cauchy residual = 0.000e+00"),
+    ("kind = random_decay",
+     "INFO markov_classification: kernel not separable: "),
+    # G(t, x) = t x: separable, with H(0) = 0
+    ("kind = custom\ntable_t = 0, 1\ntable_x = 0, 1\ntable_g = 0 0; 0 1",
+     "INFO markov_classification: H(0) vanishes: "),
+], ids=["markov", "not-separable", "zero-at-origin"])
+def test_markov_test_reports_each_classification(tmp_path, capsys, kernel, line):
+    out = tmp_path / "mk"
+    assert main(["markov-test", "--config", write(
+        tmp_path, MARKOV_TEST.format(kernel=kernel)),
+        "--out", str(out)]) == 0, capsys.readouterr().err
+    assert line in (out / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("stem, rate, msg", [
+    ("measure_check", "ramp: 1.0 0.5", "needs a constant rate"),
+    ("measure_check", "0", "needs a positive rate"),
+    ("drift_check", "table: 0 1.0, 1 2.0", "needs a constant rate"),
+])
+def test_stationary_scenarios_refuse_other_rates(tmp_path, capsys, stem, rate,
+                                                  msg):
+    config = next(p for p in SHIPPED_CONFIGS if p.stem == stem)
+    text = config.read_text().replace("rate = 1.0\n", f"rate = {rate}\n")
+    assert f"rate = {rate}\n" in text
+    code = main([parse_config(str(config)).run.scenario, "--config",
+                 write(tmp_path, text), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"ConfigError: compensator.rate: this scenario {msg}" in \
+        capsys.readouterr().err

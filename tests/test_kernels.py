@@ -192,7 +192,8 @@ class TestMarkovClassification:
 
     def test_jump_to_level_is_markov(self):
         res = is_markov_kernel(jump_to_level())
-        assert res.is_markov and res.b == pytest.approx(0.0)
+        # b is +0.0: -log(1.0) made it -0.0, and the report printed "b = -0"
+        assert res.is_markov and res.b == 0.0 and math.copysign(1.0, res.b) == 1.0
 
     def test_random_decay_not_separable(self):
         with pytest.raises(NotSeparableError):

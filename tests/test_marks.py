@@ -191,3 +191,23 @@ def test_normal_cdf_matches_scipy_stats(mean, std):
     for xi in (mean + 0.3 * std, 1, -np.inf):
         got, ref = Normal(mean, std).cdf(0.0, xi), scipy.stats.norm.cdf(xi, mean, std)
         assert type(got) is type(ref) is np.float64 and got.tobytes() == ref.tobytes()
+
+
+def test_discrete_cdf_matches_its_definition():
+    # F(x) = sum of the weights of the atoms whose first coordinate is <= x:
+    # tied first coordinates, unsorted 2-d atoms, x at, between and beyond them
+    pts = [[1.0, 5.0], [-0.5, 2.0], [1.0, -3.0], [2.5, 0.0]]
+    w = [0.1, 0.2, 0.3, 0.4]
+    x = np.array([-1.0, -0.5, 0.0, 1.0, 1.7, 2.5, 9.0])
+    want = [sum(wi for p, wi in zip(pts, w) if p[0] <= xi) for xi in x]
+    got = Discrete(pts, w).cdf(0.0, x)
+    assert got.shape == x.shape
+    assert got == pytest.approx(want, abs=1e-15)
+    assert Discrete(pts, w).cdf(0.0, 1.0) == pytest.approx([0.6], abs=1e-15)
+
+
+def test_uniform_cdf_matches_its_definition():
+    lo, hi = -1.0, 3.0
+    x = np.array([-5.0, lo, 0.0, 2.0, hi, 7.0])
+    want = [0.0, 0.0, 0.25, 0.75, 1.0, 1.0]
+    assert Uniform(lo, hi).cdf(0.0, x) == pytest.approx(want, abs=1e-15)

@@ -428,6 +428,17 @@ def test_cf_parts_over_an_empty_range_have_theta_shape():
     assert parts.value.shape == (2,)
 
 
+@pytest.mark.parametrize("fn", [
+    lambda proc, state, T: conditional_cf(proc, state, T, 0.7),
+    conditional_mean], ids=["cf", "mean"])
+def test_horizon_before_the_state_time_refused(fn):
+    # conditional_mean once failed inside compensator_mass, "need t0 <= t1"
+    proc = ShotNoiseProcess(exponential(1.0, 1.0), standard(1.0, PointMass(1.0)))
+    state = FiltrationState.at(MppPath([0.3], [[1.0]], 1.0), 0.8)
+    with pytest.raises(ValueError, match="need state time <= T"):
+        fn(proc, state, 0.5)
+
+
 @pytest.mark.parametrize("quad_tol,error", [
     (0.0, ParameterError), (-1.0, ParameterError), (math.nan, NonFiniteError),
     (math.inf, NonFiniteError)], ids=["zero", "negative", "nan", "inf"])

@@ -59,6 +59,10 @@ class TestEmpiricalCf:
         for theta in (0.5j, np.array([1.0, 0.5j])):
             with pytest.raises(TypeError, match="real"):
                 empirical_cf(np.ones(100), theta)
+        # complex values once gave the CF of their real part, with only a
+        # ComplexWarning
+        with pytest.raises(TypeError, match="real"):
+            empirical_cf(np.ones(200) * (1 + 1j), 1.0)
 
     def test_gaussian_cf_recovered(self):
         rng = make_stream(4)
@@ -627,23 +631,40 @@ class TestBatchGuards:
         with pytest.raises(NonFiniteError):
             simulate_batch(spec, math.nan, 10, 1, tag=5)
 
+    # each bad rate also with stationary_rate = rate_bound declared, which
+    # once made simulate_batch return the candidates unchecked
     def test_thinned_batch_nan_rate(self):
-        spec = CompensatorSpec(rate=lambda t: np.full(np.shape(t), np.nan),
-                               rate_bound=2.0, marks=Exponential(1.0))
-        with pytest.raises(NonFiniteError, match=r"rate\(0\.\d+\) is NaN"):
-            simulate_batch(spec, 1.0, 10, 1, tag=5)
+        for declared in (None, 2.0):
+            spec = CompensatorSpec(rate=lambda t: np.full(np.shape(t), np.nan),
+                                   rate_bound=2.0, marks=Exponential(1.0),
+                                   stationary_rate=declared)
+            with pytest.raises(NonFiniteError, match=r"rate\(0\.\d+\) is NaN"):
+                simulate_batch(spec, 1.0, 10, 1, tag=5)
 
     def test_thinned_batch_negative_rate(self):
-        spec = CompensatorSpec(rate=lambda t: -np.ones(np.shape(t)),
-                               rate_bound=2.0, marks=Exponential(1.0))
-        with pytest.raises(InvalidBoundError, match=r"rate\(0\.\d+\) = -1 is below 0"):
-            simulate_batch(spec, 1.0, 10, 1, tag=5)
+        for declared in (None, 2.0):
+            spec = CompensatorSpec(rate=lambda t: -np.ones(np.shape(t)),
+                                   rate_bound=2.0, marks=Exponential(1.0),
+                                   stationary_rate=declared)
+            with pytest.raises(InvalidBoundError,
+                               match=r"rate\(0\.\d+\) = -1 is below 0"):
+                simulate_batch(spec, 1.0, 10, 1, tag=5)
 
     def test_thinned_batch_rate_above_bound(self):
-        spec = CompensatorSpec(rate=lambda t: 1.0 + 2.0 * np.asarray(t),
-                               rate_bound=2.0, marks=Exponential(1.0))
-        with pytest.raises(InvalidBoundError, match="exceeds rate_bound = 2"):
-            simulate_batch(spec, 1.0, 10, 1, tag=5)
+        for declared in (None, 2.0):
+            spec = CompensatorSpec(rate=lambda t: 1.0 + 2.0 * np.asarray(t),
+                                   rate_bound=2.0, marks=Exponential(1.0),
+                                   stationary_rate=declared)
+            with pytest.raises(InvalidBoundError, match="exceeds rate_bound = 2"):
+                simulate_batch(spec, 1.0, 10, 1, tag=5)
+
+    def test_declared_stationary_rate_does_not_skip_thinning(self):
+        # rate 2t under bound 2: int rate = 1 event per path, whatever the
+        # spec declares; the declaration once gave 2.00 per path
+        spec = CompensatorSpec(rate=lambda t: 2.0 * np.asarray(t), rate_bound=2.0,
+                               marks=Exponential(1.0), stationary_rate=2.0)
+        est = mean_estimate(simulate_batch(spec, 1.0, 20000, 3, tag=5).counts)
+        assert abs(est.value - 1.0) <= 3.0 * est.se
 
     def test_expected_count_guard(self):
         with pytest.raises(ExplosionGuardError, match="batch expects"):
