@@ -200,7 +200,10 @@ class Discrete(MarkDistribution):
         pts, w = self._arrays()
         order = np.argsort(pts[:, 0])
         cum = np.concatenate([[0.0], np.cumsum(w[order])])
-        return cum[np.searchsorted(pts[order, 0], np.atleast_1d(x), side="right")]
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        # a NaN sorts past every atom: its CDF would read 1
+        return np.where(np.isnan(x), np.nan,
+                        cum[np.searchsorted(pts[order, 0], x, side="right")])
 
 
 @dataclass(frozen=True)
@@ -261,7 +264,8 @@ class Exponential(MarkDistribution):
 
     def cdf(self, t, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, 1.0 - np.exp(-x / self.mean), 0.0)
+        # x < 0 is False at NaN, which keeps its NaN
+        return np.where(x < 0, 0.0, 1.0 - np.exp(-x / self.mean))
 
 
 @dataclass(frozen=True)

@@ -58,9 +58,39 @@ def _exp_i(values, theta: float) -> np.ndarray:
     return np.exp(z, out=z)
 
 
-def _cf_at(values, theta: float) -> CfEstimate:
-    """:func:`empirical_cf` of one sample at one theta."""
-    return mean_estimate(_exp_i(values, theta))
+def _split_zeros(values):
+    """A 1-d sample as its nonzero values and its count of exact zeros
+    (-0.0 among them); a sample without zeros is returned as it is."""
+    nonzero = values != 0.0
+    n0 = values.size - int(np.count_nonzero(nonzero))
+    return (values[nonzero] if n0 else values), n0
+
+
+def _atom_estimate(z, n0: int) -> CfEstimate:
+    """:func:`mean_estimate` of ``z`` and ``n0`` more values 1 + 0i.
+
+    Without them it is ``mean_estimate(z)``, bits and all.  With them the
+    atom enters the mean and both sums of squares in closed form, and each
+    sum of squares is one ``einsum`` over a contiguous centred part: numpy's
+    own loop, whose bits, unlike BLAS's threaded ``np.dot``, do not depend
+    on the thread count.
+    """
+    if not n0:
+        return mean_estimate(z)
+    n = z.size + n0
+    m = (z.sum() + n0) / n
+    d = z.real - m.real
+    var_re = (np.einsum("i,i", d, d) + n0 * (1.0 - m.real) ** 2) / (n - 1)
+    d = np.subtract(z.imag, m.imag, out=d)
+    var_im = (np.einsum("i,i", d, d) + n0 * m.imag ** 2) / (n - 1)
+    return CfEstimate(complex(m), math.hypot(math.sqrt(var_re / n),
+                                             math.sqrt(var_im / n)))
+
+
+def _cf_at(values, n0: int, theta: float) -> CfEstimate:
+    """:func:`empirical_cf` at one theta of one sample, split by
+    :func:`_split_zeros`."""
+    return _atom_estimate(_exp_i(values, theta), n0)
 
 
 # steps of the angle-addition walk between two direct exponentials: bounds
@@ -68,9 +98,10 @@ def _cf_at(values, theta: float) -> CfEstimate:
 _RESTART = 64
 
 
-def _uniform_grid_cf(values, thetas) -> dict:
+def _uniform_grid_cf(values, n0: int, thetas) -> dict:
     """Estimates keyed by each distinct nonzero |theta| of a uniform grid,
-    by angle addition; empty for any other grid.
+    by angle addition, for a sample split by :func:`_split_zeros`; empty
+    for any other grid.
 
     A grid is uniform when its distinct nonzero |theta| are k * delta,
     k = 1..K with K >= 3, each within 4 ulps of the largest (as
@@ -98,7 +129,7 @@ def _uniform_grid_cf(values, thetas) -> dict:
                 w *= step
             else:
                 w = step.copy() if mag == delta else _exp_i(values, mag)
-            est, last = mean_estimate(w), k
+            est, last = _atom_estimate(w, n0), k
         ests[mag] = est
     return ests
 
@@ -126,6 +157,14 @@ def empirical_cf(values, theta) -> CfEstimate:
     ``linspace(-20, 20, 401)`` (``tests/test_stats.py`` asserts 1e-13 and
     1e-12).  Its restart values and every -theta conjugate keep the bits of
     a separate call.
+
+    A sample (or a row) with exact zeros, -0.0 among them, exponentiates
+    only its nonzero values and adds the atom at 0, whose exponential is
+    1 + 0i at every theta, in closed form (:func:`_atom_estimate`): within
+    rounding of :func:`mean_estimate` of all n exponentials, exactly 1 + 0i
+    with SE 0 for an all-zero sample.  Every route above runs on those
+    nonzero values, so the bit-equalities above hold for it too.  A sample
+    without exact zeros keeps the bits of ``mean_estimate(exp(i theta v))``.
     """
     if np.iscomplexobj(theta) or np.iscomplexobj(values):
         # a cast to float would drop the imaginary part without an error
@@ -140,18 +179,20 @@ def empirical_cf(values, theta) -> CfEstimate:
         raise ParameterError("values", f"needs at least 100 samples, got {n}")
     shape = np.broadcast_shapes(values.shape[:-1], thetas.shape)
     if not shape:
-        return _cf_at(values, float(thetas))
+        return _cf_at(*_split_zeros(values), float(thetas))
     rows = np.broadcast_to(values, shape + (n,))
     first: dict = {}
     if values.ndim == 1:
+        sample = _split_zeros(values)
         first = {(0, mag): (mag, est)
-                 for mag, est in _uniform_grid_cf(values, thetas).items()}
+                 for mag, est in _uniform_grid_cf(*sample, thetas).items()}
     value = np.empty(shape, dtype=complex)
     se = np.empty(shape)
     for j, th in enumerate(np.broadcast_to(thetas, shape).tolist()):
         key = (j if values.ndim == 2 else 0, abs(th))
         if key not in first:
-            first[key] = (th, _cf_at(rows[j], th))
+            split = sample if values.ndim == 1 else _split_zeros(rows[j])
+            first[key] = (th, _cf_at(*split, th))
         th0, est = first[key]
         flip = math.copysign(1.0, th) != math.copysign(1.0, th0)
         value[j] = est.value.conjugate() if flip else est.value

@@ -266,6 +266,12 @@ class TestRiccati:
         assert sol.phi[0] == 0.0
         assert sol.psi2[0] == u[1]
 
+    def test_zero_horizon_is_the_boundary_datum(self):
+        u = (0.2j, -0.4j)
+        sol = riccati_solve(HawkesParams(1.0, 1.0, 0.5), u, 0.0)
+        assert sol.grid.tolist() == [0.0]
+        assert sol.final == (0.0, u[0], u[1]) and sol.u == u
+
     def test_order_four_convergence(self):
         params = HawkesParams(2.0, 0.5, 1.0)
         u = (0.3j, 0.4j)

@@ -474,9 +474,9 @@ SHIPPED_OUTPUT_SHA256 = {
     "affine_validate/report.txt":
         "38f9f90b76d6edf09c1e85117029ede5ccaac7afeaaec52e281192c225c7c837",
     "affine_validate/transform_compare.csv":
-        "1dd6e526176c0621d1e934d2ea14f765333a44af0a51bf78190e91caf17c0dfe",
+        "272444c92b8fb43b2006862d5890dc46c9c389cdaff01ab7b6f168fce4fe3a18",
     "cf_compare/cf_compare.csv":
-        "d2153709006eef82a7937ac2a64de9dac67b5ec9e52d29a3e40ad4477b31ed22",
+        "1d2aee45120408b350b98528bd4faed738c9d2dc8e1de3509a133996fed51e74",
     "cf_compare/cf_sweep.csv":
         "68103f3d8c0c048ea578722b0b6aba5cf26b4ea1c08938fd2c30fd9204f42d20",
     "cf_compare/report.txt":
@@ -695,6 +695,24 @@ lambda0 = 1.0
                  "compensator.rate_bound", id="unread-rate-bound-constant"),
     pytest.param(AFFINE, "seed = 1", "seed = 1\nn_path = 10", "run.n_path",
                  id="unread-typo"),
+    pytest.param(MINIMAL_SIMULATE, "horizon = 1.0", "horizon = 0",
+                 "run.horizon", id="horizon-zero"),
+    pytest.param(MINIMAL_SIMULATE, "grid_points = 8", "grid_points = 1",
+                 "run.grid_points", id="grid-points-one"),
+    pytest.param(MINIMAL_SIMULATE, "seed = 42", "seed = 42\nquad_tol = 0",
+                 "run.quad_tol", id="quad-tol-zero"),
+    pytest.param(MINIMAL_SIMULATE, "rate = 1.5", "rate = table: 0 1.0, 0 2.0",
+                 "compensator.rate", id="table-rate-times-repeated"),
+    pytest.param(MINIMAL_SIMULATE, "kind = exponential\na = 1.0\nb = 0.5",
+                 "kind = custom\ntable_t = 0, 1\ntable_x = 0, 1, 2\n"
+                 "table_g = 0 1; 0 0.5", "kernel.table_g",
+                 id="table-g-wrong-shape"),
+    pytest.param(DRIFT_CHECK, "lambda_prime = 2.0",
+                 "lambda_prime = 2.0\neta = exp_tilt\neta_rate = 0",
+                 "measure.eta_rate", id="eta-rate-zero"),
+    pytest.param(MINIMAL_SIMULATE, "kind = exponential\na = 1.0\nb = 0.5",
+                 "kind = random_decay", "compensator.marks",
+                 id="kernel-marks-dimension-mismatch"),
 ])
 def test_out_of_range_parameter_names_its_field(tmp_path, capsys, text, old,
                                                 new, field):
@@ -704,6 +722,22 @@ def test_out_of_range_parameter_names_its_field(tmp_path, capsys, text, old,
     assert err.value.field == field
     scenario = text.split("scenario = ", 1)[1].split("\n", 1)[0]
     assert main([scenario, "--config", path,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"ConfigError: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, field", [
+    pytest.param("[kernel]\nkind = jump_to_level\n", "run", id="no-run-section"),
+    pytest.param("scenario = simulate\n", "file", id="no-section-header"),
+    pytest.param(None, "file", id="missing-file"),
+])
+def test_unusable_config_file_exits_two(tmp_path, capsys, text, field):
+    path = (str(tmp_path / "absent.ini") if text is None
+            else write(tmp_path, text))
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert err.value.field == field
+    assert main(["simulate", "--config", path,
                  "--out", str(tmp_path / "o")]) == 2
     assert f"ConfigError: {field}:" in capsys.readouterr().err
 
@@ -859,6 +893,28 @@ def test_drift_check_with_a_negative_short_rate_passes(tmp_path, capsys):
     assert main(["drift-check", "--config", path, "--paths", "200",
                  "--out", str(out)]) == 0, capsys.readouterr().err
     assert "PASS drift_residual:" in (out / "report.txt").read_text()
+
+
+def test_non_finite_negative_control_fails(tmp_path, capsys, monkeypatch):
+    # NaN control paths give z = inf, which fails the drift test and once
+    # passed the control as "fails as expected (max |z| = inf)"
+    simulate_stock = scenarios.simulate_stock
+
+    def nan_control(market, mm, *args, **kwargs):
+        stock = simulate_stock(market, mm, *args, **kwargs)
+        if mm is None:
+            stock.X[:] = np.nan
+        return stock
+
+    monkeypatch.setattr(scenarios, "simulate_stock", nan_control)
+    out = tmp_path / "dc"
+    assert main(["drift-check", "--config", write(tmp_path, DRIFT_CHECK),
+                 "--paths", "1000", "--out", str(out)]) == 1, \
+        capsys.readouterr().err
+    report = (out / "report.txt").read_text()
+    assert "FAIL negative_control: P-measure drift test shows no finite " \
+        "drift (max |z| = inf)" in report
+    assert "PASS martingale_drift_test:" in report
 
 
 @pytest.mark.parametrize("rate", ["ramp: 1.0 -2.0", "table: 0 1.0, 1 -1.0",

@@ -206,6 +206,18 @@ def test_discrete_cdf_matches_its_definition():
     assert Discrete(pts, w).cdf(0.0, 1.0) == pytest.approx([0.6], abs=1e-15)
 
 
+@pytest.mark.parametrize("law", [
+    Discrete([[1.0, 5.0], [-0.5, 2.0]], [0.4, 0.6]), Exponential(2.0),
+    Normal(0.5, 1.5), Uniform(-1.0, 3.0)],
+    ids=["discrete", "exponential", "normal", "uniform"])
+def test_cdf_at_nan_is_nan(law):
+    # Discrete read 1.0 and Exponential 0.0 at NaN: a NaN sample point
+    # then entered a KS statistic as a probability
+    got = law.cdf(0.0, np.array([np.nan, 1.0, np.nan]))
+    assert np.isnan(got[[0, 2]]).all() and np.isfinite(got[1])
+    assert np.isnan(law.cdf(0.0, np.nan)).all()
+
+
 def test_uniform_cdf_matches_its_definition():
     lo, hi = -1.0, 3.0
     x = np.array([-5.0, lo, 0.0, 2.0, hi, 7.0])

@@ -99,6 +99,18 @@ def test_cumulative_handles_duplicate_points():
     assert np.allclose(cum, [0.0, 1.0, 1.0, 4.0], atol=1e-10)
 
 
+@pytest.mark.parametrize("points, error, match", [
+    pytest.param([], ValueError, "non-empty 1-d", id="empty"),
+    pytest.param([[0.0, 1.0]], ValueError, "non-empty 1-d", id="2-d"),
+    pytest.param([0.0, math.nan], NonFiniteError, "finite", id="nan"),
+    pytest.param([0.0, 2.0, 1.0], ValueError, "non-decreasing",
+                 id="decreasing"),
+])
+def test_cumulative_refuses_bad_points(points, error, match):
+    with pytest.raises(error, match=match):
+        cumulative_integral(_never_called, points, 1e-8)
+
+
 def _never_called(x):
     raise AssertionError("the integrand was called")
 

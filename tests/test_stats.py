@@ -25,6 +25,7 @@ from snoise.point_process import CompensatorSpec, past_sum, simulate_mpp, standa
 from snoise.rng import TAG_BATCH, make_stream
 from snoise.stats import (
     _KS_BLOCK,
+    CfEstimate,
     batch_log_weights,
     batch_terminal_shotnoise,
     cf_ratio,
@@ -79,7 +80,8 @@ class TestEmpiricalCf:
         assert cf_ratio(1.1 + 0.0j, est) == math.inf
 
 
-    @pytest.mark.parametrize("law", ["exponential", "normal", "point_mass"])
+    @pytest.mark.parametrize("law", ["exponential", "normal", "point_mass",
+                                     "with_zeros"])
     @pytest.mark.parametrize("grid", [
         pytest.param([-5.0 + 0.5 * k for k in range(21)], id="symmetric"),
         pytest.param([2.5, -0.3, 1.0, -2.5, 0.3, 1.0, 4.0, -0.0],
@@ -90,11 +92,14 @@ class TestEmpiricalCf:
         # symmetric grid is uniform: its values past the restart at
         # |theta| = 0.5 come by angle addition, within rounding of a
         # separate call; the restart, theta = 0 and the conjugates keep
-        # their bits
+        # their bits.  A sample with exact zeros (-0.0 among them, and in
+        # the -2 v row) takes the atom route on every path
         rng = make_stream(9)
         values = {"exponential": rng.exponential(1.0, 5000),
                   "normal": rng.normal(0.3, 2.0, 5000),
-                  "point_mass": np.full(500, 0.7)}[law]
+                  "point_mass": np.full(500, 0.7),
+                  "with_zeros": _with_zeros(rng.exponential(1.0, 5000), 0.368,
+                                            rng)}[law]
         est = empirical_cf(values, np.array(grid))
         uniform = len(grid) == 21
         for j, th in enumerate(grid):
@@ -156,8 +161,68 @@ class TestEmpiricalCf:
         for j, th in enumerate(np.asarray(grid).tolist()):
             _assert_within_rounding(empirical_cf(values, th), est, j)
 
+    def test_zero_free_sample_keeps_mean_estimate_bits(self):
+        # no exact zero: scalar, row and grid calls are mean_estimate of the
+        # materialized exponentials, as before the atom route existed
+        values = make_stream(13).normal(0.3, 2.0, 3000)
+        grid = np.array([2.5, -0.3, 1.0, -2.5, 0.0])
+        est = empirical_cf(values, grid)
+        rows = empirical_cf(np.stack([values, 3.0 * values]), 1.5)
+        for j, th in enumerate(grid.tolist()):
+            want = mean_estimate(np.exp(1j * th * values))
+            assert empirical_cf(values, th) == want
+            assert est.value[j] == want.value and est.se[j] == want.se
+        for j, row in enumerate([values, 3.0 * values]):
+            want = mean_estimate(np.exp(1j * 1.5 * row))
+            assert rows.value[j] == want.value and rows.se[j] == want.se
+
+    @pytest.mark.parametrize("share", [None, 0.368, 0.999],
+                             ids=["one-zero", "36.8%-zeros", "99.9%-zeros"])
+    def test_atom_route_matches_materialized_estimate(self, share):
+        rng = make_stream(14)
+        values = rng.exponential(1.0, 20000)
+        if share is None:
+            values[4321] = -0.0
+        else:
+            values = _with_zeros(values, share, rng)
+        grid = np.linspace(-5.0, 5.0, 21)
+        est = empirical_cf(values, grid)
+        for j, th in enumerate(grid.tolist()):
+            want = mean_estimate(np.exp(1j * th * values))
+            for got in (empirical_cf(values, th), CfEstimate(est.value[j],
+                                                              est.se[j])):
+                assert abs(got.value - want.value) <= 1e-15, th
+                assert abs(got.se - want.se) <= 1e-12 * want.se, th
+
+    def test_all_zero_sample_is_exactly_one(self):
+        values = np.zeros(300)
+        values[::2] = -0.0
+        for theta in (0.0, 1.7, np.linspace(-2.0, 2.0, 9)):
+            est = empirical_cf(values, theta)
+            assert np.all(est.value == 1.0 + 0.0j) and np.all(est.se == 0.0)
+
+    def test_exponentials_skip_the_no_shot_atom(self, monkeypatch):
+        # the benchmark's batch_oracle S_T at workload seed 0: 10^6 paths of
+        # rate 1 on [0, 1], 367,646 of them with no shot, so S_T = 0 exactly
+        seed = int(np.random.SeedSequence([0, 0]).generate_state(1, np.uint64)[0])
+        batch = simulate_standard_batch(1.0, Exponential(1.0), 1.0, 10**6, seed)
+        s_T = batch_terminal_shotnoise(exponential(1.0, 1.0), batch)
+        del batch
+        exp_i, sizes = stats._exp_i, []
+
+        def counted(v, theta):
+            sizes.append(v.size)
+            return exp_i(v, theta)
+
+        monkeypatch.setattr(stats, "_exp_i", counted)
+        for theta in (-5.0, 0.5, 5.0):
+            empirical_cf(s_T, theta)
+        empirical_cf(s_T, np.array([-2.0, 0.5, 3.0]))
+        assert sizes == [632_354] * 6
+
     def test_nan_sample_ratio_is_infinite(self):
-        # NaN - analytic is NaN, which a max() over ratios would drop
+        # NaN - analytic is NaN, which a max() over ratios would drop; the
+        # sample's 0.0 sends it down the atom route
         values = np.arange(200.0)
         values[7] = math.nan
         est = empirical_cf(values, 1.0)
@@ -172,6 +237,14 @@ class TestEmpiricalCf:
         assert cf_ratio(math.nan, empirical_cf(values, 1.0)) == math.inf
         grid = empirical_cf(values, np.array([0.5, 1.0]))
         assert cf_ratio(np.array([math.nan, 1.0]), grid)[0] == math.inf
+
+
+def _with_zeros(values, share, rng):
+    """``values`` with about ``share`` of them set to 0.0 or -0.0."""
+    out = values.copy()
+    hit = rng.random(out.size) < share
+    out[hit] = np.where(rng.random(out.size) < 0.5, 0.0, -0.0)[hit]
+    return out
 
 
 def _assert_within_rounding(one, grid_est, j):
