@@ -42,6 +42,7 @@ from .point_process import (
     CompensatorSpec,
     MppPath,
     check_times,
+    constant_rate,
     one_path,
     past_sum,
     slice_integrand,
@@ -58,14 +59,10 @@ class GirsanovKernel:
     """Reweighting kernel Y(t, x) >= 0; vectorized like mark test functions."""
 
     Y: Callable
-    time_homogeneous: bool = False
 
 
 def identity_kernel() -> GirsanovKernel:
-    return GirsanovKernel(
-        Y=lambda t, x: np.ones(np.asarray(x, dtype=float).shape[:-1]),
-        time_homogeneous=True,
-    )
+    return GirsanovKernel(lambda t, x: np.ones(np.shape(x)[:-1]))
 
 
 @dataclass(frozen=True)
@@ -101,14 +98,13 @@ def eta_normalization(mm: MartingaleMeasureSpec, spec: CompensatorSpec,
 
 def stationary_reweight(mm: MartingaleMeasureSpec,
                         spec: CompensatorSpec) -> GirsanovKernel:
-    """Y(t, x) = (lambda'/lambda) eta(x) for a stationary base compensator."""
-    if spec.stationary_rate is None or spec.stationary_rate <= 0:
-        raise ValueError("stationary reweighting needs a constant positive rate")
-    factor = mm.lambda_prime / spec.stationary_rate
+    """Y(t, x) = (lambda'/lambda) eta(x) for a constant base rate lambda > 0."""
+    lam = constant_rate(spec)
+    if lam <= 0:
+        raise ParameterError("stationary_rate", "must be > 0 to reweight")
+    factor = mm.lambda_prime / lam
     return GirsanovKernel(
-        Y=lambda t, x: factor * np.asarray(mm.eta(x), dtype=float),
-        time_homogeneous=True,
-    )
+        Y=lambda t, x: factor * np.asarray(mm.eta(x), dtype=float))
 
 
 def prime_spec(mm: MartingaleMeasureSpec, spec: CompensatorSpec) -> CompensatorSpec:
@@ -135,18 +131,13 @@ def _compensator_curve(kernel: GirsanovKernel, spec: CompensatorSpec,
                        times: np.ndarray, quad_tol: float) -> np.ndarray:
     """C(t) = int_0^t int (Y - 1) nu(s, dx) ds at the sorted ``times``.
 
-    nu is finite on [0, t], so int Y d nu = C(t) + int_0^t rate is finite,
-    as a density needs, exactly when C(t) is; that is checked here.
+    One route for every kernel, reading no declaration.  nu is finite on
+    [0, t], so int Y d nu = C(t) + int_0^t rate is finite exactly when C(t) is.
     """
     check_times(times, np.finfo(float).max)  # finite and >= 0, first
-    if kernel.time_homogeneous and spec.stationary_rate is not None:
-        curve = float(spec.slice_integral(
-            0.0, lambda x: np.asarray(kernel.Y(0.0, x), dtype=float) - 1.0,
-            quad_tol)) * times
-    else:
-        curve = np.asarray(cumulative_integral(slice_integrand(
-            spec, lambda s, x: np.asarray(kernel.Y(s, x), dtype=float) - 1.0,
-            quad_tol, times[-1] - times[0]), times, quad_tol), dtype=float)
+    curve = np.asarray(cumulative_integral(slice_integrand(
+        spec, lambda s, x: np.asarray(kernel.Y(s, x), dtype=float) - 1.0,
+        quad_tol, times[-1] - times[0]), times, quad_tol), dtype=float)
     if not np.isfinite(curve).all():
         raise IntegrabilityFailureError(
             f"int Y d nu over [0, {times[-1]}] is not finite")
@@ -238,8 +229,9 @@ class MarketParams:
         check_finite(x0=self.x0, mu_drift=self.mu_drift, sigma=self.sigma)
         if self.x0 <= 0:
             raise ParameterError("x0", "must be > 0")
-        if self.sigma <= 0:
-            raise ParameterError("sigma", "must be > 0")
+        sigma = float(self.sigma)  # a Python float: its square cannot warn
+        if not (sigma > 0 and math.isfinite(sigma * sigma)):
+            raise ParameterError("sigma", "must be > 0 with a finite square")
         if self.kernel.mark_dim != self.spec.mark_dim:
             raise ValueError("kernel and compensator mark dimensions differ")
 
@@ -316,13 +308,8 @@ def jump_moment_m1(market: MarketParams,
     if market.spec.rate_bound == 0.0:
         return 0.0
     G0 = lambda x: np.asarray(market.kernel.G(0.0, x), dtype=float)
-    if mm is None:
-        if market.spec.stationary_rate is None:
-            raise ValueError("identity-target m1 needs a constant rate")
-        lam_p = market.spec.stationary_rate
-        eta = unit_eta()
-    else:
-        lam_p, eta = mm.lambda_prime, mm.eta
+    lam_p, eta = ((constant_rate(market.spec), unit_eta()) if mm is None
+                  else (mm.lambda_prime, mm.eta))
     try:
         val = lam_p * float(market.spec.marks.integrate(
             lambda x: (np.exp(G0(x)) - 1.0) * np.asarray(eta(x), dtype=float),
@@ -408,10 +395,9 @@ def simulate_stock(market: MarketParams, mm: MartingaleMeasureSpec | None,
     finer than ``grid`` is involved.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0:
-        raise ValueError("grid must be 1-d, start at 0 and have >= 2 points")
-    if np.any(np.diff(grid) <= 0) or grid[-1] > horizon:
-        raise ValueError("grid must be strictly increasing within [0, horizon]")
+    if (grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0
+            or np.any(np.diff(grid) <= 0) or grid[-1] > horizon):
+        raise ParameterError("grid", "must be 1-d, rising from 0 to <= horizon")
 
     sim_spec = prime_spec(mm, market.spec) if mm is not None else market.spec
     paths = simulate_batch(sim_spec, horizon, n_paths, seed, tag=TAG_STOCK_JUMPS)

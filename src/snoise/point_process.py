@@ -47,7 +47,7 @@ class CompensatorSpec:
     rate: object  # callable t -> intensity, vectorized over arrays
     rate_bound: float
     marks: MarkDistribution
-    stationary_rate: float | None = None  # set by standard(); not read by simulate_batch
+    stationary_rate: float | None = None  # set by standard(); see constant_rate
 
     def __post_init__(self):
         check_finite(rate_bound=self.rate_bound,
@@ -95,6 +95,16 @@ def standard(lam: float, marks: MarkDistribution) -> CompensatorSpec:
         raise ParameterError("lam", "must be >= 0 (a rate)")
     return CompensatorSpec(lambda t: np.full_like(np.asarray(t, dtype=float), lam),
                            lam, marks, stationary_rate=lam)
+
+
+def constant_rate(spec: CompensatorSpec) -> float:
+    """The declared ``stationary_rate``, checked where it is read: unless it
+    equals ``rate_bound`` and ``rate(0)``, ``ParameterError`` names it."""
+    lam = spec.stationary_rate
+    if lam is None or not lam == spec.rate_bound == float(spec.rate(0.0)):
+        raise ParameterError("stationary_rate", f"{lam} must equal rate_bound "
+                             f"{spec.rate_bound} and rate(0)")
+    return lam
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ import numpy as np
 
 from .affine import affine_cf, simulate_hawkes_batch
 from .config import ExperimentConfig
-from .errors import ConfigError, NotSeparableError, ZeroAtOriginError
+from .errors import (ConfigError, NotSeparableError, ParameterError,
+                     ZeroAtOriginError)
 from .kernels import is_markov_kernel
 from .measure_change import (
     density_process,
@@ -32,7 +33,7 @@ from .measure_change import (
     simulate_stock,
     stationary_reweight,
 )
-from .point_process import empty_path, past_sum
+from .point_process import constant_rate, empty_path, past_sum
 from .rng import TAG_BATCH, TAG_BATCH_PRIME
 from .shotnoise import (
     FiltrationState,
@@ -280,9 +281,11 @@ def _run_affine_validate(config: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _require_stationary(config):
-    lam = config.spec.stationary_rate
-    if lam is None or lam <= 0:
-        need = "constant" if lam is None else "positive"
+    try:
+        need = "positive" if constant_rate(config.spec) <= 0 else None
+    except ParameterError:
+        need = "constant"
+    if need:
         raise ConfigError(f"this scenario needs a {need} rate",
                           field="compensator.rate")
 

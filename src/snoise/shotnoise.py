@@ -158,9 +158,9 @@ def _log_future(proc: ShotNoiseProcess, t: float, T: float, theta,
 
     Every theta is a component of each mark level, so a block refused by
     ``LevelTooWideError`` is halved, down to one theta, which then raises
-    it.  At the first refusal the block's largest |theta| is solved alone:
-    if no theta of the block can meet ``quad_tol``, that one fails with its
-    own ``QuadratureFailureError`` before any halving.
+    it.  At the first refusal the block's largest |theta| is solved alone,
+    keeping its value, before the rest is halved: if no theta of the block
+    can meet ``quad_tol``, that one fails with its own error first.
     """
     i_theta = 1j * theta[..., None, None]  # ahead of the (time, mark) axes
     try:
@@ -171,14 +171,15 @@ def _log_future(proc: ShotNoiseProcess, t: float, T: float, theta,
         if theta.size == 1:
             raise
     # outside the handler, whose traceback holds the failed levels
-    flat = theta.ravel()
+    flat, out = theta.ravel(), np.empty(theta.size, dtype=complex)
+    rest = np.arange(flat.size)
     if not probed:
-        _log_future(proc, t, T, flat[[np.abs(flat).argmax()]], quad_tol)
-    half = (flat.size + 1) // 2
-    return np.concatenate([
-        _log_future(proc, t, T, flat[:half], quad_tol, probed=True),
-        _log_future(proc, t, T, flat[half:], quad_tol, probed=True),
-    ]).reshape(theta.shape)
+        k = int(np.abs(flat).argmax())
+        out[k] = _log_future(proc, t, T, flat[k:k + 1], quad_tol)[0]
+        rest = np.delete(rest, k)
+    for part in np.array_split(rest, min(rest.size, 2)):
+        out[part] = _log_future(proc, t, T, flat[part], quad_tol, probed=True)
+    return out.reshape(theta.shape)
 
 
 def conditional_cf(proc: ShotNoiseProcess, state: FiltrationState, T: float, theta,

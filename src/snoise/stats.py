@@ -269,15 +269,15 @@ class KsResult(NamedTuple):
     passed: bool
 
 
-def _effective_size(x, w, w_sum) -> float:
+def _effective_size(x, w, w_sum, name) -> float:
     """(sum w)^2 / sum w^2, or ``x.size`` for unit weights (``w`` None);
-    ``w_sum`` is ``w.sum()``."""
+    ``w_sum`` is ``w.sum()`` and ``name`` the weights' parameter."""
     if w is None:
         if x.size == 0:
             raise ValueError("samples must be nonempty")
         return float(x.size)
     if np.any(w < 0) or w_sum == 0:
-        raise ValueError("weights must be nonnegative with positive total")
+        raise ParameterError(name, "must hold weights >= 0 of positive sum")
     return float(w_sum ** 2 / np.sum(w**2))
 
 
@@ -372,8 +372,8 @@ def ks_two_sample_weighted(x1, x2, w1=None, w2=None,
     check_finite(x1=x1, x2=x2, w1=w1, w2=w2)
     w1_sum = None if w1 is None else w1.sum()
     w2_sum = None if w2 is None else w2.sum()
-    n1_eff = _effective_size(x1, w1, w1_sum)
-    n2_eff = _effective_size(x2, w2, w2_sum)
+    n1_eff = _effective_size(x1, w1, w1_sum, "w1")
+    n2_eff = _effective_size(x2, w2, w2_sum, "w2")
 
     s1, c1 = _weighted_ecdf(x1, w1, w1_sum)
     s2, c2 = _weighted_ecdf(x2, w2, w2_sum)

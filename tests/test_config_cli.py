@@ -488,7 +488,7 @@ SHIPPED_OUTPUT_SHA256 = {
     "markov_test/report.txt":
         "6233c1c935a9047fb3ec7084ed4d1b049b57a7f117e933fcbcafd15598962547",
     "measure_check/density.csv":
-        "648686c008543f04ed0369d03207e4514a65f48d168246351a08117018124b7a",
+        "55750490dc5f44909b2f134ffbeedcd5159920d0850896bea2f8260dc01335eb",
     "measure_check/report.txt":
         "9bb09901b43e0bcc424a295427f0a33a152b28d38c9dae676f3febb203006f6f",
     "simulate_ou/decomposition.csv":
@@ -983,3 +983,29 @@ def test_stationary_scenarios_refuse_other_rates(tmp_path, capsys, stem, rate,
     assert code == 2
     assert f"ConfigError: compensator.rate: this scenario {msg}" in \
         capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("stem, old, new, code, line", [
+    ("drift_check", "horizon = 1.0", "horizon = 5e-324", 3,
+     "Parameter: grid must be 1-d, rising from 0"),
+    ("measure_check", "mark_mean = 1.0", "mark_mean = 1e6", 3,
+     "Parameter: w1 must hold weights >= 0"),
+    ("measure_check", "eta_rate = 2.0", "eta_rate = 1e6", 3,
+     "Parameter: w1 must hold weights >= 0"),
+    ("drift_check", "sigma = 0.2", "sigma = 1e308", 2,
+     "ConfigError: market.sigma: sigma must be > 0 with a finite square"),
+], ids=["drift-horizon-tiny", "measure-mark-mean-huge",
+        "measure-eta-rate-huge", "drift-sigma-huge"])
+def test_fuzzed_shipped_config_ends_in_one_message(tmp_path, capsys, stem, old,
+                                                   new, code, line):
+    # mutations from a config fuzz that used to end in a traceback (a bare
+    # ValueError, or an OverflowError after an overflow warning)
+    config = next(p for p in SHIPPED_CONFIGS if p.stem == stem)
+    text = config.read_text().replace(old + "\n", new + "\n")
+    assert new + "\n" in text
+    got = main([stem.replace("_", "-"), "--config", write(tmp_path, text),
+                "--out", str(tmp_path / "o"), "--paths", "2000"])
+    err = capsys.readouterr().err.splitlines()
+    assert got == code, err
+    assert len(err) == 1 and err[0].startswith(line), err

@@ -195,16 +195,14 @@ def test_every_simulator_applies_the_simulation_rule():
     assert not wrong, "\n".join(map(str, wrong))
 
 
-@pytest.mark.parametrize("homogeneous", [True, False])
 def test_girsanov_compensator_refuses_bad_times_before_integrating(
-        monkeypatch, homogeneous):
+        monkeypatch):
     def no_integral(*args, **kwargs):
         raise AssertionError("an integral ran before the times were checked")
 
     monkeypatch.setattr(measure_change, "cumulative_integral", no_integral)
     monkeypatch.setattr(type(SPEC), "slice_integral", no_integral)
-    kernel = GirsanovKernel(lambda t, x: np.full(np.shape(x)[:-1], 0.5),
-                            time_homogeneous=homogeneous)
+    kernel = GirsanovKernel(lambda t, x: np.full(np.shape(x)[:-1], 0.5))
     for T, err, message in BAD_TIMES[:3]:
         with pytest.raises(err, match=re.escape(message)):
             girsanov_compensator(kernel, SPEC, T)

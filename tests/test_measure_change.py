@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from snoise.measure_change import (
     GirsanovKernel,
     MarketParams,
     MartingaleMeasureSpec,
+    _compensator_curve,
     density_process,
     drift_residual,
     esscher_density,
@@ -79,8 +81,7 @@ class TestDensityProcess:
         lam = 0.8
         spec = standard(lam, PointMass(1.0))
         y2 = GirsanovKernel(
-            Y=lambda t, x: 2.0 * np.ones(np.asarray(x, dtype=float).shape[:-1]),
-            time_homogeneous=True)
+            Y=lambda t, x: 2.0 * np.ones(np.asarray(x, dtype=float).shape[:-1]))
         path = empty_path(2.0)
         dens = density_process(y2, spec, path, np.array([0.0, 1.0, 2.0]))
         # L_t = exp(-(2-1) lam t) with no jump factors
@@ -99,8 +100,7 @@ class TestDensityProcess:
     def test_zero_density_flagged_not_raised(self):
         spec = standard(2.0, Discrete([0.0, 1.0], [0.5, 0.5]))
         gk = GirsanovKernel(
-            Y=lambda t, x: np.asarray(x, dtype=float)[..., 0],
-            time_homogeneous=True)
+            Y=lambda t, x: np.asarray(x, dtype=float)[..., 0])
         # find a path with a zero-marked event
         for i in range(50):
             path = simulate_mpp(spec, 2.0, 8, path_index=i)
@@ -137,6 +137,44 @@ class TestDensityProcess:
                                np.array([0.0, 2.0]))
         # exp(-int_0^2 (1+t) dt) = exp(-4)
         assert dens.L[-1] == pytest.approx(math.exp(-4.0), rel=1e-8)
+
+    def test_time_dependent_kernel_compensator(self):
+        # Y = 1 + t against rate 1: C(1) = int_0^1 t dt = 1/2
+        y = GirsanovKernel(
+            Y=lambda t, x: (1.0 + t) * np.ones(np.asarray(x).shape[:-1]))
+        got = girsanov_compensator(y, standard(1.0, Exponential(1.0)), 1.0)
+        assert got == pytest.approx(0.5, abs=1e-10)
+
+
+# rate 2t under bound 2 with a wrong declared constant rate 2: a stationary
+# shortcut once trusted it and read the compensator curve as [0, 0, 0]
+DECLARED_RAMP = CompensatorSpec(rate=lambda t: 2.0 * np.asarray(t, dtype=float),
+                                rate_bound=2.0, marks=Exponential(1.0),
+                                stationary_rate=2.0)
+
+
+class TestDeclaredRateIsChecked:
+    def test_compensator_curve_integrates_the_rate(self):
+        # Y = 2 built from identity_kernel(), which declared a
+        # time-homogeneous Y while that shortcut existed
+        y2 = dataclasses.replace(
+            identity_kernel(),
+            Y=lambda t, x: 2.0 * np.ones(np.asarray(x).shape[:-1]))
+        curve = _compensator_curve(y2, DECLARED_RAMP,
+                                   np.array([0.0, 0.5, 1.0]), 1e-10)
+        assert np.allclose(curve, [0.0, 0.25, 1.0], rtol=0.0, atol=1e-10)
+
+    def test_stationary_reweight_refuses_the_declaration(self):
+        with pytest.raises(ParameterError, match="stationary_rate") as err:
+            stationary_reweight(exp_tilt_measure(2.0, 2.0), DECLARED_RAMP)
+        assert err.value.field == "stationary_rate"
+
+    def test_identity_target_m1_refuses_the_declaration(self):
+        market = MarketParams(1.0, 0.1, 0.2, flat_rate(0.02),
+                              exponential(0.25, 1.0), DECLARED_RAMP)
+        with pytest.raises(ParameterError, match="stationary_rate") as err:
+            jump_moment_m1(market, None)
+        assert err.value.field == "stationary_rate"
 
 
 class TestReweightedExpectation:
@@ -236,8 +274,7 @@ class TestEsscher:
         kern = jump_to_level()
         spec = standard(lam, Exponential(1.0))
         tilt = GirsanovKernel(
-            Y=lambda t, x: np.exp(h * np.asarray(x, dtype=float)[..., 0]),
-            time_homogeneous=True)
+            Y=lambda t, x: np.exp(h * np.asarray(x, dtype=float)[..., 0]))
         rw = reweighted_expectation(
             tilt, spec, lambda b: past_sum(kern.G, b, T), T, n, 21)
         direct = batch_terminal_shotnoise(kern, simulate_standard_batch(

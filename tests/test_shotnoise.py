@@ -360,6 +360,25 @@ class TestCfGrid:
                                  np.linspace(-5.0, 5.0, 21), quad_tol=1e-14)
         assert sizes == [21, 1]
 
+    def test_refused_block_keeps_its_probe_value(self, monkeypatch):
+        # under a guard of 2^14 values the 8-theta block is refused: its
+        # largest theta is solved alone once, and only the other 7 halved
+        monkeypatch.setattr(quadrature, "_MAX_VALUES", 2**14)
+        proc, state = SWEEP_CASES[0]
+        thetas = np.arange(1, 9) * 0.6
+        sizes = []
+        future_mass = shotnoise._future_mass
+
+        def counted(proc, t, T, fn, quad_tol):
+            sizes.append(fn(np.zeros(1)).shape[0])
+            return future_mass(proc, t, T, fn, quad_tol)
+
+        monkeypatch.setattr(shotnoise, "_future_mass", counted)
+        got = conditional_cf_parts(proc, state, 1.0, thetas).log_future
+        assert sizes == [8, 1, 4, 3]
+        lone = conditional_cf_parts(proc, state, 1.0, thetas[-1]).log_future
+        assert got[-1] == lone
+
     def test_one_theta_over_the_value_guard_names_it(self, monkeypatch):
         # a lone theta is not halved: the guard's own error reaches the caller
         monkeypatch.setattr(quadrature, "_MAX_VALUES", 2**10)
