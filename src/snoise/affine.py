@@ -183,10 +183,11 @@ def _waiting_times(lam, kappa: float, theta_bar: float, e1, e2):
     excess = lam - theta_bar
     s = np.full(lam.shape, np.inf)
     fire = (excess > 0.0) & (kappa * e1 < excess)
-    s[fire] = -np.log1p(-kappa * e1[fire] / excess[fire]) / kappa
+    s[fire] = -np.log1p(-kappa * e1.compress(fire)
+                        / excess.compress(fire)) / kappa
     if theta_bar > 0.0:
         s = np.minimum(s, np.where(excess >= 0.0, e2 / theta_bar, np.inf))
-        rise = excess < 0.0
+        rise = excess < 0.0  # all true or all false: keeps the mask
         if rise.any():
             a = -excess[rise]
             c = (kappa * e1[rise] + a) / theta_bar
@@ -219,7 +220,7 @@ def simulate_hawkes_batch(params: HawkesParams, horizon: float, n_paths: int,
         go = t + wait <= horizon
         if not go.any():
             break
-        live, t, lam, wait = live[go], t[go], lam[go], wait[go]
+        live, t, lam, wait = (a.compress(go) for a in (live, t, lam, wait))
         t = t + wait
         lam = theta_bar + (lam - theta_bar) * np.exp(-kappa * wait) + 1.0
         steps.append((live, t, lam))

@@ -285,7 +285,11 @@ def _build_measure(section, spec: CompensatorSpec) -> MartingaleMeasureSpec:
 
         def eta(x):
             x1 = np.asarray(x, dtype=float)[..., 0]
-            return ratio * np.exp(-(rho_p - rho) * x1)
+            with np.errstate(over="ignore"):
+                # a huge eta_rate overflows it to -inf, whose exp is the
+                # limit 0
+                tilt = -(rho_p - rho) * x1
+            return ratio * np.exp(tilt)
 
         marks_prime = _marks.Exponential(1.0 / rho_p)
     return _construct("measure", "lambda_prime", MartingaleMeasureSpec, lam_p,

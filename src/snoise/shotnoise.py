@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     IntegrabilityFailureError,
     LevelTooWideError,
+    ParameterError,
     QuadratureFailureError,
     UnsupportedMarksError,
     check_finite,
@@ -132,7 +133,8 @@ def conditional_cf_parts(proc: ShotNoiseProcess, state: FiltrationState,
     check_finite(T=T, theta=theta)
     theta = np.asarray(theta, dtype=complex)
     if state.t > T:
-        raise ValueError("need state time <= T")
+        raise ParameterError("T", f"= {T} precedes the state time {state.t}: "
+                             "need state time <= T")
     if proc.spec.marks.mode == MODE_SAMPLE and theta.any():
         raise UnsupportedMarksError(
             "analytic CF needs integrable marks; use the Monte Carlo oracle "
@@ -194,7 +196,8 @@ def conditional_mean(proc: ShotNoiseProcess, state: FiltrationState, T: float,
     sum_{T_i <= t} G(T - T_i, U_i) plus int_t^T int G(T - s, x) nu(ds, dx)."""
     check_finite(T=T)
     if state.t > T:
-        raise ValueError("need state time <= T")
+        raise ParameterError("T", f"= {T} precedes the state time {state.t}: "
+                             "need state time <= T")
     past = float(past_sum(proc.kernel.G, state.observed, T))
     return past + float(_future_mass(proc, state.t, T, lambda g: g, quad_tol))
 

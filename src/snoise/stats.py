@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import ExplosionGuardError, ParameterError, check_finite
+from .errors import (ExplosionGuardError, NonFiniteError, ParameterError,
+                     check_finite)
 from .kernels import NoiseKernel
 from .marks import MarkDistribution
 from .point_process import (
@@ -61,9 +62,17 @@ def _exp_i(values, theta: float) -> np.ndarray:
 def _split_zeros(values):
     """A 1-d sample as its nonzero values and its count of exact zeros
     (-0.0 among them); a sample without zeros is returned as it is."""
+    # The selection rule of the batch layers: a data-dependent mask over a
+    # batch-sized array selects by ``compress`` (``axis=0`` for mark rows),
+    # which returns the elements of ``x[mask]`` in the same order, 3-5x
+    # faster on numpy 2.4 where the mask is neither nearly all true nor
+    # nearly all false (1.6 against 6.4 ms at 10^6 values, 63 % kept).  A
+    # per-path or per-level array keeps ``x[mask]``, and so does a nearly
+    # all-true mask: ``compress`` loses at 10 values (0.64 against 0.41 us)
+    # and at 65,536 values with 99 % kept (379 against 46 us).
     nonzero = values != 0.0
     n0 = values.size - int(np.count_nonzero(nonzero))
-    return (values[nonzero] if n0 else values), n0
+    return (values.compress(nonzero) if n0 else values), n0
 
 
 def _atom_estimate(z, n0: int) -> CfEstimate:
@@ -172,8 +181,12 @@ def empirical_cf(values, theta) -> CfEstimate:
     values = np.asarray(values, dtype=float)
     thetas = np.asarray(theta, dtype=float)
     check_finite(theta=thetas)
-    if values.ndim not in (1, 2) or thetas.ndim > 1:
-        raise ValueError("values must be (n,) or (m, n), theta a scalar or 1-d")
+    if values.ndim not in (1, 2):
+        raise ParameterError("values", f"must be (n,) or (m, n), got shape "
+                             f"{values.shape}")
+    if thetas.ndim > 1:
+        raise ParameterError("theta", f"must be a scalar or 1-d, got shape "
+                             f"{thetas.shape}")
     n = values.shape[-1]
     if n < 100:
         raise ParameterError("values", f"needs at least 100 samples, got {n}")
@@ -421,7 +434,7 @@ def sort_per_path(values: np.ndarray, counts: np.ndarray,
     starts = offsets[:-1]
     present = np.flatnonzero(np.bincount(counts, minlength=2))
     for c in present[present > 1]:
-        block = starts[counts == c]
+        block = starts.compress(counts == c)
         if c <= _NETWORK_MAX and block.size >= _NETWORK_PATHS * c:
             _transposition_sort(values, block, c)
         else:
@@ -481,7 +494,13 @@ def simulate_standard_batch(lam: float, marks: MarkDistribution,
     times = rng.uniform(0.0, horizon, size=total)
     sort_per_path(times, counts, offsets)
     mk = marks.sample(rng, times, total)
-    return hand_over(times, mk, horizon, offsets)
+    try:
+        return hand_over(times, mk, horizon, offsets)
+    except ValueError:
+        if np.isfinite(mk).all():  # the uniform times are finite
+            raise
+        raise NonFiniteError("drawn marks overflowed: the mark law sampled "
+                             "a value that is not finite") from None
 
 
 def simulate_batch(spec: CompensatorSpec, horizon: float, n_paths: int,
@@ -503,8 +522,9 @@ def simulate_batch(spec: CompensatorSpec, horizon: float, n_paths: int,
         return cand
     unif = make_stream(seed, 1, tag).random(size=cand.times.size)
     keep = unif * lam_bar <= lam_at
-    counts = np.bincount(cand.path_ids()[keep], minlength=n_paths)
-    return hand_over(cand.times[keep], cand.marks[keep], horizon,
+    counts = np.bincount(cand.path_ids().compress(keep), minlength=n_paths)
+    return hand_over(cand.times.compress(keep),
+                     cand.marks.compress(keep, axis=0), horizon,
                      np.concatenate([[0], np.cumsum(counts)]))
 
 

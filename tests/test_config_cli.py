@@ -995,17 +995,24 @@ def test_stationary_scenarios_refuse_other_rates(tmp_path, capsys, stem, rate,
      "Parameter: w1 must hold weights >= 0"),
     ("drift_check", "sigma = 0.2", "sigma = 1e308", 2,
      "ConfigError: market.sigma: sigma must be > 0 with a finite square"),
+    ("simulate_ou", "mark_mean = 1.0", "mark_mean = 1e308", 3,
+     "NonFinite: drawn marks overflowed"),
+    ("measure_check", "eta_rate = 2.0", "eta_rate = 1e308", 3,
+     "Parameter: w1 must hold weights >= 0"),
 ], ids=["drift-horizon-tiny", "measure-mark-mean-huge",
-        "measure-eta-rate-huge", "drift-sigma-huge"])
+        "measure-eta-rate-huge", "drift-sigma-huge", "ou-mark-mean-overflows",
+        "measure-eta-rate-overflows"])
 def test_fuzzed_shipped_config_ends_in_one_message(tmp_path, capsys, stem, old,
                                                    new, code, line):
     # mutations from a config fuzz that used to end in a traceback (a bare
-    # ValueError, or an OverflowError after an overflow warning)
+    # ValueError, or an OverflowError after an overflow warning), or in
+    # overflow warnings ahead of their message
     config = next(p for p in SHIPPED_CONFIGS if p.stem == stem)
     text = config.read_text().replace(old + "\n", new + "\n")
     assert new + "\n" in text
-    got = main([stem.replace("_", "-"), "--config", write(tmp_path, text),
-                "--out", str(tmp_path / "o"), "--paths", "2000"])
+    got = main([parse_config(str(config)).run.scenario, "--config",
+                write(tmp_path, text), "--out", str(tmp_path / "o"),
+                "--paths", "2000"])
     err = capsys.readouterr().err.splitlines()
     assert got == code, err
     assert len(err) == 1 and err[0].startswith(line), err

@@ -454,8 +454,9 @@ def test_horizon_before_the_state_time_refused(fn):
     # conditional_mean once failed inside compensator_mass, "need t0 <= t1"
     proc = ShotNoiseProcess(exponential(1.0, 1.0), standard(1.0, PointMass(1.0)))
     state = FiltrationState.at(MppPath([0.3], [[1.0]], 1.0), 0.8)
-    with pytest.raises(ValueError, match="need state time <= T"):
+    with pytest.raises(ParameterError, match="need state time <= T") as info:
         fn(proc, state, 0.5)
+    assert info.value.field == "T"
 
 
 @pytest.mark.parametrize("quad_tol,error", [

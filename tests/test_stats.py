@@ -56,6 +56,16 @@ class TestEmpiricalCf:
         with pytest.raises(ValueError):
             empirical_cf(np.ones(99), 1.0)
 
+    @pytest.mark.parametrize("values, theta, field", [
+        (np.ones((2, 2, 100)), 1.0, "values"),
+        (np.array(1.0), 1.0, "values"),
+        (np.ones(100), np.ones((2, 2)), "theta"),
+    ])
+    def test_bad_shape_names_its_argument(self, values, theta, field):
+        with pytest.raises(ParameterError) as info:
+            empirical_cf(values, theta)
+        assert info.value.field == field
+
     def test_complex_theta_rejected(self):
         for theta in (0.5j, np.array([1.0, 0.5j])):
             with pytest.raises(TypeError, match="real"):
