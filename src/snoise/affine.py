@@ -275,7 +275,7 @@ def riccati_solve(params: HawkesParams, u, horizon: float,
     u = (complex(u[0]), complex(u[1]))
     check_finite(u=u, horizon=horizon)
     if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+        raise ParameterError("horizon", "must be >= 0")
     if horizon == 0.0:
         grid = np.zeros(1)
         return RiccatiSolution(

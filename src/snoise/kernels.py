@@ -48,7 +48,7 @@ class NoiseKernel:
 
     def __post_init__(self):
         if self.mark_dim < 1:
-            raise ValueError("mark_dim must be >= 1")
+            raise ParameterError("mark_dim", "must be >= 1")
 
 
 def jump_to_level() -> NoiseKernel:
@@ -213,7 +213,7 @@ def check_absolute_continuity(kernel: NoiseKernel, ts=None, xs=None, *,
 
     ts_all = np.unique(np.concatenate([[0.0], ts]))
     if ts_all[0] < 0:
-        raise ValueError("probe times must be >= 0")
+        raise ParameterError("ts", "has a negative entry: probe times must be >= 0")
     # every probe mark is one component (a row) of one cumulative integral,
     # cut where g may jump at table knots
     rows = xs[:, None, :]
@@ -258,7 +258,7 @@ def is_markov_kernel(kernel: NoiseKernel, grid=None, tol: float = 1e-10) -> Mark
     if grid.size < 3:
         raise ValueError("grid needs at least 3 points")
     if np.any(grid < 0):
-        raise ValueError("grid times must be >= 0")
+        raise ParameterError("grid", "times must be >= 0")
 
     _require_separable(kernel, grid)
 

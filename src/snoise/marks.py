@@ -178,7 +178,7 @@ class Discrete(MarkDistribution):
         w = np.asarray(weights, dtype=float)
         check_finite(points=pts, weights=w)
         if w.ndim != 1 or w.size != pts.shape[0]:
-            raise ValueError("weights must align with points")
+            raise ParameterError("weights", "must align with points")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
             raise ParameterError("weights", "must be nonnegative and sum to 1")
         object.__setattr__(self, "points", tuple(map(tuple, pts)))
@@ -324,9 +324,10 @@ class ProductIid(MarkDistribution):
     def __init__(self, components):
         comps = tuple(components)
         if not comps:
-            raise ValueError("need at least one component")
+            raise ParameterError("components",
+                                 "is empty: need at least one component")
         if any(c.mark_dim != 1 for c in comps):
-            raise ValueError("components must be one-dimensional")
+            raise ParameterError("components", "must be one-dimensional")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "mark_dim", len(comps))
         all_discrete = all(c.mode == MODE_DISCRETE for c in comps)

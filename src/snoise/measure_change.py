@@ -83,7 +83,7 @@ class MartingaleMeasureSpec:
     def __post_init__(self):
         check_finite(lambda_prime=self.lambda_prime)
         if self.lambda_prime <= 0:
-            raise ValueError("lambda_prime must be > 0")
+            raise ParameterError("lambda_prime", "must be > 0")
 
 
 def unit_eta():
@@ -110,7 +110,8 @@ def stationary_reweight(mm: MartingaleMeasureSpec,
 def prime_spec(mm: MartingaleMeasureSpec, spec: CompensatorSpec) -> CompensatorSpec:
     """The compensator under the target measure: rate lambda', marks F'."""
     if mm.marks_prime is None:
-        raise ValueError("direct simulation under P' needs sampleable marks_prime")
+        raise ParameterError("marks_prime", "is None: direct simulation under "
+                             "P' needs sampleable marks_prime")
     return standard(mm.lambda_prime, mm.marks_prime)
 
 
@@ -185,7 +186,8 @@ def reweighted_expectation(kernel: GirsanovKernel, spec: CompensatorSpec,
     (``lambda b: b.counts`` for the jump count).
     """
     if n_paths < 2:
-        raise ValueError("need at least 2 paths for a standard error")
+        raise ParameterError("n_paths", "must be >= 2: need at least 2 paths "
+                             "for a standard error")
     batch = simulate_batch(spec, horizon, n_paths, seed, tag=TAG_BATCH)
     comp_T = girsanov_compensator(kernel, spec, horizon, quad_tol=quad_tol)
     return mean_estimate(np.exp(batch_log_weights(kernel.Y, batch, comp_T))
@@ -233,7 +235,7 @@ class MarketParams:
         if not (sigma > 0 and math.isfinite(sigma * sigma)):
             raise ParameterError("sigma", "must be > 0 with a finite square")
         if self.kernel.mark_dim != self.spec.mark_dim:
-            raise ValueError("kernel and compensator mark dimensions differ")
+            raise ParameterError("kernel", "and compensator mark dimensions differ")
 
     def integrated_rate(self, times, quad_tol: float = DEFAULT_QUAD_TOL):
         """int_0^t r(s) ds at each time."""

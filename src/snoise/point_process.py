@@ -298,19 +298,27 @@ def hand_over(times, marks, horizon: float, offsets) -> MppPath:
     gets :func:`break_ties`' nudge in place; nothing is copied.  One path of
     at most ``_FEW`` events is checked on Python floats; a longer one, or
     one where that finds a fault or a nudge, goes to :func:`break_ties` and
-    :func:`_check`, so the validity rules and messages keep one home."""
-    if offsets.size == 2:
-        if not (times.size <= _FEW and _few_fine(times, marks, horizon)):
-            times[:] = break_ties(times)
-            _check(times, marks, horizon, offsets)
-        return _view(times, marks, horizon, offsets)
-    rises = _rises(times, offsets)
-    if not rises.all():
-        tied = np.flatnonzero(~rises) + 1
-        for p in np.unique(np.searchsorted(offsets, tied, side="right") - 1):
-            lo, hi = offsets[p], offsets[p + 1]
-            times[lo:hi] = break_ties(times[lo:hi])
-    _check(times, marks, horizon, offsets, True)  # a nudged path rises
+    :func:`_check`, so the validity rules and messages keep one home.  A
+    refused path with a non-finite mark (an overflowed draw) raises
+    ``NonFiniteError``."""
+    try:
+        if offsets.size == 2:
+            if not (times.size <= _FEW and _few_fine(times, marks, horizon)):
+                times[:] = break_ties(times)
+                _check(times, marks, horizon, offsets)
+        else:
+            rises = _rises(times, offsets)
+            if not rises.all():
+                tied = np.flatnonzero(~rises) + 1
+                for p in np.unique(np.searchsorted(offsets, tied, side="right") - 1):
+                    lo, hi = offsets[p], offsets[p + 1]
+                    times[lo:hi] = break_ties(times[lo:hi])
+            _check(times, marks, horizon, offsets, True)  # a nudged path rises
+    except ValueError:
+        if np.isfinite(marks).all():
+            raise
+        raise NonFiniteError("drawn marks overflowed: the mark law sampled "
+                             "a value that is not finite") from None
     return _view(times, marks, horizon, offsets)
 
 
@@ -503,7 +511,7 @@ def compensator_mass(spec: CompensatorSpec, t0: float, t1: float, test_fn, *,
     :func:`slice_integrand`).
     """
     if t1 < t0:
-        raise ValueError("need t0 <= t1")
+        raise ParameterError("t1", f"= {t1} precedes t0 = {t0}: need t0 <= t1")
     return gauss_kronrod(
         slice_integrand(spec, test_fn, quad_tol, t1 - t0, mark_breakpoints),
         t0, t1, quad_tol, breakpoints=breakpoints)

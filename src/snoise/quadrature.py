@@ -41,7 +41,8 @@ _MAX_DEPTH = 30
 # guard above legitimate levels (the widest mark level of a 64-theta CF block
 # on [-20, 20] holds 576,000 values for Exp(1) marks and 403,200 for
 # Normal(0.5, 0.3), the first level of a 3000-event decomposition 45k); a
-# CF block whose levels would grow past it is halved (LevelTooWideError)
+# CF block whose levels would grow past it (LevelTooWideError) is solved one
+# theta at a time
 _MAX_VALUES = 2**21
 
 # Gauss-Kronrod 7-15 on [-1, 1] (QUADPACK qk15): the 15 Kronrod nodes, the

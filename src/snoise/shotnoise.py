@@ -125,10 +125,11 @@ def conditional_cf_parts(proc: ShotNoiseProcess, state: FiltrationState,
     ``theta`` is a scalar or an array, complex allowed (imaginary arguments
     give exponential moments); up to ``_THETA_BLOCK`` values share one
     frontier, and a block whose mark levels would hold more values than
-    the quadrature's guard allows (``LevelTooWideError``) is halved as
-    :func:`_log_future` says.  For a real theta the future log-factor's
-    real part is capped at zero, which is a property of the exact integral
-    (its integrand has nonpositive real part) and keeps |CF| <= 1 exactly.
+    the quadrature's guard allows (``LevelTooWideError``) is solved one
+    theta at a time as :func:`_log_future` says.  For a real theta the
+    future log-factor's real part is capped at zero, which is a property of
+    the exact integral (its integrand has nonpositive real part) and keeps
+    |CF| <= 1 exactly.
     """
     check_finite(T=T, theta=theta)
     theta = np.asarray(theta, dtype=complex)
@@ -155,14 +156,13 @@ def conditional_cf_parts(proc: ShotNoiseProcess, state: FiltrationState,
 
 
 def _log_future(proc: ShotNoiseProcess, t: float, T: float, theta,
-                quad_tol: float, *, probed: bool = False) -> np.ndarray:
+                quad_tol: float) -> np.ndarray:
     """The future log-factor of one theta block, in one frontier.
 
     Every theta is a component of each mark level, so a block refused by
-    ``LevelTooWideError`` is halved, down to one theta, which then raises
-    it.  At the first refusal the block's largest |theta| is solved alone,
-    keeping its value, before the rest is halved: if no theta of the block
-    can meet ``quad_tol``, that one fails with its own error first.
+    ``LevelTooWideError`` is solved one theta at a time, each by the call a
+    scalar theta gets (so equal to it bit for bit); a lone theta that is
+    refused raises the guard's error.
     """
     i_theta = 1j * theta[..., None, None]  # ahead of the (time, mark) axes
     try:
@@ -172,16 +172,9 @@ def _log_future(proc: ShotNoiseProcess, t: float, T: float, theta,
     except LevelTooWideError:
         if theta.size == 1:
             raise
-    # outside the handler, whose traceback holds the failed levels
-    flat, out = theta.ravel(), np.empty(theta.size, dtype=complex)
-    rest = np.arange(flat.size)
-    if not probed:
-        k = int(np.abs(flat).argmax())
-        out[k] = _log_future(proc, t, T, flat[k:k + 1], quad_tol)[0]
-        rest = np.delete(rest, k)
-    for part in np.array_split(rest, min(rest.size, 2)):
-        out[part] = _log_future(proc, t, T, flat[part], quad_tol, probed=True)
-    return out.reshape(theta.shape)
+    # outside the handler, whose traceback holds the refused levels
+    return np.array([_log_future(proc, t, T, th, quad_tol)
+                     for th in theta.ravel()]).reshape(theta.shape)
 
 
 def conditional_cf(proc: ShotNoiseProcess, state: FiltrationState, T: float, theta,
@@ -231,9 +224,9 @@ def semimartingale_decompose(proc: ShotNoiseProcess, path: MppPath, grid, *,
     grid = np.asarray(grid, dtype=float)
     check_times(grid, path.horizon)
     if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a non-empty 1-d array")
+        raise ParameterError("grid", "must be a non-empty 1-d array")
     if np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be sorted")
+        raise ParameterError("grid", "must be sorted")
 
     try:
         gsq = proc.integrability_value(float(grid[-1]), quad_tol=quad_tol)
@@ -268,7 +261,7 @@ def ou_recursive_update(b: float, s_t: float, dt: float, new_jumps, *,
     """
     check_finite(b=b, s_t=s_t, dt=dt, a=a, new_jumps=new_jumps)
     if dt < 0:
-        raise ValueError("dt must be >= 0")
+        raise ParameterError("dt", "must be >= 0")
     out = math.exp(-b * dt) * s_t
     for offset, x1 in new_jumps:
         if not 0.0 < offset <= dt:

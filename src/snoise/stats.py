@@ -21,8 +21,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import (ExplosionGuardError, NonFiniteError, ParameterError,
-                     check_finite)
+from .errors import ExplosionGuardError, ParameterError, check_finite
 from .kernels import NoiseKernel
 from .marks import MarkDistribution
 from .point_process import (
@@ -253,12 +252,12 @@ def martingale_drift_test(times, paths, z_base: float = Z_BASE) -> DriftTestRepo
     times = np.asarray(times, dtype=float)
     paths = np.asarray(paths, dtype=float)
     if paths.ndim != 2 or paths.shape[1] != times.size:
-        raise ValueError("paths must be (n_paths, len(times))")
+        raise ParameterError("paths", "must be (n_paths, len(times))")
     if paths.shape[0] < 1000:
-        raise ValueError("need at least 1000 paths")
+        raise ParameterError("paths", "has < 1000 rows: need at least 1000 paths")
     n_windows = times.size - 1
     if n_windows < 1:
-        raise ValueError("need at least one window")
+        raise ParameterError("times", "has one point: need at least one window")
 
     inc = np.diff(paths, axis=1)
     mean = inc.mean(axis=0)
@@ -493,14 +492,7 @@ def simulate_standard_batch(lam: float, marks: MarkDistribution,
     offsets = np.concatenate([[0], np.cumsum(counts)])
     times = rng.uniform(0.0, horizon, size=total)
     sort_per_path(times, counts, offsets)
-    mk = marks.sample(rng, times, total)
-    try:
-        return hand_over(times, mk, horizon, offsets)
-    except ValueError:
-        if np.isfinite(mk).all():  # the uniform times are finite
-            raise
-        raise NonFiniteError("drawn marks overflowed: the mark law sampled "
-                             "a value that is not finite") from None
+    return hand_over(times, marks.sample(rng, times, total), horizon, offsets)
 
 
 def simulate_batch(spec: CompensatorSpec, horizon: float, n_paths: int,

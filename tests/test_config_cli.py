@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1016,3 +1017,16 @@ def test_fuzzed_shipped_config_ends_in_one_message(tmp_path, capsys, stem, old,
     err = capsys.readouterr().err.splitlines()
     assert got == code, err
     assert len(err) == 1 and err[0].startswith(line), err
+
+
+def test_config_fuzz_one_value_per_key():
+    # tests/fuzz_configs.py's checks, one hostile value per shipped key, in
+    # a child process: its peak RSS stays out of this process's children
+    script = Path(__file__).with_name("fuzz_configs.py")
+    proc = subprocess.run([sys.executable, str(script), "--one-per-key"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    n_keys = sum(len(re.findall(r"^(?!scenario)\w+[ \t]*=", path.read_text(),
+                                re.MULTILINE)) for path in SHIPPED_CONFIGS)
+    assert proc.stdout.startswith(f"{n_keys} runs: ") and n_keys >= 50
+    assert "\nFAULT: 0\n" in proc.stdout

@@ -24,6 +24,7 @@ import pytest
 import snoise
 from snoise import measure_change, scenarios
 from snoise.affine import (
+    MAX_RICCATI_STEPS,
     HawkesParams,
     affine_cf,
     riccati_solve,
@@ -31,16 +32,25 @@ from snoise.affine import (
     simulate_hawkes_batch,
 )
 from snoise.cli import main
-from snoise.errors import NonFiniteError, ParameterError
+from snoise.errors import ExplosionGuardError, NonFiniteError, ParameterError
 from snoise.kernels import (
+    NoiseKernel,
     check_absolute_continuity,
     eval_G,
     exponential,
     from_table,
     is_markov_kernel,
     power_law,
+    random_decay,
 )
-from snoise.marks import Discrete, Exponential, Normal, PointMass, Uniform
+from snoise.marks import (
+    Discrete,
+    Exponential,
+    Normal,
+    PointMass,
+    ProductIid,
+    Uniform,
+)
 from snoise.measure_change import (
     GirsanovKernel,
     MarketParams,
@@ -53,6 +63,7 @@ from snoise.measure_change import (
     identity_kernel,
     market_price_of_risk,
     mmm_ell,
+    prime_spec,
     reweighted_expectation,
     sum_past_g,
     unit_eta,
@@ -60,6 +71,7 @@ from snoise.measure_change import (
 from snoise.point_process import (
     CompensatorSpec,
     MppPath,
+    compensator_mass,
     empty_path,
     past_sum,
     simulate_mpp,
@@ -362,6 +374,71 @@ def test_out_of_range_number_names_its_parameter(call, field):
         call()
     assert err.value.field == field and str(err.value).startswith(field + " ")
     assert err.value.code == "Parameter" and isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("call, field, message", [
+    (lambda: riccati_solve(HAWKES, (0.5j, 0.5j), -1.0), "horizon",
+     "horizon must be >= 0"),
+    (lambda: NoiseKernel("custom", KERNEL.G, KERNEL.g, 0), "mark_dim",
+     "mark_dim must be >= 1"),
+    (lambda: check_absolute_continuity(KERNEL, (-0.5, 1.0), (0.5, 1.0)),
+     "ts", "probe times must be >= 0"),
+    (lambda: is_markov_kernel(KERNEL, (-1.0, 0.5, 1.0)), "grid",
+     "grid times must be >= 0"),
+    (lambda: Discrete([0.5, 1.0], [1.0]), "weights",
+     "weights must align with points"),
+    (lambda: ProductIid([]), "components", "need at least one component"),
+    (lambda: ProductIid([PointMass(0.5), PointMass((0.5, 1.0))]),
+     "components", "components must be one-dimensional"),
+    (lambda: MartingaleMeasureSpec(0.0, unit_eta()), "lambda_prime",
+     "lambda_prime must be > 0"),
+    (lambda: prime_spec(MartingaleMeasureSpec(0.7, unit_eta()), SPEC),
+     "marks_prime", "direct simulation under P' needs sampleable marks_prime"),
+    (lambda: reweighted_expectation(identity_kernel(), SPEC,
+                                    lambda batch: batch.counts, 1.0, 1, 1),
+     "n_paths", "need at least 2 paths for a standard error"),
+    (lambda: MarketParams(1.0, 0.1, 0.2, lambda t: 0.02, random_decay(),
+                          SPEC), "kernel",
+     "kernel and compensator mark dimensions differ"),
+    (lambda: compensator_mass(SPEC, 1.0, 0.5, lambda s, x: s), "t1",
+     "need t0 <= t1"),
+    (lambda: semimartingale_decompose(PROC, PATH, [[0.5]]), "grid",
+     "grid must be a non-empty 1-d array"),
+    (lambda: semimartingale_decompose(PROC, PATH, [0.5, 0.2]), "grid",
+     "grid must be sorted"),
+    (lambda: martingale_drift_test([0.0, 1.0], np.zeros((1000, 3))), "paths",
+     "paths must be (n_paths, len(times))"),
+    (lambda: martingale_drift_test([0.0, 1.0], np.zeros((999, 2))), "paths",
+     "need at least 1000 paths"),
+    (lambda: martingale_drift_test([0.0], np.zeros((1000, 1))), "times",
+     "need at least one window"),
+    (lambda: ou_recursive_update(1.0, 0.5, -1.0, ()), "dt",
+     "dt must be >= 0"),
+], ids=["riccati-horizon", "kernel-mark_dim", "probe-times", "markov-grid",
+        "discrete-align", "product-empty", "product-dim", "lambda_prime",
+        "marks_prime", "reweight-n_paths", "market-mark_dim",
+        "compensator-order", "decompose-shape", "decompose-order",
+        "drift-shape", "drift-rows", "drift-windows", "ou-dt"])
+def test_refused_argument_names_it(call, field, message):
+    # each was a bare ValueError; the message keeps its text
+    with pytest.raises(ParameterError, match=re.escape(message)) as err:
+        call()
+    assert err.value.field == field and str(err.value).startswith(field + " ")
+    assert err.value.code == "Parameter"
+
+
+def test_explicit_steps_over_the_cap_fail_before_any_work():
+    with pytest.raises(ExplosionGuardError,
+                       match=f"^{MAX_RICCATI_STEPS + 1} RK4 steps"):
+        riccati_solve(HAWKES, (0.5j, 0.5j), 1.0, steps=MAX_RICCATI_STEPS + 1)
+
+
+@pytest.mark.parametrize("at", [math.nan, math.inf, -math.inf])
+def test_past_sum_refuses_a_non_finite_float_time(at):
+    # the per-path loops' route: a Python float time, checked before any
+    # array is built from it
+    with pytest.raises(NonFiniteError, match="evaluation times must be finite"):
+        past_sum(KERNEL.G, PATH, at)
 
 
 _RESULT = "a result the library builds, not an input"

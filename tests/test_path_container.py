@@ -127,7 +127,8 @@ class TestLayout:
         # a path of at most _FEW events is checked on Python floats, a
         # longer one (after _FEW lead events) and a batch (its first event
         # a path of its own) by break_ties and _check; each gives
-        # break_ties' nudge, or _check's own error and message
+        # break_ties' nudge, or _check's own error and message, except
+        # that a refused path with a non-finite mark is an overflowed draw
         times = np.array(times, dtype=float)
         if isinstance(mark, list):
             marks = np.array(mark).reshape(-1, 1)
@@ -148,6 +149,9 @@ class TestLayout:
         try:
             _check(want, marks, horizon, offsets)
         except (ValueError, NonFiniteError) as exc:
+            if isinstance(exc, ValueError) and not np.isfinite(marks).all():
+                exc = NonFiniteError("drawn marks overflowed: the mark law "
+                                     "sampled a value that is not finite")
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                 hand_over(times, marks, horizon, offsets)
             return

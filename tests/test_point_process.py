@@ -299,6 +299,14 @@ class TestSimulateMpp:
         with pytest.raises(NonFiniteError):
             simulate_hawkes(HawkesParams(2.0, 0.5, 1.0), horizon, 1)
 
+    @pytest.mark.parametrize("path_index", [0, 4])
+    def test_overflowed_mark_draw_is_non_finite(self, path_index):
+        # these paths draw an Exp(1e308) mark past the largest float, which
+        # the batch simulator reports with the same error
+        with pytest.raises(NonFiniteError, match="^drawn marks overflowed"):
+            simulate_mpp(standard(3.0, Exponential(1e308)), 1.0, 0,
+                         path_index=path_index)
+
     def test_event_cap(self, monkeypatch):
         monkeypatch.setattr(point_process, "MAX_PATH_EVENTS", 50)
         spec = standard(100.0, PointMass(1.0))

@@ -323,10 +323,10 @@ class TestCfGrid:
             assert got.shape == thetas.shape
             assert np.array_equal(got, np.concatenate(part))
 
-    def test_wide_block_is_halved_until_its_levels_fit(self):
+    def test_refused_wide_blocks_converge_one_theta_at_a_time(self):
         # case a at theta_k = k pi / 12, k < 256: the mark levels of the
-        # blocks k >= 128 would hold over _MAX_VALUES values, which refused
-        # the call; halved, those blocks converge
+        # blocks k >= 128 would hold over _MAX_VALUES values, which refuses
+        # them; solved one theta at a time, those blocks converge
         proc, state = SWEEP_CASES[0]
         thetas = np.arange(256) * math.pi / 12.0
         tracemalloc.start()
@@ -343,8 +343,8 @@ class TestCfGrid:
     def test_block_no_theta_can_meet_fails_at_its_largest_theta(
             self, monkeypatch):
         # quad_tol 1e-14 is beyond every theta of this grid: the refused
-        # block's lone largest |theta| fails, where halving used to refine
-        # blocks of 11, 6, 3 and 2 theta before a lone theta failed
+        # block's first lone theta, -5 (a largest |theta|), is refused too,
+        # and its error reaches the caller before another theta is refined
         proc = ShotNoiseProcess(exponential(1.0, 0.8),
                                 standard(1.5, Exponential(1.0)))
         sizes = []
@@ -360,9 +360,9 @@ class TestCfGrid:
                                  np.linspace(-5.0, 5.0, 21), quad_tol=1e-14)
         assert sizes == [21, 1]
 
-    def test_refused_block_keeps_its_probe_value(self, monkeypatch):
-        # under a guard of 2^14 values the 8-theta block is refused: its
-        # largest theta is solved alone once, and only the other 7 halved
+    def test_refused_block_equals_its_scalar_calls(self, monkeypatch):
+        # under a guard of 2^14 values the 8-theta block is refused: each
+        # theta is then solved alone, by the call a scalar theta gets
         monkeypatch.setattr(quadrature, "_MAX_VALUES", 2**14)
         proc, state = SWEEP_CASES[0]
         thetas = np.arange(1, 9) * 0.6
@@ -374,10 +374,12 @@ class TestCfGrid:
             return future_mass(proc, t, T, fn, quad_tol)
 
         monkeypatch.setattr(shotnoise, "_future_mass", counted)
-        got = conditional_cf_parts(proc, state, 1.0, thetas).log_future
-        assert sizes == [8, 1, 4, 3]
-        lone = conditional_cf_parts(proc, state, 1.0, thetas[-1]).log_future
-        assert got[-1] == lone
+        got = conditional_cf_parts(proc, state, 1.0, thetas)
+        assert sizes == [8] + [1] * 8
+        for k, th in enumerate(thetas):
+            lone = conditional_cf_parts(proc, state, 1.0, th)
+            assert got.log_future[k] == lone.log_future
+            assert got.log_state[k] == lone.log_state
 
     def test_one_theta_over_the_value_guard_names_it(self, monkeypatch):
         # a lone theta is not halved: the guard's own error reaches the caller
