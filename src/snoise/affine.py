@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
+from scipy.special import exprel, expm1, lambertw
 
 from .errors import BlowUpError, ExplosionGuardError, ParameterError, check_finite
 from .point_process import (
@@ -70,6 +70,22 @@ class HawkesParams:
         e = np.exp(-self.kappa * (t if isinstance(t, float)
                                   else np.asarray(t, dtype=float)))
         return self.lambda0 * e + self.theta_bar * (1.0 - e)
+
+    def expected_events(self, horizon: float) -> float:
+        """E[N_T] = int_0^T m, where the mean intensity m solves
+        m' = kappa theta_bar + (1 - kappa) m from m(0) = lambda0: with
+        x = (kappa - 1) T it is lambda0 T exprel(-x) + kappa theta_bar T^2
+        (e^{-x} - 1 + x) / x^2, the last factor by its series near kappa = 1.
+        A supercritical horizon long enough to overflow gives inf."""
+        x = (self.kappa - 1.0) * horizon
+        if abs(x) < 1e-2:  # its Taylor series, to x^4 / 720
+            quad = 0.5 - x * (1 / 6 - x * (1 / 24 - x * (1 / 120 - x / 720)))
+        else:
+            quad = (expm1(-x) + x) / (x * x)
+        # a zero coefficient beside an overflowed factor adds no events
+        return float(sum(c * f for c, f in (
+            (self.lambda0 * horizon, exprel(-x)),
+            (self.kappa * self.theta_bar * horizon * horizon, quad)) if c))
 
 
 @dataclass(frozen=True)
@@ -203,9 +219,17 @@ def simulate_hawkes_batch(params: HawkesParams, horizon: float, n_paths: int,
     Every live path draws its next waiting time by inverting the
     compensator (:func:`_waiting_times`), so the loop runs once per event
     index.  All draws come from the stream ``(seed, 0, TAG_HAWKES_BATCH)``.
-    The caps ``MAX_PATH_EVENTS`` and ``MAX_BATCH_EVENTS`` bound its events.
+    The caps ``MAX_PATH_EVENTS`` and ``MAX_BATCH_EVENTS`` bound its events,
+    and a batch expected to hold more than ``MAX_BATCH_EVENTS``
+    (:meth:`HawkesParams.expected_events`) fails before it draws any.
     """
     check_horizon(horizon, n_paths)
+    expected = n_paths * params.expected_events(horizon)
+    if expected > MAX_BATCH_EVENTS:
+        raise ExplosionGuardError(
+            f"batch expects {expected:.3g} events, above the cap "
+            f"{MAX_BATCH_EVENTS}; lower the intensity, the horizon or the "
+            "path count")
     rng = make_stream(seed, 0, TAG_HAWKES_BATCH)
     kappa, theta_bar = params.kappa, params.theta_bar
 

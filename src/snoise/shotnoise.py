@@ -162,16 +162,19 @@ def _log_future(proc: ShotNoiseProcess, t: float, T: float, theta,
     Every theta is a component of each mark level, so a block refused by
     ``LevelTooWideError`` is solved one theta at a time, each by the call a
     scalar theta gets (so equal to it bit for bit); a lone theta that is
-    refused raises the guard's error.
+    refused raises the guard's error, which then names ``quad_tol``.
     """
     i_theta = 1j * theta[..., None, None]  # ahead of the (time, mark) axes
     try:
         return np.array(_future_mass(
             proc, t, T, lambda g: np.exp(i_theta * g) - 1.0, quad_tol),
             dtype=complex)
-    except LevelTooWideError:
+    except LevelTooWideError as exc:
         if theta.size == 1:
-            raise
+            raise LevelTooWideError(
+                f"{exc}; a lone theta has no smaller part: quad_tol = "
+                f"{quad_tol:g} asks for more refinement than the guard "
+                "allows, so raise quad_tol") from exc
     # outside the handler, whose traceback holds the refused levels
     return np.array([_log_future(proc, t, T, th, quad_tol)
                      for th in theta.ravel()]).reshape(theta.shape)

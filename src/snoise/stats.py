@@ -281,70 +281,103 @@ class KsResult(NamedTuple):
     passed: bool
 
 
-def _effective_size(x, w, w_sum, name) -> float:
+def _effective_size(x, w, w_sum, x_name, w_name) -> float:
     """(sum w)^2 / sum w^2, or ``x.size`` for unit weights (``w`` None);
-    ``w_sum`` is ``w.sum()`` and ``name`` the weights' parameter."""
+    ``w_sum`` is ``w.sum()``, and the names are the parameters'."""
     if w is None:
         if x.size == 0:
-            raise ValueError("samples must be nonempty")
+            raise ParameterError(x_name, "must be a nonempty sample")
         return float(x.size)
     if np.any(w < 0) or w_sum == 0:
-        raise ParameterError(name, "must hold weights >= 0 of positive sum")
+        raise ParameterError(w_name, "must hold weights >= 0 of positive sum")
     return float(w_sum ** 2 / np.sum(w**2))
 
 
-def _weighted_ecdf(x, w, w_sum):
-    """The sorted sample and its weighted ECDF at each sorted point.
-
-    The ECDF is the cumulative sum of ``w / w_sum`` in the order of a
-    stable sort, so equal values add in index order.  A sample without
-    ties takes the faster default argsort, which then gives the same
-    order.  Unit weights (``w`` None) need no permutation: ``np.sort``
-    gives the same values, and a cumulative sum of ``1/n`` the same bits,
-    ties included.
-    """
-    if w is None:
-        c = np.full(x.size, 1.0 / x.size)
-        return np.sort(x), np.cumsum(c, out=c)
-    order = np.argsort(x)
-    s = x[order]
-    if (s[1:] == s[:-1]).any():
-        # the default sort leaves a run of equal values (-0.0 beside 0.0
-        # too) in any order
-        order = np.argsort(x, kind="stable")
-        s = x[order]
-    c = w[order]
-    c /= w_sum
-    return s, np.cumsum(c, out=c)
-
-
-# sorted points searched in the other sample per call: bounds the search's
-# temporaries, and the slice of the other sample a block spans is short
+# sorted points per block of the sweep: bounds its temporaries, and the
+# slice of the searched sample that a block of keys spans is short
 _KS_BLOCK = 1 << 16
 
 
-def _max_gap(s, c, s_other, c_other) -> float:
-    """max |c - F_other| over the sorted points ``s`` with ECDF ``c``.
+def _sort_order(x):
+    """The argsort of ``x``, stable where values tie (-0.0 beside 0.0 too);
+    without ties the faster default argsort gives the same order."""
+    order = np.argsort(x)
+    for a in range(0, x.size, _KS_BLOCK):
+        s = x[order[a:a + _KS_BLOCK + 1]]
+        if (s[1:] == s[:-1]).any():
+            del order
+            return np.argsort(x, kind="stable")
+    return order
 
-    Only the last point of a run of equal values has its own ECDF value in
-    ``c``, and every point of a run has the gap of that last point, so each
-    block of ``_KS_BLOCK`` points keeps its run ends and looks them up in
-    the slice of ``s_other`` that their values span.
-    """
-    n, gap = s.size, 0.0
+
+def _ecdf_blocks(n, order, w, w_sum):
+    """The ECDF at each sorted point, ``_KS_BLOCK`` points at a time: the
+    cumulative sum of ``w / w_sum`` in ``order`` (of ``1/n`` for unit
+    weights, ``w`` None) carried from block to block, with the bits of one
+    ``np.cumsum`` over the whole sample."""
+    carry = 0.0
     for a in range(0, n, _KS_BLOCK):
-        b = min(a + _KS_BLOCK, n)
-        keys, own = s[a:b], c[a:b]
-        ends = np.append(keys[1:] != keys[:-1], b == n or s[b] != s[b - 1])
-        if not ends.all():
-            keys, own = keys[ends], own[ends]
-            if not keys.size:
-                continue
-        lo, hi = s_other.searchsorted(keys[[0, -1]], side="right")
-        idx = s_other[lo:hi].searchsorted(keys, side="right") + (lo - 1)
-        other = np.where(idx < 0, 0.0, c_other[idx])
-        gap = max(gap, float(np.abs(own - other).max()))
-    return gap
+        if w is None:
+            c = np.full(min(_KS_BLOCK, n - a), 1.0 / n)
+        else:
+            c = w[order[a:a + _KS_BLOCK]]
+            c /= w_sum
+        if a:
+            c[0] += carry
+        carry = np.cumsum(c, out=c)[-1]
+        yield c
+
+
+def _ecdf_reader(blocks):
+    """The ECDF that ``blocks`` yields, at ascending sorted indices in
+    [-1, n) (0.0 at -1), read forward only: no call goes back a block."""
+    start, c = 0, np.empty(0)
+
+    def at(idx):
+        nonlocal start, c
+        out = np.zeros(idx.size)
+        i = int(idx.searchsorted(0))
+        while i < idx.size:
+            while idx[i] >= start + c.size:
+                start, c = start + c.size, next(blocks)
+            j = int(idx.searchsorted(start + c.size))
+            np.take(c, idx[i:j] - start, out=out[i:j])
+            i = j
+        return out
+    return at
+
+
+def _block_gap(keys, own, last, prev, so, at):
+    """The largest gap at one block's run ends, and the block's ECDF at the
+    last of them (``prev``, at the one before, if it has none): ``keys``
+    holds its sorted values and the next, unless it is the ``last``, and
+    ``own`` their ECDF; ``so`` is the searched sample, ``at`` its reader."""
+    ends = keys[1:] != keys[:-1]  # a run ends where the next value differs
+    if last:
+        ends = np.append(ends, True)
+    keys = keys[:own.size]
+    if not ends.all():
+        keys, own = keys[ends], own[ends]
+        if not keys.size:
+            return 0.0, prev
+    lo = int(so.searchsorted(keys[0]))
+    part = so[lo:int(so.searchsorted(keys[-1], "right"))]
+    # the count of searched values <= each key, and < it where they tie
+    idx = part.searchsorted(keys, "right")  # idx 0 reads part[-1] > key
+    tie = part[idx - 1] == keys if part.size else idx < 0
+    if tie.any():
+        below = idx.copy()
+        below[tie] = part.searchsorted(keys[tie])
+        # below[j] <= idx[j] <= below[j + 1]: interleaved, they ascend
+        idx = np.stack((below, idx), axis=1).ravel()
+    idx += lo - 1
+    f = at(idx)
+    f_left, f_right = (f[0::2], f[1::2]) if f.size > own.size else (f, f)
+    gap = own - f_right
+    stat = float(np.abs(gap, out=gap).max())
+    np.subtract(own[:-1], f_left[1:], out=gap[1:])
+    gap[0] = prev - f_left[0]
+    return max(stat, float(np.abs(gap, out=gap).max())), own[-1]
 
 
 def _ks_c_alpha(level: float) -> float:
@@ -361,35 +394,52 @@ def ks_two_sample_weighted(x1, x2, w1=None, w2=None,
                            level: float = KS_LEVEL) -> KsResult:
     """Two-sample KS test allowing importance weights on either sample.
 
-    The statistic is sup |F1 - F2| over both samples' points, with each
-    weighted ECDF summed in the order of a stable sort; both ECDFs are step
-    functions, so it is attained at a sample point, where one sample's own
-    ECDF is known and only the other is searched.  The critical value is
-    the standard large-sample one, c(level) * sqrt(1/n1_eff + 1/n2_eff),
-    with effective sample sizes (sum w)^2 / sum w^2.  With unit weights
-    this reduces to the classical two-sample test.  ``level`` must lie in
-    (0, 1).
+    The statistic is sup |F1 - F2| over both samples' points, each weighted
+    ECDF summed in the order of a stable sort.  The smaller sample's ECDF
+    F_K is flat between its run ends u < v while the other, F, rises, so
+    the statistic is the largest |F_K(v) - F(v)| and |F_K(u) - F(v-)|, and
+    the gap of the two sums past the last run end: pairs at sample points,
+    with the largest among them, so it has the bits of a search over both.
+    Blocks of ``_KS_BLOCK`` run ends search the larger sample once, and
+    again where they tie with it.  The call holds a weighted sample's
+    argsort, the larger sample's sorted values and a block of each ECDF.
+    The critical value is c(level) * sqrt(1/n1_eff + 1/n2_eff), with
+    effective sample sizes (sum w)^2 / sum w^2: with unit weights, the
+    classical two-sample test.  ``level`` must lie in (0, 1).
     """
     c_alpha = _ks_c_alpha(level)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     w1 = None if w1 is None else np.asarray(w1, dtype=float)
     w2 = None if w2 is None else np.asarray(w2, dtype=float)
-    for x, w in ((x1, w1), (x2, w2)):
+    for x, w, name in ((x1, w1, "w1"), (x2, w2, "w2")):
         if w is not None and w.shape != x.shape:
-            raise ValueError(f"weights of shape {w.shape} for a sample of "
-                             f"shape {x.shape}")
+            raise ParameterError(name, f"holds weights of shape {w.shape} "
+                                 f"for a sample of shape {x.shape}")
     # a NaN sorts last and a NaN weight spoils every ECDF value: either
     # gives a statistic that means nothing
     check_finite(x1=x1, x2=x2, w1=w1, w2=w2)
     w1_sum = None if w1 is None else w1.sum()
     w2_sum = None if w2 is None else w2.sum()
-    n1_eff = _effective_size(x1, w1, w1_sum, "w1")
-    n2_eff = _effective_size(x2, w2, w2_sum, "w2")
+    n1_eff = _effective_size(x1, w1, w1_sum, "x1", "w1")
+    n2_eff = _effective_size(x2, w2, w2_sum, "x2", "w2")
 
-    s1, c1 = _weighted_ecdf(x1, w1, w1_sum)
-    s2, c2 = _weighted_ecdf(x2, w2, w2_sum)
-    stat = max(_max_gap(s1, c1, s2, c2), _max_gap(s2, c2, s1, c1))
+    # |F1 - F2| and |F2 - F1| share their bits: the smaller sample gives keys
+    (xk, wk, wk_sum), (xo, wo, wo_sum) = sorted(
+        ((x1, w1, w1_sum), (x2, w2, w2_sum)), key=lambda s: s[0].size)
+    ok, sk = (None, np.sort(xk)) if wk is None else (_sort_order(xk), None)
+    oo = None if wo is None else _sort_order(xo)
+    so = np.sort(xo) if oo is None else xo[oo]
+    at = _ecdf_reader(_ecdf_blocks(xo.size, oo, wo, wo_sum))
+    n, stat, prev = xk.size, 0.0, 0.0
+    for a, own in zip(range(0, n, _KS_BLOCK),
+                      _ecdf_blocks(n, ok, wk, wk_sum)):
+        b = a + own.size
+        gap, prev = _block_gap(
+            sk[a:b + 1] if ok is None else xk[ok[a:b + 1]], own, b == n,
+            prev, so, at)
+        stat = max(stat, gap)
+    stat = max(stat, float(abs(prev - at(np.array([xo.size - 1]))[0])))
     threshold = c_alpha * math.sqrt(1.0 / n1_eff + 1.0 / n2_eff)
     return KsResult(stat, threshold, n1_eff, n2_eff, stat <= threshold)
 
@@ -403,7 +453,7 @@ def ks_against_cdf(x, cdf, level: float = KS_LEVEL) -> KsResult:
     c_alpha = _ks_c_alpha(level)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or not x.size:
-        raise ValueError("KS data must be a nonempty 1-d sample")
+        raise ParameterError("x", "must be a nonempty 1-d sample")
     # a sort puts a NaN last and an inf counts as a point past the CDF: the
     # statistic then means nothing, yet can pass
     check_finite(x=x)
@@ -529,7 +579,7 @@ def log_kernel_at_events(Y, times, marks) -> np.ndarray:
     """log Y(T_i, U_i) per event, -inf where Y vanishes; a negative Y raises."""
     y = np.asarray(Y(times, marks), dtype=float) if times.size else np.empty(0)
     if np.any(y < 0):
-        raise ValueError("Girsanov kernel must be nonnegative")
+        raise ParameterError("Y", "must be nonnegative: a Girsanov kernel")
     with np.errstate(divide="ignore"):
         return np.where(y > 0, np.log(np.where(y > 0, y, 1.0)), -np.inf)
 

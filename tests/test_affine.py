@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import exprel
 
 from snoise import affine
 from snoise.affine import (
@@ -239,14 +240,79 @@ except SnoiseError as exc:
 """
 
 
-def test_batch_explosion_guard_supercritical():
+def _run_child(code):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", _SUPERCRITICAL],
+    proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.startswith("ExplosionGuard "), proc.stdout
+    return proc.stdout
+
+
+def test_batch_explosion_guard_supercritical():
+    assert _run_child(_SUPERCRITICAL).startswith("ExplosionGuard ")
+
+
+# a huge starting intensity is refused from its expected count before any
+# draw: drawing until the event cap trips takes 1.5 s and 300 MB.  VmHWM is
+# the child's own peak, which ru_maxrss is not: that starts from the peak of
+# the process that forked it
+_HUGE_LAMBDA0 = """
+import time
+from snoise.affine import HawkesParams, simulate_hawkes_batch
+from snoise.errors import SnoiseError
+start = time.perf_counter()
+try:
+    simulate_hawkes_batch(HawkesParams(2.0, 0.5, 1e308), 1.0, 10**5, 3)
+    print("OK")
+except SnoiseError as exc:
+    print(exc.code, exc)
+with open("/proc/self/status") as fh:
+    hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(time.perf_counter() - start, int(hwm) / 1024.0)
+"""
+
+
+def test_batch_refuses_an_expected_count_over_the_cap_before_drawing():
+    outcome, usage = _run_child(_HUGE_LAMBDA0).splitlines()
+    assert outcome.startswith("ExplosionGuard batch expects inf events")
+    seconds, peak_mb = map(float, usage.split())
+    assert seconds < 0.5 and peak_mb < 128.0, (seconds, peak_mb)
+
+
+@pytest.mark.parametrize("kappa, theta_bar, lambda0, horizon", [
+    (2.0, 0.5, 1.0, 1.0), (0.5, 0.5, 1.0, 20.0), (1.0, 0.5, 1.0, 2.0),
+    (1.0 + 1e-9, 0.5, 1.0, 2.0), (1.0004, 0.3, 2.0, 2.0),
+    (1.0049, 0.3, 2.0, 2.0), (1.0051, 0.3, 2.0, 2.0), (1.01, 0.3, 2.0, 2.0), (3.0, 1e3, 0.0, 1.0), (1.5, 0.0, 2.0, 3.0)])
+def test_expected_events_is_the_mean_intensity_integral(kappa, theta_bar,
+                                                        lambda0, horizon):
+    # m(t) = lambda0 e^{-r t} + kappa theta_bar t exprel(-r t), r = kappa - 1,
+    # integrated by Gauss-Legendre; on both sides of the series' cut near 1
+    params = HawkesParams(kappa, theta_bar, lambda0)
+    nodes, weights = np.polynomial.legendre.leggauss(60)
+    t = 0.5 * horizon * (nodes + 1.0)
+    r = kappa - 1.0
+    m = lambda0 * np.exp(-r * t) + kappa * theta_bar * t * exprel(-r * t)
+    want = 0.5 * horizon * float(weights @ m)
+    assert params.expected_events(horizon) == pytest.approx(want, rel=1e-12)
+
+
+def test_expected_events_overflow_and_empty():
+    # a long supercritical horizon overflows to inf, but with no intensity
+    # at all the count stays 0, not inf * 0
+    assert HawkesParams(0.001, 0.2, 0.0).expected_events(1e6) == math.inf
+    assert HawkesParams(0.001, 0.0, 0.0).expected_events(1e6) == 0.0
+
+
+def test_batch_guard_refuses_before_drawing(monkeypatch):
+    def no_stream(*_a, **_k):
+        raise AssertionError("drew before the expected count was checked")
+
+    monkeypatch.setattr(affine, "make_stream", no_stream)
+    monkeypatch.setattr(affine, "MAX_BATCH_EVENTS", 1000)
+    with pytest.raises(ExplosionGuardError, match="batch expects 1.1e"):
+        simulate_hawkes_batch(HawkesParams(2.0, 0.5, 1.0), 1.0, 1100, 3)
 
 
 class TestRiccati:

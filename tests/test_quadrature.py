@@ -186,7 +186,8 @@ def test_cumulative_with_breakpoints_matches_per_gap_loop():
 # Hostile inputs run in a child process under an address-space cap and a
 # timeout, so an engine that refines them without bound fails the test
 # instead of exhausting the machine's memory.  The child prints the case's
-# outcome, then its own peak RSS and the case's time.
+# outcome, then the case's time and its own peak RSS: VmHWM, since
+# ru_maxrss starts from the peak of the process that forked it.
 _HOSTILE = """
 import contextlib, io, math, os, resource, sys, tempfile, time
 cap = 1 << 30
@@ -278,8 +279,9 @@ except SnoiseError as exc:
     print(exc.code, exc)
 except SystemExit as exc:
     print("exit", exc.code)
-print(time.perf_counter() - start,
-      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+with open("/proc/self/status") as fh:
+    hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(time.perf_counter() - start, int(hwm) / 1024.0)
 """
 
 

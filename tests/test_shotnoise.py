@@ -391,6 +391,21 @@ class TestCfGrid:
         assert "integrand values, over _MAX_VALUES = 1024" in str(err.value)
         assert "in the mark integral" in str(err.value)
 
+    def test_lone_theta_refusal_names_the_tolerance(self):
+        # a lone theta cannot be split as a block is: the error says so and
+        # names quad_tol, which no level within the guard can meet
+        proc = ShotNoiseProcess(exponential(1.0, 0.8),
+                                standard(1.5, Exponential(1.0)))
+        with pytest.raises(LevelTooWideError) as err:
+            conditional_cf_parts(proc, state_at_zero(), 1.0, -5.0,
+                                 quad_tol=1e-14)
+        message = str(err.value)
+        assert err.value.code == "QuadratureFailure"
+        assert "over _MAX_VALUES" in message and "open intervals" in message
+        assert message.endswith("a lone theta has no smaller part: quad_tol "
+                                "= 1e-14 asks for more refinement than the "
+                                "guard allows, so raise quad_tol")
+
     def test_zero_grid_is_exactly_one(self):
         marks = SampleOnly(lambda rng, t, n: rng.normal(size=(n, 1)), 1)
         for spec in (standard(1.0, marks), _SPEC_B):

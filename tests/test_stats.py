@@ -388,6 +388,18 @@ def _ks_cases():
     yield "blocks_continuous", rng.exponential(size=big), rng.exponential(size=big + 1)
     # a run of equal values over whole blocks leaves them without a run end
     yield "run_over_blocks", np.r_[np.zeros(2 * _KS_BLOCK + 3), tied(500, -2, 3)], tied(700, -3, 2)
+    # the sweep reads the smaller sample's run ends: disjoint supports in
+    # both orders, where the statistic is 1 at the gap between them
+    yield "disjoint_below", rng.normal(size=1500) - 10.0, rng.normal(size=2500)
+    yield "disjoint_above", rng.normal(size=1500) + 10.0, rng.normal(size=2500)
+    # a smaller sample with few values, so runs of ties cross block edges
+    yield "small_tied_over_blocks", tied(2 * _KS_BLOCK + 11, -3, 3), tied(3 * _KS_BLOCK, -5, 6)
+    # key blocks far apart in value, the searched sample over 3 blocks
+    # larger: its ECDF window skips blocks between two key blocks
+    keys = np.r_[rng.uniform(0.0, 1.0, _KS_BLOCK), rng.uniform(100.0, 101.0, _KS_BLOCK + 5)]
+    yield "window_skips_ahead", keys, rng.uniform(-1.0, 102.0, keys.size + 3 * _KS_BLOCK + 17)
+    yield "equal_sizes", rng.normal(size=4000), rng.normal(0.1, size=4000)
+    yield "equal_sizes_tied", tied(4000, -3, 4), tied(4000, -2, 5)
 
 
 class TestKsBits:
@@ -420,6 +432,32 @@ class TestKsBits:
                 tracemalloc.stop()
 
         assert peak(ks_two_sample_weighted) < 0.6 * peak(_ks_reference)
+
+    def test_gap_past_the_last_run_end(self):
+        # the last weight moves the searched sample's sum by its last bit
+        # alone, past the smaller sample's last value: that gap is the
+        # statistic
+        x1, x2 = np.array([2.0, 2.0]), np.array([2.0, 2.0, 5.0])
+        w2 = np.array([0.8169752644714492, 0.3027955976880986,
+                       1.2523443366131395e-16])
+        got = ks_two_sample_weighted(x1, x2, w2=w2).statistic
+        assert got == _ks_reference(x1, x2, None, w2)[0] == 2.0 ** -52
+
+    def test_peak_memory_holds_one_array_per_sample(self):
+        # the weighted sample's argsort and the larger sample's sorted copy,
+        # 8 bytes a point, and blocks of 2^16 points; sorted copies and full
+        # ECDFs of both samples would take 26.2 MB here
+        rng = make_stream(18)
+        x1, w1 = rng.exponential(size=500_000), rng.exponential(size=500_000)
+        x2 = rng.exponential(0.5, size=1_000_000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ks_two_sample_weighted(x1, x2, w1=w1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (x1.size + x2.size) + 6e6, peak
 
 
 class TestKs:
@@ -557,6 +595,20 @@ class TestKs:
         with pytest.raises(ValueError, match="weights"):
             ks_two_sample_weighted([2.0, 1.0], [0.5, 3.0], w1=w1, w2=w2)
 
+    def test_bad_sample_or_weights_name_their_argument(self):
+        x = np.arange(3.0)
+        for args, kwargs, field in (
+                (([], x), {}, "x1"), ((x, []), {}, "x2"),
+                ((x, x), {"w1": np.ones(2)}, "w1"),
+                ((x, x), {"w2": np.ones((3, 1))}, "w2")):
+            with pytest.raises(ParameterError) as err:
+                ks_two_sample_weighted(*args, **kwargs)
+            assert err.value.field == field
+        for bad in ([], [[0.5, 0.7]]):
+            with pytest.raises(ParameterError) as err:
+                ks_against_cdf(bad, lambda v: np.clip(v, 0.0, 1.0))
+            assert err.value.field == "x"
+
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             ks_two_sample_weighted([], [1.0, 2.0])
@@ -692,6 +744,13 @@ class TestBatchOracle:
         has_events = batch.counts > 0
         assert np.all(np.isneginf(logw[has_events]))
         assert np.all(logw[~has_events] == 0.0)
+
+    def test_negative_girsanov_kernel_names_it(self):
+        batch = simulate_standard_batch(2.0, PointMass(1.0), 1.0, 200, 18)
+        minus = lambda t, x: -np.ones(np.asarray(x, dtype=float).shape[:-1])
+        with pytest.raises(ParameterError) as err:
+            batch_log_weights(minus, batch, 0.0)
+        assert err.value.field == "Y"
 
     def test_batch_reproducible(self):
         a = simulate_standard_batch(1.0, Exponential(1.0), 1.0, 100, 19)
